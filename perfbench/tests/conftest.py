@@ -1,0 +1,7 @@
+"""Import faro from the checkout's src/ and perfbench from the checkout root."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
