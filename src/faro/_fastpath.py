@@ -1,59 +1,130 @@
-"""Optional compiled twins of the inner loops.
+"""Native twins of the inner loops, and the choice between them and ``_loops``.
 
-numpy + numba are soft dependencies: when both import and the buffer is a
-1-D numeric ndarray, the loops from ``_loops`` are run through ``numba.njit``
-(compiled from the same source, cached on disk). Every other buffer type
-(lists, record views, anything indexable) takes the plain-Python loops.
+``_kernel.c`` holds the reversal and the cycle walk of ``_loops`` in C, over
+raw item memory. On first import it is compiled with ``cc`` into
+``__pycache__/_kernel-<crc32 of the source><extension suffix>`` next to this
+file and loaded with ctypes; later imports load that file. If the build or
+the load fails, ``HAVE_COMPILED`` is False, ``BUILD_ERROR`` says why, and
+every buffer takes the Python loops.
 
-The compiled cycle walk does 64-bit arithmetic, so it is only selected when
-``mult * modulus`` fits in int64; the Python loops have no such limit.
+The kernel takes 1-D, writable, C-contiguous ndarrays of any dtype that holds
+no Python objects, and ``RecordBuffer`` over a bytearray. Lists, read-only or
+strided arrays and every other buffer take the Python loops.
 """
+
+import ctypes
+import os
+import zlib
+from importlib.machinery import EXTENSION_SUFFIXES
+from math import gcd
 
 from . import _loops
 
 try:
     import numpy as _np
-    from numba import njit as _njit
-
-    _reverse_compiled = _njit(cache=True)(_loops.reverse_slots)
-    _walk_compiled = _njit(cache=True)(_loops.cycle_walk)
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - exercised only without numpy/numba
+except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None
-    _reverse_compiled = None
-    _walk_compiled = None
-    HAVE_COMPILED = False
 
-_INT64_MAX = (1 << 63) - 1
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
 
-def _is_numeric_ndarray(buf):
-    return (
-        HAVE_COMPILED
-        and isinstance(buf, _np.ndarray)
-        and buf.ndim == 1
-        and buf.dtype.kind in "iuf"
-    )
+def _load():
+    with open(_SOURCE, "rb") as handle:
+        source = handle.read()
+    cache = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+    target = os.path.join(cache, f"_kernel-{zlib.crc32(source):08x}{EXTENSION_SUFFIXES[0]}")
+    if not os.path.exists(target):
+        import subprocess
+
+        os.makedirs(cache, exist_ok=True)
+        # concurrent first imports each build their own file; the last
+        # rename wins and every loader sees a complete library
+        tmp = f"{target}.{os.getpid()}.tmp"
+        try:
+            built = subprocess.run(
+                ["cc", "-O2", "-shared", "-fPIC", "-x", "c", "-o", tmp, "-"],
+                input=source,
+                capture_output=True,
+            )
+            if built.returncode != 0:
+                raise OSError(f"cc exited {built.returncode}: {built.stderr.decode(errors='replace').strip()}")
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(target)
+    i64, size_t, ptr = ctypes.c_int64, ctypes.c_size_t, ctypes.c_void_p
+    lib.faro_reverse.argtypes = (ptr, size_t, i64, i64)
+    lib.faro_reverse.restype = None
+    lib.faro_walk.argtypes = (ptr, size_t, i64, i64, i64, i64)
+    lib.faro_walk.restype = None
+    lib.faro_mulmod.argtypes = (i64, i64, i64)
+    lib.faro_mulmod.restype = i64
+    return lib
+
+
+try:
+    _lib = _load()
+    BUILD_ERROR = None
+except OSError as exc:
+    _lib = None
+    BUILD_ERROR = f"native kernel unavailable: {exc}"
+HAVE_COMPILED = _lib is not None
+
+
+def _memory(buf):
+    """(pointer, itemsize, length) of a buffer the kernel can take, else None.
+
+    The pointer object keeps the memory it points to alive.
+    """
+    if type(buf) is list or _lib is None:
+        return None
+    if _np is not None and isinstance(buf, _np.ndarray):
+        if (
+            buf.ndim == 1
+            and buf.size
+            and buf.flags.c_contiguous
+            and buf.flags.writeable
+            and not buf.dtype.hasobject
+        ):
+            return buf.ctypes.data_as(ctypes.c_void_p), buf.itemsize, len(buf)
+        return None
+    from .shuffle import RecordBuffer  # shuffle imports this module
+
+    if type(buf) is RecordBuffer and type(buf.data) is bytearray and buf.data:
+        # the exported view also stops the bytearray from being resized
+        return ctypes.byref(ctypes.c_char.from_buffer(buf.data)), buf.record_size, len(buf)
+    return None
 
 
 def reverse_fn(buf):
     """Pick the reversal loop for this buffer."""
-    if _is_numeric_ndarray(buf):
-        return _reverse_compiled
-    return _loops.reverse_slots
+    memory = _memory(buf)
+    if memory is None:
+        return _loops.reverse_slots
+    pointer, itemsize, _ = memory
+
+    def reverse(_buf, lo, hi):
+        # rotate._check_range has kept [lo, hi) inside the buffer
+        _lib.faro_reverse(pointer, itemsize, lo, hi)
+
+    return reverse
 
 
-def walk_fn(buf, mult, modulus):
-    """Pick the cycle-walk loop for this buffer and step arithmetic."""
-    if _is_numeric_ndarray(buf) and mult * modulus <= _INT64_MAX:
-        return _walk_compiled
-    return _loops.cycle_walk
+def walk_fn(buf):
+    """Pick the cycle-walk loop for this buffer."""
+    memory = _memory(buf)
+    if memory is None:
+        return _loops.cycle_walk
+    pointer, itemsize, length = memory
 
+    def walk(_buf, base, leader, mult, modulus):
+        # the orbit stays in local positions 1..modulus-1 and closes only
+        # when mult is a unit and the leader one of those positions
+        if not (base + 1 >= 0 and base + modulus - 1 < length):
+            raise IndexError(f"walk mod {modulus} at base {base} leaves a buffer of {length}")
+        if not 0 < leader < modulus or gcd(mult, modulus) != 1:
+            raise ValueError(f"leader {leader} under x{mult} mod {modulus} is no closed orbit")
+        _lib.faro_walk(pointer, itemsize, base, leader, mult % modulus, modulus)
 
-def warm_up():
-    """Force JIT compilation of the int64 kernels (no-op without numba)."""
-    if not HAVE_COMPILED:
-        return
-    probe = _np.arange(4, dtype=_np.int64)
-    _reverse_compiled(probe, 0, 4)
-    _walk_compiled(probe, -1, 1, 2, 3)
+    return walk

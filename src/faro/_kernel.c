@@ -1,0 +1,80 @@
+/* Native twins of the loops in _loops.py, loaded by _fastpath with ctypes.
+ *
+ * Items are opaque runs of `itemsize` bytes at buf + i * itemsize, exchanged
+ * with fixed 8-byte copies; itemsize 8 gets its own constant-size copy of
+ * each loop. The only temporary array is the walk's held column of at most
+ * COLUMN bytes: wider records are walked once per COLUMN-byte column, so
+ * extra space stays constant whatever the record size. _fastpath checks
+ * every range and walk against the buffer length before calling in.
+ */
+#include <stdint.h>
+#include <string.h>
+
+#define COLUMN 256
+
+/* a * b mod m without overflow, for 0 <= a, b < m < 2^63; the division is
+ * 64-bit whenever the product fits, which is every m below 2^32 */
+static inline int64_t mulmod(int64_t a, int64_t b, int64_t m)
+{
+    unsigned __int128 p = (unsigned __int128)a * (uint64_t)b;
+    return (int64_t)(p >> 64 ? p % (uint64_t)m : (uint64_t)p % (uint64_t)m);
+}
+
+/* the step walk() takes, exported for testing */
+int64_t faro_mulmod(int64_t a, int64_t b, int64_t m) { return mulmod(a, b, m); }
+
+/* exchange n bytes a word at a time, through registers */
+static inline void swap_bytes(char *a, char *b, size_t n)
+{
+    uint64_t x, y;
+    for (; n >= 8; n -= 8, a += 8, b += 8) {
+        memcpy(&x, a, 8);
+        memcpy(&y, b, 8);
+        memcpy(a, &y, 8);
+        memcpy(b, &x, 8);
+    }
+    for (; n > 0; n--, a++, b++) {
+        char c = *a;
+        *a = *b;
+        *b = c;
+    }
+}
+
+/* swap ends inward over items [lo, hi) */
+static inline void reverse(char *buf, size_t size, int64_t lo, int64_t hi)
+{
+    for (hi -= 1; lo < hi; lo++, hi--)
+        swap_bytes(buf + lo * size, buf + hi * size, size);
+}
+
+void faro_reverse(char *buf, size_t itemsize, int64_t lo, int64_t hi)
+{
+    if (itemsize == 8)
+        reverse(buf, 8, lo, hi);
+    else
+        reverse(buf, itemsize, lo, hi);
+}
+
+/* Hold the column of item base + leader, then follow j -> j * mult mod
+ * modulus, swapping the held column into each visited item until the orbit
+ * closes at the leader. */
+static inline void walk(char *buf, size_t size, size_t width, int64_t base, int64_t leader, int64_t mult,
+                        int64_t modulus)
+{
+    char t[COLUMN];
+    int64_t j = leader;
+    memcpy(t, buf + (base + j) * size, width);
+    do {
+        j = mulmod(j, mult, modulus);
+        swap_bytes(t, buf + (base + j) * size, width);
+    } while (j != leader);
+}
+
+void faro_walk(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t mult, int64_t modulus)
+{
+    if (itemsize == 8)
+        walk(buf, 8, 8, base, leader, mult, modulus);
+    else
+        for (size_t off = 0; off < itemsize; off += COLUMN)
+            walk(buf + off, itemsize, itemsize - off < COLUMN ? itemsize - off : COLUMN, base, leader, mult, modulus);
+}

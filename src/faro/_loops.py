@@ -1,8 +1,9 @@
 """Innermost element-moving loops.
 
-Kept in the restricted style that both CPython and numba can execute, so the
-optional compiled twins in ``_fastpath`` are built from this exact source and
-cannot drift from the reference behaviour.
+These are the reference loops and the path every list takes. ``_kernel.c``
+holds the same two loops in C for ndarrays and ``RecordBuffer``; the test
+suite runs both paths on the same inputs and requires equal results and
+equal instrumentation counts.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
 loops only move elements.

@@ -12,7 +12,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from . import _fastpath
 from .kway import MAX_K, k_shuffle, k_unshuffle
 from .oracle import oracle_shuffle
 from .permcore import (
@@ -149,7 +148,6 @@ def cmd_bench(min_size: int, max_size: int, factor: float) -> int:
         return _fail(EXIT_USAGE, f"need 2 <= min <= max, got {min_size}..{max_size}")
     if factor <= 1:
         return _fail(EXIT_USAGE, f"growth factor must be > 1, got {factor}")
-    _fastpath.warm_up()
     print("size,nanos,moves,aux_words")
     s = min_size
     last_emitted = None

@@ -124,7 +124,7 @@ def _largest_admissible(remaining: int, p: int, q: int):
 def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr):
     # leaders p^s for s = 0..j-1; the cycle led by p^s has length
     # phi(p^(j-s)), so the passes place all p^j - 1 elements exactly once
-    walk = _fastpath.walk_fn(buf, mult, modulus)
+    walk = _fastpath.walk_fn(buf)
     base = offset - 1
     leader = 1
     level = modulus
@@ -145,7 +145,7 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
     if length == 0:
         return
     modulus = length + 1
-    walk = _fastpath.walk_fn(buf, mult, modulus)
+    walk = _fastpath.walk_fn(buf)
     base = offset - 1
     moves = 0
     for lead in range(1, length + 1):

@@ -21,8 +21,8 @@ the length in single-element moves.
 
 The buffer layer is 0-based half-open; every call into the 1-based math
 above documents the shift. Buffers are anything indexable with integer
-get/set and a length: lists, numpy arrays (compiled fast path), or
-``RecordBuffer`` views over packed bytes.
+get/set and a length: lists, numpy arrays, or ``RecordBuffer`` views over
+packed bytes; ``_fastpath`` sends the last two to the native kernel.
 
 Every operation mutates exactly one buffer and assumes exclusive access to
 it for the duration of the call; there is no shared state, so distinct
@@ -191,7 +191,7 @@ def gather_rotate(buf, offset: int, n: int, m: int, instr=None) -> None:
 def _cycle_passes(buf, offset: int, k: int, mult: int, modulus: int, instr) -> None:
     # leaders are local 1-based positions 3^s for s = 0..k-1; the slot of
     # local position j is offset + j - 1
-    walk = _fastpath.walk_fn(buf, mult, modulus)
+    walk = _fastpath.walk_fn(buf)
     base = offset - 1
     leader = 1
     cycle_len = 2 * modulus // 3  # phi(3^k), then divided by 3 per level

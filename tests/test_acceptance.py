@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 import faro.cli as cli
-from faro import _fastpath
 from faro.kway import k_shuffle
 from faro.numtheory import euler_totient, is_primitive_root
 from faro.oracle import oracle_shuffle
@@ -42,7 +41,6 @@ def _moves_for(length: int) -> int:
 def test_criterion_1_oracle_equivalence_exhaustive():
     # every even length 2..4096, distinct sequence numbers, zero mismatches,
     # under 60 seconds
-    _fastpath.warm_up()
     started = time.perf_counter()
     for length in range(2, 4097, 2):
         buf = np.arange(length, dtype=np.int64)
@@ -98,7 +96,6 @@ def test_criterion_5a_linearity_envelope_and_wall_clock():
         ratios[length] = ratio
         assert 1.0 <= ratio <= 6.0, f"moves/len = {ratio:.3f} at length {length}"
 
-    _fastpath.warm_up()
     buf = np.arange(2**22, dtype=np.int64)
     started = time.perf_counter()
     in_shuffle(buf)

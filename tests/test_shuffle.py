@@ -3,6 +3,8 @@ import random
 import pytest
 
 from conftest import CountingList
+from faro import _fastpath, _loops
+from faro.kway import k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, in_target, permutation_order
 from faro.shuffle import (
@@ -276,23 +278,52 @@ def test_total_move_count_audit():
         assert list(buf) == list(range(length))
 
 
-@pytest.mark.skipif(np is None, reason="numpy not installed")
+def _parity_calls():
+    # (name, arity, call) for every permutation the native kernel serves
+    for fn in (in_shuffle, un_shuffle, out_shuffle, un_out_shuffle):
+        yield fn.__name__, 2, fn
+    for k in range(3, 9):
+        yield f"k_shuffle({k})", k, lambda buf, instr, k=k: k_shuffle(buf, k, instr)
+        yield f"k_unshuffle({k})", k, lambda buf, instr, k=k: k_unshuffle(buf, k, instr)
+
+
+def _native_buffers(raw_bytes, count):
+    # (label, buffer, itemsize, payload) over fresh payload bytes
+    if np is not None:
+        for dtype in ("int8", "int64", "float64", "complex128", "bool", "V3"):
+            itemsize = np.dtype(dtype).itemsize
+            payload = raw_bytes(count * itemsize)
+            if dtype == "bool":
+                payload = bytes(b & 1 for b in payload)
+            yield dtype, np.frombuffer(bytearray(payload), dtype=dtype), itemsize, payload
+    for record_size in (1, 3, 8, 64, 257, 1000):
+        payload = raw_bytes(count * record_size)
+        yield f"rs={record_size}", RecordBuffer(bytearray(payload), record_size), record_size, payload
+
+
+@pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
 def test_compiled_path_matches_pure_path():
+    # every kind and direction on every native buffer type against the pure
+    # loops on a list: same permutation, same moves, same aux peak
     rng = random.Random(18)
-    for _ in range(40):
-        length = 2 * rng.randrange(0, 4000)
-        pure = list(range(length))
-        fast = np.arange(length, dtype=np.int64)
-        pure_instr, fast_instr = Instrumentation(), Instrumentation()
-        in_shuffle(pure, pure_instr)
-        in_shuffle(fast, fast_instr)
-        assert pure == fast.tolist()
-        assert (pure_instr.moves, pure_instr.aux_words_peak) == (
-            fast_instr.moves,
-            fast_instr.aux_words_peak,
-        )
-        un_shuffle(fast)
-        assert fast.tolist() == list(range(length))
+    for name, arity, call in _parity_calls():
+        counts = {1, 3**5 // arity, rng.randrange(1, 400)}
+        for count in sorted(counts):
+            length = arity * count
+            pure = list(range(length))
+            pure_instr = Instrumentation()
+            call(pure, pure_instr)
+            for label, buf, itemsize, payload in _native_buffers(rng.randbytes, length):
+                assert _fastpath.reverse_fn(buf) is not _loops.reverse_slots, label
+                instr = Instrumentation()
+                call(buf, instr)
+                expected = b"".join(payload[i * itemsize : (i + 1) * itemsize] for i in pure)
+                case = f"{name} on {label} at length {length}"
+                assert buf.tobytes() == expected, case
+                assert (instr.moves, instr.aux_words_peak) == (
+                    pure_instr.moves,
+                    pure_instr.aux_words_peak,
+                ), case
 
 
 def test_record_buffer_semantics():
