@@ -1,29 +1,27 @@
 """Native twins of the inner loops, and the choice between them and ``_loops``.
 
 ``_kernel.c`` holds the reversal and the cycle walk of ``_loops`` in C, over
-raw item memory. On first import it is compiled with ``cc`` into
+raw item memory, and the check behind ``faro apply --verify`` (``agree``).
+On first import it is compiled with ``cc`` into
 ``__pycache__/_kernel-<crc32 of the source><extension suffix>`` next to this
 file and loaded with ctypes; later imports load that file. If the build or
-the load fails, ``HAVE_COMPILED`` is False, ``BUILD_ERROR`` says why, and
-every buffer takes the Python loops.
+the load fails, ``HAVE_COMPILED`` is False, ``BUILD_ERROR`` says why, every
+buffer takes the Python loops and ``agree`` returns None.
 
 The kernel takes 1-D, writable, C-contiguous ndarrays of any dtype that holds
 no Python objects, and ``RecordBuffer`` over a bytearray. Lists, read-only or
-strided arrays and every other buffer take the Python loops.
+strided arrays and every other buffer take the Python loops. numpy is never
+imported here: no ndarray can exist before the caller has imported it.
 """
 
 import ctypes
 import os
+import sys
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 from math import gcd
 
 from . import _loops
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
@@ -60,6 +58,8 @@ def _load():
     lib.faro_walk.restype = None
     lib.faro_mulmod.argtypes = (i64, i64, i64)
     lib.faro_mulmod.restype = i64
+    lib.faro_agree.argtypes = (ptr, ptr, size_t, i64, i64, i64)
+    lib.faro_agree.restype = ctypes.c_int
     return lib
 
 
@@ -79,7 +79,8 @@ def _memory(buf):
     """
     if type(buf) is list or _lib is None:
         return None
-    if _np is not None and isinstance(buf, _np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(buf, np.ndarray):
         if (
             buf.ndim == 1
             and buf.size
@@ -128,3 +129,34 @@ def walk_fn(buf):
         _lib.faro_walk(pointer, itemsize, base, leader, mult % modulus, modulus)
 
     return walk
+
+
+def agree(original, result, itemsize, base, mult, modulus):
+    """Whether `result` holds `original` moved by the map j -> j * mult mod modulus.
+
+    True iff item ``base + j`` of `original` equals item
+    ``base + (j * mult % modulus)`` of `result` for every j in
+    1..modulus-1, items being runs of `itemsize` bytes in two writable
+    buffers (bytearrays, say). One native pass that allocates nothing; it
+    shares no code with the shuffles it checks. None when the kernel did
+    not build.
+    """
+    if _lib is None:
+        return None
+    if itemsize < 1 or modulus < 1 or base + 1 < 0:
+        raise ValueError(f"no items {base} + 1..{modulus - 1} of {itemsize} bytes")
+    # a unit keeps every target off item `base` and makes the map a bijection
+    if gcd(mult, modulus) != 1:
+        raise ValueError(f"x{mult} mod {modulus} is no permutation")
+    need = (base + modulus) * itemsize
+    for buf in (original, result):
+        size = memoryview(buf).nbytes
+        if size < need:
+            raise IndexError(f"buffer of {size} bytes, need {need}")
+    if modulus == 1:
+        return True  # nothing to compare; from_buffer would refuse an empty buffer
+    return bool(_lib.faro_agree(
+        ctypes.byref(ctypes.c_char.from_buffer(original)),
+        ctypes.byref(ctypes.c_char.from_buffer(result)),
+        itemsize, base, mult % modulus, modulus,
+    ))

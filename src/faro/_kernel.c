@@ -1,4 +1,5 @@
-/* Native twins of the loops in _loops.py, loaded by _fastpath with ctypes.
+/* Native twins of the loops in _loops.py, and the check faro apply --verify
+ * makes, loaded by _fastpath with ctypes.
  *
  * Items are opaque runs of `itemsize` bytes at buf + i * itemsize, exchanged
  * with fixed 8-byte copies; itemsize 8 gets its own constant-size copy of
@@ -77,4 +78,21 @@ void faro_walk(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t
     else
         for (size_t off = 0; off < itemsize; off += COLUMN)
             walk(buf + off, itemsize, itemsize - off < COLUMN ? itemsize - off : COLUMN, base, leader, mult, modulus);
+}
+
+/* 1 iff item base + j of orig equals item base + (j * mult mod modulus) of
+ * res for every j in 1..modulus-1, that is iff res is orig moved by the
+ * target map j -> j * mult. Reads only; _fastpath checks that mult < modulus
+ * is a unit and both buffers hold items base + 1 .. base + modulus - 1. */
+int faro_agree(const char *orig, const char *res, size_t itemsize, int64_t base, int64_t mult, int64_t modulus)
+{
+    int64_t t = 0;
+    for (int64_t j = 1; j < modulus; j++) {
+        t += mult;
+        if (t >= modulus)
+            t -= modulus;
+        if (memcmp(orig + (base + j) * itemsize, res + (base + t) * itemsize, itemsize))
+            return 0;
+    }
+    return 1;
 }

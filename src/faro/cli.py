@@ -7,11 +7,13 @@ Exit codes: 0 success, 2 argument or validation error, 3 I/O failure,
 import argparse
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from ._fastpath import agree
 from .kway import MAX_K, k_shuffle, k_unshuffle
 from .oracle import oracle_shuffle
 from .permcore import (
@@ -30,11 +32,6 @@ from .shuffle import (
     un_out_shuffle,
     un_shuffle,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,11 +66,74 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _read(path: Path) -> tuple[bytearray, int]:
+    """The file's bytes, read once into a buffer of its size, and its mode bits."""
+    # O_NONBLOCK: a FIFO is refused below instead of waiting for a writer
+    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as handle:
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise OSError(f"{path} is not a regular file")
+        data = bytearray(info.st_size)
+        if handle.readinto(data) != len(data):
+            raise OSError(f"{path} changed size while being read")
+    return data, stat.S_IMODE(info.st_mode)
+
+
+def _verified(original: bytearray, result: bytearray, record_size: int, kind: ShuffleKind,
+              inverse: bool) -> bool:
+    """Whether `result` is the `kind` shuffle of `original`, or its inverse.
+
+    Checks ``result[t(i)] == original[i]`` under the closed-form target map
+    in one native pass; without the kernel, compares record lists against
+    the oracle instead.
+    """
+    if inverse:
+        # original is then the shuffle of result
+        original, result = result, original
+    rs = record_size
+    count = len(original) // rs
+    if kind.family == "out":
+        # the first and last records stay; the rest is an in-shuffle mod n - 1
+        ok = agree(original, result, rs, 0, 2, count - 1)
+        ends = original[:rs] == result[:rs] and original[-rs:] == result[-rs:]
+    else:
+        ok = agree(original, result, rs, -1, kind.k, count + 1)
+        ends = True
+    if ok is not None:
+        return ok and ends
+    before = RecordBuffer(original, rs)
+    after = RecordBuffer(result, rs)
+    return oracle_shuffle([before[i] for i in range(count)], kind) == [after[i] for i in range(count)]
+
+
+def _commit(path: Path, data: bytearray, mode: int) -> None:
+    """Replace `path` by `data` atomically and durably, keeping its mode bits."""
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fchmod(fd, mode)
+            os.fsync(fd)
+        os.replace(tmp_name, path)
+    except BaseException:
+        os.unlink(tmp_name)
+        raise
+    # the rename is durable only once the directory entry is
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def cmd_apply(path: Path, record_size: int, kind: ShuffleKind, inverse: bool, verify: bool) -> int:
     if record_size < 1:
         return _fail(EXIT_USAGE, f"record size must be >= 1, got {record_size}")
+    # a symlink stays a link: its target is read and replaced
+    path = Path(os.path.realpath(path))
     try:
-        data = path.read_bytes()
+        data, mode = _read(path)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read {path}: {exc}")
     if len(data) % record_size != 0:
@@ -82,36 +142,19 @@ def cmd_apply(path: Path, record_size: int, kind: ShuffleKind, inverse: bool, ve
             f"{path} holds {len(data)} bytes, not a whole number of "
             f"{record_size}-byte records",
         )
-    count = len(data) // record_size
-    buf = RecordBuffer(bytearray(data), record_size)
     try:
-        validate_order(kind, count)
-        _apply_kind(buf, kind, inverse)
+        validate_order(kind, len(data) // record_size)
+        # only --verify needs an untouched copy
+        original = bytearray(data) if verify else None
+        _apply_kind(RecordBuffer(data, record_size), kind, inverse)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
-    if verify:
-        original = [data[i * record_size : (i + 1) * record_size] for i in range(count)]
-        result = [buf[i] for i in range(count)]
-        # forward: result must equal the oracle's shuffle of the original;
-        # inverse: shuffling the result with the oracle must give it back
-        if inverse:
-            ok = oracle_shuffle(result, kind) == original
-        else:
-            ok = oracle_shuffle(original, kind) == result
-        if not ok:
-            return _fail(EXIT_VERIFY, "verification mismatch, file left untouched")
+    if verify and not _verified(original, data, record_size, kind, inverse):
+        return _fail(EXIT_VERIFY, "verification mismatch, file left untouched")
 
-    # atomic commit: temp file next to the target, then rename over it
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(buf.data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            os.unlink(tmp_name)
-            raise
+        _commit(path, data, mode)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write {path}: {exc}")
     return EXIT_OK
@@ -138,9 +181,12 @@ def cmd_order(order: int) -> int:
 
 
 def _fresh_buffer(size: int):
-    if _np is not None:
-        return _np.arange(size, dtype=_np.int64)
-    return list(range(size))
+    # imported here, so that no other command pays for numpy
+    try:
+        import numpy as np
+    except ImportError:
+        return list(range(size))
+    return np.arange(size, dtype=np.int64)
 
 
 def cmd_bench(min_size: int, max_size: int, factor: float) -> int:

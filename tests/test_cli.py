@@ -1,12 +1,16 @@
 import hashlib
 import os
 import random
+import stat
+import tracemalloc
 
 import pytest
 
 import faro.cli as cli
+from faro import _fastpath
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE
+from faro.shuffle import in_shuffle
 
 
 def sha256(path):
@@ -74,6 +78,15 @@ def test_apply_reports_io_failure(tmp_path):
     assert cli.main(["apply", "--record-size", "4", str(missing)]) == 3
 
 
+def test_apply_refuses_what_is_not_a_regular_file(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    assert cli.main(["apply", "--record-size", "4", str(fifo)]) == 3
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert cli.main(["apply", "--record-size", "4", str(tmp_path)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
 def test_apply_verify_passes_on_correct_output(tmp_path):
     target = tmp_path / "verify.bin"
     records = make_records(26, 8, seed=4)
@@ -90,14 +103,102 @@ def test_apply_verify_mismatch_leaves_file_untouched(tmp_path, monkeypatch):
     write_records(target, make_records(8, 4, seed=5))
     before = sha256(target)
 
-    def wrong_oracle(values, kind):
-        out = oracle_shuffle(values, kind)
-        out[0], out[1] = out[1], out[0]
-        return out
+    # the fault --verify exists to catch: a shuffle that misplaces records
+    def misplacing_in_shuffle(buf, instr=None):
+        in_shuffle(buf, instr)
+        buf[0], buf[1] = buf[1], buf[0]
 
-    monkeypatch.setattr(cli, "oracle_shuffle", wrong_oracle)
-    assert cli.main(["apply", "--verify", "--record-size", "4", str(target)]) == 4
+    oracle_calls = []
+
+    def counting_oracle(values, kind):
+        oracle_calls.append(len(values))
+        return oracle_shuffle(values, kind)
+
+    monkeypatch.setattr(cli, "in_shuffle", misplacing_in_shuffle)
+    monkeypatch.setattr(cli, "oracle_shuffle", counting_oracle)
+    for native in (True, False):
+        with monkeypatch.context() as m:
+            if not native:
+                m.setattr(_fastpath, "_lib", None)  # as when the kernel did not build
+            oracle_calls.clear()
+            assert cli.main(["apply", "--verify", "--record-size", "4", str(target)]) == 4
+            assert sha256(target) == before
+            assert oracle_calls == ([] if native and _fastpath.HAVE_COMPILED else [8])
+
+
+def test_apply_keeps_the_file_mode(tmp_path):
+    target = tmp_path / "private.bin"
+    write_records(target, make_records(10, 4, seed=6))
+    target.chmod(0o640)
+    for verify in ([], ["--verify"]):
+        assert cli.main(["apply", *verify, "--record-size", "4", str(target)]) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_apply_through_a_symlink_shuffles_its_target(tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "deck.bin"
+    records = make_records(10, 4, seed=7)
+    write_records(target, records)
+    link = tmp_path / "link.bin"
+    link.symlink_to(os.path.join("data", "deck.bin"))
+    assert cli.main(["apply", "--verify", "--record-size", "4", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("data", "deck.bin")
+    assert target.read_bytes() == b"".join(oracle_shuffle(records, IN_SHUFFLE))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "deck.bin", "link.bin"]
+
+
+def test_apply_syncs_the_file_before_the_rename_and_the_directory_after(tmp_path, monkeypatch):
+    target = tmp_path / "deck.bin"
+    write_records(target, make_records(10, 4, seed=8))
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert cli.main(["apply", "--record-size", "4", str(target)]) == 0
+    assert events == ["fsync file", "replace", "fsync dir"]
+
+
+def test_apply_failed_rename_leaves_the_original(tmp_path, monkeypatch):
+    target = tmp_path / "deck.bin"
+    write_records(target, make_records(10, 4, seed=9))
+    before = sha256(target)
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert cli.main(["apply", "--verify", "--record-size", "4", str(target)]) == 3
     assert sha256(target) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["deck.bin"]
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+def test_apply_holds_the_file_once_and_twice_with_verify(tmp_path, verify):
+    # the heap grows by one copy of the file, and by one more for --verify
+    if verify and not _fastpath.HAVE_COMPILED:
+        pytest.skip("without the kernel --verify compares per-record lists")
+    target = tmp_path / "big.bin"
+    size = 8 << 20
+    target.write_bytes(random.Random(10).randbytes(size))
+    argv = ["apply", *(["--verify"] if verify else []), "--record-size", "64", str(target)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    copies = 2 if verify else 1
+    assert copies * size <= peak < (copies + 0.25) * size
 
 
 def test_cycles_output_for_order_six(capsys):

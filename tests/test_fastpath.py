@@ -8,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faro import _fastpath
-from faro.kway import k_shuffle
+import faro
+from faro import _fastpath, cli
+from faro.kway import find_base, k_shuffle
 from faro.oracle import oracle_shuffle
-from faro.permcore import IN_SHUFFLE, kway_kind
+from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, kway_kind
 from faro.shuffle import RecordBuffer, in_shuffle
 
 needs_kernel = pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(faro.__file__).parents[1])}
 
 
 @needs_kernel
@@ -113,3 +115,108 @@ def test_first_import_builds_one_cached_kernel(tmp_path):
     rebuilt = set(cache.glob("_kernel-*.so")) - set(built)
     assert len(rebuilt) == 1
     assert not list(cache.glob("*.tmp"))
+
+
+def _verify_lengths(kind):
+    """0 and the smallest order, and orders just around admissible blocks."""
+    if kind.family != "kway":
+        lengths = {0, 2} | {3**k - 1 + d for k in range(2, 7) for d in (-2, 0, 2)}
+        return sorted(lengths - ({0} if kind.family == "out" else set()))
+    q = kind.k
+    p = find_base(min(f for f in range(2, q + 1) if q % f == 0)).p
+    lengths = {0, q}
+    for j in range(1, 8):
+        block = p**j - 1
+        if block > 1000:
+            break
+        lengths |= {block // q * q, (block // q + 1) * q}
+    return sorted(lengths)
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "kind", [IN_SHUFFLE, OUT_SHUFFLE] + [kway_kind(q) for q in range(2, 10)], ids=str
+)
+def test_native_verify_agrees_with_the_oracle(kind, monkeypatch):
+    rng = random.Random(str(kind))
+    for n in _verify_lengths(kind):
+        for rs in (1, 3, 8, 64, 257):
+            values = [rng.randbytes(rs) for _ in range(n)]
+            shuffled = oracle_shuffle(values, kind)
+            for inverse in (False, True):
+                original, result = (shuffled, values) if inverse else (values, shuffled)
+                cases = [(b"".join(result), True)]
+                for i in sorted({0, n // 2, n - 1}) if n else ():
+                    flipped = bytearray(b"".join(result))
+                    flipped[i * rs + rng.randrange(rs)] ^= 1 << rng.randrange(8)
+                    cases.append((flipped, False))
+                for res, expected in cases:
+                    args = (bytearray(b"".join(original)), bytearray(res), rs, kind, inverse)
+                    assert cli._verified(*args) is expected, (n, rs, inverse)
+                    with monkeypatch.context() as m:
+                        m.setattr(_fastpath, "_lib", None)
+                        assert cli._verified(*args) is expected, (n, rs, inverse)
+
+
+def test_agree_refuses_bad_calls_before_any_native_read(monkeypatch):
+    calls = []
+
+    class Kernel:
+        def faro_agree(self, *args):
+            calls.append(args)
+            return 1
+
+    monkeypatch.setattr(_fastpath, "_lib", Kernel())
+    agree = _fastpath.agree
+    buf = bytearray(8 * 26)
+    with pytest.raises(IndexError):
+        agree(buf, buf, 8, -1, 3, 28)  # item 26 is one past the end
+    with pytest.raises(IndexError):
+        agree(buf, bytearray(8 * 25), 8, -1, 2, 27)
+    with pytest.raises(IndexError):
+        agree(bytearray(8 * 25 + 7), buf, 8, -1, 2, 27)
+    with pytest.raises(ValueError):
+        agree(buf, buf, 8, -2, 2, 27)  # would read item -1
+    with pytest.raises(ValueError):
+        agree(buf, buf, 8, -1, 3, 27)  # 9 * 3 = 0 mod 27 would read item -1
+    with pytest.raises(ValueError):
+        agree(buf, buf, 0, -1, 2, 27)
+    with pytest.raises(ValueError):
+        agree(buf, buf, 8, 0, 2, 0)
+    assert calls == []
+    assert agree(bytearray(), bytearray(), 8, -1, 2, 1) is True  # nothing to read
+    assert calls == []
+    assert agree(buf, buf, 8, -1, 2, 27) is True
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_numpy_out():
+    probe = "import sys, faro.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
+@needs_kernel
+def test_numpy_imported_after_faro_takes_the_native_path():
+    probe = (
+        "import faro\n"
+        "import numpy as np\n"
+        "from faro import _fastpath, _loops\n"
+        "buf = np.arange(1000, dtype=np.int64)\n"
+        "assert _fastpath.walk_fn(buf) is not _loops.cycle_walk\n"
+        "faro.in_shuffle(buf)\n"
+        "assert buf.tolist() == faro.oracle_shuffle(list(range(1000)), faro.IN_SHUFFLE)\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings():
+    built = subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", _fastpath._SOURCE],
+        capture_output=True,
+        text=True,
+    )
+    assert built.returncode == 0, built.stderr
