@@ -1,15 +1,16 @@
 """In-place perfect (faro) shuffles in linear time and constant extra space.
 
 The library permutes arbitrary even-length buffers (and k-way divisible ones)
-without scratch arrays, by reducing each length to blocks of 3^k - 1 elements
-whose shuffle cycles are located in closed form. Instrumentation counters
-certify the linear-move and constant-auxiliary-space behaviour, a naive
-out-of-place oracle supplies ground truth, and the ``faro`` CLI applies the
-permutations to files of fixed-size records.
+without scratch arrays, by reducing each length to blocks of p^j - 1 elements
+(3^k - 1 for the 2-way shuffles) whose shuffle cycles are located in closed
+form. Instrumentation counters certify the linear-move and
+constant-auxiliary-space behaviour, a naive out-of-place oracle supplies
+ground truth, and the ``faro`` CLI applies the permutations to files of
+fixed-size records.
 """
 
 from .kway import KwayBase, find_base, k_shuffle, k_unshuffle
-from .numtheory import euler_totient, is_primitive_root, multiplicative_order, pow_mod
+from .numtheory import euler_totient, is_primitive_root, multiplicative_order
 from .oracle import oracle_interleave, oracle_shuffle
 from .permcore import (
     IN_SHUFFLE,
@@ -29,8 +30,6 @@ from .shuffle import (
     BlockPlan,
     Instrumentation,
     RecordBuffer,
-    cycle_leader_pass,
-    gather_rotate,
     in_shuffle,
     out_shuffle,
     plan_blocks,
@@ -51,10 +50,8 @@ __all__ = [
     "RecordBuffer",
     "ShuffleKind",
     "cycle_decomposition",
-    "cycle_leader_pass",
     "euler_totient",
     "find_base",
-    "gather_rotate",
     "in_shuffle",
     "in_target",
     "is_primitive_root",
@@ -69,7 +66,6 @@ __all__ = [
     "out_target",
     "permutation_order",
     "plan_blocks",
-    "pow_mod",
     "reverse_range",
     "rotate_right",
     "un_out_shuffle",

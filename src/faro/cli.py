@@ -14,14 +14,14 @@ import time
 from pathlib import Path
 
 from ._fastpath import agree
-from .kway import MAX_K, k_shuffle, k_unshuffle
+from .kway import k_shuffle, k_unshuffle
 from .oracle import oracle_shuffle
 from .permcore import (
     IN_SHUFFLE,
     ShuffleKind,
     cycle_decomposition,
+    in_shuffle_order,
     kway_kind,
-    permutation_order,
     validate_order,
 )
 from .shuffle import (
@@ -174,7 +174,7 @@ def cmd_cycles(order: int, kind: ShuffleKind) -> int:
 
 def cmd_order(order: int) -> int:
     try:
-        print(permutation_order(IN_SHUFFLE, order))
+        print(in_shuffle_order(order))
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
     return EXIT_OK

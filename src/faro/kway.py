@@ -2,7 +2,7 @@
 
 A k-way shuffle of kn elements cuts the array into k equal parts and
 interleaves them, sending 1-based position i to k*i mod (kn + 1). The
-two-way machinery carries over once 3 is replaced by a suitable prime:
+two-way construction carries over once 3 is replaced by a suitable prime:
 
   * pick an odd prime p, coprime to k, with k a primitive root of p^2
     (and therefore of every power p^j);
@@ -22,15 +22,20 @@ Leftovers smaller than the smallest admissible block are bounded by the
 base alone, so they are permuted by a constant-space minimum-leader sweep
 whose quadratic cost is a constant independent of the buffer length.
 
-As with the two-way core, each call mutates one buffer and assumes
-exclusive access to it while it runs.
+This module holds the only shuffle driver, one forward and one inverse
+prime pass over a range. The 2-way shuffles of ``shuffle`` are its q = 2,
+p = 3 case, where every power of 3 is admissible and no tail is left.
+
+Each call mutates one buffer and assumes exclusive access to it while it
+runs.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from . import _fastpath
-from .numtheory import is_primitive_root
+from .numtheory import euler_totient, is_primitive_root
 from .rotate import rotate_right
 
 __all__ = ["KwayBase", "find_base", "k_shuffle", "k_unshuffle", "MAX_K"]
@@ -38,9 +43,9 @@ __all__ = ["KwayBase", "find_base", "k_shuffle", "k_unshuffle", "MAX_K"]
 MAX_K = 9
 _PRIME_SEARCH_LIMIT = 100
 
-# aux accounting: driver locals + deepest callee, independent of input size
-_KWAY_AUX_WORDS = 24
-_TAIL_AUX_WORDS = 9
+# aux accounting for every arity, 2-way included: the driver's locals plus
+# those of its deepest callee, independent of input size
+_DRIVER_AUX_WORDS = 24
 
 
 @dataclass(frozen=True)
@@ -58,15 +63,7 @@ class KwayBase:
                 )
 
 
-def _odd_primes_to(limit: int):
-    sieve = bytearray([1]) * (limit + 1)
-    for n in range(2, limit + 1):
-        if sieve[n]:
-            for mult in range(n * n, limit + 1, n):
-                sieve[mult] = 0
-    return [n for n in range(3, limit + 1) if sieve[n]]
-
-
+@cache
 def find_base(k: int) -> KwayBase:
     """Smallest odd prime p <= 100 making k a primitive root of p^2.
 
@@ -76,8 +73,9 @@ def find_base(k: int) -> KwayBase:
     half of any unit group.
     """
     _check_arity(k)
-    for p in _odd_primes_to(_PRIME_SEARCH_LIMIT):
-        if gcd(k, p) == 1 and is_primitive_root(k, p * p):
+    for p in range(3, _PRIME_SEARCH_LIMIT + 1, 2):
+        # phi(p) = p - 1 exactly when p is prime
+        if euler_totient(p) == p - 1 and gcd(k, p) == 1 and is_primitive_root(k, p * p):
             return KwayBase(k=k, p=p)
     raise ValueError(f"no base found for k={k} among odd primes <= {_PRIME_SEARCH_LIMIT}")
 
@@ -85,15 +83,6 @@ def find_base(k: int) -> KwayBase:
 def _check_arity(k: int) -> None:
     if not 2 <= k <= MAX_K:
         raise ValueError(f"supported arities are 2..{MAX_K}, got {k}")
-
-
-_BASES: dict[int, KwayBase] = {}
-
-
-def _base_for(q: int) -> KwayBase:
-    if q not in _BASES:
-        _BASES[q] = find_base(q)
-    return _BASES[q]
 
 
 def _prime_factors(k: int) -> list[int]:
@@ -109,16 +98,35 @@ def _prime_factors(k: int) -> list[int]:
     return out
 
 
-def _largest_admissible(remaining: int, p: int, q: int):
-    """Largest (p^j, j) with p^j - 1 <= remaining and q | p^j - 1, else None."""
+def _blocks(lo, hi, p, q):
+    """Greedy tiling of [lo, hi), left to right, as (offset, modulus, j).
+
+    Each block holds modulus - 1 = p^j - 1 elements and is the largest
+    admissible one that fits what remains. Admissible means q | p^j - 1,
+    which holds exactly when e = ord_q(p) divides j, so the scan steps
+    through p^e, p^2e, ... and never tests a power it cannot use. Blocks
+    never grow along the tiling, so the scan climbs once, then only
+    descends. What fits no block comes last, as a tail with j = 0 and
+    modulus = its length + 1; at q = 2, p = 3 there is never a tail.
+    """
+    step, e = p, 1
+    while step % q != 1:
+        step *= p
+        e += 1
     modulus, j = 1, 0
-    best = None
-    while modulus * p - 1 <= remaining:
-        modulus *= p
-        j += 1
-        if (modulus - 1) % q == 0:
-            best = (modulus, j)
-    return best
+    while modulus * step - 1 <= hi - lo:
+        modulus *= step
+        j += e
+    offset = lo
+    while j > 0:
+        if modulus - 1 <= hi - offset:
+            yield offset, modulus, j
+            offset += modulus - 1
+        else:
+            modulus //= step
+            j -= e
+    if offset < hi:
+        yield offset, hi - offset + 1, 0
 
 
 def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr):
@@ -142,8 +150,6 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
     # if probing its whole orbit meets nothing smaller. Quadratic in `length`
     # and constant space; callers only use it for block-plan leftovers, whose
     # size is bounded by the base, not the buffer.
-    if length == 0:
-        return
     modulus = length + 1
     walk = _fastpath.walk_fn(buf)
     base = offset - 1
@@ -162,64 +168,55 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
         moves += steps + 1
     if instr is not None:
         instr.add_moves(moves)
-        instr.note_aux(_TAIL_AUX_WORDS)
 
 
 def _gather_parts(buf, offset, part, b, q, instr):
     # After rotation t, the first b elements of parts 1..t+1 sit contiguously
     # at `offset` and the part remainders stay in part order behind them.
     for t in range(1, q):
-        lo = offset + t * b
-        hi = offset + t * part + b
-        rotate_right(buf, lo, hi, b, instr)
+        rotate_right(buf, offset + t * b, offset + t * part + b, b, instr)
+
+
+def _scatter_parts(buf, offset, part, b, q, instr):
+    # Undo _gather_parts: the same windows in reverse order, each rotated
+    # right by its width minus b.
+    for t in range(q - 1, 0, -1):
+        rotate_right(buf, offset + t * b, offset + t * part + b, t * (part - b), instr)
 
 
 def _prime_shuffle_range(buf, lo, hi, q, instr):
-    p = _base_for(q).p
-    offset, remaining = lo, hi - lo
-    while remaining > 0:
-        found = _largest_admissible(remaining, p, q)
-        if found is None:
-            _bounded_cycle_shuffle(buf, offset, remaining, q, instr)
-            return
-        modulus, j = found
-        block = modulus - 1
-        _gather_parts(buf, offset, remaining // q, block // q, q, instr)
-        _general_cycle_passes(buf, offset, j, p, q, modulus, instr)
-        offset += block
-        remaining -= block
+    # The q-way shuffle of buf[lo:hi] for a prime q, block by block: gather
+    # the block's slice of every part to the front of what remains, then
+    # place the block by its cycle passes. The 2-way shuffles are q = 2.
+    if instr is not None:
+        instr.note_aux(_DRIVER_AUX_WORDS)
+    p = find_base(q).p
+    for offset, modulus, j in _blocks(lo, hi, p, q):
+        if j == 0:
+            _bounded_cycle_shuffle(buf, offset, modulus - 1, q, instr)
+        else:
+            _gather_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr)
+            _general_cycle_passes(buf, offset, j, p, q, modulus, instr)
 
 
 def _prime_unshuffle_range(buf, lo, hi, q, instr):
-    p = _base_for(q).p
-    # locate the leftover tail, which the forward pass permuted last
-    offset, remaining = lo, hi - lo
-    while remaining > 0:
-        found = _largest_admissible(remaining, p, q)
-        if found is None:
-            break
-        offset += found[0] - 1
-        remaining -= found[0] - 1
-    if remaining > 0:
-        _bounded_cycle_shuffle(buf, offset, remaining, pow(q, -1, remaining + 1), instr)
-    # undo full blocks right to left, rescanning the greedy tiling each time
-    done = offset
+    # Exact inverse of _prime_shuffle_range: undo the items right to left,
+    # the tail first. The tiling is rescanned for each item instead of being
+    # stored, which keeps the state constant; the scans total O(blocks^2).
+    if instr is not None:
+        instr.note_aux(_DRIVER_AUX_WORDS)
+    p = find_base(q).p
+    done = hi
     while done > lo:
-        offset, remaining = lo, hi - lo
-        while True:
-            modulus, j = _largest_admissible(remaining, p, q)
-            block = modulus - 1
-            if offset + block >= done:
+        for offset, modulus, j in _blocks(lo, hi, p, q):
+            if offset + modulus - 1 == done:
                 break
-            offset += block
-            remaining -= block
-        assert offset + block == done, "rewind landed off a block boundary"
-        _general_cycle_passes(buf, offset, j, p, pow(q, -1, modulus), modulus, instr)
-        part, b = remaining // q, block // q
-        for t in range(q - 1, 0, -1):
-            w_lo = offset + t * b
-            w_hi = offset + t * part + b
-            rotate_right(buf, w_lo, w_hi, (w_hi - w_lo) - b, instr)
+        mult = pow(q, -1, modulus)
+        if j == 0:
+            _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr)
+        else:
+            _general_cycle_passes(buf, offset, j, p, mult, modulus, instr)
+            _scatter_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr)
         done = offset
 
 
@@ -237,8 +234,6 @@ def k_shuffle(buf, k: int, instr=None) -> None:
     composes to the same permutation.
     """
     _check_k_buffer(buf, k)
-    if instr is not None:
-        instr.note_aux(_KWAY_AUX_WORDS)
     for q in _prime_factors(k):
         _prime_shuffle_range(buf, 0, len(buf), q, instr)
 
@@ -246,7 +241,5 @@ def k_shuffle(buf, k: int, instr=None) -> None:
 def k_unshuffle(buf, k: int, instr=None) -> None:
     """Exact inverse of :func:`k_shuffle`."""
     _check_k_buffer(buf, k)
-    if instr is not None:
-        instr.note_aux(_KWAY_AUX_WORDS)
     for q in reversed(_prime_factors(k)):
         _prime_unshuffle_range(buf, 0, len(buf), q, instr)

@@ -14,7 +14,6 @@ Key facts used elsewhere:
 from math import gcd
 
 __all__ = [
-    "pow_mod",
     "euler_totient",
     "multiplicative_order",
     "is_primitive_root",
@@ -24,14 +23,6 @@ __all__ = [
 def _check_modulus(m: int) -> None:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-
-
-def pow_mod(base: int, exponent: int, m: int) -> int:
-    """base**exponent mod m by repeated squaring."""
-    _check_modulus(m)
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, m)
 
 
 def euler_totient(m: int) -> int:

@@ -14,10 +14,13 @@ General even lengths reduce to that case:
     3. run the k cycle-leader passes on the block;
     4. advance past the block and repeat on the rest.
 
-Step 4 is a loop, not a recursion, so control state stays constant. Each
-element is placed once by its block's cycle-leader pass and touched a
-bounded number of times by rotations, giving at most a small constant times
-the length in single-element moves.
+This is the q = 2, p = 3 case of the prime-arity driver in ``kway``, and
+there is only that one driver: the four functions here check their
+arguments and run it on [0, n), or on the interior [1, n - 1) for the
+out-shuffles. Step 4 is a loop, not a recursion, so control state stays
+constant. Each element is placed once by its block's cycle-leader pass and
+touched a bounded number of times by rotations, giving at most a small
+constant times the length in single-element moves.
 
 The buffer layer is 0-based half-open; every call into the 1-based math
 above documents the shift. Buffers are anything indexable with integer
@@ -31,8 +34,9 @@ buffers can be shuffled concurrently.
 
 from dataclasses import dataclass
 
-from . import _fastpath
-from .rotate import rotate_right
+from .kway import _blocks, _prime_shuffle_range, _prime_unshuffle_range
+# unused here; kept bound because perfbench swaps faro.shuffle.rotate_right by name
+from .rotate import rotate_right  # noqa: F401
 
 __all__ = [
     "Instrumentation",
@@ -40,19 +44,11 @@ __all__ = [
     "BlockPlan",
     "RecordBuffer",
     "plan_blocks",
-    "gather_rotate",
-    "cycle_leader_pass",
     "in_shuffle",
     "un_shuffle",
     "out_shuffle",
     "un_out_shuffle",
 ]
-
-# aux accounting upper bounds (element temporaries + integer locals kept
-# live by the routine and its deepest callee); all independent of input size
-_CYCLE_LEADER_AUX_WORDS = 8
-_DRIVER_AUX_WORDS = 14
-_UNDO_DRIVER_AUX_WORDS = 18
 
 
 @dataclass
@@ -144,15 +140,6 @@ class BlockPlan:
     total: int
 
 
-def _largest_block(remaining: int) -> tuple[int, int]:
-    """Largest modulus 3^k with 3^k - 1 <= remaining; needs remaining >= 2."""
-    modulus, k = 3, 1
-    while modulus * 3 - 1 <= remaining:
-        modulus *= 3
-        k += 1
-    return modulus, k
-
-
 def plan_blocks(total: int) -> BlockPlan:
     """Tile `total` elements with the largest 3^k - 1 block at each step.
 
@@ -161,104 +148,11 @@ def plan_blocks(total: int) -> BlockPlan:
     """
     if total < 0 or total % 2 != 0:
         raise ValueError(f"length must be even and >= 0, got {total}")
-    blocks = []
-    offset, remaining = 0, total
-    while remaining > 0:
-        modulus, k = _largest_block(remaining)
-        blocks.append(Block(offset=offset, m=(modulus - 1) // 2, k=k))
-        offset += modulus - 1
-        remaining -= modulus - 1
-    return BlockPlan(blocks=tuple(blocks), total=total)
-
-
-def gather_rotate(buf, offset: int, n: int, m: int, instr=None) -> None:
-    """Bring the block's second half next to its first half.
-
-    Within the window of 2n remaining elements at `offset`, right-rotates
-    the 1-based slice [m+1, n+m] by distance m, i.e. the 0-based half-open
-    range [offset+m, offset+n+m). When m = n the rotation distance equals
-    the window and nothing moves.
-    """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if offset < 0 or offset + 2 * n > len(buf):
-        raise ValueError(
-            f"window of {2 * n} at offset {offset} exceeds length {len(buf)}"
-        )
-    rotate_right(buf, offset + m, offset + n + m, m, instr)
-
-
-def _cycle_passes(buf, offset: int, k: int, mult: int, modulus: int, instr) -> None:
-    # leaders are local 1-based positions 3^s for s = 0..k-1; the slot of
-    # local position j is offset + j - 1
-    walk = _fastpath.walk_fn(buf)
-    base = offset - 1
-    leader = 1
-    cycle_len = 2 * modulus // 3  # phi(3^k), then divided by 3 per level
-    for _ in range(k):
-        walk(buf, base, leader, mult, modulus)
-        if instr is not None:
-            instr.add_moves(cycle_len + 1)
-        leader *= 3
-        cycle_len //= 3
-    if instr is not None:
-        instr.note_aux(_CYCLE_LEADER_AUX_WORDS)
-
-
-def cycle_leader_pass(buf, offset: int, k: int, instr=None) -> None:
-    """In-shuffle the 3^k - 1 elements at `offset` by cycle leading.
-
-    For each leader, one element is held in a temporary while the orbit of
-    j -> 2j mod 3^k is walked, placing every block element exactly once;
-    the pass costs (3^k - 1) + k moves and one element temporary.
-    """
-    if k < 1:
-        raise ValueError(f"exponent must be >= 1, got {k}")
-    modulus = 3**k
-    if offset < 0 or offset + modulus - 1 > len(buf):
-        raise ValueError(
-            f"block of {modulus - 1} at offset {offset} exceeds length {len(buf)}"
-        )
-    _cycle_passes(buf, offset, k, 2, modulus, instr)
-
-
-def _in_shuffle_range(buf, lo: int, hi: int, instr) -> None:
-    # the tail-recursive step of the reduction, flattened to a loop
-    if instr is not None:
-        instr.note_aux(_DRIVER_AUX_WORDS)
-    offset, remaining = lo, hi - lo
-    while remaining > 0:
-        modulus, k = _largest_block(remaining)
-        block = modulus - 1
-        gather_rotate(buf, offset, remaining // 2, block // 2, instr)
-        _cycle_passes(buf, offset, k, 2, modulus, instr)
-        offset += block
-        remaining -= block
-
-
-def _un_shuffle_range(buf, lo: int, hi: int, instr) -> None:
-    # Undo blocks right to left. The forward tiling is recomputed by a fresh
-    # greedy scan per block instead of materializing the plan, keeping
-    # auxiliary state constant; the scans total O(log^2) index arithmetic.
-    if instr is not None:
-        instr.note_aux(_UNDO_DRIVER_AUX_WORDS)
-    done = hi
-    while done > lo:
-        offset, remaining = lo, hi - lo
-        while True:
-            modulus, k = _largest_block(remaining)
-            block = modulus - 1
-            if offset + block >= done:
-                break
-            offset += block
-            remaining -= block
-        assert offset + block == done, "rewind landed off a block boundary"
-        # invert one forward step: cycle passes with the inverse map
-        # (multiplier = inverse of 2 mod 3^k), then the opposite rotation
-        _cycle_passes(buf, offset, k, (modulus + 1) // 2, modulus, instr)
-        n, m = remaining // 2, block // 2
-        rotate_right(buf, offset + m, offset + n + m, n - m, instr)
-        done = offset
+    blocks = tuple(
+        Block(offset=offset, m=(modulus - 1) // 2, k=k)
+        for offset, modulus, k in _blocks(0, total, 3, 2)
+    )
+    return BlockPlan(blocks=blocks, total=total)
 
 
 def _check_even(buf) -> int:
@@ -275,13 +169,13 @@ def in_shuffle(buf, instr=None) -> None:
     first card of the second half coming out on top.
     """
     n = _check_even(buf)
-    _in_shuffle_range(buf, 0, n, instr)
+    _prime_shuffle_range(buf, 0, n, 2, instr)
 
 
 def un_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`in_shuffle`, block by block in reverse."""
     n = _check_even(buf)
-    _un_shuffle_range(buf, 0, n, instr)
+    _prime_unshuffle_range(buf, 0, n, 2, instr)
 
 
 def out_shuffle(buf, instr=None) -> None:
@@ -293,7 +187,7 @@ def out_shuffle(buf, instr=None) -> None:
     n = _check_even(buf)
     if n < 2:
         raise ValueError(f"out-shuffle needs at least 2 elements, got {n}")
-    _in_shuffle_range(buf, 1, n - 1, instr)
+    _prime_shuffle_range(buf, 1, n - 1, 2, instr)
 
 
 def un_out_shuffle(buf, instr=None) -> None:
@@ -301,4 +195,4 @@ def un_out_shuffle(buf, instr=None) -> None:
     n = _check_even(buf)
     if n < 2:
         raise ValueError(f"out-shuffle needs at least 2 elements, got {n}")
-    _un_shuffle_range(buf, 1, n - 1, instr)
+    _prime_unshuffle_range(buf, 1, n - 1, 2, instr)

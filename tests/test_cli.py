@@ -230,6 +230,21 @@ def test_order_command(capsys):
     assert cli.main(["order", "6"]) == 0
     assert capsys.readouterr().out.strip() == "3"
     assert cli.main(["order", "5"]) == 2
+    assert capsys.readouterr().err == "faro: order must be even and >= 0, got 5\n"
+    assert cli.main(["order", "-2"]) == 2
+    assert capsys.readouterr().err == "faro: order must be even and >= 0, got -2\n"
+
+
+def test_order_runs_in_constant_memory(capsys):
+    # the multiplicative order of 2 mod 2000001, with no mark per position
+    tracemalloc.start()
+    try:
+        assert cli.main(["order", "2000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.strip() == "17094"
+    assert peak < 64 * 1024
 
 
 def test_bench_single_point(capsys):

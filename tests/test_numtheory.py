@@ -7,40 +7,7 @@ from faro.numtheory import (
     euler_totient,
     is_primitive_root,
     multiplicative_order,
-    pow_mod,
 )
-
-
-@pytest.mark.parametrize(
-    "base,exponent,m,expected",
-    [
-        (2, 1, 9, 2),
-        (2, 6, 9, 1),  # 2^6 = 64 = 7*9 + 1
-        (3, 20, 25, 1),  # Euler: phi(25) = 20
-        (0, 0, 5, 1),
-        (7, 0, 2, 1),
-    ],
-)
-def test_pow_mod_examples(base, exponent, m, expected):
-    assert pow_mod(base, exponent, m) == expected
-
-
-def test_pow_mod_matches_naive():
-    rng = random.Random(1)
-    for _ in range(200):
-        base = rng.randrange(0, 1000)
-        exponent = rng.randrange(0, 50)
-        m = rng.randrange(2, 1000)
-        assert pow_mod(base, exponent, m) == (base**exponent) % m
-
-
-def test_pow_mod_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        pow_mod(2, 3, 1)
-    with pytest.raises(ValueError):
-        pow_mod(2, 3, 0)
-    with pytest.raises(ValueError):
-        pow_mod(2, -1, 9)
 
 
 @pytest.mark.parametrize("m,expected", [(9, 6), (53, 52), (27, 18), (2, 1), (12, 4)])
@@ -94,7 +61,7 @@ def test_order_divides_totient_and_powers_to_one():
             continue
         t = multiplicative_order(g, m)
         assert euler_totient(m) % t == 0
-        assert pow_mod(g, t, m) == 1
+        assert pow(g, t, m) == 1
 
 
 @pytest.mark.parametrize("g,m,expected", [(2, 9, True), (2, 7, False), (2, 3, True)])

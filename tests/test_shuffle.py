@@ -4,15 +4,13 @@ import pytest
 
 from conftest import CountingList
 from faro import _fastpath, _loops
-from faro.kway import k_shuffle, k_unshuffle
+from faro.kway import _general_cycle_passes, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, in_target, permutation_order
 from faro.shuffle import (
     Block,
     Instrumentation,
     RecordBuffer,
-    cycle_leader_pass,
-    gather_rotate,
     in_shuffle,
     out_shuffle,
     plan_blocks,
@@ -62,21 +60,9 @@ def test_plan_blocks_invariants():
         assert position == total
 
 
-def test_gather_rotate_examples():
-    buf = [1, 2, 3, 4, 5, 6]
-    gather_rotate(buf, 0, 3, 1)
-    assert buf == [1, 4, 2, 3, 5, 6]
-
-    buf = list("abcdefgh")
-    gather_rotate(buf, 0, 4, 4)  # whole window is one block: nothing moves
-    assert buf == list("abcdefgh")
-
-    with pytest.raises(ValueError):
-        gather_rotate([1, 2, 3, 4], 0, 2, 3)
-    with pytest.raises(ValueError):
-        gather_rotate([1, 2, 3, 4], 0, 2, 0)
-    with pytest.raises(ValueError):
-        gather_rotate([1, 2, 3, 4], 2, 2, 1)
+def cycle_leader_pass(buf, offset, k, instr=None):
+    # the driver's cycle-leader passes on one 3^k - 1 block, at q = 2, p = 3
+    _general_cycle_passes(buf, offset, k, 3, 2, 3**k, instr)
 
 
 def test_cycle_leader_pass_small_blocks():
@@ -109,15 +95,6 @@ def test_cycle_leader_pass_move_accounting():
         assert instr.moves == size + k
         assert buf.sets == size
         assert buf.gets == size + k
-
-
-def test_cycle_leader_pass_rejects_bad_blocks():
-    with pytest.raises(ValueError):
-        cycle_leader_pass([1, 2], 0, 2)  # block of 8 will not fit
-    with pytest.raises(ValueError):
-        cycle_leader_pass([1, 2], 1, 1)
-    with pytest.raises(ValueError):
-        cycle_leader_pass([1, 2], 0, 0)
 
 
 def test_in_shuffle_examples():
@@ -261,21 +238,57 @@ def test_auxiliary_space_is_constant_across_sizes():
 
 def test_total_move_count_audit():
     # reported moves must equal observed writes plus one temporary load per
-    # cycle-leader pass
+    # cycle-leader pass; the out-shuffles tile the len - 2 interior
     rng = random.Random(17)
     for _ in range(25):
         length = 2 * rng.randrange(0, 800)
-        leaders = sum(block.k for block in plan_blocks(length).blocks)
-        buf = CountingList(range(length))
-        instr = Instrumentation()
-        in_shuffle(buf, instr)
-        assert instr.moves == buf.sets + leaders
+        calls = [(in_shuffle, un_shuffle, length)]
+        if length:
+            calls.append((out_shuffle, un_out_shuffle, length - 2))
+        for forward, inverse, interior in calls:
+            leaders = sum(block.k for block in plan_blocks(interior).blocks)
+            buf = CountingList(range(length))
+            instr = Instrumentation()
+            forward(buf, instr)
+            assert instr.moves == buf.sets + leaders
 
-        buf = CountingList(buf)
+            buf = CountingList(buf)
+            instr = Instrumentation()
+            inverse(buf, instr)
+            assert instr.moves == buf.sets + leaders
+            assert list(buf) == list(range(length))
+
+
+# Instrumentation.moves on lists as counted by the earlier dedicated 2-way
+# driver: the prime driver at q = 2 must make exactly the same moves. An
+# inverse makes as many as its shuffle.
+# length: (in_shuffle and un_shuffle, out_shuffle and un_out_shuffle)
+PINNED_MOVES = {
+    2: (3, 0),
+    8: (10, 15),
+    26: (29, 70),
+    28: (58, 29),
+    100: (244, 227),
+    728: (734, 1947),
+    730: (1465, 734),
+    6560: (6568, 17505),
+    6562: (13131, 6568),
+    19998: (40491, 40476),
+}
+
+
+@pytest.mark.parametrize("length", sorted(PINNED_MOVES))
+def test_move_counts_are_pinned(length):
+    in_moves, out_moves = PINNED_MOVES[length]
+    for fn, expected in (
+        (in_shuffle, in_moves),
+        (un_shuffle, in_moves),
+        (out_shuffle, out_moves),
+        (un_out_shuffle, out_moves),
+    ):
         instr = Instrumentation()
-        un_shuffle(buf, instr)
-        assert instr.moves == buf.sets + leaders
-        assert list(buf) == list(range(length))
+        fn(list(range(length)), instr)
+        assert instr.moves == expected, fn.__name__
 
 
 def _parity_calls():
