@@ -1,30 +1,39 @@
 """k-way generalization of the in-place shuffle, for small k.
 
 A k-way shuffle of kn elements cuts the array into k equal parts and
-interleaves them, sending 1-based position i to k*i mod (kn + 1). The
-two-way construction carries over once 3 is replaced by a suitable prime:
-
-  * pick an odd prime p, coprime to k, with k a primitive root of p^2
-    (and therefore of every power p^j);
-  * blocks of p^j - 1 elements split into k cycles-per-level, led by the
-    local positions p^0 .. p^(j-1);
-  * the gather step becomes k - 1 successive right rotations that pull the
-    first slice of each part to the front.
-
-Block sizes must also be divisible by k so each part contributes a whole
-slice; powers where that fails are skipped. Prime arities run directly this
-way; composite k factors into prime passes, since consecutive passes with
+interleaves them, sending 1-based position i to k*i mod (kn + 1). Prime
+arities q run directly, block by block, as the two-way construction does;
+composite k factors into prime passes, since consecutive passes with
 arities q1, q2 compose to q1*q2*i mod (len + 1), the (q1*q2)-way map. That
 also covers k whose power residues can never generate a full unit group
 (4 and 9, being perfect squares, have no primitive-root base at all).
 
+A block of m - 1 elements is placed by cycle leaders in constant space when
+q generates the units mod m. Primitive roots exist modulo p^j and 2p^j for
+odd primes p (Gauss). If q is a primitive root of p^2 it is one of every
+p^j, and for odd q also of every 2p^j, whose units mirror those mod p^j. So
+each prime arity has a fixed table of such bases p, and two kinds of block:
+
+  * modulus p^j: the j cycles are led by p^0 .. p^(j-1);
+  * modulus 2p^j, odd q only: 2j cycles led by p^s and 2p^s, and the
+    position p^j is a fixed point.
+
+A block is admissible when q divides m - 1, so that each part contributes
+a whole slice; the gather step is q - 1 successive right rotations that
+pull the first slice of each part to the front. A gather costs in
+proportion to the window left, so the gaps of the block ladder set the
+moves per element. One base alone leaves gaps of x25 (q = 3), x81 (q = 5)
+and x1331 (q = 7) between admissible blocks; the rungs of the whole table,
+merged, are at most x2.7, x7.7 and x9.2 apart up to 2^20.
+
 Leftovers smaller than the smallest admissible block are bounded by the
-base alone, so they are permuted by a constant-space minimum-leader sweep
+table alone, so they are permuted by a constant-space minimum-leader sweep
 whose quadratic cost is a constant independent of the buffer length.
 
 This module holds the only shuffle driver, one forward and one inverse
-prime pass over a range. The 2-way shuffles of ``shuffle`` are its q = 2,
-p = 3 case, where every power of 3 is admissible and no tail is left.
+prime pass over a range. The 2-way shuffles of ``shuffle`` are its q = 2
+case, whose table is p = 3 alone: every power of 3 is admissible and no
+tail is left.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
@@ -32,6 +41,7 @@ runs.
 
 from dataclasses import dataclass
 from functools import cache
+from heapq import merge
 from math import gcd
 
 from . import _fastpath
@@ -42,6 +52,17 @@ __all__ = ["KwayBase", "find_base", "k_shuffle", "k_unshuffle", "MAX_K"]
 
 MAX_K = 9
 _PRIME_SEARCH_LIMIT = 100
+
+# The bases p of each prime arity q: primes with q a primitive root of p^2,
+# hence of every p^j and, for odd q, of every 2p^j. Sorted by p^e, where
+# e = ord_q(p) is the first power whose block is admissible. A test checks
+# the table; nothing is searched at import.
+_BASES = {
+    2: (3,),
+    3: (7, 19, 5, 31, 43, 79, 127, 139),
+    5: (3, 7, 17, 23, 37, 43, 47, 53),
+    7: (71, 127, 13, 211, 239, 379, 491, 547),
+}
 
 # aux accounting for every arity, 2-way included: the driver's locals plus
 # those of its deepest callee, independent of input size
@@ -66,6 +87,9 @@ class KwayBase:
 @cache
 def find_base(k: int) -> KwayBase:
     """Smallest odd prime p <= 100 making k a primitive root of p^2.
+
+    One base alone leaves wide gaps between admissible blocks, so the
+    driver tiles with the whole table ``_BASES`` instead.
 
     Raises ValueError("no base found ...") when the bounded search fails,
     which marks the arity as unsupported by the direct construction; squares
@@ -98,48 +122,66 @@ def _prime_factors(k: int) -> list[int]:
     return out
 
 
-def _blocks(lo, hi, p, q):
-    """Greedy tiling of [lo, hi), left to right, as (offset, modulus, j).
-
-    Each block holds modulus - 1 = p^j - 1 elements and is the largest
-    admissible one that fits what remains. Admissible means q | p^j - 1,
-    which holds exactly when e = ord_q(p) divides j, so the scan steps
-    through p^e, p^2e, ... and never tests a power it cannot use. Blocks
-    never grow along the tiling, so the scan climbs once, then only
-    descends. What fits no block comes last, as a tail with j = 0 and
-    modulus = its length + 1; at q = 2, p = 3 there is never a tail.
-    """
-    step, e = p, 1
-    while step % q != 1:
-        step *= p
-        e += 1
-    modulus, j = 1, 0
-    while modulus * step - 1 <= hi - lo:
-        modulus *= step
-        j += e
-    offset = lo
+def _rungs(p, q, top):
+    # The admissible moduli of base p not above `top`, largest first, as
+    # (modulus, p, j): p^j, and for odd q also 2p^j, whenever q divides
+    # modulus - 1. Climbs once, then only descends.
+    power, j = 1, 0
+    while power * p <= top:
+        power *= p
+        j += 1
     while j > 0:
-        if modulus - 1 <= hi - offset:
-            yield offset, modulus, j
+        if q > 2 and 2 * power <= top and (2 * power - 1) % q == 0:
+            yield 2 * power, p, j
+        if (power - 1) % q == 0:
+            yield power, p, j
+        power //= p
+        j -= 1
+
+
+def _blocks(lo, hi, q):
+    """Greedy tiling of [lo, hi), left to right, as (offset, modulus, p, j).
+
+    Each block holds modulus - 1 elements, where modulus is p^j or, for odd
+    q, 2p^j, with p from the base table of q. It is the largest admissible
+    block across the table that fits what remains; admissible means q
+    divides modulus - 1, so that every part gives the block a whole slice.
+    The rungs of all bases are merged largest first, and blocks never grow
+    along the tiling, so the scan walks down that one ladder once. What
+    fits no block comes last, as a tail with p = j = 0 and modulus = its
+    length + 1; at q = 2, p = 3 there is never a tail.
+    """
+    offset = lo
+    rungs = [_rungs(p, q, hi - lo + 1) for p in _BASES[q]]
+    # one base needs no merge, whose set-up would dominate the 2-way scans
+    ladder = merge(*rungs, reverse=True) if len(rungs) > 1 else rungs[0]
+    for modulus, p, j in ladder:
+        while modulus - 1 <= hi - offset:
+            yield offset, modulus, p, j
             offset += modulus - 1
-        else:
-            modulus //= step
-            j -= e
+        if offset == hi:
+            return
     if offset < hi:
-        yield offset, hi - offset + 1, 0
+        yield offset, hi - offset + 1, 0, 0
 
 
 def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr):
-    # leaders p^s for s = 0..j-1; the cycle led by p^s has length
-    # phi(p^(j-s)), so the passes place all p^j - 1 elements exactly once
+    # modulus is p^j, or 2p^j for odd q. For s = 0..j-1, p^s leads the
+    # cycle of the positions whose p-part is p^s; when modulus is even that
+    # cycle holds only the odd ones, and 2p^s leads the even ones. Each
+    # cycle has length phi(p^(j-s)). p^j is fixed under an odd multiplier
+    # and is not walked, so the passes place every other element once.
     walk = _fastpath.walk_fn(buf)
     base = offset - 1
+    twin = modulus % 2 == 0
     leader = 1
-    level = modulus
+    level = modulus // 2 if twin else modulus
     for _ in range(j):
         walk(buf, base, leader, mult, modulus)
+        if twin:
+            walk(buf, base, 2 * leader, mult, modulus)
         if instr is not None:
-            instr.add_moves(level // p * (p - 1) + 1)
+            instr.add_moves((1 + twin) * (level // p * (p - 1) + 1))
         leader *= p
         level //= p
 
@@ -149,7 +191,7 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
     # using the minimum-of-orbit leader rule: a position starts a cycle only
     # if probing its whole orbit meets nothing smaller. Quadratic in `length`
     # and constant space; callers only use it for block-plan leftovers, whose
-    # size is bounded by the base, not the buffer.
+    # size is bounded by the base table, not the buffer.
     modulus = length + 1
     walk = _fastpath.walk_fn(buf)
     base = offset - 1
@@ -190,8 +232,7 @@ def _prime_shuffle_range(buf, lo, hi, q, instr):
     # place the block by its cycle passes. The 2-way shuffles are q = 2.
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
-    p = find_base(q).p
-    for offset, modulus, j in _blocks(lo, hi, p, q):
+    for offset, modulus, p, j in _blocks(lo, hi, q):
         if j == 0:
             _bounded_cycle_shuffle(buf, offset, modulus - 1, q, instr)
         else:
@@ -205,10 +246,9 @@ def _prime_unshuffle_range(buf, lo, hi, q, instr):
     # stored, which keeps the state constant; the scans total O(blocks^2).
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
-    p = find_base(q).p
     done = hi
     while done > lo:
-        for offset, modulus, j in _blocks(lo, hi, p, q):
+        for offset, modulus, p, j in _blocks(lo, hi, q):
             if offset + modulus - 1 == done:
                 break
         mult = pow(q, -1, modulus)

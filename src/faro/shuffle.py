@@ -150,7 +150,7 @@ def plan_blocks(total: int) -> BlockPlan:
         raise ValueError(f"length must be even and >= 0, got {total}")
     blocks = tuple(
         Block(offset=offset, m=(modulus - 1) // 2, k=k)
-        for offset, modulus, k in _blocks(0, total, 3, 2)
+        for offset, modulus, _, k in _blocks(0, total, 2)
     )
     return BlockPlan(blocks=blocks, total=total)
 

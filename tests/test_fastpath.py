@@ -10,7 +10,7 @@ import pytest
 
 import faro
 from faro import _fastpath, cli
-from faro.kway import find_base, k_shuffle
+from faro.kway import _BASES, _prime_factors, _rungs, k_shuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, kway_kind
 from faro.shuffle import RecordBuffer, in_shuffle
@@ -118,18 +118,17 @@ def test_first_import_builds_one_cached_kernel(tmp_path):
 
 
 def _verify_lengths(kind):
-    """0 and the smallest order, and orders just around admissible blocks."""
+    """0 and the smallest order, orders just around the admissible blocks of
+    every base in the table, and a tail just below the smallest block."""
     if kind.family != "kway":
         lengths = {0, 2} | {3**k - 1 + d for k in range(2, 7) for d in (-2, 0, 2)}
         return sorted(lengths - ({0} if kind.family == "out" else set()))
-    q = kind.k
-    p = find_base(min(f for f in range(2, q + 1) if q % f == 0)).p
-    lengths = {0, q}
-    for j in range(1, 8):
-        block = p**j - 1
-        if block > 1000:
-            break
-        lengths |= {block // q * q, (block // q + 1) * q}
+    k = kind.k
+    lengths = {0, k}
+    for q in set(_prime_factors(k)):
+        blocks = {m - 1 for p in _BASES[q] for m, _, _ in _rungs(p, q, 1001)}
+        lengths.add(max(min(blocks) // k * k - k, 0))
+        lengths |= {b // k * k for b in blocks} | {(b // k + 1) * k for b in blocks}
     return sorted(lengths)
 
 

@@ -1,11 +1,14 @@
 import random
+from math import gcd
 
 import pytest
 
-from faro.kway import KwayBase, find_base, k_shuffle, k_unshuffle
-from faro.numtheory import euler_totient
+from faro import _fastpath, kway
+from faro.kway import KwayBase, _prime_factors, find_base, k_shuffle, k_unshuffle
+from faro.numtheory import euler_totient, is_primitive_root, multiplicative_order
 from faro.oracle import oracle_shuffle
 from faro.permcore import cycle_decomposition, kway_kind
+from faro.rotate import rotate_right
 from faro.shuffle import Instrumentation, in_shuffle
 
 
@@ -71,6 +74,68 @@ def test_k3_exact_block_structure():
     assert instr.moves == 24 + 2
 
 
+def test_base_table_is_valid():
+    # every prime factor of a supported arity has a table; each entry is a
+    # prime p coprime to q with q a primitive root of p^2, so of every p^j
+    # and, for odd q, of every 2p^j; entries are sorted by their first
+    # admissible power p^e, e = ord_q(p)
+    assert set(kway._BASES) == {q for k in range(2, 10) for q in _prime_factors(k)}
+    assert kway._BASES[2] == (3,)
+    for q, bases in kway._BASES.items():
+        for p in bases:
+            assert p > 2 and euler_totient(p) == p - 1, p
+            assert gcd(p, q) == 1, p
+            assert is_primitive_root(q, p * p), (q, p)
+        firsts = [p ** multiplicative_order(p, q) for p in bases]
+        assert firsts == sorted(firsts), q
+
+
+@pytest.mark.parametrize("k,p,j,moves", [(3, 5, 3, 254), (5, 3, 5, 494)])
+def test_single_twin_block(k, p, j, moves, monkeypatch):
+    # 2p^j - 1 elements form one block mod 2p^j: leaders p^s and 2p^s for
+    # s < j, the cycles through them of length phi(p^(j - s)), and p^j a
+    # fixed point that is never walked. So the gather rotates nothing and
+    # the moves are every element but p^j, plus one hold load per leader.
+    modulus = 2 * p**j
+    n = modulus - 1
+    assert list(kway._blocks(0, n, k)) == [(0, modulus, p, j)]
+    leaders = sorted(c * p**s for s in range(j) for c in (1, 2))
+    decomposition = cycle_decomposition(kway_kind(k), n)
+    assert [cycle[0] for cycle in decomposition.cycles] == leaders
+    assert [len(cycle) for cycle in decomposition.cycles] == [
+        euler_totient(p ** (j - s)) for s in range(j) for _ in (1, 2)
+    ]
+    assert moves == modulus - 2 + 2 * j
+
+    walked, rotations = [], Instrumentation()
+    real_walk_fn = _fastpath.walk_fn
+
+    def walk_fn(buf):
+        walk = real_walk_fn(buf)
+
+        def spy(buf, base, leader, mult, modulus):
+            walked.append(leader)
+            walk(buf, base, leader, mult, modulus)
+
+        return spy
+
+    monkeypatch.setattr(_fastpath, "walk_fn", walk_fn)
+    monkeypatch.setattr(
+        kway, "rotate_right", lambda buf, lo, hi, d, instr: rotate_right(buf, lo, hi, d, rotations)
+    )
+    for call in (k_shuffle, k_unshuffle):
+        walked.clear()
+        buf, instr = list(range(n)), Instrumentation()
+        call(buf, k, instr)
+        if call is k_shuffle:
+            assert buf == oracle_shuffle(list(range(n)), kway_kind(k))
+        else:
+            assert oracle_shuffle(buf, kway_kind(k)) == list(range(n))
+        assert sorted(walked) == leaders
+        assert instr.moves == moves
+        assert rotations.moves == 0
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_k_shuffle_matches_oracle_small(k):
     for count in range(0, 76):
@@ -84,7 +149,7 @@ def test_k_shuffle_matches_oracle_small(k):
 def test_k_shuffle_matches_oracle_high_arity(k):
     rng = random.Random(21)
     counts = list(range(0, 20)) + [rng.randrange(20, 150) for _ in range(8)]
-    counts += [190, 200, 380]  # pushes k=7 past its first 11^3 - 1 block
+    counts += [190, 200, 380]  # k=7 in the gap between its rungs 547 and 71^2
     for count in counts:
         length = k * count
         buf = list(range(length))
