@@ -3,15 +3,22 @@
 ``_kernel.c`` holds the reversal and the cycle walk of ``_loops`` in C, over
 raw item memory, and the check behind ``faro apply --verify`` (``agree``).
 On first import it is compiled with ``cc`` into
-``__pycache__/_kernel-<crc32 of the source><extension suffix>`` next to this
-file and loaded with ctypes; later imports load that file. If the build or
-the load fails, ``HAVE_COMPILED`` is False, ``BUILD_ERROR`` says why, every
-buffer takes the Python loops and ``agree`` returns None.
+``__pycache__/_kernel-<crc32 of the source and the cc argv><extension
+suffix>`` next to this file and loaded with ctypes; later imports load that
+file. If the build or the load fails, ``HAVE_COMPILED`` is False,
+``BUILD_ERROR`` says why, every buffer takes the Python loops and ``agree``
+returns None.
 
 The kernel takes 1-D, writable, C-contiguous ndarrays of any dtype that holds
-no Python objects, and ``RecordBuffer`` over a bytearray. Lists, read-only or
-strided arrays and every other buffer take the Python loops. numpy is never
+no Python objects, and ``RecordBuffer`` over a bytearray; their entries run
+without the GIL. When ``Python.h`` is found at build time it also takes exact
+lists (not subclasses), through entries that hold the GIL and check the
+list's size on every call. Without the headers lists, like read-only or
+strided arrays and every other buffer, take the Python loops. numpy is never
 imported here: no ndarray can exist before the caller has imported it.
+
+A public call resolves its (reverse, walk) pair once, with ``kernel``, and
+hands it down; nothing is cached across calls.
 """
 
 import ctypes
@@ -26,11 +33,30 @@ from . import _loops
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
 
-def _load():
+def _cc_argv():
+    """The cc command that builds the kernel, up to its output file.
+
+    It passes the interpreter's include dir, and with it the list entries,
+    only when ``Python.h`` is there.
+    """
+    import sysconfig
+
+    argv = ["cc", "-O2", "-shared", "-fPIC"]
+    include = sysconfig.get_paths()["include"]
+    if os.path.exists(os.path.join(include, "Python.h")):
+        argv += ["-I", include]
+    return argv + ["-x", "c"]
+
+
+def _load(argv):
+    """(library, list entries or None) built from _SOURCE by `argv`."""
     with open(_SOURCE, "rb") as handle:
         source = handle.read()
     cache = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-    target = os.path.join(cache, f"_kernel-{zlib.crc32(source):08x}{EXTENSION_SUFFIXES[0]}")
+    # the name covers the command too: a library built without the headers
+    # must not be reused once they exist, nor one built with them when not
+    key = zlib.crc32("\0".join(argv).encode(), zlib.crc32(source))
+    target = os.path.join(cache, f"_kernel-{key:08x}{EXTENSION_SUFFIXES[0]}")
     if not os.path.exists(target):
         import subprocess
 
@@ -40,7 +66,7 @@ def _load():
         tmp = f"{target}.{os.getpid()}.tmp"
         try:
             built = subprocess.run(
-                ["cc", "-O2", "-shared", "-fPIC", "-x", "c", "-o", tmp, "-"],
+                [*argv, "-o", tmp, "-"],
                 input=source,
                 capture_output=True,
             )
@@ -60,14 +86,22 @@ def _load():
     lib.faro_mulmod.restype = i64
     lib.faro_agree.argtypes = (ptr, ptr, size_t, i64, i64, i64)
     lib.faro_agree.restype = ctypes.c_int
-    return lib
+    # PyDLL keeps the GIL for the call and raises what the entry sets
+    lists = ctypes.PyDLL(target)
+    if not hasattr(lists, "faro_list_walk"):
+        return lib, None  # built without Python.h
+    lists.faro_list_reverse.argtypes = (ctypes.py_object, i64, i64)
+    lists.faro_list_reverse.restype = None
+    lists.faro_list_walk.argtypes = (ctypes.py_object, i64, i64, i64, i64)
+    lists.faro_list_walk.restype = None
+    return lib, lists
 
 
 try:
-    _lib = _load()
+    _lib, _lists = _load(_cc_argv())
     BUILD_ERROR = None
 except OSError as exc:
-    _lib = None
+    _lib = _lists = None
     BUILD_ERROR = f"native kernel unavailable: {exc}"
 HAVE_COMPILED = _lib is not None
 
@@ -77,7 +111,7 @@ def _memory(buf):
 
     The pointer object keeps the memory it points to alive.
     """
-    if type(buf) is list or _lib is None:
+    if _lib is None:
         return None
     np = sys.modules.get("numpy")
     if np is not None and isinstance(buf, np.ndarray):
@@ -98,8 +132,21 @@ def _memory(buf):
     return None
 
 
+def kernel(buf):
+    """The (reverse, walk) pair for this buffer, for the length of one call."""
+    return reverse_fn(buf), walk_fn(buf)
+
+
+def _list_entries(buf):
+    # the GIL-holding entries for an exact list, when the kernel has them
+    return _lists if type(buf) is list and _lib is not None else None
+
+
 def reverse_fn(buf):
     """Pick the reversal loop for this buffer."""
+    lists = _list_entries(buf)
+    if lists is not None:
+        return lists.faro_list_reverse
     memory = _memory(buf)
     if memory is None:
         return _loops.reverse_slots
@@ -114,6 +161,9 @@ def reverse_fn(buf):
 
 def walk_fn(buf):
     """Pick the cycle-walk loop for this buffer."""
+    lists = _list_entries(buf)
+    if lists is not None:
+        return lists.faro_list_walk
     memory = _memory(buf)
     if memory is None:
         return _loops.cycle_walk

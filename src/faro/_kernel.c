@@ -7,7 +7,18 @@
  * COLUMN bytes: wider records are walked once per COLUMN-byte column, so
  * extra space stays constant whatever the record size. _fastpath checks
  * every range and walk against the buffer length before calling in.
+ *
+ * When Python.h is on the include path, the same loops also serve exact
+ * lists, over their PyObject * slots (see the list entries at the end).
  */
+#if defined(__has_include)
+#if __has_include(<Python.h>)
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define FARO_LISTS 1
+#endif
+#endif
+
 #include <stdint.h>
 #include <string.h>
 
@@ -96,3 +107,66 @@ int faro_agree(const char *orig, const char *res, size_t itemsize, int64_t base,
     }
     return 1;
 }
+
+#ifdef FARO_LISTS
+/* The list entries. A permutation of a list's slots leaves every refcount as
+ * it was, so the loops above move the PyObject * slots as 8-byte items.
+ * _fastpath binds these through ctypes.PyDLL, so they run with the GIL held
+ * and may raise; they check the list's current size on every call and keep
+ * no pointer into it, since another thread may resize it between two calls.
+ */
+static int not_a_list(PyObject *list)
+{
+    if (PyList_CheckExact(list))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "expected a list, got %s", Py_TYPE(list)->tp_name);
+    return 1;
+}
+
+void faro_list_reverse(PyObject *list, int64_t lo, int64_t hi)
+{
+    if (not_a_list(list))
+        return;
+    Py_ssize_t n = PyList_GET_SIZE(list);
+    if (!(0 <= lo && lo <= hi && hi <= n)) {
+        PyErr_Format(PyExc_IndexError, "range [%lld, %lld) out of a list of %zd", (long long)lo,
+                     (long long)hi, n);
+        return;
+    }
+    reverse((char *)((PyListObject *)list)->ob_item, sizeof(PyObject *), lo, hi);
+}
+
+static int64_t gcd(int64_t a, int64_t b)
+{
+    while (b) {
+        int64_t r = a % b;
+        a = b;
+        b = r;
+    }
+    return a;
+}
+
+void faro_list_walk(PyObject *list, int64_t base, int64_t leader, int64_t mult, int64_t modulus)
+{
+    if (not_a_list(list))
+        return;
+    Py_ssize_t n = PyList_GET_SIZE(list);
+    /* the orbit stays in local positions 1..modulus-1 and closes only when
+     * mult is a unit and the leader one of those positions */
+    if (!(modulus >= 2 && base >= -1 && modulus <= n - base)) {
+        PyErr_Format(PyExc_IndexError, "walk mod %lld at base %lld leaves a list of %zd",
+                     (long long)modulus, (long long)base, n);
+        return;
+    }
+    mult %= modulus;
+    if (mult < 0)
+        mult += modulus;
+    if (!(0 < leader && leader < modulus) || gcd(mult, modulus) != 1) {
+        PyErr_Format(PyExc_ValueError, "leader %lld under x%lld mod %lld is no closed orbit",
+                     (long long)leader, (long long)mult, (long long)modulus);
+        return;
+    }
+    char *slots = (char *)((PyListObject *)list)->ob_item;
+    walk(slots, sizeof(PyObject *), sizeof(PyObject *), base, leader, mult, modulus);
+}
+#endif

@@ -1,9 +1,11 @@
 """Innermost element-moving loops.
 
-These are the reference loops and the path every list takes. ``_kernel.c``
-holds the same two loops in C for ndarrays and ``RecordBuffer``; the test
-suite runs both paths on the same inputs and requires equal results and
-equal instrumentation counts.
+These are the reference loops, and the path of every buffer the native
+kernel does not take: list subclasses, strided or read-only arrays, and
+everything when the kernel did not build (lists too when it was built
+without ``Python.h``). ``_kernel.c`` holds the same two loops in C for
+ndarrays, ``RecordBuffer`` and lists; the test suite runs both paths on the
+same inputs and requires equal results and equal instrumentation counts.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
 loops only move elements.

@@ -165,13 +165,12 @@ def _blocks(lo, hi, q):
         yield offset, hi - offset + 1, 0, 0
 
 
-def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr):
+def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk):
     # modulus is p^j, or 2p^j for odd q. For s = 0..j-1, p^s leads the
     # cycle of the positions whose p-part is p^s; when modulus is even that
     # cycle holds only the odd ones, and 2p^s leads the even ones. Each
     # cycle has length phi(p^(j-s)). p^j is fixed under an odd multiplier
     # and is not walked, so the passes place every other element once.
-    walk = _fastpath.walk_fn(buf)
     base = offset - 1
     twin = modulus % 2 == 0
     leader = 1
@@ -186,14 +185,13 @@ def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr):
         level //= p
 
 
-def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
+def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
     # Permute buf[offset : offset+length] by local i -> i*mult mod (length+1)
     # using the minimum-of-orbit leader rule: a position starts a cycle only
     # if probing its whole orbit meets nothing smaller. Quadratic in `length`
     # and constant space; callers only use it for block-plan leftovers, whose
     # size is bounded by the base table, not the buffer.
     modulus = length + 1
-    walk = _fastpath.walk_fn(buf)
     base = offset - 1
     moves = 0
     for lead in range(1, length + 1):
@@ -212,38 +210,43 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
         instr.add_moves(moves)
 
 
-def _gather_parts(buf, offset, part, b, q, instr):
+def _gather_parts(buf, offset, part, b, q, instr, reverse):
     # After rotation t, the first b elements of parts 1..t+1 sit contiguously
     # at `offset` and the part remainders stay in part order behind them.
     for t in range(1, q):
-        rotate_right(buf, offset + t * b, offset + t * part + b, b, instr)
+        rotate_right(buf, offset + t * b, offset + t * part + b, b, instr, reverse=reverse)
 
 
-def _scatter_parts(buf, offset, part, b, q, instr):
+def _scatter_parts(buf, offset, part, b, q, instr, reverse):
     # Undo _gather_parts: the same windows in reverse order, each rotated
     # right by its width minus b.
     for t in range(q - 1, 0, -1):
-        rotate_right(buf, offset + t * b, offset + t * part + b, t * (part - b), instr)
+        rotate_right(
+            buf, offset + t * b, offset + t * part + b, t * (part - b), instr, reverse=reverse
+        )
 
 
-def _prime_shuffle_range(buf, lo, hi, q, instr):
+def _prime_shuffle_range(buf, lo, hi, q, instr, kernel):
     # The q-way shuffle of buf[lo:hi] for a prime q, block by block: gather
     # the block's slice of every part to the front of what remains, then
     # place the block by its cycle passes. The 2-way shuffles are q = 2.
+    # `kernel` is the buffer's (reverse, walk) pair from _fastpath.kernel.
+    reverse, walk = kernel
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
     for offset, modulus, p, j in _blocks(lo, hi, q):
         if j == 0:
-            _bounded_cycle_shuffle(buf, offset, modulus - 1, q, instr)
+            _bounded_cycle_shuffle(buf, offset, modulus - 1, q, instr, walk)
         else:
-            _gather_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr)
-            _general_cycle_passes(buf, offset, j, p, q, modulus, instr)
+            _gather_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr, reverse)
+            _general_cycle_passes(buf, offset, j, p, q, modulus, instr, walk)
 
 
-def _prime_unshuffle_range(buf, lo, hi, q, instr):
+def _prime_unshuffle_range(buf, lo, hi, q, instr, kernel):
     # Exact inverse of _prime_shuffle_range: undo the items right to left,
     # the tail first. The tiling is rescanned for each item instead of being
     # stored, which keeps the state constant; the scans total O(blocks^2).
+    reverse, walk = kernel
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
     done = hi
@@ -253,10 +256,10 @@ def _prime_unshuffle_range(buf, lo, hi, q, instr):
                 break
         mult = pow(q, -1, modulus)
         if j == 0:
-            _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr)
+            _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr, walk)
         else:
-            _general_cycle_passes(buf, offset, j, p, mult, modulus, instr)
-            _scatter_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr)
+            _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk)
+            _scatter_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr, reverse)
         done = offset
 
 
@@ -274,12 +277,14 @@ def k_shuffle(buf, k: int, instr=None) -> None:
     composes to the same permutation.
     """
     _check_k_buffer(buf, k)
+    kernel = _fastpath.kernel(buf)
     for q in _prime_factors(k):
-        _prime_shuffle_range(buf, 0, len(buf), q, instr)
+        _prime_shuffle_range(buf, 0, len(buf), q, instr, kernel)
 
 
 def k_unshuffle(buf, k: int, instr=None) -> None:
     """Exact inverse of :func:`k_shuffle`."""
     _check_k_buffer(buf, k)
+    kernel = _fastpath.kernel(buf)
     for q in reversed(_prime_factors(k)):
-        _prime_unshuffle_range(buf, 0, len(buf), q, instr)
+        _prime_unshuffle_range(buf, 0, len(buf), q, instr, kernel)

@@ -8,6 +8,10 @@ distance d is realized as
 which costs at most 2 * (w//2 + d//2 + (w-d)//2) single-element moves for a
 window of w elements and needs exactly one element-sized temporary (the swap
 slot) no matter how large the window is.
+
+Both functions take the buffer's reversal loop as the keyword `reverse`
+when the caller has resolved it already (``_fastpath.kernel``), and resolve
+it themselves otherwise.
 """
 
 from . import _fastpath
@@ -25,16 +29,18 @@ def _check_range(buf, lo: int, hi: int) -> None:
         raise ValueError(f"range [{lo}, {hi}) out of bounds for length {len(buf)}")
 
 
-def reverse_range(buf, lo: int, hi: int, instr=None) -> None:
+def reverse_range(buf, lo: int, hi: int, instr=None, *, reverse=None) -> None:
     """Reverse buf[lo:hi] in place with (hi - lo) // 2 swaps."""
     _check_range(buf, lo, hi)
-    _fastpath.reverse_fn(buf)(buf, lo, hi)
+    if reverse is None:
+        reverse = _fastpath.reverse_fn(buf)
+    reverse(buf, lo, hi)
     if instr is not None:
         instr.add_moves(2 * ((hi - lo) // 2))
         instr.note_aux(_REVERSE_AUX_WORDS)
 
 
-def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
+def rotate_right(buf, lo: int, hi: int, d: int, instr=None, *, reverse=None) -> None:
     """Cyclic right shift of buf[lo:hi] by d slots, by triple reversal.
 
     The element at p lands at lo + ((p - lo + d) mod (hi - lo)). Distances
@@ -51,6 +57,8 @@ def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
         return
     if instr is not None:
         instr.note_aux(_ROTATE_AUX_WORDS)
-    reverse_range(buf, lo, hi, instr)
-    reverse_range(buf, lo, lo + d, instr)
-    reverse_range(buf, lo + d, hi, instr)
+    if reverse is None:
+        reverse = _fastpath.reverse_fn(buf)
+    reverse_range(buf, lo, hi, instr, reverse=reverse)
+    reverse_range(buf, lo, lo + d, instr, reverse=reverse)
+    reverse_range(buf, lo + d, hi, instr, reverse=reverse)

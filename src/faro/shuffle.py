@@ -25,7 +25,8 @@ constant times the length in single-element moves.
 The buffer layer is 0-based half-open; every call into the 1-based math
 above documents the shift. Buffers are anything indexable with integer
 get/set and a length: lists, numpy arrays, or ``RecordBuffer`` views over
-packed bytes; ``_fastpath`` sends the last two to the native kernel.
+packed bytes; ``_fastpath`` sends all three to the native kernel (lists only
+when ``Python.h`` was found at build time).
 
 Every operation mutates exactly one buffer and assumes exclusive access to
 it for the duration of the call; there is no shared state, so distinct
@@ -34,6 +35,7 @@ buffers can be shuffled concurrently.
 
 from dataclasses import dataclass
 
+from . import _fastpath
 from .kway import _blocks, _prime_shuffle_range, _prime_unshuffle_range
 # unused here; kept bound because perfbench swaps faro.shuffle.rotate_right by name
 from .rotate import rotate_right  # noqa: F401
@@ -169,13 +171,13 @@ def in_shuffle(buf, instr=None) -> None:
     first card of the second half coming out on top.
     """
     n = _check_even(buf)
-    _prime_shuffle_range(buf, 0, n, 2, instr)
+    _prime_shuffle_range(buf, 0, n, 2, instr, _fastpath.kernel(buf))
 
 
 def un_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`in_shuffle`, block by block in reverse."""
     n = _check_even(buf)
-    _prime_unshuffle_range(buf, 0, n, 2, instr)
+    _prime_unshuffle_range(buf, 0, n, 2, instr, _fastpath.kernel(buf))
 
 
 def out_shuffle(buf, instr=None) -> None:
@@ -187,7 +189,7 @@ def out_shuffle(buf, instr=None) -> None:
     n = _check_even(buf)
     if n < 2:
         raise ValueError(f"out-shuffle needs at least 2 elements, got {n}")
-    _prime_shuffle_range(buf, 1, n - 1, 2, instr)
+    _prime_shuffle_range(buf, 1, n - 1, 2, instr, _fastpath.kernel(buf))
 
 
 def un_out_shuffle(buf, instr=None) -> None:
@@ -195,4 +197,4 @@ def un_out_shuffle(buf, instr=None) -> None:
     n = _check_even(buf)
     if n < 2:
         raise ValueError(f"out-shuffle needs at least 2 elements, got {n}")
-    _prime_unshuffle_range(buf, 1, n - 1, 2, instr)
+    _prime_unshuffle_range(buf, 1, n - 1, 2, instr, _fastpath.kernel(buf))

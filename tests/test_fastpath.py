@@ -3,19 +3,29 @@ import random
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import CountingList
+
 import faro
-from faro import _fastpath, cli
-from faro.kway import _BASES, _prime_factors, _rungs, k_shuffle
+from faro import _fastpath, _loops, cli
+from faro.kway import _BASES, _prime_factors, _rungs, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, kway_kind
-from faro.shuffle import RecordBuffer, in_shuffle
+from faro.rotate import reverse_range, rotate_right
+from faro.shuffle import RecordBuffer, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
 
 needs_kernel = pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
+needs_list_kernel = pytest.mark.skipif(
+    _fastpath._lists is None,
+    reason=str(_fastpath.BUILD_ERROR or "kernel built without Python.h: lists take _loops"),
+)
+HEADERS = sysconfig.get_paths()["include"]
+HAVE_HEADERS = os.path.exists(os.path.join(HEADERS, "Python.h"))
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(faro.__file__).parents[1])}
 
 
@@ -211,11 +221,210 @@ def test_numpy_imported_after_faro_takes_the_native_path():
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_kernel_source_compiles_without_warnings():
-    built = subprocess.run(
-        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", _fastpath._SOURCE],
+def _syntax_check(*include):
+    return subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *include, _fastpath._SOURCE],
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.skipif(not HAVE_HEADERS, reason=f"no Python.h in {HEADERS}: no list entries")
+def test_kernel_source_compiles_without_warnings():
+    built = _syntax_check("-I", HEADERS)  # with the list entries
     assert built.returncode == 0, built.stderr
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings_or_headers():
+    built = _syntax_check()
+    assert built.returncode == 0, built.stderr
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
+    source = tmp_path / "_kernel.c"
+    shutil.copyfile(_fastpath._SOURCE, source)
+    monkeypatch.setattr(_fastpath, "_SOURCE", str(source))
+
+    def built():
+        return sorted((tmp_path / "__pycache__").glob("_kernel-*"))
+
+    plain = ["cc", "-O2", "-shared", "-fPIC", "-x", "c"]
+    assert _fastpath._load(plain)[1] is None  # no include dir, no list entries
+    assert _fastpath._load(plain)[1] is None
+    assert len(built()) == 1
+    _fastpath._load(["cc", "-O1", *plain[2:]])
+    assert len(built()) == 2
+    if HAVE_HEADERS:
+        with_headers = _fastpath._cc_argv()
+        assert with_headers == [*plain[:4], "-I", HEADERS, *plain[4:]]
+        assert _fastpath._load(with_headers)[1] is not None
+        assert len(built()) == 3
+
+
+def test_kernel_is_resolved_once_per_call(monkeypatch):
+    resolved, used = {}, {}
+
+    def counting(name, resolve):
+        def resolver(buf):
+            resolved[name] += 1
+            loop = resolve(buf)
+
+            def counted(*args):
+                used[name] += 1
+                loop(*args)
+
+            return counted
+
+        return resolver
+
+    for name in ("reverse_fn", "walk_fn"):
+        monkeypatch.setattr(_fastpath, name, counting(name, getattr(_fastpath, name)))
+    # (call, length, prime passes)
+    calls = [(lambda buf: k_shuffle(buf, 6), 60_000, 2), (un_shuffle, 1 << 16, 1)]
+    for call, n, passes in calls:
+        resolved.update(reverse_fn=0, walk_fn=0)
+        used.update(reverse_fn=0, walk_fn=0)
+        buf = np.arange(n, dtype=np.int64)
+        call(buf)
+        assert sorted(buf.tolist()) == list(range(n))
+        for name in resolved:
+            assert 1 <= resolved[name] <= passes, (name, resolved)
+            assert used[name] > 10 * passes, (name, used)
+
+    resolved.update(reverse_fn=0)
+    used.update(reverse_fn=0)
+    buf = list(range(10))
+    rotate_right(buf, 0, 10, 3)
+    assert buf == [7, 8, 9, 0, 1, 2, 3, 4, 5, 6]
+    assert (resolved["reverse_fn"], used["reverse_fn"]) == (1, 3)
+    reverse_range(buf, 2, 6)
+    assert (resolved["reverse_fn"], used["reverse_fn"]) == (2, 4)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 6])
+def test_list_shuffles_leave_refcounts_alone(k):
+    items = [object() for _ in range(k * 3000)]
+    buf = list(items)
+    before = [sys.getrefcount(item) for item in items]
+    k_shuffle(buf, k)
+    assert sorted(map(id, buf)) == sorted(map(id, items))
+    assert [sys.getrefcount(item) for item in items] == before
+    k_unshuffle(buf, k)
+    assert all(got is item for got, item in zip(buf, items))
+    assert [sys.getrefcount(item) for item in items] == before
+    del buf
+    assert [sys.getrefcount(item) for item in items] == [count - 1 for count in before]
+
+
+def test_list_subclass_takes_the_pure_loops(monkeypatch):
+    buf = CountingList(range(600))
+    assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk)
+    k_shuffle(buf, 3)
+    assert buf.gets > 600 and buf.sets > 600
+    assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))
+    monkeypatch.setattr(_fastpath, "_lists", None)  # as when built without Python.h
+    assert _fastpath.kernel([1, 2]) == (_loops.reverse_slots, _loops.cycle_walk)
+
+
+def test_empty_and_two_element_lists():
+    for fn in (in_shuffle, un_shuffle):
+        buf = []
+        fn(buf)
+        assert buf == []
+    for fn in (in_shuffle, un_shuffle):
+        buf = ["x", "y"]
+        fn(buf)
+        assert buf == ["y", "x"]
+    for fn in (out_shuffle, un_out_shuffle):
+        buf = ["x", "y"]
+        fn(buf)
+        assert buf == ["x", "y"]
+    for k in range(2, 10):
+        for fn in (k_shuffle, k_unshuffle):
+            buf = []
+            fn(buf, k)
+            assert buf == []
+    for fn in (k_shuffle, k_unshuffle):
+        buf = ["x", "y"]
+        fn(buf, 2)
+        assert buf == ["y", "x"]
+    buf = []
+    reverse_range(buf, 0, 0)
+    rotate_right(buf, 0, 0, 0)
+    assert buf == []
+
+
+@needs_list_kernel
+def test_list_entries_refuse_bad_calls_and_leave_the_list():
+    buf = list(range(26))
+    walk, reverse = _fastpath.walk_fn(buf), _fastpath.reverse_fn(buf)
+    with pytest.raises(IndexError):
+        walk(buf, 0, 1, 2, 27)  # last slot would be 26, one past the end
+    with pytest.raises(IndexError):
+        walk(buf, -2, 1, 2, 27)
+    with pytest.raises(IndexError):
+        walk([], -1, 1, 2, 3)
+    for lo, hi in ((0, 27), (-1, 3), (5, 4)):
+        with pytest.raises(IndexError):
+            reverse(buf, lo, hi)
+    with pytest.raises(ValueError):
+        walk(buf, -1, 0, 2, 27)  # leader 0 is fixed, not a cycle
+    with pytest.raises(ValueError):
+        walk(buf, -1, 1, 3, 27)  # 3 is no unit mod 27: the orbit never closes
+    with pytest.raises(TypeError):
+        walk(CountingList(buf), -1, 1, 2, 27)
+    with pytest.raises(TypeError):
+        reverse(tuple(buf), 0, 2)
+    assert buf == list(range(26))
+    walk(buf, -1, 1, 2, 27)
+    assert buf != list(range(26)) and sorted(buf) == list(range(26))
+    reverse(buf, 0, 26)
+    walk(buf, -1, 1, 2, 27)  # a second walk leaves the reversed list permuted
+    assert sorted(buf) == list(range(26))
+
+
+@needs_list_kernel
+def test_fresh_interpreter_sends_lists_to_the_kernel():
+    probe = (
+        "from faro import _fastpath, _loops\n"
+        "assert _fastpath.walk_fn([1, 2]) is not _loops.cycle_walk\n"
+        "assert _fastpath.reverse_fn([1, 2]) is not _loops.reverse_slots\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
+
+
+def test_list_resized_by_another_thread_never_kills_the_process():
+    # The list entries hold the GIL and check the list's size on every call,
+    # so a thread that clears and refills the list between two of them can
+    # only make the shuffle raise or scramble the list, never crash it.
+    probe = (
+        "import sys, threading, time\n"
+        "import faro\n"
+        "sys.setswitchinterval(1e-5)\n"
+        "buf = list(range(1 << 16))\n"
+        "def meddle():\n"
+        "    for _ in range(50):\n"
+        "        time.sleep(0.0005)\n"
+        "        buf.clear()\n"
+        "        time.sleep(0.0001)\n"
+        "        buf.extend(range(1 << 16))\n"
+        "thread = threading.Thread(target=meddle)\n"
+        "thread.start()\n"
+        "raised = 0\n"
+        "while thread.is_alive():\n"
+        "    if len(buf) != 1 << 16:\n"
+        "        time.sleep(0)\n"
+        "        continue\n"
+        "    try:\n"
+        "        faro.k_shuffle(buf, 2)\n"
+        "    except (IndexError, ValueError):\n"
+        "        raised += 1\n"
+        "print(raised)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr)

@@ -121,7 +121,9 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
 
     monkeypatch.setattr(_fastpath, "walk_fn", walk_fn)
     monkeypatch.setattr(
-        kway, "rotate_right", lambda buf, lo, hi, d, instr: rotate_right(buf, lo, hi, d, rotations)
+        kway,
+        "rotate_right",
+        lambda buf, lo, hi, d, instr, **kernel: rotate_right(buf, lo, hi, d, rotations, **kernel),
     )
     for call in (k_shuffle, k_unshuffle):
         walked.clear()

@@ -62,7 +62,7 @@ def test_plan_blocks_invariants():
 
 def cycle_leader_pass(buf, offset, k, instr=None):
     # the driver's cycle-leader passes on one 3^k - 1 block, at q = 2, p = 3
-    _general_cycle_passes(buf, offset, k, 3, 2, 3**k, instr)
+    _general_cycle_passes(buf, offset, k, 3, 2, 3**k, instr, _fastpath.walk_fn(buf))
 
 
 def test_cycle_leader_pass_small_blocks():
@@ -301,7 +301,10 @@ def _parity_calls():
 
 
 def _native_buffers(raw_bytes, count):
-    # (label, buffer, itemsize, payload) over fresh payload bytes
+    # (label, buffer, itemsize, payload) over fresh payload bytes; a list
+    # holds its payload as 8-byte bytes objects
+    payload = raw_bytes(count * 8)
+    yield "list", [payload[i : i + 8] for i in range(0, len(payload), 8)], 8, payload
     if np is not None:
         for dtype in ("int8", "int64", "float64", "complex128", "bool", "V3"):
             itemsize = np.dtype(dtype).itemsize
@@ -315,7 +318,7 @@ def _native_buffers(raw_bytes, count):
 
 
 @pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
-def test_compiled_path_matches_pure_path():
+def test_compiled_path_matches_pure_path(monkeypatch):
     # every kind and direction on every native buffer type against the pure
     # loops on a list: same permutation, same moves, same aux peak
     rng = random.Random(18)
@@ -325,14 +328,20 @@ def test_compiled_path_matches_pure_path():
             length = arity * count
             pure = list(range(length))
             pure_instr = Instrumentation()
-            call(pure, pure_instr)
+            with monkeypatch.context() as m:
+                m.setattr(_fastpath, "_lib", None)  # as when the kernel did not build
+                assert _fastpath.kernel(pure) == (_loops.reverse_slots, _loops.cycle_walk)
+                call(pure, pure_instr)
             for label, buf, itemsize, payload in _native_buffers(rng.randbytes, length):
+                if label == "list" and _fastpath._lists is None:
+                    continue  # built without Python.h: lists take the pure loops
                 assert _fastpath.reverse_fn(buf) is not _loops.reverse_slots, label
                 instr = Instrumentation()
                 call(buf, instr)
                 expected = b"".join(payload[i * itemsize : (i + 1) * itemsize] for i in pure)
                 case = f"{name} on {label} at length {length}"
-                assert buf.tobytes() == expected, case
+                result = b"".join(buf) if label == "list" else buf.tobytes()
+                assert result == expected, case
                 assert (instr.moves, instr.aux_words_peak) == (
                     pure_instr.moves,
                     pure_instr.aux_words_peak,
