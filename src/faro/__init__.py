@@ -9,7 +9,7 @@ ground truth, and the ``faro`` CLI applies the permutations to files of
 fixed-size records.
 """
 
-from .kway import KwayBase, find_base, k_shuffle, k_unshuffle
+from .kway import k_shuffle, k_unshuffle
 from .numtheory import euler_totient, is_primitive_root, multiplicative_order
 from .oracle import oracle_interleave, oracle_shuffle
 from .permcore import (
@@ -45,13 +45,11 @@ __all__ = [
     "CycleDecomposition",
     "IN_SHUFFLE",
     "Instrumentation",
-    "KwayBase",
     "OUT_SHUFFLE",
     "RecordBuffer",
     "ShuffleKind",
     "cycle_decomposition",
     "euler_totient",
-    "find_base",
     "in_shuffle",
     "in_target",
     "is_primitive_root",

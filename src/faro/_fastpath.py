@@ -5,7 +5,7 @@ raw item memory, and the check behind ``faro apply --verify`` (``agree``).
 On first import it is compiled with ``cc`` into
 ``__pycache__/_kernel-<crc32 of the source and the cc argv><extension
 suffix>`` next to this file and loaded with ctypes; later imports load that
-file. If the build or the load fails, ``HAVE_COMPILED`` is False,
+file, and a new build removes the libraries built there before it. If the build or the load fails, ``HAVE_COMPILED`` is False,
 ``BUILD_ERROR`` says why, every buffer takes the Python loops and ``agree``
 returns None.
 
@@ -17,8 +17,9 @@ list's size on every call. Without the headers lists, like read-only or
 strided arrays and every other buffer, take the Python loops. numpy is never
 imported here: no ndarray can exist before the caller has imported it.
 
-A public call resolves its (reverse, walk) pair once, with ``kernel``, and
-hands it down; nothing is cached across calls.
+``kernel`` is the one place that sorts a buffer onto its loops. A public
+call resolves its (reverse, walk) pair once, with it, and hands the pair
+down; nothing is cached across calls.
 """
 
 import ctypes
@@ -76,6 +77,15 @@ def _load(argv):
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        # a fresh build supersedes every library built here before it; a
+        # mapped library stays usable after its file is unlinked
+        for name in os.listdir(cache):
+            stale = os.path.join(cache, name)
+            if name.startswith("_kernel-") and name.endswith(EXTENSION_SUFFIXES[0]) and stale != target:
+                try:
+                    os.unlink(stale)
+                except OSError:
+                    pass  # gone already, or not ours: a leftover costs only disk
     lib = ctypes.CDLL(target)
     i64, size_t, ptr = ctypes.c_int64, ctypes.c_size_t, ctypes.c_void_p
     lib.faro_reverse.argtypes = (ptr, size_t, i64, i64)
@@ -111,8 +121,6 @@ def _memory(buf):
 
     The pointer object keeps the memory it points to alive.
     """
-    if _lib is None:
-        return None
     np = sys.modules.get("numpy")
     if np is not None and isinstance(buf, np.ndarray):
         if (
@@ -133,41 +141,24 @@ def _memory(buf):
 
 
 def kernel(buf):
-    """The (reverse, walk) pair for this buffer, for the length of one call."""
-    return reverse_fn(buf), walk_fn(buf)
+    """The (reverse, walk) pair for this buffer, for the length of one call.
 
-
-def _list_entries(buf):
-    # the GIL-holding entries for an exact list, when the kernel has them
-    return _lists if type(buf) is list and _lib is not None else None
-
-
-def reverse_fn(buf):
-    """Pick the reversal loop for this buffer."""
-    lists = _list_entries(buf)
-    if lists is not None:
-        return lists.faro_list_reverse
+    Every native loop checks its range against the buffer and raises
+    IndexError outside it.
+    """
+    if _lib is None:
+        return _loops.reverse_slots, _loops.cycle_walk
+    if type(buf) is list and _lists is not None:
+        return _lists.faro_list_reverse, _lists.faro_list_walk
     memory = _memory(buf)
     if memory is None:
-        return _loops.reverse_slots
-    pointer, itemsize, _ = memory
+        return _loops.reverse_slots, _loops.cycle_walk
+    pointer, itemsize, length = memory
 
     def reverse(_buf, lo, hi):
-        # rotate._check_range has kept [lo, hi) inside the buffer
+        if not 0 <= lo <= hi <= length:
+            raise IndexError(f"reversal of [{lo}, {hi}) leaves a buffer of {length}")
         _lib.faro_reverse(pointer, itemsize, lo, hi)
-
-    return reverse
-
-
-def walk_fn(buf):
-    """Pick the cycle-walk loop for this buffer."""
-    lists = _list_entries(buf)
-    if lists is not None:
-        return lists.faro_list_walk
-    memory = _memory(buf)
-    if memory is None:
-        return _loops.cycle_walk
-    pointer, itemsize, length = memory
 
     def walk(_buf, base, leader, mult, modulus):
         # the orbit stays in local positions 1..modulus-1 and closes only
@@ -178,7 +169,7 @@ def walk_fn(buf):
             raise ValueError(f"leader {leader} under x{mult} mod {modulus} is no closed orbit")
         _lib.faro_walk(pointer, itemsize, base, leader, mult % modulus, modulus)
 
-    return walk
+    return reverse, walk
 
 
 def agree(original, result, itemsize, base, mult, modulus):

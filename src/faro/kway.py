@@ -12,7 +12,8 @@ A block of m - 1 elements is placed by cycle leaders in constant space when
 q generates the units mod m. Primitive roots exist modulo p^j and 2p^j for
 odd primes p (Gauss). If q is a primitive root of p^2 it is one of every
 p^j, and for odd q also of every 2p^j, whose units mirror those mod p^j. So
-each prime arity has a fixed table of such bases p, and two kinds of block:
+each prime arity has a fixed table of such bases p, ``_BASES``, and two
+kinds of block:
 
   * modulus p^j: the j cycles are led by p^0 .. p^(j-1);
   * modulus 2p^j, odd q only: 2j cycles led by p^s and 2p^s, and the
@@ -39,19 +40,15 @@ Each call mutates one buffer and assumes exclusive access to it while it
 runs.
 """
 
-from dataclasses import dataclass
-from functools import cache
 from heapq import merge
-from math import gcd
 
 from . import _fastpath
-from .numtheory import euler_totient, is_primitive_root
+from .permcore import kway_kind, validate_order
 from .rotate import rotate_right
 
-__all__ = ["KwayBase", "find_base", "k_shuffle", "k_unshuffle", "MAX_K"]
+__all__ = ["k_shuffle", "k_unshuffle", "MAX_K"]
 
 MAX_K = 9
-_PRIME_SEARCH_LIMIT = 100
 
 # The bases p of each prime arity q: primes with q a primitive root of p^2,
 # hence of every p^j and, for odd q, of every 2p^j. Sorted by p^e, where
@@ -67,46 +64,6 @@ _BASES = {
 # aux accounting for every arity, 2-way included: the driver's locals plus
 # those of its deepest callee, independent of input size
 _DRIVER_AUX_WORDS = 24
-
-
-@dataclass(frozen=True)
-class KwayBase:
-    """A prime base p whose powers give cycle-leader blocks for arity k."""
-
-    k: int
-    p: int
-
-    def __post_init__(self):
-        if __debug__:
-            for j in (1, 2, 3, 4):
-                assert is_primitive_root(self.k, self.p**j), (
-                    f"{self.k} is not a primitive root of {self.p}^{j}"
-                )
-
-
-@cache
-def find_base(k: int) -> KwayBase:
-    """Smallest odd prime p <= 100 making k a primitive root of p^2.
-
-    One base alone leaves wide gaps between admissible blocks, so the
-    driver tiles with the whole table ``_BASES`` instead.
-
-    Raises ValueError("no base found ...") when the bounded search fails,
-    which marks the arity as unsupported by the direct construction; squares
-    such as k = 4 or 9 can never qualify, since their residues only reach
-    half of any unit group.
-    """
-    _check_arity(k)
-    for p in range(3, _PRIME_SEARCH_LIMIT + 1, 2):
-        # phi(p) = p - 1 exactly when p is prime
-        if euler_totient(p) == p - 1 and gcd(k, p) == 1 and is_primitive_root(k, p * p):
-            return KwayBase(k=k, p=p)
-    raise ValueError(f"no base found for k={k} among odd primes <= {_PRIME_SEARCH_LIMIT}")
-
-
-def _check_arity(k: int) -> None:
-    if not 2 <= k <= MAX_K:
-        raise ValueError(f"supported arities are 2..{MAX_K}, got {k}")
 
 
 def _prime_factors(k: int) -> list[int]:
@@ -264,9 +221,9 @@ def _prime_unshuffle_range(buf, lo, hi, q, instr, kernel):
 
 
 def _check_k_buffer(buf, k: int) -> None:
-    _check_arity(k)
-    if len(buf) % k != 0:
-        raise ValueError(f"length {len(buf)} is not divisible by k={k}")
+    if not 2 <= k <= MAX_K:
+        raise ValueError(f"supported arities are 2..{MAX_K}, got {k}")
+    validate_order(kway_kind(k), len(buf))
 
 
 def k_shuffle(buf, k: int, instr=None) -> None:

@@ -5,6 +5,10 @@ convention that an array of 2n cards occupies positions 1..2n and an
 in-shuffle sends position i to 2i mod (2n+1). The buffer-mutating layer
 (``faro.shuffle``) owns the conversion to 0-based storage.
 
+Every kind is one affine map on an interior of positions (``_target_map``),
+and ``validate_order`` is the one length rule, which the shuffles apply to
+their buffers too.
+
 Cycle decompositions here may use memory proportional to the order; they are
 the analysis and test surface, not the in-place shuffling path.
 """
@@ -84,9 +88,7 @@ def in_target(i: int, order: int) -> int:
 
     The map is i -> 2i mod (order + 1) on 1-based positions.
     """
-    _check_even_order(order)
-    _check_position(i, order)
-    return 2 * i % (order + 1)
+    return _target(IN_SHUFFLE, order, i)
 
 
 def out_target(i: int, order: int) -> int:
@@ -95,64 +97,42 @@ def out_target(i: int, order: int) -> int:
     Positions 1 and `order` are fixed; the interior is the in-shuffle of
     order - 2 elements shifted by one.
     """
-    _check_even_order(order)
-    if order < 2:
-        raise ValueError(f"out-shuffle needs order >= 2, got {order}")
-    _check_position(i, order)
-    if i == 1 or i == order:
-        return i
-    return 1 + 2 * (i - 1) % (order - 1)
+    return _target(OUT_SHUFFLE, order, i)
 
 
 def k_target(i: int, order: int, k: int) -> int:
     """Destination of position i under the k-way shuffle: i -> k*i mod (order + 1)."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if order < 0 or order % k != 0:
-        raise ValueError(f"order {order} is not divisible by k={k}")
-    _check_position(i, order)
-    return k * i % (order + 1)
-
-
-def _check_even_order(order: int) -> None:
-    if order < 0 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 0, got {order}")
-
-
-def _check_position(i: int, order: int) -> None:
-    if not 1 <= i <= order:
-        raise ValueError(f"position {i} out of range 1..{order}")
+    return _target(kway_kind(k), order, i)
 
 
 def validate_order(kind: ShuffleKind, order: int) -> None:
-    """Raise ValueError unless `order` is a legal length for `kind`."""
-    if kind.family == "in":
-        _check_even_order(order)
-    elif kind.family == "out":
-        _check_even_order(order)
-        if order < 2:
-            raise ValueError(f"out-shuffle needs order >= 2, got {order}")
-    else:
+    """Raise ValueError unless `order` is a legal length for `kind`.
+
+    This is the one length rule, for buffers and index maps alike.
+    """
+    if kind.family == "kway":
         if order < 0 or order % kind.k != 0:
             raise ValueError(f"order {order} is not divisible by k={kind.k}")
+    elif order < 0 or order % 2 != 0:
+        raise ValueError(f"order must be even and >= 0, got {order}")
+    elif kind.family == "out" and order < 2:
+        raise ValueError(f"out-shuffle needs order >= 2, got {order}")
 
 
-def _target_fn(kind: ShuffleKind, order: int):
-    if kind.family == "in":
-        modulus = order + 1
-        return lambda i: 2 * i % modulus
-    if kind.family == "out":
-        interior = order - 1
+def _target(kind: ShuffleKind, order: int, i: int) -> int:
+    validate_order(kind, order)
+    if not 1 <= i <= order:
+        raise ValueError(f"position {i} out of range 1..{order}")
+    return _target_map(kind, order)(i)
 
-        def out(i):
-            if i == 1 or i == order:
-                return i
-            return 1 + 2 * (i - 1) % interior
 
-        return out
-    modulus = order + 1
-    k = kind.k
-    return lambda i: k * i % modulus
+def _target_map(kind: ShuffleKind, order: int):
+    # Every kind is one map, i -> e + k(i - e) mod (order - 2e + 1) on
+    # e < i <= order - e, with e = 1 for the out-shuffle, whose two ends
+    # stay, and e = 0 otherwise. Positions outside that range are fixed.
+    e = 1 if kind.family == "out" else 0
+    k, modulus, last = kind.k, order - 2 * e + 1, order - e
+    return lambda i: e + k * (i - e) % modulus if e < i <= last else i
 
 
 def cycle_decomposition(kind: ShuffleKind, order: int) -> CycleDecomposition:
@@ -163,7 +143,7 @@ def cycle_decomposition(kind: ShuffleKind, order: int) -> CycleDecomposition:
     Uses one mark per position, so memory is proportional to `order`.
     """
     validate_order(kind, order)
-    target = _target_fn(kind, order)
+    target = _target_map(kind, order)
     seen = bytearray(order + 1)
     cycles = []
     for lead in range(1, order + 1):
@@ -195,7 +175,7 @@ def permutation_order(kind: ShuffleKind, order: int) -> int:
 
 def in_shuffle_order(order: int) -> int:
     """Number-theoretic route to the same quantity: ord of 2 mod (order + 1)."""
-    _check_even_order(order)
+    validate_order(IN_SHUFFLE, order)
     if order == 0:
         return 1
     return multiplicative_order(2, order + 1)

@@ -10,8 +10,8 @@ window of w elements and needs exactly one element-sized temporary (the swap
 slot) no matter how large the window is.
 
 Both functions take the buffer's reversal loop as the keyword `reverse`
-when the caller has resolved it already (``_fastpath.kernel``), and resolve
-it themselves otherwise.
+when the caller has resolved it already, and otherwise take the first loop
+of ``_fastpath.kernel(buf)``.
 """
 
 from . import _fastpath
@@ -33,7 +33,7 @@ def reverse_range(buf, lo: int, hi: int, instr=None, *, reverse=None) -> None:
     """Reverse buf[lo:hi] in place with (hi - lo) // 2 swaps."""
     _check_range(buf, lo, hi)
     if reverse is None:
-        reverse = _fastpath.reverse_fn(buf)
+        reverse = _fastpath.kernel(buf)[0]
     reverse(buf, lo, hi)
     if instr is not None:
         instr.add_moves(2 * ((hi - lo) // 2))
@@ -58,7 +58,7 @@ def rotate_right(buf, lo: int, hi: int, d: int, instr=None, *, reverse=None) -> 
     if instr is not None:
         instr.note_aux(_ROTATE_AUX_WORDS)
     if reverse is None:
-        reverse = _fastpath.reverse_fn(buf)
+        reverse = _fastpath.kernel(buf)[0]
     reverse_range(buf, lo, hi, instr, reverse=reverse)
     reverse_range(buf, lo, lo + d, instr, reverse=reverse)
     reverse_range(buf, lo + d, hi, instr, reverse=reverse)

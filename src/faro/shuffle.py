@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from . import _fastpath
 from .kway import _blocks, _prime_shuffle_range, _prime_unshuffle_range
+from .permcore import IN_SHUFFLE, OUT_SHUFFLE, validate_order
 # unused here; kept bound because perfbench swaps faro.shuffle.rotate_right by name
 from .rotate import rotate_right  # noqa: F401
 
@@ -148,20 +149,12 @@ def plan_blocks(total: int) -> BlockPlan:
     The greedy rule keeps every block at least a third of what remains, so
     the number of blocks is logarithmic and rotation work stays linear.
     """
-    if total < 0 or total % 2 != 0:
-        raise ValueError(f"length must be even and >= 0, got {total}")
+    validate_order(IN_SHUFFLE, total)
     blocks = tuple(
         Block(offset=offset, m=(modulus - 1) // 2, k=k)
         for offset, modulus, _, k in _blocks(0, total, 2)
     )
     return BlockPlan(blocks=blocks, total=total)
-
-
-def _check_even(buf) -> int:
-    n = len(buf)
-    if n % 2 != 0:
-        raise ValueError(f"in-shuffle is defined only for even lengths, got {n}")
-    return n
 
 
 def in_shuffle(buf, instr=None) -> None:
@@ -170,14 +163,14 @@ def in_shuffle(buf, instr=None) -> None:
     Equivalently, the second half is interleaved into the first with the
     first card of the second half coming out on top.
     """
-    n = _check_even(buf)
-    _prime_shuffle_range(buf, 0, n, 2, instr, _fastpath.kernel(buf))
+    validate_order(IN_SHUFFLE, len(buf))
+    _prime_shuffle_range(buf, 0, len(buf), 2, instr, _fastpath.kernel(buf))
 
 
 def un_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`in_shuffle`, block by block in reverse."""
-    n = _check_even(buf)
-    _prime_unshuffle_range(buf, 0, n, 2, instr, _fastpath.kernel(buf))
+    validate_order(IN_SHUFFLE, len(buf))
+    _prime_unshuffle_range(buf, 0, len(buf), 2, instr, _fastpath.kernel(buf))
 
 
 def out_shuffle(buf, instr=None) -> None:
@@ -186,15 +179,11 @@ def out_shuffle(buf, instr=None) -> None:
     The interior len - 2 elements undergo an in-shuffle, which is the whole
     permutation of the interleave that keeps the original top card on top.
     """
-    n = _check_even(buf)
-    if n < 2:
-        raise ValueError(f"out-shuffle needs at least 2 elements, got {n}")
-    _prime_shuffle_range(buf, 1, n - 1, 2, instr, _fastpath.kernel(buf))
+    validate_order(OUT_SHUFFLE, len(buf))
+    _prime_shuffle_range(buf, 1, len(buf) - 1, 2, instr, _fastpath.kernel(buf))
 
 
 def un_out_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`out_shuffle`."""
-    n = _check_even(buf)
-    if n < 2:
-        raise ValueError(f"out-shuffle needs at least 2 elements, got {n}")
-    _prime_unshuffle_range(buf, 1, n - 1, 2, instr, _fastpath.kernel(buf))
+    validate_order(OUT_SHUFFLE, len(buf))
+    _prime_unshuffle_range(buf, 1, len(buf) - 1, 2, instr, _fastpath.kernel(buf))

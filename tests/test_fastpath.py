@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +75,14 @@ def test_strided_view_matches_oracle_through_fallback():
 )
 def test_native_walk_refuses_to_leave_the_buffer(buf):
     before = buf.tobytes()
-    walk = _fastpath.walk_fn(buf)
+    reverse, walk = _fastpath.kernel(buf)
     with pytest.raises(IndexError):
         walk(buf, 0, 1, 2, 27)  # last slot would be 26, one past the end
     with pytest.raises(IndexError):
         walk(buf, -2, 1, 2, 27)
+    for lo, hi in ((0, 27), (-1, 3), (5, 4)):
+        with pytest.raises(IndexError):
+            reverse(buf, lo, hi)
     with pytest.raises(ValueError):
         walk(buf, -1, 0, 2, 27)  # leader 0 is fixed, not a cycle
     with pytest.raises(ValueError):
@@ -86,6 +90,19 @@ def test_native_walk_refuses_to_leave_the_buffer(buf):
     assert buf.tobytes() == before
     walk(buf, -1, 1, 2, 27)
     assert buf.tobytes() != before
+
+
+@needs_kernel
+def test_native_reverse_stays_inside_a_view():
+    backing = np.arange(10)
+    view = backing[:4]
+    reverse = _fastpath.kernel(view)[0]
+    assert reverse is not _loops.reverse_slots
+    with pytest.raises(IndexError):
+        reverse(view, 0, 6)  # the view ends at 4; the backing array goes on
+    assert backing.tolist() == list(range(10))
+    reverse(view, 0, 4)
+    assert backing.tolist() == [3, 2, 1, 0, 4, 5, 6, 7, 8, 9]
 
 
 @needs_kernel
@@ -122,8 +139,8 @@ def test_first_import_builds_one_cached_kernel(tmp_path):
     source.write_bytes(text.replace(b"Native", b"native", 1))
     out, err = start().communicate(timeout=120)
     assert out.strip() == expected, err
-    rebuilt = set(cache.glob("_kernel-*.so")) - set(built)
-    assert len(rebuilt) == 1
+    rebuilt = sorted(cache.glob("_kernel-*.so"))
+    assert len(rebuilt) == 1 and rebuilt != built  # the pre-edit library is gone
     assert not list(cache.glob("*.tmp"))
 
 
@@ -214,7 +231,7 @@ def test_numpy_imported_after_faro_takes_the_native_path():
         "import numpy as np\n"
         "from faro import _fastpath, _loops\n"
         "buf = np.arange(1000, dtype=np.int64)\n"
-        "assert _fastpath.walk_fn(buf) is not _loops.cycle_walk\n"
+        "assert _fastpath.kernel(buf)[1] is not _loops.cycle_walk\n"
         "faro.in_shuffle(buf)\n"
         "assert buf.tolist() == faro.oracle_shuffle(list(range(1000)), faro.IN_SHUFFLE)\n"
     )
@@ -248,60 +265,68 @@ def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
     shutil.copyfile(_fastpath._SOURCE, source)
     monkeypatch.setattr(_fastpath, "_SOURCE", str(source))
 
+    cache = tmp_path / "__pycache__"
+    stale = cache / f"_kernel-00000000{EXTENSION_SUFFIXES[0]}"
+
     def built():
-        return sorted((tmp_path / "__pycache__").glob("_kernel-*"))
+        return sorted(cache.glob("_kernel-*"))
+
+    def only(lib):
+        # a build leaves its own library alone in the cache
+        return built() == [Path(lib._name)]
 
     plain = ["cc", "-O2", "-shared", "-fPIC", "-x", "c"]
-    assert _fastpath._load(plain)[1] is None  # no include dir, no list entries
+    lib, lists = _fastpath._load(plain)
+    assert lists is None  # no include dir, no list entries
+    assert only(lib)
+    first = Path(lib._name)
+    stale.write_bytes(b"")
     assert _fastpath._load(plain)[1] is None
-    assert len(built()) == 1
-    _fastpath._load(["cc", "-O1", *plain[2:]])
-    assert len(built()) == 2
+    assert stale.exists()  # loading a cached library removes nothing
+    lib = _fastpath._load(["cc", "-O1", *plain[2:]])[0]
+    assert only(lib) and Path(lib._name) != first
     if HAVE_HEADERS:
         with_headers = _fastpath._cc_argv()
         assert with_headers == [*plain[:4], "-I", HEADERS, *plain[4:]]
-        assert _fastpath._load(with_headers)[1] is not None
-        assert len(built()) == 3
+        lib, lists = _fastpath._load(with_headers)
+        assert lists is not None
+        assert only(lib)
 
 
 def test_kernel_is_resolved_once_per_call(monkeypatch):
-    resolved, used = {}, {}
+    counts = dict(kernel=0, reverse=0, walk=0)
+    real_kernel = _fastpath.kernel
 
-    def counting(name, resolve):
-        def resolver(buf):
-            resolved[name] += 1
-            loop = resolve(buf)
+    def counting(name, loop):
+        def counted(*args):
+            counts[name] += 1
+            loop(*args)
 
-            def counted(*args):
-                used[name] += 1
-                loop(*args)
+        return counted
 
-            return counted
+    def kernel(buf):
+        counts["kernel"] += 1
+        reverse, walk = real_kernel(buf)
+        return counting("reverse", reverse), counting("walk", walk)
 
-        return resolver
-
-    for name in ("reverse_fn", "walk_fn"):
-        monkeypatch.setattr(_fastpath, name, counting(name, getattr(_fastpath, name)))
+    monkeypatch.setattr(_fastpath, "kernel", kernel)
     # (call, length, prime passes)
     calls = [(lambda buf: k_shuffle(buf, 6), 60_000, 2), (un_shuffle, 1 << 16, 1)]
     for call, n, passes in calls:
-        resolved.update(reverse_fn=0, walk_fn=0)
-        used.update(reverse_fn=0, walk_fn=0)
+        counts.update(kernel=0, reverse=0, walk=0)
         buf = np.arange(n, dtype=np.int64)
         call(buf)
         assert sorted(buf.tolist()) == list(range(n))
-        for name in resolved:
-            assert 1 <= resolved[name] <= passes, (name, resolved)
-            assert used[name] > 10 * passes, (name, used)
+        assert counts["kernel"] == 1, counts
+        assert counts["reverse"] > 10 * passes and counts["walk"] > 10 * passes, counts
 
-    resolved.update(reverse_fn=0)
-    used.update(reverse_fn=0)
+    counts.update(kernel=0, reverse=0)
     buf = list(range(10))
     rotate_right(buf, 0, 10, 3)
     assert buf == [7, 8, 9, 0, 1, 2, 3, 4, 5, 6]
-    assert (resolved["reverse_fn"], used["reverse_fn"]) == (1, 3)
+    assert (counts["kernel"], counts["reverse"]) == (1, 3)
     reverse_range(buf, 2, 6)
-    assert (resolved["reverse_fn"], used["reverse_fn"]) == (2, 4)
+    assert (counts["kernel"], counts["reverse"]) == (2, 4)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6])
@@ -327,6 +352,12 @@ def test_list_subclass_takes_the_pure_loops(monkeypatch):
     assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))
     monkeypatch.setattr(_fastpath, "_lists", None)  # as when built without Python.h
     assert _fastpath.kernel([1, 2]) == (_loops.reverse_slots, _loops.cycle_walk)
+
+
+def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
+    monkeypatch.setattr(_fastpath, "_lib", None)  # as when the kernel did not build
+    for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2)):
+        assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk), buf
 
 
 def test_empty_and_two_element_lists():
@@ -360,7 +391,7 @@ def test_empty_and_two_element_lists():
 @needs_list_kernel
 def test_list_entries_refuse_bad_calls_and_leave_the_list():
     buf = list(range(26))
-    walk, reverse = _fastpath.walk_fn(buf), _fastpath.reverse_fn(buf)
+    reverse, walk = _fastpath.kernel(buf)
     with pytest.raises(IndexError):
         walk(buf, 0, 1, 2, 27)  # last slot would be 26, one past the end
     with pytest.raises(IndexError):
@@ -390,8 +421,8 @@ def test_list_entries_refuse_bad_calls_and_leave_the_list():
 def test_fresh_interpreter_sends_lists_to_the_kernel():
     probe = (
         "from faro import _fastpath, _loops\n"
-        "assert _fastpath.walk_fn([1, 2]) is not _loops.cycle_walk\n"
-        "assert _fastpath.reverse_fn([1, 2]) is not _loops.reverse_slots\n"
+        "reverse, walk = _fastpath.kernel([1, 2])\n"
+        "assert reverse is not _loops.reverse_slots and walk is not _loops.cycle_walk\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
 

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from faro import _fastpath, kway
-from faro.kway import KwayBase, _prime_factors, find_base, k_shuffle, k_unshuffle
+from faro.kway import _prime_factors, k_shuffle, k_unshuffle
 from faro.numtheory import euler_totient, is_primitive_root, multiplicative_order
 from faro.oracle import oracle_shuffle
 from faro.permcore import cycle_decomposition, kway_kind
@@ -12,32 +12,14 @@ from faro.rotate import rotate_right
 from faro.shuffle import Instrumentation, in_shuffle
 
 
-@pytest.mark.parametrize(
-    "k,p",
-    [(2, 3), (3, 5), (5, 3), (6, 11), (7, 11), (8, 5)],
-)
-def test_find_base_pins(k, p):
-    assert find_base(k) == KwayBase(k=k, p=p)
-
-
 @pytest.mark.parametrize("k", [4, 9])
 def test_squares_have_no_base(k):
-    # a square residue generates at most half of any unit group, so the
-    # bounded search must come up empty
-    with pytest.raises(ValueError, match="no base found"):
-        find_base(k)
-
-
-def test_find_base_rejects_out_of_range_arity():
-    with pytest.raises(ValueError):
-        find_base(1)
-    with pytest.raises(ValueError):
-        find_base(10)
-
-
-def test_kway_base_rejects_non_generators():
-    with pytest.raises(AssertionError):
-        KwayBase(k=2, p=7)  # ord(2 mod 7) = 3, not phi(7)
+    # a square residue generates at most half of any unit group, so no
+    # prime p makes it a primitive root of p^2: squares are reached only by
+    # composing prime passes
+    for p in range(3, 101, 2):
+        if euler_totient(p) == p - 1 and gcd(k, p) == 1:
+            assert not is_primitive_root(k, p * p), p
 
 
 def test_k_shuffle_arity_two_is_bit_identical_to_in_shuffle():
@@ -108,18 +90,18 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
     assert moves == modulus - 2 + 2 * j
 
     walked, rotations = [], Instrumentation()
-    real_walk_fn = _fastpath.walk_fn
+    real_kernel = _fastpath.kernel
 
-    def walk_fn(buf):
-        walk = real_walk_fn(buf)
+    def kernel(buf):
+        reverse, walk = real_kernel(buf)
 
         def spy(buf, base, leader, mult, modulus):
             walked.append(leader)
             walk(buf, base, leader, mult, modulus)
 
-        return spy
+        return reverse, spy
 
-    monkeypatch.setattr(_fastpath, "walk_fn", walk_fn)
+    monkeypatch.setattr(_fastpath, "kernel", kernel)
     monkeypatch.setattr(
         kway,
         "rotate_right",

@@ -5,7 +5,15 @@ driver in ``faro.kway``; the 2-way kinds are its q = 2, p = 3 case. Lengths
 are drawn mostly next to the block sizes c * p^j - 1 of every base in the
 table, where the greedy tiling changes shape, and just below the smallest
 block, where only the k-way tail is left.
+
+The reference is a ``CountingList``, which always takes the pure loops. A
+plain list, an int64 ndarray and one drawn buffer must match it, counters
+included: an ndarray of a drawn dtype, or a ``RecordBuffer`` over a
+bytearray with a drawn record size up to 257, one byte past the C walk's
+256-byte column.
 """
+
+import random
 
 from conftest import CountingList
 from hypothesis import given, settings
@@ -14,7 +22,14 @@ from hypothesis import strategies as st
 from faro.kway import _BASES, _prime_factors, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, kway_kind
-from faro.shuffle import Instrumentation, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
+from faro.shuffle import (
+    Instrumentation,
+    RecordBuffer,
+    in_shuffle,
+    out_shuffle,
+    un_out_shuffle,
+    un_shuffle,
+)
 
 try:
     import numpy as np
@@ -23,6 +38,11 @@ except ImportError:
 
 MAX_LENGTH = 3000
 KINDS = ["in", "out"] + [f"k:{k}" for k in range(2, 10)]
+# a drawn buffer is an ndarray of one of these dtypes, or records of 1..257
+# bytes, the sizes next to 8 (the kernel's word) and 256 (its column) often
+SHAPES = [st.sampled_from([1, 7, 8, 9, 255, 256, 257]), st.integers(1, 257)]
+if np is not None:
+    SHAPES.append(st.sampled_from(["int8", "float64", "complex128", "bool", "V3"]))
 
 
 def _kind_calls(kind):
@@ -107,6 +127,19 @@ def _legal_length(kind, arity, raw):
     return raw - raw % arity
 
 
+def _drawn_buffer(shape, n, rng):
+    """(buffer, itemsize, payload) holding n random items: records of `shape`
+    bytes over a bytearray when `shape` is an int, else an ndarray of that dtype."""
+    if isinstance(shape, int):
+        payload = rng.randbytes(n * shape)
+        return RecordBuffer(bytearray(payload), shape), shape, payload
+    itemsize = np.dtype(shape).itemsize
+    payload = rng.randbytes(n * itemsize)
+    if shape == "bool":
+        payload = bytes(b & 1 for b in payload)  # a numpy bool byte is 0 or 1
+    return np.frombuffer(bytearray(payload), dtype=shape), itemsize, payload
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(KINDS), inverse=st.booleans(), data=st.data())
 def test_every_kind_matches_the_oracle_and_round_trips(kind, inverse, data):
@@ -124,6 +157,7 @@ def test_every_kind_matches_the_oracle_and_round_trips(kind, inverse, data):
     buf, instr = CountingList(original), Instrumentation()
     forward(buf, instr)
     assert instr.moves <= _moves_bound(kind, arity, n)
+    assert instr.aux_words_peak == 24
     if inverse:
         assert oracle_shuffle(buf, shuffle_kind) == original
     else:
@@ -132,15 +166,20 @@ def test_every_kind_matches_the_oracle_and_round_trips(kind, inverse, data):
     backward(buf)
     assert buf == original
 
-    # the native kernel, where it was built, on a list and an int64 ndarray
-    others = [list(original)]
+    # the native kernel, where it was built, on a list, an int64 ndarray and
+    # the drawn buffer
+    shape = data.draw(st.one_of(*SHAPES), label="dtype or record size")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="payload seed")
+    drawn, itemsize, payload = _drawn_buffer(shape, n, random.Random(seed))
+    others = [list(original), drawn]
     if np is not None:
         others.append(np.arange(n, dtype=np.int64))
     for other in others:
         other_instr = Instrumentation()
         forward(other, other_instr)
-        assert list(other) == result
-        assert (other_instr.moves, other_instr.aux_words_peak) == (
-            instr.moves,
-            instr.aux_words_peak,
-        )
+        if other is drawn:
+            expected = b"".join(payload[i * itemsize : (i + 1) * itemsize] for i in result)
+            assert drawn.tobytes() == expected, shape
+        else:
+            assert list(other) == result
+        assert (other_instr.moves, other_instr.aux_words_peak) == (instr.moves, 24)

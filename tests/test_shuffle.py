@@ -62,7 +62,7 @@ def test_plan_blocks_invariants():
 
 def cycle_leader_pass(buf, offset, k, instr=None):
     # the driver's cycle-leader passes on one 3^k - 1 block, at q = 2, p = 3
-    _general_cycle_passes(buf, offset, k, 3, 2, 3**k, instr, _fastpath.walk_fn(buf))
+    _general_cycle_passes(buf, offset, k, 3, 2, 3**k, instr, _fastpath.kernel(buf)[1])
 
 
 def test_cycle_leader_pass_small_blocks():
@@ -335,7 +335,7 @@ def test_compiled_path_matches_pure_path(monkeypatch):
             for label, buf, itemsize, payload in _native_buffers(rng.randbytes, length):
                 if label == "list" and _fastpath._lists is None:
                     continue  # built without Python.h: lists take the pure loops
-                assert _fastpath.reverse_fn(buf) is not _loops.reverse_slots, label
+                assert _fastpath.kernel(buf)[0] is not _loops.reverse_slots, label
                 instr = Instrumentation()
                 call(buf, instr)
                 expected = b"".join(payload[i * itemsize : (i + 1) * itemsize] for i in pure)
