@@ -94,15 +94,17 @@ def _load(argv):
     lib.faro_walk.restype = None
     lib.faro_mulmod.argtypes = (i64, i64, i64)
     lib.faro_mulmod.restype = i64
-    lib.faro_agree.argtypes = (ptr, ptr, size_t, i64, i64, i64)
+    lib.faro_agree.argtypes = (ptr, ptr, size_t, i64, i64, i64, i64, i64)
     lib.faro_agree.restype = ctypes.c_int
     # PyDLL keeps the GIL for the call and raises what the entry sets
     lists = ctypes.PyDLL(target)
     if not hasattr(lists, "faro_list_walk"):
         return lib, None  # built without Python.h
-    lists.faro_list_reverse.argtypes = (ctypes.py_object, i64, i64)
+    # the integers go as objects too: the entries refuse one beyond int64
+    obj = ctypes.py_object
+    lists.faro_list_reverse.argtypes = (obj, obj, obj)
     lists.faro_list_reverse.restype = None
-    lists.faro_list_walk.argtypes = (ctypes.py_object, i64, i64, i64, i64)
+    lists.faro_list_walk.argtypes = (obj, obj, obj, obj, obj)
     lists.faro_list_walk.restype = None
     return lib, lists
 
@@ -172,15 +174,16 @@ def kernel(buf):
     return reverse, walk
 
 
-def agree(original, result, itemsize, base, mult, modulus):
-    """Whether `result` holds `original` moved by the map j -> j * mult mod modulus.
+def agree(chunk, result, itemsize, base, mult, modulus, j0, count):
+    """Whether `chunk` is items j0 .. j0 + count - 1 of what `result` moves.
 
-    True iff item ``base + j`` of `original` equals item
-    ``base + (j * mult % modulus)`` of `result` for every j in
-    1..modulus-1, items being runs of `itemsize` bytes in two writable
-    buffers (bytearrays, say). One native pass that allocates nothing; it
-    shares no code with the shuffles it checks. None when the kernel did
-    not build.
+    True iff item i of `chunk` equals item ``base + ((j0 + i) * mult %
+    modulus)`` of `result` for every i in 0..count-1, items being runs of
+    `itemsize` bytes in two writable buffers (bytearrays, say). Called on
+    consecutive chunks for j = 1..modulus-1, it checks that `result` holds a
+    buffer read in order, item ``base + j`` moved to ``base + (j * mult %
+    modulus)``. One native pass per chunk that allocates nothing; it shares
+    no code with the shuffles it checks. None when the kernel did not build.
     """
     if _lib is None:
         return None
@@ -189,15 +192,18 @@ def agree(original, result, itemsize, base, mult, modulus):
     # a unit keeps every target off item `base` and makes the map a bijection
     if gcd(mult, modulus) != 1:
         raise ValueError(f"x{mult} mod {modulus} is no permutation")
-    need = (base + modulus) * itemsize
-    for buf in (original, result):
+    # these bounds also keep every integer below 2**63, where ctypes would
+    # wrap it into range instead of refusing it
+    if not (1 <= j0 and 0 <= count and j0 + count <= modulus):
+        raise IndexError(f"items {j0} + 0..{count - 1} leave 1..{modulus - 1}")
+    for buf, need in ((chunk, count * itemsize), (result, (base + modulus) * itemsize)):
         size = memoryview(buf).nbytes
         if size < need:
             raise IndexError(f"buffer of {size} bytes, need {need}")
-    if modulus == 1:
+    if count == 0:
         return True  # nothing to compare; from_buffer would refuse an empty buffer
     return bool(_lib.faro_agree(
-        ctypes.byref(ctypes.c_char.from_buffer(original)),
+        ctypes.byref(ctypes.c_char.from_buffer(chunk)),
         ctypes.byref(ctypes.c_char.from_buffer(result)),
-        itemsize, base, mult % modulus, modulus,
+        itemsize, base, mult % modulus, modulus, j0, count,
     ))

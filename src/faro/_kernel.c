@@ -91,19 +91,22 @@ void faro_walk(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t
             walk(buf + off, itemsize, itemsize - off < COLUMN ? itemsize - off : COLUMN, base, leader, mult, modulus);
 }
 
-/* 1 iff item base + j of orig equals item base + (j * mult mod modulus) of
- * res for every j in 1..modulus-1, that is iff res is orig moved by the
- * target map j -> j * mult. Reads only; _fastpath checks that mult < modulus
- * is a unit and both buffers hold items base + 1 .. base + modulus - 1. */
-int faro_agree(const char *orig, const char *res, size_t itemsize, int64_t base, int64_t mult, int64_t modulus)
+/* 1 iff item i of chunk equals item base + ((j0 + i) * mult mod modulus)
+ * of res for every i in 0..count-1: chunk holds items j0 .. j0 + count - 1
+ * of a buffer read in order, and res is that buffer moved by the target map
+ * j -> j * mult. Reads only; _fastpath checks that mult < modulus is a unit,
+ * that 1 <= j0 <= j0 + count <= modulus, and that chunk holds count items
+ * and res items base + 1 .. base + modulus - 1. */
+int faro_agree(const char *chunk, const char *res, size_t itemsize, int64_t base, int64_t mult, int64_t modulus,
+               int64_t j0, int64_t count)
 {
-    int64_t t = 0;
-    for (int64_t j = 1; j < modulus; j++) {
+    int64_t t = mulmod(j0, mult, modulus);
+    for (int64_t i = 0; i < count; i++) {
+        if (memcmp(chunk + i * itemsize, res + (base + t) * itemsize, itemsize))
+            return 0;
         t += mult;
         if (t >= modulus)
             t -= modulus;
-        if (memcmp(orig + (base + j) * itemsize, res + (base + t) * itemsize, itemsize))
-            return 0;
     }
     return 1;
 }
@@ -114,6 +117,8 @@ int faro_agree(const char *orig, const char *res, size_t itemsize, int64_t base,
  * _fastpath binds these through ctypes.PyDLL, so they run with the GIL held
  * and may raise; they check the list's current size on every call and keep
  * no pointer into it, since another thread may resize it between two calls.
+ * Their integers arrive as Python objects, since ctypes would wrap one beyond
+ * 64 bits into range instead of refusing it.
  */
 static int not_a_list(PyObject *list)
 {
@@ -123,9 +128,20 @@ static int not_a_list(PyObject *list)
     return 1;
 }
 
-void faro_list_reverse(PyObject *list, int64_t lo, int64_t hi)
+/* 1 with OverflowError or TypeError set unless arg is an int64 */
+static int not_int64(PyObject *arg, int64_t *value)
 {
-    if (not_a_list(list))
+    long long v = PyLong_AsLongLong(arg);
+    if (v == -1 && PyErr_Occurred())
+        return 1;
+    *value = v;
+    return 0;
+}
+
+void faro_list_reverse(PyObject *list, PyObject *lo_arg, PyObject *hi_arg)
+{
+    int64_t lo, hi;
+    if (not_a_list(list) || not_int64(lo_arg, &lo) || not_int64(hi_arg, &hi))
         return;
     Py_ssize_t n = PyList_GET_SIZE(list);
     if (!(0 <= lo && lo <= hi && hi <= n)) {
@@ -146,9 +162,12 @@ static int64_t gcd(int64_t a, int64_t b)
     return a;
 }
 
-void faro_list_walk(PyObject *list, int64_t base, int64_t leader, int64_t mult, int64_t modulus)
+void faro_list_walk(PyObject *list, PyObject *base_arg, PyObject *leader_arg, PyObject *mult_arg,
+                    PyObject *modulus_arg)
 {
-    if (not_a_list(list))
+    int64_t base, leader, mult, modulus;
+    if (not_a_list(list) || not_int64(base_arg, &base) || not_int64(leader_arg, &leader)
+        || not_int64(mult_arg, &mult) || not_int64(modulus_arg, &modulus))
         return;
     Py_ssize_t n = PyList_GET_SIZE(list);
     /* the orbit stays in local positions 1..modulus-1 and closes only when

@@ -13,7 +13,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ._fastpath import agree
+from . import _fastpath
 from .kway import k_shuffle, k_unshuffle
 from .oracle import oracle_shuffle
 from .permcore import (
@@ -66,44 +66,86 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+# bytes of the file that --verify reads at a time, in whole records and at
+# least one
+_CHUNK = 1 << 20
+
+
+def _open(path: Path):
+    """`path` opened for unbuffered reads; OSError unless it is a regular file."""
+    # O_NONBLOCK: a FIFO is refused below instead of waiting for a writer
+    handle = open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb", buffering=0)
+    if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        handle.close()
+        raise OSError(f"{path} is not a regular file")
+    return handle
+
+
+def _fill(handle, view: memoryview) -> bool:
+    """Read into all of `view`, retrying short reads; False if the file ends first."""
+    done = 0
+    while done < len(view):
+        got = handle.readinto(view[done:])
+        if not got:
+            return False
+        done += got
+    return True
+
+
 def _read(path: Path) -> tuple[bytearray, int]:
     """The file's bytes, read once into a buffer of its size, and its mode bits."""
-    # O_NONBLOCK: a FIFO is refused below instead of waiting for a writer
-    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as handle:
+    with _open(path) as handle:
         info = os.fstat(handle.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            raise OSError(f"{path} is not a regular file")
         data = bytearray(info.st_size)
-        if handle.readinto(data) != len(data):
+        if not _fill(handle, memoryview(data)):
             raise OSError(f"{path} changed size while being read")
     return data, stat.S_IMODE(info.st_mode)
 
 
-def _verified(original: bytearray, result: bytearray, record_size: int, kind: ShuffleKind,
+def _verified(path: Path, result: bytearray, record_size: int, kind: ShuffleKind,
               inverse: bool) -> bool:
-    """Whether `result` is the `kind` shuffle of `original`, or its inverse.
+    """Whether `result` is the `kind` shuffle of the records in `path`, or its inverse.
 
-    Checks ``result[t(i)] == original[i]`` under the closed-form target map
-    in one native pass; without the kernel, compares record lists against
+    The file is read again, strictly in order, one chunk of about ``_CHUNK``
+    bytes at a time into one reused buffer, and each chunk is checked
+    against `result` under the closed-form target map in one native pass.
+    So the check holds no second copy of the file, and a file that got
+    shorter, longer or changed since it was read fails it. Without the
+    kernel, the file is read whole and record lists are compared against
     the oracle instead.
     """
-    if inverse:
-        # original is then the shuffle of result
-        original, result = result, original
     rs = record_size
-    count = len(original) // rs
-    if kind.family == "out":
-        # the first and last records stay; the rest is an in-shuffle mod n - 1
-        ok = agree(original, result, rs, 0, 2, count - 1)
-        ends = original[:rs] == result[:rs] and original[-rs:] == result[-rs:]
-    else:
-        ok = agree(original, result, rs, -1, kind.k, count + 1)
-        ends = True
-    if ok is not None:
-        return ok and ends
-    before = RecordBuffer(original, rs)
-    after = RecordBuffer(result, rs)
-    return oracle_shuffle([before[i] for i in range(count)], kind) == [after[i] for i in range(count)]
+    if _fastpath._lib is None:
+        disk = _read(path)[0]
+        records = [[buf[i : i + rs] for i in range(0, len(buf), rs)] for buf in (disk, result)]
+        before, after = records[::-1] if inverse else records
+        return len(before) == len(after) and oracle_shuffle(before, kind) == after
+    count = len(result) // rs
+    # item base + j moves to base + (j * mult % modulus) for j in 1..modulus-1;
+    # items base and base + modulus stay, which in a file are the out-shuffle's
+    # first and last records
+    base, mult, modulus = (0, 2, count - 1) if kind.family == "out" else (-1, kind.k, count + 1)
+    if inverse:
+        # the file is the shuffle of `result`: F[base + j*mult] == R[base + j]
+        # for every j is F[base + i] == R[base + i * mult^-1] for every i
+        mult = pow(mult, -1, modulus)
+    per = max(1, _CHUNK // rs)
+    view = memoryview(bytearray(min(per, count) * rs))
+    with _open(path) as handle:
+        for f0 in range(0, count, per):
+            n = min(per, count - f0)
+            if not _fill(handle, view[: n * rs]):
+                return False
+            # the chunk holds items f0 .. f0 + n - 1 of the file
+            lo, hi = max(f0, base + 1), min(f0 + n, base + modulus)
+            if not _fastpath.agree(view[(lo - f0) * rs : (hi - f0) * rs], result, rs, base, mult,
+                                   modulus, lo - base, hi - lo):
+                return False
+            for f in (base, base + modulus):
+                at = (f - f0) * rs
+                if f0 <= f < f0 + n and view[at : at + rs] != result[f * rs : (f + 1) * rs]:
+                    return False
+        return not handle.read(1)
 
 
 def _commit(path: Path, data: bytearray, mode: int) -> None:
@@ -144,14 +186,18 @@ def cmd_apply(path: Path, record_size: int, kind: ShuffleKind, inverse: bool, ve
         )
     try:
         validate_order(kind, len(data) // record_size)
-        # only --verify needs an untouched copy
-        original = bytearray(data) if verify else None
         _apply_kind(RecordBuffer(data, record_size), kind, inverse)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
-    if verify and not _verified(original, data, record_size, kind, inverse):
-        return _fail(EXIT_VERIFY, "verification mismatch, file left untouched")
+    if verify:
+        # the file on disk is still the original until _commit replaces it
+        try:
+            ok = _verified(path, data, record_size, kind, inverse)
+        except OSError as exc:
+            return _fail(EXIT_IO, f"cannot read {path} to verify: {exc}")
+        if not ok:
+            return _fail(EXIT_VERIFY, "verification mismatch, file left untouched")
 
     try:
         _commit(path, data, mode)
@@ -223,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shuffle family: in, out, or k:<k> (default: in)")
     apply_p.add_argument("--inverse", action="store_true", help="apply the inverse permutation")
     apply_p.add_argument("--verify", action="store_true",
-                         help="check the result against the reference shuffle before committing")
+                         help="check the result against the file, read again from disk, "
+                              "before committing")
     apply_p.add_argument("--record-size", type=int, required=True, help="bytes per record")
     apply_p.add_argument("path", type=Path, help="file of raw fixed-size records")
 

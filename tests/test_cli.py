@@ -2,6 +2,8 @@ import hashlib
 import os
 import random
 import stat
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -183,8 +185,8 @@ def test_apply_failed_rename_leaves_the_original(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
-def test_apply_holds_the_file_once_and_twice_with_verify(tmp_path, verify):
-    # the heap grows by one copy of the file, and by one more for --verify
+def test_apply_holds_the_file_once_with_or_without_verify(tmp_path, verify):
+    # the heap grows by one copy of the file; --verify adds one chunk
     if verify and not _fastpath.HAVE_COMPILED:
         pytest.skip("without the kernel --verify compares per-record lists")
     target = tmp_path / "big.bin"
@@ -197,8 +199,119 @@ def test_apply_holds_the_file_once_and_twice_with_verify(tmp_path, verify):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    copies = 2 if verify else 1
-    assert copies * size <= peak < (copies + 0.25) * size
+    assert size <= peak < 1.25 * size
+
+
+# Runs the command given as its arguments and prints its exit code and peak
+# RSS in KiB. Linux carries the peak RSS of the process that spawns a child
+# into the child's ru_maxrss, so the command is spawned from this small,
+# fresh interpreter rather than from the test process.
+LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
+def test_apply_verify_adds_less_than_a_quarter_file_to_the_process_peak(tmp_path):
+    # tracemalloc sees only the heap; this is the whole process
+    target = tmp_path / "big.bin"
+    size = 16 << 20
+    target.write_bytes(random.Random(11).randbytes(size))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    peak = {}
+    for verify in ([], ["--verify"]):
+        argv = [sys.executable, "-m", "faro.cli", "apply", *verify, "--record-size", "64", str(target)]
+        done = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, rss_kb = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+        peak[bool(verify)] = rss_kb * 1024
+    assert peak[True] - peak[False] < 0.25 * size, peak
+
+
+class Trickling:
+    """A file whose reads return at most 1000 bytes, as a read that a signal
+    interrupts may."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def readinto(self, view):
+        return self.raw.readinto(view[:1000])
+
+    def __getattr__(self, name):
+        return getattr(self.raw, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.raw.close()
+
+
+def test_apply_retries_short_reads(tmp_path, monkeypatch):
+    target = tmp_path / "deck.bin"
+    records = make_records(1000, 8, seed=12)
+    write_records(target, records)
+    monkeypatch.setattr(cli, "open", lambda *args, **kw: Trickling(open(*args, **kw)), raising=False)
+    assert cli.main(["apply", "--verify", "--record-size", "8", str(target)]) == 0
+    assert target.read_bytes() == b"".join(oracle_shuffle(records, IN_SHUFFLE))
+    assert cli.main(["apply", "--verify", "--inverse", "--record-size", "8", str(target)]) == 0
+    assert target.read_bytes() == b"".join(records)
+
+
+def _flip_one_byte(data):
+    data[len(data) // 2] ^= 0xFF
+    return data
+
+
+@pytest.mark.parametrize(
+    "meddle",
+    [_flip_one_byte, lambda data: data + data[:8], lambda data: data[:-8]],
+    ids=["overwrite", "append", "truncate"],
+)
+def test_apply_verify_fails_when_the_file_changes_under_it(tmp_path, monkeypatch, meddle):
+    # another writer changes the file between the read and the check:
+    # verification reads the disk again, so it fails and keeps their bytes
+    target = tmp_path / "deck.bin"
+    write_records(target, make_records(26, 8, seed=13))
+
+    def meddling_in_shuffle(buf, instr=None):
+        in_shuffle(buf, instr)
+        target.write_bytes(meddle(bytearray(target.read_bytes())))
+
+    monkeypatch.setattr(cli, "in_shuffle", meddling_in_shuffle)
+    for native in (True, False):
+        with monkeypatch.context() as m:
+            if not native:
+                m.setattr(_fastpath, "_lib", None)  # as when the kernel did not build
+            write_records(target, make_records(26, 8, seed=13))
+            expected = bytes(meddle(bytearray(target.read_bytes())))
+            assert cli.main(["apply", "--verify", "--record-size", "8", str(target)]) == 4
+            assert target.read_bytes() == expected
+            assert [p.name for p in tmp_path.iterdir()] == ["deck.bin"]
+
+
+@pytest.mark.parametrize(
+    "count, size, kind",
+    [(2, 3 << 20, "in"), (2, 3 << 20, "out"), (2 * (cli._CHUNK // 64), 64, "in"),
+     (2 * (cli._CHUNK // 64), 64, "out"), (2 * (cli._CHUNK // 64) + 1, 64, "k:3")],
+    ids=["in-records-over-a-chunk", "out-records-over-a-chunk", "in-two-chunks",
+         "out-two-chunks", "k3-two-chunks-and-a-record"],
+)
+def test_apply_verify_across_chunk_boundaries(tmp_path, count, size, kind):
+    target = tmp_path / "deck.bin"
+    data = random.Random(14).randbytes(count * size)
+    target.write_bytes(data)
+    records = [data[i : i + size] for i in range(0, len(data), size)]
+    argv = ["--kind", kind, "--record-size", str(size), str(target)]
+    assert cli.main(["apply", "--verify", *argv]) == 0
+    assert target.read_bytes() == b"".join(oracle_shuffle(records, cli.parse_kind(kind)))
+    assert cli.main(["apply", "--verify", "--inverse", *argv]) == 0
+    assert target.read_bytes() == data
 
 
 def test_cycles_output_for_order_six(capsys):

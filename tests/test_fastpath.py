@@ -163,22 +163,29 @@ def _verify_lengths(kind):
 @pytest.mark.parametrize(
     "kind", [IN_SHUFFLE, OUT_SHUFFLE] + [kway_kind(q) for q in range(2, 10)], ids=str
 )
-def test_native_verify_agrees_with_the_oracle(kind, monkeypatch):
+def test_native_verify_agrees_with_the_oracle(kind, monkeypatch, tmp_path):
     rng = random.Random(str(kind))
+    disk = tmp_path / "original.bin"
     for n in _verify_lengths(kind):
         for rs in (1, 3, 8, 64, 257):
             values = [rng.randbytes(rs) for _ in range(n)]
             shuffled = oracle_shuffle(values, kind)
             for inverse in (False, True):
+                # the file holds the original; --inverse unshuffles it
                 original, result = (shuffled, values) if inverse else (values, shuffled)
+                disk.write_bytes(b"".join(original))
                 cases = [(b"".join(result), True)]
                 for i in sorted({0, n // 2, n - 1}) if n else ():
                     flipped = bytearray(b"".join(result))
                     flipped[i * rs + rng.randrange(rs)] ^= 1 << rng.randrange(8)
                     cases.append((flipped, False))
                 for res, expected in cases:
-                    args = (bytearray(b"".join(original)), bytearray(res), rs, kind, inverse)
+                    args = (disk, bytearray(res), rs, kind, inverse)
                     assert cli._verified(*args) is expected, (n, rs, inverse)
+                    with monkeypatch.context() as m:
+                        # chunks of 7 records put chunk boundaries everywhere
+                        m.setattr(cli, "_CHUNK", 7 * rs + rs // 2)
+                        assert cli._verified(*args) is expected, (n, rs, inverse, "7 per chunk")
                     with monkeypatch.context() as m:
                         m.setattr(_fastpath, "_lib", None)
                         assert cli._verified(*args) is expected, (n, rs, inverse)
@@ -196,24 +203,32 @@ def test_agree_refuses_bad_calls_before_any_native_read(monkeypatch):
     agree = _fastpath.agree
     buf = bytearray(8 * 26)
     with pytest.raises(IndexError):
-        agree(buf, buf, 8, -1, 3, 28)  # item 26 is one past the end
+        agree(buf, buf, 8, -1, 3, 28, 1, 26)  # item 26 is one past the end
     with pytest.raises(IndexError):
-        agree(buf, bytearray(8 * 25), 8, -1, 2, 27)
+        agree(buf, bytearray(8 * 25), 8, -1, 2, 27, 1, 26)
     with pytest.raises(IndexError):
-        agree(bytearray(8 * 25 + 7), buf, 8, -1, 2, 27)
+        agree(bytearray(8 * 25 + 7), buf, 8, -1, 2, 27, 1, 26)  # the chunk is short
     with pytest.raises(ValueError):
-        agree(buf, buf, 8, -2, 2, 27)  # would read item -1
+        agree(buf, buf, 8, -2, 2, 27, 1, 26)  # would read item -1
     with pytest.raises(ValueError):
-        agree(buf, buf, 8, -1, 3, 27)  # 9 * 3 = 0 mod 27 would read item -1
+        agree(buf, buf, 8, -1, 3, 27, 1, 26)  # 9 * 3 = 0 mod 27 would read item -1
     with pytest.raises(ValueError):
-        agree(buf, buf, 0, -1, 2, 27)
+        agree(buf, buf, 0, -1, 2, 27, 1, 26)
     with pytest.raises(ValueError):
-        agree(buf, buf, 8, 0, 2, 0)
+        agree(buf, buf, 8, 0, 2, 0, 1, 0)
+    # a chunk past the end, from before j = 1 (j0 = 0 maps to item base), or
+    # out of int64, where ctypes would wrap the integers into range
+    for j0, count in ((2, 26), (27, 1), (0, 26), (-1, 2), (1, -1), (2**64, 1), (1, 2**64),
+                      (2**64 + 1, -(2**64)), (1 - 2**64, 2**64)):
+        with pytest.raises(IndexError):
+            agree(buf, buf, 8, -1, 2, 27, j0, count)
     assert calls == []
-    assert agree(bytearray(), bytearray(), 8, -1, 2, 1) is True  # nothing to read
+    assert agree(bytearray(), bytearray(), 8, -1, 2, 1, 1, 0) is True  # nothing to read
+    assert agree(buf, buf, 8, -1, 2, 27, 5, 0) is True
     assert calls == []
-    assert agree(buf, buf, 8, -1, 2, 27) is True
-    assert len(calls) == 1
+    assert agree(buf, buf, 8, -1, 2, 27, 1, 26) is True
+    assert agree(buf, buf, 8, -1, 2 + 27 * 2**64, 27, 3, 24) is True
+    assert [call[2:] for call in calls] == [(8, -1, 2, 27, 1, 26), (8, -1, 2, 27, 3, 24)]
 
 
 def test_cli_import_leaves_numpy_out():
@@ -409,6 +424,14 @@ def test_list_entries_refuse_bad_calls_and_leave_the_list():
         walk(CountingList(buf), -1, 1, 2, 27)
     with pytest.raises(TypeError):
         reverse(tuple(buf), 0, 2)
+    # integers beyond int64 are refused, not wrapped into range
+    for lo, hi in ((2**64, 2**64 + 2), (0, 2**63), (-(2**64), 2)):
+        with pytest.raises((OverflowError, IndexError)):
+            reverse(buf, lo, hi)
+    for args in ((2**64 - 1, 1, 2, 5), (-1, 1, 2 + 27 * 2**64, 27), (-1, 2**64 + 1, 2, 27),
+                 (-1, 1, 2, 2**64 + 27)):
+        with pytest.raises((OverflowError, IndexError)):
+            walk(buf, *args)
     assert buf == list(range(26))
     walk(buf, -1, 1, 2, 27)
     assert buf != list(range(26)) and sorted(buf) == list(range(26))
