@@ -94,6 +94,8 @@ def _load(argv):
     lib.faro_walk.restype = None
     lib.faro_mulmod.argtypes = (i64, i64, i64)
     lib.faro_mulmod.restype = i64
+    lib.faro_step.argtypes = (i64, i64, i64)
+    lib.faro_step.restype = i64
     lib.faro_agree.argtypes = (ptr, ptr, size_t, i64, i64, i64, i64, i64)
     lib.faro_agree.restype = ctypes.c_int
     # PyDLL keeps the GIL for the call and raises what the entry sets

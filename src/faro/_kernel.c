@@ -1,12 +1,15 @@
 /* Native twins of the loops in _loops.py, and the check faro apply --verify
  * makes, loaded by _fastpath with ctypes.
  *
- * Items are opaque runs of `itemsize` bytes at buf + i * itemsize, exchanged
- * with fixed 8-byte copies; itemsize 8 gets its own constant-size copy of
- * each loop. The only temporary array is the walk's held column of at most
+ * Items are opaque runs of `itemsize` bytes at buf + i * itemsize, moved with
+ * fixed 8-byte copies; itemsize 8 gets its own constant-size copy of each
+ * loop. The only temporary array is the walk's held column of at most
  * COLUMN bytes: wider records are walked once per COLUMN-byte column, so
- * extra space stays constant whatever the record size. _fastpath checks
- * every range and walk against the buffer length before calling in.
+ * extra space stays constant whatever the record size. The walk pulls each
+ * item into place from its source slot, and for the multipliers the
+ * shuffles use it finds that slot without a division (see struct step).
+ * _fastpath checks every range and walk against the buffer length before
+ * calling in.
  *
  * When Python.h is on the include path, the same loops also serve exact
  * lists, over their PyObject * slots (see the list entries at the end).
@@ -32,8 +35,91 @@ static inline int64_t mulmod(int64_t a, int64_t b, int64_t m)
     return (int64_t)(p >> 64 ? p % (uint64_t)m : (uint64_t)p % (uint64_t)m);
 }
 
-/* the step walk() takes, exported for testing */
+/* the MULMOD step of the walks below, exported for testing */
 int64_t faro_mulmod(int64_t a, int64_t b, int64_t m) { return mulmod(a, b, m); }
+
+/* a^-1 mod m by extended Euclid, for 0 <= a < m; 0 when gcd(a, m) != 1 */
+static int64_t inverse(int64_t a, int64_t m)
+{
+    int64_t r0 = m, r1 = a, t0 = 0, t1 = 1;
+    while (r1) {
+        int64_t q = r0 / r1, r = r0 - q * r1, t = t0 - q * t1;
+        r0 = r1, r1 = r, t0 = t1, t1 = t;
+    }
+    return r0 != 1 ? 0 : t0 < 0 ? t0 + m : t0;
+}
+
+/* How a walk under x mult mod m finds the source of slot j, j * inv mod m
+ * with inv = mult^-1, chosen once per walk so that no step the shuffles
+ * take divides:
+ *   OVER    mult = q in 2, 3, 5, 7 (every forward pass): j = q a + r comes
+ *           from a + c[r], c[r] = r * inv mod m, which is below m; the
+ *           division by the constant q compiles to a multiplication, and at
+ *           q = 2 this halves: j / 2, or (j + m) / 2 when j is odd;
+ *   TIMES2  inv = 2 (the inverse 2-way passes): 2j, less m if it reaches m;
+ *   TIMES   inv = 3, 5 or 7 with inv * m <= 2^32 (the inverse k-way
+ *           passes): inv * j by Lemire's fastmod, exact below 2^32, with
+ *           recip = floor((2^64 - 1) / m) + 1;
+ *   MULMOD  any other unit or modulus: mulmod(j, inv, m).
+ */
+enum { OVER, TIMES2, TIMES, MULMOD };
+
+struct step {
+    int kind;
+    uint64_t q, m, inv, recip, c[7];
+};
+
+/* 1 after filling st for a walk under x mult mod m, for 0 <= mult < m;
+ * 0 when mult is no unit mod m */
+static int plan(struct step *st, int64_t mult, int64_t m)
+{
+    int64_t inv = inverse(mult, m);
+    if (!inv)
+        return 0;
+    st->q = mult, st->m = m, st->inv = inv;
+    if (mult == 2 || mult == 3 || mult == 5 || mult == 7) {
+        st->kind = OVER;
+        for (int64_t r = 0; r < mult; r++)
+            st->c[r] = mulmod(r, inv, m);
+    } else if (inv == 2) {
+        st->kind = TIMES2;
+    } else if ((inv == 3 || inv == 5 || inv == 7) && m <= (INT64_C(1) << 32) / inv) {
+        st->kind = TIMES;
+        st->recip = UINT64_MAX / (uint64_t)m + 1;
+    } else {
+        st->kind = MULMOD;
+    }
+    return 1;
+}
+
+/* j * inv mod m by the step `kind`, with q = st->q; walk() passes both as
+ * constants, so each kind compiles to its own loop */
+static inline __attribute__((always_inline)) int64_t source(const struct step *st, int kind, uint64_t q,
+                                                            int64_t j)
+{
+    uint64_t u = j, m = st->m;
+    switch (kind) {
+    case OVER:
+        if (q == 2)
+            return (u >> 1) + (-(u & 1) & st->c[1]);
+        return u / q + st->c[u % q];
+    case TIMES2:
+        u *= 2;
+        return u >= m ? u - m : u;
+    case TIMES:
+        return ((unsigned __int128)(st->recip * (st->inv * u)) * m) >> 64;
+    default:
+        return mulmod(j, st->inv, m);
+    }
+}
+
+/* the slot the walk under x mult mod modulus fills slot j from, or -1 when
+ * mult is no unit; exported for testing */
+int64_t faro_step(int64_t j, int64_t mult, int64_t modulus)
+{
+    struct step st;
+    return plan(&st, mult, modulus) ? source(&st, st.kind, st.q, j) : -1;
+}
 
 /* exchange n bytes a word at a time, through registers */
 static inline void swap_bytes(char *a, char *b, size_t n)
@@ -67,28 +153,75 @@ void faro_reverse(char *buf, size_t itemsize, int64_t lo, int64_t hi)
         reverse(buf, itemsize, lo, hi);
 }
 
-/* Hold the column of item base + leader, then follow j -> j * mult mod
- * modulus, swapping the held column into each visited item until the orbit
- * closes at the leader. */
-static inline void walk(char *buf, size_t size, size_t width, int64_t base, int64_t leader, int64_t mult,
-                        int64_t modulus)
+/* copy n bytes a word at a time, through registers */
+static inline void copy_bytes(char *a, const char *b, size_t n)
 {
-    char t[COLUMN];
-    int64_t j = leader;
-    memcpy(t, buf + (base + j) * size, width);
-    do {
-        j = mulmod(j, mult, modulus);
-        swap_bytes(t, buf + (base + j) * size, width);
-    } while (j != leader);
+    uint64_t x;
+    for (; n >= 8; n -= 8, a += 8, b += 8) {
+        memcpy(&x, b, 8);
+        memcpy(a, &x, 8);
+    }
+    for (; n > 0; n--)
+        *a++ = *b++;
 }
 
+/* Realize the cycle of item base + leader under j -> j * mult mod m by
+ * pulling: hold the leader's column, fill each slot j from its source
+ * j * mult^-1 (one load and one store), move on to that source, and put the
+ * held column in the last slot, the one whose source is the leader. The
+ * cycle of _loops.cycle_walk, walked the other way. */
+static inline __attribute__((always_inline)) void pull(char *buf, size_t size, size_t width, int64_t base,
+                                                       int64_t leader, const struct step *st, int kind,
+                                                       uint64_t q)
+{
+    struct step k = *st; /* a copy no store into buf can alias */
+    char t[COLUMN];
+    char *slot = buf + (base + leader) * size;
+    copy_bytes(t, slot, width);
+    for (int64_t s = source(&k, kind, q, leader); s != leader; s = source(&k, kind, q, s)) {
+        char *from = buf + (base + s) * size;
+        copy_bytes(slot, from, width);
+        slot = from;
+    }
+    copy_bytes(slot, t, width);
+}
+
+/* pull() with the kind and q of st as constants: one loop per kind */
+static inline __attribute__((always_inline)) void walk(char *buf, size_t size, size_t width, int64_t base,
+                                                       int64_t leader, const struct step *st)
+{
+    switch (st->kind) {
+    case OVER:
+        switch (st->q) {
+        case 2:
+            return pull(buf, size, width, base, leader, st, OVER, 2);
+        case 3:
+            return pull(buf, size, width, base, leader, st, OVER, 3);
+        case 5:
+            return pull(buf, size, width, base, leader, st, OVER, 5);
+        default:
+            return pull(buf, size, width, base, leader, st, OVER, 7);
+        }
+    case TIMES2:
+        return pull(buf, size, width, base, leader, st, TIMES2, 0);
+    case TIMES:
+        return pull(buf, size, width, base, leader, st, TIMES, 0);
+    default:
+        return pull(buf, size, width, base, leader, st, MULMOD, 0);
+    }
+}
+
+/* does nothing when mult is no unit; _fastpath checks that it is one */
 void faro_walk(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t mult, int64_t modulus)
 {
+    struct step st;
+    if (!plan(&st, mult, modulus))
+        return;
     if (itemsize == 8)
-        walk(buf, 8, 8, base, leader, mult, modulus);
+        walk(buf, 8, 8, base, leader, &st);
     else
         for (size_t off = 0; off < itemsize; off += COLUMN)
-            walk(buf + off, itemsize, itemsize - off < COLUMN ? itemsize - off : COLUMN, base, leader, mult, modulus);
+            walk(buf + off, itemsize, itemsize - off < COLUMN ? itemsize - off : COLUMN, base, leader, &st);
 }
 
 /* 1 iff item i of chunk equals item base + ((j0 + i) * mult mod modulus)
@@ -152,16 +285,6 @@ void faro_list_reverse(PyObject *list, PyObject *lo_arg, PyObject *hi_arg)
     reverse((char *)((PyListObject *)list)->ob_item, sizeof(PyObject *), lo, hi);
 }
 
-static int64_t gcd(int64_t a, int64_t b)
-{
-    while (b) {
-        int64_t r = a % b;
-        a = b;
-        b = r;
-    }
-    return a;
-}
-
 void faro_list_walk(PyObject *list, PyObject *base_arg, PyObject *leader_arg, PyObject *mult_arg,
                     PyObject *modulus_arg)
 {
@@ -180,12 +303,12 @@ void faro_list_walk(PyObject *list, PyObject *base_arg, PyObject *leader_arg, Py
     mult %= modulus;
     if (mult < 0)
         mult += modulus;
-    if (!(0 < leader && leader < modulus) || gcd(mult, modulus) != 1) {
+    struct step st;
+    if (!(0 < leader && leader < modulus) || !plan(&st, mult, modulus)) {
         PyErr_Format(PyExc_ValueError, "leader %lld under x%lld mod %lld is no closed orbit",
                      (long long)leader, (long long)mult, (long long)modulus);
         return;
     }
-    char *slots = (char *)((PyListObject *)list)->ob_item;
-    walk(slots, sizeof(PyObject *), sizeof(PyObject *), base, leader, mult, modulus);
+    walk((char *)((PyListObject *)list)->ob_item, sizeof(PyObject *), sizeof(PyObject *), base, leader, &st);
 }
 #endif

@@ -25,7 +25,9 @@ def cycle_walk(buf, base, leader, mult, modulus):
     # Realize one permutation cycle: hold buf[base + leader] in a temporary,
     # then follow the orbit of `leader` under j -> j * mult (mod modulus),
     # swapping the temporary into each visited slot until the orbit closes.
-    # Local positions j are 1-based; the slot for j is buf[base + j].
+    # Local positions j are 1-based; the slot for j is buf[base + j]. The
+    # native twin in _kernel.c walks the same cycle the other way, pulling
+    # each slot's item from j * mult^-1, and leaves the same permutation.
     j = leader
     t = buf[base + j]
     while True:

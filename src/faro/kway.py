@@ -200,24 +200,30 @@ def _prime_shuffle_range(buf, lo, hi, q, instr, kernel):
 
 
 def _prime_unshuffle_range(buf, lo, hi, q, instr, kernel):
-    # Exact inverse of _prime_shuffle_range: undo the items right to left,
-    # the tail first. The tiling is rescanned for each item instead of being
-    # stored, which keeps the state constant; the scans total O(blocks^2).
+    # Exact inverse of _prime_shuffle_range: undo the blocks right to left,
+    # the tail first. Blocks of one modulus are adjacent in the tiling, so
+    # one scan finds the first block of the run that ends at `done`, and the
+    # whole run is undone before the next scan. The tiling is rescanned per
+    # run instead of being stored, which keeps the state constant.
     reverse, walk = kernel
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
     done = hi
     while done > lo:
+        run = 0
         for offset, modulus, p, j in _blocks(lo, hi, q):
+            if modulus != run:
+                start, run = offset, modulus
             if offset + modulus - 1 == done:
                 break
         mult = pow(q, -1, modulus)
-        if j == 0:
-            _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr, walk)
-        else:
-            _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk)
-            _scatter_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr, reverse)
-        done = offset
+        for offset in range(done - modulus + 1, start - 1, 1 - modulus):
+            if j == 0:
+                _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr, walk)
+            else:
+                _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk)
+                _scatter_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr, reverse)
+        done = start
 
 
 def _check_k_buffer(buf, k: int) -> None:

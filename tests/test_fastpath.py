@@ -4,7 +4,9 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from importlib.machinery import EXTENSION_SUFFIXES
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,77 @@ def test_mulmod_matches_python_near_2_63():
         pairs += [(rng.randrange(m), rng.randrange(m)) for _ in range(200)]
         for a, b in pairs:
             assert _fastpath._lib.faro_mulmod(a, b, m) == a * b % m, (a, b, m)
+
+
+def _multipliers(m):
+    """Units mod m that reach each kind of walk step: q and q^-1 mod m for
+    every q in 2, 3, 5, 7 coprime to m, and a unit with neither side at most
+    7 when there is one, which takes mulmod."""
+    units = [mult for q in (2, 3, 5, 7) if q < m and gcd(q, m) == 1 for mult in (q, pow(q, -1, m))]
+    big = (u for u in range(m // 3, m) if gcd(u, m) == 1 and min(u, pow(u, -1, m)) > 7)
+    return units + [u for u in [next(big, None)] if u is not None]
+
+
+@needs_kernel
+def test_walk_step_matches_python_at_the_edges_of_each_path():
+    # the slot a walk under x mult fills slot j from is j * mult^-1 mod m
+    step = _fastpath._lib.faro_step
+    rng = random.Random(51)
+    moduli = {3, 4, 5, 8, 9, 11, 243, 2 * 7**5, 3**12, 2**32 - 5, 2**32 + 15, 3**39}
+    moduli |= {2**63 - d for d in range(1, 40)} | {rng.randrange(2**61, 2**63) for _ in range(10)}
+    # Lemire's fastmod serves the inverse q-way steps while q * m <= 2^32
+    for q in (3, 5, 7):
+        moduli |= set(range(2**32 // q - 3, 2**32 // q + 4))
+    for m in sorted(moduli):
+        for mult in _multipliers(m) + [1, m - 1]:
+            inv = pow(mult, -1, m)
+            for j in {1, 2, m // 2, m - 2, m - 1, *(rng.randrange(1, m) for _ in range(20))} - {0}:
+                assert step(j, mult, m) == j * inv % m, (j, mult, m)
+    assert step(1, 3, 9) == -1 and step(1, 0, 7) == -1  # no unit, no step
+
+
+@needs_kernel
+@pytest.mark.parametrize("itemsize", [1, 8, 9, 64, 256, 257, "list"])
+def test_native_walk_matches_the_pure_walk(itemsize):
+    # blocks p^j and 2p^j, with leaders p^s and 2p^s, under every step kind
+    rng = random.Random(str(itemsize))
+    for p, j, m in ((3, 5, 3**5), (7, 2, 2 * 7**2), (3, 3, 2 * 3**3), (13, 2, 2 * 13**2)):
+        leaders = [c * p**s for c in ((1, 2) if m % 2 == 0 else (1,)) for s in range(j)]
+        if itemsize == "list":
+            buf = list(range(m + 5))
+        else:
+            buf = RecordBuffer(bytearray(rng.randbytes((m + 5) * itemsize)), itemsize)
+        expected = [buf[i] for i in range(m + 5)]
+        walk = _fastpath.kernel(buf)[1]
+        assert walk is not _loops.cycle_walk
+        for mult in _multipliers(m):
+            for base in (-1, 4):
+                for leader in leaders:
+                    walk(buf, base, leader, mult, m)
+                    _loops.cycle_walk(expected, base, leader, mult, m)
+                    assert [buf[i] for i in range(m + 5)] == expected, (m, mult, base, leader)
+
+
+@needs_kernel
+def test_forward_and_inverse_walks_run_at_one_speed():
+    # both directions of the 2-way walk step without a division; a direction
+    # that fell back to one, or to a copy call per item, would be far slower
+    m = 3**12
+    buf = np.arange(m - 1, dtype=np.int64)
+    walk = _fastpath.kernel(buf)[1]
+
+    def best(mult):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            for s in range(12):
+                walk(buf, -1, 3**s, mult, m)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    forward, inverse = best(2), best(pow(2, -1, m))
+    assert max(forward, inverse) <= 2.5 * min(forward, inverse), (forward, inverse)
+    assert sorted(buf.tolist()) == list(range(m - 1))
 
 
 def test_read_only_ndarray_raises_and_stays_unmodified():
