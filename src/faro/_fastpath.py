@@ -17,6 +17,12 @@ list's size on every call. Without the headers lists, like read-only or
 strided arrays and every other buffer, take the Python loops. numpy is never
 imported here: no ndarray can exist before the caller has imported it.
 
+One walk call realizes a whole ladder of cycles, those led by
+``leader * p**s`` for ``s < count``. Every walk of a q-way pass steps
+``j -> q * j mod m`` without a division: the forward passes push each item
+on to its target, and the inverse passes pull each slot's item from its
+source.
+
 ``kernel`` is the one place that sorts a buffer onto its loops. A public
 call resolves its (reverse, walk) pair once, with it, and hands the pair
 down; nothing is cached across calls.
@@ -90,7 +96,7 @@ def _load(argv):
     i64, size_t, ptr = ctypes.c_int64, ctypes.c_size_t, ctypes.c_void_p
     lib.faro_reverse.argtypes = (ptr, size_t, i64, i64)
     lib.faro_reverse.restype = None
-    lib.faro_walk.argtypes = (ptr, size_t, i64, i64, i64, i64)
+    lib.faro_walk.argtypes = (ptr, size_t, i64, i64, i64, i64, i64, i64)
     lib.faro_walk.restype = None
     lib.faro_mulmod.argtypes = (i64, i64, i64)
     lib.faro_mulmod.restype = i64
@@ -106,7 +112,7 @@ def _load(argv):
     obj = ctypes.py_object
     lists.faro_list_reverse.argtypes = (obj, obj, obj)
     lists.faro_list_reverse.restype = None
-    lists.faro_list_walk.argtypes = (obj, obj, obj, obj, obj)
+    lists.faro_list_walk.argtypes = (obj, obj, obj, obj, obj, obj, obj)
     lists.faro_list_walk.restype = None
     return lib, lists
 
@@ -144,6 +150,24 @@ def _memory(buf):
     return None
 
 
+def _ladder_fits(leader, p, count, modulus):
+    """Whether leader * p**s lies in (0, modulus) for every s < count, and
+    count fits an int64, which ctypes would wrap instead of refusing.
+
+    Past 64 rungs a ladder has left that range, since p >= 2 at least
+    doubles the leader and modulus < 2**63, or stands still at p = 1, and
+    p <= 0 leaves at once; so 64 rungs are checked at most, as in the list
+    entry's ``ladder_fits``.
+    """
+    if not 0 <= count < 2**63:
+        return False
+    for _ in range(min(count, 64)):
+        if not 0 < leader < modulus:
+            return False
+        leader *= p
+    return True
+
+
 def kernel(buf):
     """The (reverse, walk) pair for this buffer, for the length of one call.
 
@@ -164,14 +188,16 @@ def kernel(buf):
             raise IndexError(f"reversal of [{lo}, {hi}) leaves a buffer of {length}")
         _lib.faro_reverse(pointer, itemsize, lo, hi)
 
-    def walk(_buf, base, leader, mult, modulus):
-        # the orbit stays in local positions 1..modulus-1 and closes only
-        # when mult is a unit and the leader one of those positions
+    def walk(_buf, base, leader, mult, modulus, p, count):
+        # the orbits stay in local positions 1..modulus-1 and close only
+        # when mult is a unit and the leaders are among those positions
         if not (base + 1 >= 0 and base + modulus - 1 < length):
             raise IndexError(f"walk mod {modulus} at base {base} leaves a buffer of {length}")
         if not 0 < leader < modulus or gcd(mult, modulus) != 1:
             raise ValueError(f"leader {leader} under x{mult} mod {modulus} is no closed orbit")
-        _lib.faro_walk(pointer, itemsize, base, leader, mult % modulus, modulus)
+        if not _ladder_fits(leader, p, count, modulus):
+            raise ValueError(f"ladder of {count} leaders {leader} * {p}^s leaves 1..{modulus - 1}")
+        _lib.faro_walk(pointer, itemsize, base, leader, mult % modulus, modulus, p, count)
 
     return reverse, walk
 

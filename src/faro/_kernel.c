@@ -5,11 +5,13 @@
  * fixed 8-byte copies; itemsize 8 gets its own constant-size copy of each
  * loop. The only temporary array is the walk's held column of at most
  * COLUMN bytes: wider records are walked once per COLUMN-byte column, so
- * extra space stays constant whatever the record size. The walk pulls each
- * item into place from its source slot, and for the multipliers the
- * shuffles use it finds that slot without a division (see struct step).
- * _fastpath checks every range and walk against the buffer length before
- * calling in.
+ * extra space stays constant whatever the record size. One call walks a
+ * whole ladder of cycles, those led by leader * p^s for s < count. Every
+ * walk of a q-way pass steps j -> q * j mod m, without a division: the
+ * forward passes (mult = q) push each item on to its target q * j, and the
+ * inverse passes (mult = q^-1) pull each slot's item from its source q * j
+ * (see struct step). _fastpath checks every range and ladder against the
+ * buffer length before calling in.
  *
  * When Python.h is on the include path, the same loops also serve exact
  * lists, over their PyObject * slots (see the list entries at the end).
@@ -49,25 +51,31 @@ static int64_t inverse(int64_t a, int64_t m)
     return r0 != 1 ? 0 : t0 < 0 ? t0 + m : t0;
 }
 
-/* How a walk under x mult mod m finds the source of slot j, j * inv mod m
- * with inv = mult^-1, chosen once per walk so that no step the shuffles
- * take divides:
- *   OVER    mult = q in 2, 3, 5, 7 (every forward pass): j = q a + r comes
- *           from a + c[r], c[r] = r * inv mod m, which is below m; the
- *           division by the constant q compiles to a multiplication, and at
- *           q = 2 this halves: j / 2, or (j + m) / 2 when j is odd;
- *   TIMES2  inv = 2 (the inverse 2-way passes): 2j, less m if it reaches m;
- *   TIMES   inv = 3, 5 or 7 with inv * m <= 2^32 (the inverse k-way
- *           passes): inv * j by Lemire's fastmod, exact below 2^32, with
- *           recip = floor((2^64 - 1) / m) + 1;
- *   MULMOD  any other unit or modulus: mulmod(j, inv, m).
+/* How a walk under x mult mod m steps from slot j to slot f * j mod m,
+ * chosen once per walk so that no step the shuffles take divides. With
+ * f = mult the walk pushes, moving each item on to its target; with
+ * f = mult^-1 it pulls, filling each slot from its source. It pushes when
+ * mult has a fast step or mult^-1 has none, and pulls otherwise, so every
+ * forward pass (mult = q) pushes and every inverse pass (mult = q^-1) pulls,
+ * both stepping by x q:
+ *   TIMES2  f = 2: 2j, less m when it reaches m;
+ *   TIMES   f = 3, 5 or 7 with f * m <= 2^32: f * j by Lemire's fastmod,
+ *           exact below 2^32, with recip = floor((2^64 - 1) / m) + 1 and
+ *           rf = recip * f mod 2^64, so that a step is two multiplications;
+ *   MULMOD  any other unit or modulus, pushing: mulmod(j, mult, m).
  */
-enum { OVER, TIMES2, TIMES, MULMOD };
+enum { TIMES2, TIMES, MULMOD };
 
 struct step {
-    int kind;
-    uint64_t q, m, inv, recip, c[7];
+    int kind, push;
+    uint64_t f, m, rf;
 };
+
+/* 1 iff x f mod m has a step that does not divide */
+static int fast(int64_t f, int64_t m)
+{
+    return f == 2 || ((f == 3 || f == 5 || f == 7) && m <= (INT64_C(1) << 32) / f);
+}
 
 /* 1 after filling st for a walk under x mult mod m, for 0 <= mult < m;
  * 0 when mult is no unit mod m */
@@ -76,49 +84,37 @@ static int plan(struct step *st, int64_t mult, int64_t m)
     int64_t inv = inverse(mult, m);
     if (!inv)
         return 0;
-    st->q = mult, st->m = m, st->inv = inv;
-    if (mult == 2 || mult == 3 || mult == 5 || mult == 7) {
-        st->kind = OVER;
-        for (int64_t r = 0; r < mult; r++)
-            st->c[r] = mulmod(r, inv, m);
-    } else if (inv == 2) {
-        st->kind = TIMES2;
-    } else if ((inv == 3 || inv == 5 || inv == 7) && m <= (INT64_C(1) << 32) / inv) {
-        st->kind = TIMES;
-        st->recip = UINT64_MAX / (uint64_t)m + 1;
-    } else {
-        st->kind = MULMOD;
-    }
+    st->push = fast(mult, m) || !fast(inv, m);
+    st->f = st->push ? mult : inv;
+    st->m = m;
+    st->kind = st->f == 2 ? TIMES2 : fast(st->f, m) ? TIMES : MULMOD;
+    st->rf = (UINT64_MAX / (uint64_t)m + 1) * st->f;
     return 1;
 }
 
-/* j * inv mod m by the step `kind`, with q = st->q; walk() passes both as
- * constants, so each kind compiles to its own loop */
-static inline __attribute__((always_inline)) int64_t source(const struct step *st, int kind, uint64_t q,
-                                                            int64_t j)
+/* f * j mod m by the step `kind`; ladder() passes the kind as a constant,
+ * so each kind compiles to its own loop */
+static inline __attribute__((always_inline)) int64_t next(const struct step *st, int kind, int64_t j)
 {
     uint64_t u = j, m = st->m;
     switch (kind) {
-    case OVER:
-        if (q == 2)
-            return (u >> 1) + (-(u & 1) & st->c[1]);
-        return u / q + st->c[u % q];
     case TIMES2:
         u *= 2;
         return u >= m ? u - m : u;
     case TIMES:
-        return ((unsigned __int128)(st->recip * (st->inv * u)) * m) >> 64;
+        return ((unsigned __int128)(st->rf * u) * m) >> 64;
     default:
-        return mulmod(j, st->inv, m);
+        return mulmod(j, st->f, m);
     }
 }
 
-/* the slot the walk under x mult mod modulus fills slot j from, or -1 when
- * mult is no unit; exported for testing */
+/* the slot after j in the order a walk under x mult mod modulus visits
+ * slots, f * j mod modulus, or -1 when mult is no unit; exported for
+ * testing */
 int64_t faro_step(int64_t j, int64_t mult, int64_t modulus)
 {
     struct step st;
-    return plan(&st, mult, modulus) ? source(&st, st.kind, st.q, j) : -1;
+    return plan(&st, mult, modulus) ? next(&st, st.kind, j) : -1;
 }
 
 /* exchange n bytes a word at a time, through registers */
@@ -165,20 +161,35 @@ static inline void copy_bytes(char *a, const char *b, size_t n)
         *a++ = *b++;
 }
 
-/* Realize the cycle of item base + leader under j -> j * mult mod m by
- * pulling: hold the leader's column, fill each slot j from its source
- * j * mult^-1 (one load and one store), move on to that source, and put the
- * held column in the last slot, the one whose source is the leader. The
- * cycle of _loops.cycle_walk, walked the other way. */
-static inline __attribute__((always_inline)) void pull(char *buf, size_t size, size_t width, int64_t base,
-                                                       int64_t leader, const struct step *st, int kind,
-                                                       uint64_t q)
+/* Realize the cycle of item base + leader under j -> j * mult mod m, with
+ * f = mult, by pushing: hold the leader's column, exchange it with the
+ * column of each slot j = f * j in turn (a word at a time, through
+ * registers), and put the held column back in the leader's slot once the
+ * walk returns there. */
+static inline __attribute__((always_inline)) void push(char *buf, size_t size, size_t width, int64_t base,
+                                                       int64_t leader, const struct step *st, int kind)
 {
     struct step k = *st; /* a copy no store into buf can alias */
     char t[COLUMN];
     char *slot = buf + (base + leader) * size;
     copy_bytes(t, slot, width);
-    for (int64_t s = source(&k, kind, q, leader); s != leader; s = source(&k, kind, q, s)) {
+    for (int64_t j = next(&k, kind, leader); j != leader; j = next(&k, kind, j))
+        swap_bytes(t, buf + (base + j) * size, width);
+    copy_bytes(slot, t, width);
+}
+
+/* The same cycle with f = mult^-1, by pulling: hold the leader's column,
+ * fill each slot j from its source f * j (one load and one store), move on
+ * to that source, and put the held column in the last slot, the one whose
+ * source is the leader. */
+static inline __attribute__((always_inline)) void pull(char *buf, size_t size, size_t width, int64_t base,
+                                                       int64_t leader, const struct step *st, int kind)
+{
+    struct step k = *st;
+    char t[COLUMN];
+    char *slot = buf + (base + leader) * size;
+    copy_bytes(t, slot, width);
+    for (int64_t s = next(&k, kind, leader); s != leader; s = next(&k, kind, s)) {
         char *from = buf + (base + s) * size;
         copy_bytes(slot, from, width);
         slot = from;
@@ -186,42 +197,48 @@ static inline __attribute__((always_inline)) void pull(char *buf, size_t size, s
     copy_bytes(slot, t, width);
 }
 
-/* pull() with the kind and q of st as constants: one loop per kind */
-static inline __attribute__((always_inline)) void walk(char *buf, size_t size, size_t width, int64_t base,
-                                                       int64_t leader, const struct step *st)
+/* Walk the cycles led by leader * p^s for s < count, by push() or pull()
+ * with the kind of st as a constant: one loop per kind and direction. */
+static inline __attribute__((always_inline)) void ladder(char *buf, size_t size, size_t width, int64_t base,
+                                                         int64_t leader, int64_t p, int64_t count,
+                                                         const struct step *st)
 {
-    switch (st->kind) {
-    case OVER:
-        switch (st->q) {
-        case 2:
-            return pull(buf, size, width, base, leader, st, OVER, 2);
-        case 3:
-            return pull(buf, size, width, base, leader, st, OVER, 3);
-        case 5:
-            return pull(buf, size, width, base, leader, st, OVER, 5);
+    for (; count > 0; count--) {
+        switch (st->kind) {
+        case TIMES2:
+            if (st->push)
+                push(buf, size, width, base, leader, st, TIMES2);
+            else
+                pull(buf, size, width, base, leader, st, TIMES2);
+            break;
+        case TIMES:
+            if (st->push)
+                push(buf, size, width, base, leader, st, TIMES);
+            else
+                pull(buf, size, width, base, leader, st, TIMES);
+            break;
         default:
-            return pull(buf, size, width, base, leader, st, OVER, 7);
+            push(buf, size, width, base, leader, st, MULMOD); /* plan() pulls only by fast steps */
         }
-    case TIMES2:
-        return pull(buf, size, width, base, leader, st, TIMES2, 0);
-    case TIMES:
-        return pull(buf, size, width, base, leader, st, TIMES, 0);
-    default:
-        return pull(buf, size, width, base, leader, st, MULMOD, 0);
+        /* wraps only past the last rung, where it goes unused */
+        leader = (int64_t)((uint64_t)leader * (uint64_t)p);
     }
 }
 
-/* does nothing when mult is no unit; _fastpath checks that it is one */
-void faro_walk(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t mult, int64_t modulus)
+/* does nothing when mult is no unit; _fastpath checks that it is one, and
+ * that leader * p^s lies in (0, modulus) for every s < count */
+void faro_walk(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t mult, int64_t modulus,
+               int64_t p, int64_t count)
 {
     struct step st;
     if (!plan(&st, mult, modulus))
         return;
     if (itemsize == 8)
-        walk(buf, 8, 8, base, leader, &st);
+        ladder(buf, 8, 8, base, leader, p, count, &st);
     else
         for (size_t off = 0; off < itemsize; off += COLUMN)
-            walk(buf + off, itemsize, itemsize - off < COLUMN ? itemsize - off : COLUMN, base, leader, &st);
+            ladder(buf + off, itemsize, itemsize - off < COLUMN ? itemsize - off : COLUMN, base, leader, p,
+                   count, &st);
 }
 
 /* 1 iff item i of chunk equals item base + ((j0 + i) * mult mod modulus)
@@ -285,16 +302,32 @@ void faro_list_reverse(PyObject *list, PyObject *lo_arg, PyObject *hi_arg)
     reverse((char *)((PyListObject *)list)->ob_item, sizeof(PyObject *), lo, hi);
 }
 
-void faro_list_walk(PyObject *list, PyObject *base_arg, PyObject *leader_arg, PyObject *mult_arg,
-                    PyObject *modulus_arg)
+/* 1 iff leader * p^s lies in (0, m) for every s < count, computed without
+ * overflow. Past 64 rungs a ladder has left (0, m), since p >= 2 at least
+ * doubles the leader and m < 2^63, or stands still at p = 1, and p <= 0
+ * leaves at once; so 64 rungs are checked at most. */
+static int ladder_fits(int64_t leader, int64_t p, int64_t count, int64_t m)
 {
-    int64_t base, leader, mult, modulus;
+    for (int64_t s = 0; s < count && s < 64; s++) {
+        if (!(0 < leader && leader < m))
+            return 0;
+        if (s + 1 < count && __builtin_mul_overflow(leader, p, &leader))
+            return 0;
+    }
+    return count >= 0;
+}
+
+void faro_list_walk(PyObject *list, PyObject *base_arg, PyObject *leader_arg, PyObject *mult_arg,
+                    PyObject *modulus_arg, PyObject *p_arg, PyObject *count_arg)
+{
+    int64_t base, leader, mult, modulus, p, count;
     if (not_a_list(list) || not_int64(base_arg, &base) || not_int64(leader_arg, &leader)
-        || not_int64(mult_arg, &mult) || not_int64(modulus_arg, &modulus))
+        || not_int64(mult_arg, &mult) || not_int64(modulus_arg, &modulus) || not_int64(p_arg, &p)
+        || not_int64(count_arg, &count))
         return;
     Py_ssize_t n = PyList_GET_SIZE(list);
-    /* the orbit stays in local positions 1..modulus-1 and closes only when
-     * mult is a unit and the leader one of those positions */
+    /* the orbits stay in local positions 1..modulus-1 and close only when
+     * mult is a unit and the leaders are among those positions */
     if (!(modulus >= 2 && base >= -1 && modulus <= n - base)) {
         PyErr_Format(PyExc_IndexError, "walk mod %lld at base %lld leaves a list of %zd",
                      (long long)modulus, (long long)base, n);
@@ -309,6 +342,12 @@ void faro_list_walk(PyObject *list, PyObject *base_arg, PyObject *leader_arg, Py
                      (long long)leader, (long long)mult, (long long)modulus);
         return;
     }
-    walk((char *)((PyListObject *)list)->ob_item, sizeof(PyObject *), sizeof(PyObject *), base, leader, &st);
+    if (!ladder_fits(leader, p, count, modulus)) {
+        PyErr_Format(PyExc_ValueError, "ladder of %lld leaders %lld * %lld^s leaves 1..%lld", (long long)count,
+                     (long long)leader, (long long)p, (long long)modulus - 1);
+        return;
+    }
+    ladder((char *)((PyListObject *)list)->ob_item, sizeof(PyObject *), sizeof(PyObject *), base, leader, p,
+           count, &st);
 }
 #endif

@@ -21,18 +21,23 @@ def reverse_slots(buf, lo, hi):
         hi -= 1
 
 
-def cycle_walk(buf, base, leader, mult, modulus):
-    # Realize one permutation cycle: hold buf[base + leader] in a temporary,
-    # then follow the orbit of `leader` under j -> j * mult (mod modulus),
-    # swapping the temporary into each visited slot until the orbit closes.
-    # Local positions j are 1-based; the slot for j is buf[base + j]. The
-    # native twin in _kernel.c walks the same cycle the other way, pulling
-    # each slot's item from j * mult^-1, and leaves the same permutation.
-    j = leader
-    t = buf[base + j]
-    while True:
-        j = j * mult % modulus
-        p = base + j
-        buf[p], t = t, buf[p]
-        if j == leader:
-            break
+def cycle_walk(buf, base, leader, mult, modulus, p, count):
+    # Realize the cycles led by leader * p^s for s < count, one permutation
+    # cycle each: hold buf[base + leader] in a temporary, then follow the
+    # orbit of `leader` under j -> j * mult (mod modulus), swapping the
+    # temporary into each visited slot until the orbit closes. Local
+    # positions j are 1-based; the slot for j is buf[base + j]. The native
+    # twin in _kernel.c walks a ladder in one call and leaves the same
+    # permutation: it pushes items along x mult as this loop does when that
+    # step is fast (every forward pass), and otherwise pulls them along
+    # x mult^-1 (every inverse pass).
+    for _ in range(count):
+        j = leader
+        t = buf[base + j]
+        while True:
+            j = j * mult % modulus
+            slot = base + j
+            buf[slot], t = t, buf[slot]
+            if j == leader:
+                break
+        leader *= p

@@ -19,6 +19,9 @@ kinds of block:
   * modulus 2p^j, odd q only: 2j cycles led by p^s and 2p^s, and the
     position p^j is a fixed point.
 
+These leaders are in closed form (Jain, arXiv:0805.1598), so one call of
+the buffer's walk realizes a whole ladder of them, p^s or 2p^s for s < j.
+
 A block is admissible when q divides m - 1, so that each part contributes
 a whole slice; the gather step is q - 1 successive right rotations that
 pull the first slice of each part to the front. A gather costs in
@@ -125,21 +128,18 @@ def _blocks(lo, hi, q):
 def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk):
     # modulus is p^j, or 2p^j for odd q. For s = 0..j-1, p^s leads the
     # cycle of the positions whose p-part is p^s; when modulus is even that
-    # cycle holds only the odd ones, and 2p^s leads the even ones. Each
-    # cycle has length phi(p^(j-s)). p^j is fixed under an odd multiplier
-    # and is not walked, so the passes place every other element once.
+    # cycle holds only the odd ones, and 2p^s leads the even ones. One walk
+    # call takes each ladder of leaders, p^s and 2p^s for s < j. The cycles
+    # hold every position but p^j, which is fixed under an odd multiplier
+    # and is not walked; the moves are those positions plus one hold per
+    # cycle.
     base = offset - 1
     twin = modulus % 2 == 0
-    leader = 1
-    level = modulus // 2 if twin else modulus
-    for _ in range(j):
-        walk(buf, base, leader, mult, modulus)
-        if twin:
-            walk(buf, base, 2 * leader, mult, modulus)
-        if instr is not None:
-            instr.add_moves((1 + twin) * (level // p * (p - 1) + 1))
-        leader *= p
-        level //= p
+    walk(buf, base, 1, mult, modulus, p, j)
+    if twin:
+        walk(buf, base, 2, mult, modulus, p, j)
+    if instr is not None:
+        instr.add_moves(modulus - 1 - twin + (1 + twin) * j)
 
 
 def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
@@ -161,7 +161,7 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
             steps += 1
         if probe != lead:
             continue
-        walk(buf, base, lead, mult, modulus)
+        walk(buf, base, lead, mult, modulus, 1, 1)
         moves += steps + 1
     if instr is not None:
         instr.add_moves(moves)

@@ -16,9 +16,9 @@ from conftest import CountingList
 
 import faro
 from faro import _fastpath, _loops, cli
-from faro.kway import _BASES, _prime_factors, _rungs, k_shuffle, k_unshuffle
+from faro.kway import _BASES, _blocks, _prime_factors, _rungs, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
-from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, kway_kind
+from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
 from faro.rotate import reverse_range, rotate_right
 from faro.shuffle import RecordBuffer, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
 
@@ -54,66 +54,84 @@ def _multipliers(m):
     return units + [u for u in [next(big, None)] if u is not None]
 
 
+def _fast(f, m):
+    """Whether the walk has a step by x f mod m that does not divide."""
+    return f == 2 or f in (3, 5, 7) and f * m <= 2**32
+
+
 @needs_kernel
 def test_walk_step_matches_python_at_the_edges_of_each_path():
-    # the slot a walk under x mult fills slot j from is j * mult^-1 mod m
+    # a walk under x mult visits slots by x f: it pushes along f = mult when
+    # that step is fast or mult^-1 has none, and pulls along f = mult^-1
     step = _fastpath._lib.faro_step
     rng = random.Random(51)
     moduli = {3, 4, 5, 8, 9, 11, 243, 2 * 7**5, 3**12, 2**32 - 5, 2**32 + 15, 3**39}
     moduli |= {2**63 - d for d in range(1, 40)} | {rng.randrange(2**61, 2**63) for _ in range(10)}
-    # Lemire's fastmod serves the inverse q-way steps while q * m <= 2^32
+    # Lemire's fastmod serves the q-way steps while q * m <= 2^32
     for q in (3, 5, 7):
         moduli |= set(range(2**32 // q - 3, 2**32 // q + 4))
     for m in sorted(moduli):
         for mult in _multipliers(m) + [1, m - 1]:
             inv = pow(mult, -1, m)
+            f = inv if _fast(inv, m) and not _fast(mult, m) else mult
             for j in {1, 2, m // 2, m - 2, m - 1, *(rng.randrange(1, m) for _ in range(20))} - {0}:
-                assert step(j, mult, m) == j * inv % m, (j, mult, m)
+                assert step(j, mult, m) == j * f % m, (j, mult, m)
     assert step(1, 3, 9) == -1 and step(1, 0, 7) == -1  # no unit, no step
 
 
 @needs_kernel
-@pytest.mark.parametrize("itemsize", [1, 8, 9, 64, 256, 257, "list"])
+@pytest.mark.parametrize("itemsize", [1, 8, 9, 64, 256, 257, "list", "ndarray"])
 def test_native_walk_matches_the_pure_walk(itemsize):
-    # blocks p^j and 2p^j, with leaders p^s and 2p^s, under every step kind
+    # blocks p^j and 2p^j under every step kind: each leader p^s and 2p^s
+    # alone, then whole and partial ladders of them in one call
     rng = random.Random(str(itemsize))
     for p, j, m in ((3, 5, 3**5), (7, 2, 2 * 7**2), (3, 3, 2 * 3**3), (13, 2, 2 * 13**2)):
-        leaders = [c * p**s for c in ((1, 2) if m % 2 == 0 else (1,)) for s in range(j)]
+        starts = (1, 2) if m % 2 == 0 else (1,)
+        leaders = [c * p**s for c in starts for s in range(j)]
         if itemsize == "list":
             buf = list(range(m + 5))
+        elif itemsize == "ndarray":
+            buf = np.array([rng.randrange(-(2**63), 2**63) for _ in range(m + 5)], dtype=np.int64)
         else:
             buf = RecordBuffer(bytearray(rng.randbytes((m + 5) * itemsize)), itemsize)
         expected = [buf[i] for i in range(m + 5)]
         walk = _fastpath.kernel(buf)[1]
         assert walk is not _loops.cycle_walk
+        ladders = [(leader, 1) for leader in leaders]
+        ladders += [(c, j) for c in starts] + [(c * p, j - 1) for c in starts] + [(starts[-1], 0)]
         for mult in _multipliers(m):
             for base in (-1, 4):
-                for leader in leaders:
-                    walk(buf, base, leader, mult, m)
-                    _loops.cycle_walk(expected, base, leader, mult, m)
-                    assert [buf[i] for i in range(m + 5)] == expected, (m, mult, base, leader)
+                for leader, count in ladders:
+                    walk(buf, base, leader, mult, m, p, count)
+                    _loops.cycle_walk(expected, base, leader, mult, m, p, count)
+                    assert [buf[i] for i in range(m + 5)] == expected, (m, mult, base, leader, count)
 
 
 @needs_kernel
 def test_forward_and_inverse_walks_run_at_one_speed():
-    # both directions of the 2-way walk step without a division; a direction
-    # that fell back to one, or to a copy call per item, would be far slower
-    m = 3**12
-    buf = np.arange(m - 1, dtype=np.int64)
-    walk = _fastpath.kernel(buf)[1]
+    # Both directions of the 2-, 3-, 5- and 7-way walks step by x q without
+    # a division. A direction that fell back to one, or to a copy call per
+    # item, would be far slower: on a 2-core Xeon the two directions read
+    # within 1.12x of each other, and a forward 3-way walk forced onto
+    # mulmod 2.85x. The blocks fit in L2, so the walks are bound by the
+    # step rather than by memory: (q, p, j, twin).
+    for q, p, j, twin in ((2, 3, 11, 1), (3, 7, 5, 2), (5, 3, 10, 1), (7, 13, 4, 2)):
+        m = twin * p**j
+        buf = np.arange(m - 1, dtype=np.int64)
+        walk = _fastpath.kernel(buf)[1]
 
-    def best(mult):
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            for s in range(12):
-                walk(buf, -1, 3**s, mult, m)
-            times.append(time.perf_counter() - start)
-        return min(times)
+        def best(mult):
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                for c in range(1, twin + 1):
+                    walk(buf, -1, c, mult, m, p, j)
+                times.append(time.perf_counter() - start)
+            return min(times)
 
-    forward, inverse = best(2), best(pow(2, -1, m))
-    assert max(forward, inverse) <= 2.5 * min(forward, inverse), (forward, inverse)
-    assert sorted(buf.tolist()) == list(range(m - 1))
+        forward, inverse = best(q), best(pow(q, -1, m))
+        assert max(forward, inverse) <= 2 * min(forward, inverse), (q, forward, inverse)
+        assert sorted(buf.tolist()) == list(range(m - 1))
 
 
 def test_read_only_ndarray_raises_and_stays_unmodified():
@@ -140,6 +158,12 @@ def test_strided_view_matches_oracle_through_fallback():
         )
 
 
+# (leader, p, count) of ladders mod 27 that leave 1..26 before any walk:
+# the last leader is 27; 3 * p is 2^64 + 2, which wraps into range in int64;
+# a negative count
+_BAD_LADDERS = ((1, 3, 4), (3, 6148914691236517206, 2), (1, 3, -1))
+
+
 @needs_kernel
 @pytest.mark.parametrize(
     "buf",
@@ -150,18 +174,21 @@ def test_native_walk_refuses_to_leave_the_buffer(buf):
     before = buf.tobytes()
     reverse, walk = _fastpath.kernel(buf)
     with pytest.raises(IndexError):
-        walk(buf, 0, 1, 2, 27)  # last slot would be 26, one past the end
+        walk(buf, 0, 1, 2, 27, 3, 1)  # last slot would be 26, one past the end
     with pytest.raises(IndexError):
-        walk(buf, -2, 1, 2, 27)
+        walk(buf, -2, 1, 2, 27, 3, 1)
     for lo, hi in ((0, 27), (-1, 3), (5, 4)):
         with pytest.raises(IndexError):
             reverse(buf, lo, hi)
     with pytest.raises(ValueError):
-        walk(buf, -1, 0, 2, 27)  # leader 0 is fixed, not a cycle
+        walk(buf, -1, 0, 2, 27, 3, 1)  # leader 0 is fixed, not a cycle
     with pytest.raises(ValueError):
-        walk(buf, -1, 1, 3, 27)  # 3 is no unit mod 27: the orbit never closes
+        walk(buf, -1, 1, 3, 27, 3, 1)  # 3 is no unit mod 27: the orbit never closes
+    for leader, p, count in _BAD_LADDERS:
+        with pytest.raises(ValueError):
+            walk(buf, -1, leader, 2, 27, p, count)
     assert buf.tobytes() == before
-    walk(buf, -1, 1, 2, 27)
+    walk(buf, -1, 1, 2, 27, 3, 3)
     assert buf.tobytes() != before
 
 
@@ -397,16 +424,30 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
         reverse, walk = real_kernel(buf)
         return counting("reverse", reverse), counting("walk", walk)
 
+    def ladders(n, q):
+        # one walk call per ladder: one per block, a second for a twin
+        # block 2p^j, and one per cycle of the tail
+        calls = 0
+        for _, modulus, _, j in _blocks(0, n, q):
+            if j:
+                calls += 1 + (modulus % 2 == 0)
+            else:
+                calls += len(cycle_decomposition(kway_kind(q), modulus - 1).cycles)
+        return calls
+
     monkeypatch.setattr(_fastpath, "kernel", kernel)
-    # (call, length, prime passes)
-    calls = [(lambda buf: k_shuffle(buf, 6), 60_000, 2), (un_shuffle, 1 << 16, 1)]
-    for call, n, passes in calls:
+    # (call, length, prime passes, walk calls)
+    calls = [
+        (lambda buf: k_shuffle(buf, 6), 60_000, 2, ladders(60_000, 2) + ladders(60_000, 3)),
+        (un_shuffle, 1 << 16, 1, ladders(1 << 16, 2)),
+    ]
+    for call, n, passes, walks in calls:
         counts.update(kernel=0, reverse=0, walk=0)
         buf = np.arange(n, dtype=np.int64)
         call(buf)
         assert sorted(buf.tolist()) == list(range(n))
         assert counts["kernel"] == 1, counts
-        assert counts["reverse"] > 10 * passes and counts["walk"] > 10 * passes, counts
+        assert counts["reverse"] > 10 * passes and counts["walk"] == walks, (counts, walks)
 
     counts.update(kernel=0, reverse=0)
     buf = list(range(10))
@@ -481,35 +522,39 @@ def test_list_entries_refuse_bad_calls_and_leave_the_list():
     buf = list(range(26))
     reverse, walk = _fastpath.kernel(buf)
     with pytest.raises(IndexError):
-        walk(buf, 0, 1, 2, 27)  # last slot would be 26, one past the end
+        walk(buf, 0, 1, 2, 27, 3, 1)  # last slot would be 26, one past the end
     with pytest.raises(IndexError):
-        walk(buf, -2, 1, 2, 27)
+        walk(buf, -2, 1, 2, 27, 3, 1)
     with pytest.raises(IndexError):
-        walk([], -1, 1, 2, 3)
+        walk([], -1, 1, 2, 3, 3, 1)
     for lo, hi in ((0, 27), (-1, 3), (5, 4)):
         with pytest.raises(IndexError):
             reverse(buf, lo, hi)
     with pytest.raises(ValueError):
-        walk(buf, -1, 0, 2, 27)  # leader 0 is fixed, not a cycle
+        walk(buf, -1, 0, 2, 27, 3, 1)  # leader 0 is fixed, not a cycle
     with pytest.raises(ValueError):
-        walk(buf, -1, 1, 3, 27)  # 3 is no unit mod 27: the orbit never closes
+        walk(buf, -1, 1, 3, 27, 3, 1)  # 3 is no unit mod 27: the orbit never closes
+    for leader, p, count in _BAD_LADDERS:
+        with pytest.raises(ValueError):
+            walk(buf, -1, leader, 2, 27, p, count)
     with pytest.raises(TypeError):
-        walk(CountingList(buf), -1, 1, 2, 27)
+        walk(CountingList(buf), -1, 1, 2, 27, 3, 1)
     with pytest.raises(TypeError):
         reverse(tuple(buf), 0, 2)
     # integers beyond int64 are refused, not wrapped into range
     for lo, hi in ((2**64, 2**64 + 2), (0, 2**63), (-(2**64), 2)):
         with pytest.raises((OverflowError, IndexError)):
             reverse(buf, lo, hi)
-    for args in ((2**64 - 1, 1, 2, 5), (-1, 1, 2 + 27 * 2**64, 27), (-1, 2**64 + 1, 2, 27),
-                 (-1, 1, 2, 2**64 + 27)):
+    for args in ((2**64 - 1, 1, 2, 5, 3, 1), (-1, 1, 2 + 27 * 2**64, 27, 3, 1),
+                 (-1, 2**64 + 1, 2, 27, 3, 1), (-1, 1, 2, 2**64 + 27, 3, 1),
+                 (-1, 1, 2, 27, 3 + 2**64, 2), (-1, 1, 2, 27, 3, 2**64 + 1)):
         with pytest.raises((OverflowError, IndexError)):
             walk(buf, *args)
     assert buf == list(range(26))
-    walk(buf, -1, 1, 2, 27)
+    walk(buf, -1, 1, 2, 27, 3, 3)
     assert buf != list(range(26)) and sorted(buf) == list(range(26))
     reverse(buf, 0, 26)
-    walk(buf, -1, 1, 2, 27)  # a second walk leaves the reversed list permuted
+    walk(buf, -1, 1, 2, 27, 3, 3)  # a second walk leaves the reversed list permuted
     assert sorted(buf) == list(range(26))
 
 

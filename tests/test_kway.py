@@ -95,9 +95,9 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
     def kernel(buf):
         reverse, walk = real_kernel(buf)
 
-        def spy(buf, base, leader, mult, modulus):
-            walked.append(leader)
-            walk(buf, base, leader, mult, modulus)
+        def spy(buf, base, leader, mult, modulus, p, count):
+            walked.extend(leader * p**s for s in range(count))
+            walk(buf, base, leader, mult, modulus, p, count)
 
         return reverse, spy
 
