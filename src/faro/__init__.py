@@ -2,8 +2,9 @@
 
 The library permutes arbitrary even-length buffers (and k-way divisible ones)
 without scratch arrays, by reducing each length to blocks of p^j - 1 elements
-(3^k - 1 for the 2-way shuffles) whose shuffle cycles are located in closed
-form. Instrumentation counters certify the linear-move and
+whose shuffle cycles are located in closed form. The paper's 2-way blocks
+are 3^k - 1; faro tiles the 2-way shuffles with the powers of eight bases p,
+3 among them. Instrumentation counters certify the linear-move and
 constant-auxiliary-space behaviour, a naive out-of-place oracle supplies
 ground truth, and the ``faro`` CLI applies the permutations to files of
 fixed-size records.

@@ -26,9 +26,12 @@ A block is admissible when q divides m - 1, so that each part contributes
 a whole slice; the gather step is q - 1 successive right rotations that
 pull the first slice of each part to the front. A gather costs in
 proportion to the window left, so the gaps of the block ladder set the
-moves per element. One base alone leaves gaps of x25 (q = 3), x81 (q = 5)
-and x1331 (q = 7) between admissible blocks; the rungs of the whole table,
-merged, are at most x2.7, x7.7 and x9.2 apart up to 2^20.
+moves per element. One base alone leaves gaps of x3 (q = 2, p = 3), x25
+(q = 3), x81 (q = 5) and x1331 (q = 7) between admissible blocks; the
+rungs of the whole table, merged, are at most x2.1, x2.7, x7.7 and x9.2
+apart up to 2^20. Every admissible rung below 2^63 is listed once, largest
+first, in a constant ladder per arity, ``_LADDERS``, so the greedy tiling
+takes one bisect per run of equal blocks.
 
 Leftovers smaller than the smallest admissible block are bounded by the
 table alone, so they are permuted by a constant-space minimum-leader sweep
@@ -36,14 +39,15 @@ whose quadratic cost is a constant independent of the buffer length.
 
 This module holds the only shuffle driver, one forward and one inverse
 prime pass over a range. The 2-way shuffles of ``shuffle`` are its q = 2
-case, whose table is p = 3 alone: every power of 3 is admissible and no
-tail is left.
+case. The paper tiles them with 3^k - 1 blocks alone; faro's q = 2 table
+has eight odd bases, every power of which is admissible, and since 3 is
+among them no tail is left.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
 """
 
-from heapq import merge
+from bisect import bisect_left
 
 from . import _fastpath
 from .permcore import kway_kind, validate_order
@@ -58,7 +62,7 @@ MAX_K = 9
 # e = ord_q(p) is the first power whose block is admissible. A test checks
 # the table; nothing is searched at import.
 _BASES = {
-    2: (3,),
+    2: (3, 5, 11, 13, 19, 29, 37, 53),
     3: (7, 19, 5, 31, 43, 79, 127, 139),
     5: (3, 7, 17, 23, 37, 43, 47, 53),
     7: (71, 127, 13, 211, 239, 379, 491, 547),
@@ -82,47 +86,52 @@ def _prime_factors(k: int) -> list[int]:
     return out
 
 
-def _rungs(p, q, top):
-    # The admissible moduli of base p not above `top`, largest first, as
-    # (modulus, p, j): p^j, and for odd q also 2p^j, whenever q divides
-    # modulus - 1. Climbs once, then only descends.
-    power, j = 1, 0
-    while power * p <= top:
-        power *= p
-        j += 1
-    while j > 0:
-        if q > 2 and 2 * power <= top and (2 * power - 1) % q == 0:
-            yield 2 * power, p, j
-        if (power - 1) % q == 0:
-            yield power, p, j
-        power //= p
-        j -= 1
+def _ladder(q):
+    # Every admissible modulus of q's bases below 2^63 (the kernel's int64
+    # positions), largest first, as (modulus, p, j): p^j, and 2p^j, whenever
+    # q divides modulus - 1. At q = 2 that is every p^j, since the bases are
+    # odd, and never 2p^j.
+    rungs = []
+    for p in _BASES[q]:
+        power, j = p, 1
+        while power < 1 << 63:
+            rungs += [(m, p, j) for m in (power, 2 * power) if m < 1 << 63 and (m - 1) % q == 0]
+            power *= p
+            j += 1
+    return tuple(sorted(rungs, reverse=True))
+
+
+# The block ladder of each prime arity, built once from _BASES: 149, 111, 64
+# and 62 rungs for q = 2, 3, 5, 7. _FITS holds each rung's 1 - modulus, in
+# ascending order, so that bisect finds the largest block that fits.
+_LADDERS = {q: _ladder(q) for q in _BASES}
+_FITS = {q: tuple(1 - modulus for modulus, _, _ in ladder) for q, ladder in _LADDERS.items()}
 
 
 def _blocks(lo, hi, q):
-    """Greedy tiling of [lo, hi), left to right, as (offset, modulus, p, j).
+    """Greedy tiling of [lo, hi), left to right, as runs (offset, modulus, p, j, count).
 
-    Each block holds modulus - 1 elements, where modulus is p^j or, for odd
-    q, 2p^j, with p from the base table of q. It is the largest admissible
-    block across the table that fits what remains; admissible means q
-    divides modulus - 1, so that every part gives the block a whole slice.
-    The rungs of all bases are merged largest first, and blocks never grow
-    along the tiling, so the scan walks down that one ladder once. What
-    fits no block comes last, as a tail with p = j = 0 and modulus = its
-    length + 1; at q = 2, p = 3 there is never a tail.
+    A run is `count` adjacent blocks of modulus - 1 elements each, where
+    modulus is p^j or, for odd q, 2p^j, with p from the base table of q. Its
+    block is the largest admissible one across the table that fits what
+    remains; admissible means q divides modulus - 1, so that every part
+    gives the block a whole slice. The run takes as many of them as fit, so
+    each run is one bisect of q's ladder and one division, whatever its
+    count. What fits no block comes last, as a tail run with p = j = 0,
+    count = 1 and modulus = its length + 1; at q = 2, where 3 is a base,
+    there is never a tail.
     """
+    ladder, fits = _LADDERS[q], _FITS[q]
     offset = lo
-    rungs = [_rungs(p, q, hi - lo + 1) for p in _BASES[q]]
-    # one base needs no merge, whose set-up would dominate the 2-way scans
-    ladder = merge(*rungs, reverse=True) if len(rungs) > 1 else rungs[0]
-    for modulus, p, j in ladder:
-        while modulus - 1 <= hi - offset:
-            yield offset, modulus, p, j
-            offset += modulus - 1
-        if offset == hi:
+    while offset < hi:
+        i = bisect_left(fits, offset - hi)
+        if i == len(ladder):
+            yield offset, hi - offset + 1, 0, 0, 1
             return
-    if offset < hi:
-        yield offset, hi - offset + 1, 0, 0
+        modulus, p, j = ladder[i]
+        count = (hi - offset) // (modulus - 1)
+        yield offset, modulus, p, j, count
+        offset += count * (modulus - 1)
 
 
 def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk):
@@ -139,7 +148,7 @@ def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk):
     if twin:
         walk(buf, base, 2, mult, modulus, p, j)
     if instr is not None:
-        instr.add_moves(modulus - 1 - twin + (1 + twin) * j)
+        instr.walk_moves += modulus - 1 - twin + (1 + twin) * j
 
 
 def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
@@ -164,7 +173,7 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
         walk(buf, base, lead, mult, modulus, 1, 1)
         moves += steps + 1
     if instr is not None:
-        instr.add_moves(moves)
+        instr.tail_moves += moves
 
 
 def _gather_parts(buf, offset, part, b, q, instr, reverse):
@@ -191,30 +200,27 @@ def _prime_shuffle_range(buf, lo, hi, q, instr, kernel):
     reverse, walk = kernel
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
-    for offset, modulus, p, j in _blocks(lo, hi, q):
+    for start, modulus, p, j, count in _blocks(lo, hi, q):
         if j == 0:
-            _bounded_cycle_shuffle(buf, offset, modulus - 1, q, instr, walk)
-        else:
+            _bounded_cycle_shuffle(buf, start, modulus - 1, q, instr, walk)
+            continue
+        for offset in range(start, start + count * (modulus - 1), modulus - 1):
             _gather_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr, reverse)
             _general_cycle_passes(buf, offset, j, p, q, modulus, instr, walk)
 
 
 def _prime_unshuffle_range(buf, lo, hi, q, instr, kernel):
-    # Exact inverse of _prime_shuffle_range: undo the blocks right to left,
-    # the tail first. Blocks of one modulus are adjacent in the tiling, so
-    # one scan finds the first block of the run that ends at `done`, and the
-    # whole run is undone before the next scan. The tiling is rescanned per
+    # Exact inverse of _prime_shuffle_range: undo the runs right to left,
+    # the tail first, and each run's blocks right to left. A scan of the
+    # tiling finds the run that ends at `done`; the tiling is rescanned per
     # run instead of being stored, which keeps the state constant.
     reverse, walk = kernel
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
     done = hi
     while done > lo:
-        run = 0
-        for offset, modulus, p, j in _blocks(lo, hi, q):
-            if modulus != run:
-                start, run = offset, modulus
-            if offset + modulus - 1 == done:
+        for start, modulus, p, j, count in _blocks(lo, hi, q):
+            if start + count * (modulus - 1) == done:
                 break
         mult = pow(q, -1, modulus)
         for offset in range(done - modulus + 1, start - 1, 1 - modulus):

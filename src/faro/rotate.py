@@ -36,7 +36,7 @@ def reverse_range(buf, lo: int, hi: int, instr=None, *, reverse=None) -> None:
         reverse = _fastpath.kernel(buf)[0]
     reverse(buf, lo, hi)
     if instr is not None:
-        instr.add_moves(2 * ((hi - lo) // 2))
+        instr.rotate_moves += 2 * ((hi - lo) // 2)
         instr.note_aux(_REVERSE_AUX_WORDS)
 
 

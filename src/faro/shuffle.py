@@ -14,13 +14,18 @@ General even lengths reduce to that case:
     3. run the k cycle-leader passes on the block;
     4. advance past the block and repeat on the rest.
 
-This is the q = 2, p = 3 case of the prime-arity driver in ``kway``, and
-there is only that one driver: the four functions here check their
-arguments and run it on [0, n), or on the interior [1, n - 1) for the
-out-shuffles. Step 4 is a loop, not a recursion, so control state stays
-constant. Each element is placed once by its block's cycle-leader pass and
-touched a bounded number of times by rotations, giving at most a small
-constant times the length in single-element moves.
+That is the paper's construction. faro runs it as the q = 2 case of the
+prime-arity driver in ``kway``, and there is only that one driver: the four
+functions here check their arguments and run it on [0, n), or on the
+interior [1, n - 1) for the out-shuffles. The driver tiles with a denser
+ladder than 3^k - 1 alone: 2 is a primitive root of p^2, hence of every
+p^k, for each of its eight odd bases p (3, 5, 11, 13, 19, 29, 37, 53), so
+every block p^k - 1 has the k cycle leaders p^0 .. p^(k-1). The smaller
+gaps between blocks leave smaller windows to rotate after each block.
+Step 4 is a loop, not a recursion, so control state stays constant. Each
+element is placed once by its block's cycle-leader pass and touched a
+bounded number of times by rotations, giving at most a small constant
+times the length in single-element moves.
 
 The buffer layer is 0-based half-open; every call into the 1-based math
 above documents the shift. Buffers are anything indexable with integer
@@ -60,7 +65,10 @@ class Instrumentation:
 
     ``moves`` counts single-element move operations: every element written
     into the buffer, plus one temporary load per cycle-leader pass (the hold
-    slot). A swap contributes two moves.
+    slot). A swap contributes two moves. It is the sum of three layers:
+    ``rotate_moves`` (the reversals of the gather and scatter rotations),
+    ``walk_moves`` (the cycle-leader walks of the blocks) and ``tail_moves``
+    (the leftover sweep of the odd prime arities).
 
     ``aux_words_peak`` is the high-water mark of auxiliary state declared by
     the routines: element-sized temporaries plus integer bookkeeping slots,
@@ -70,11 +78,14 @@ class Instrumentation:
     Pass ``instr=None`` to any operation to skip counting entirely.
     """
 
-    moves: int = 0
+    rotate_moves: int = 0
+    walk_moves: int = 0
+    tail_moves: int = 0
     aux_words_peak: int = 0
 
-    def add_moves(self, n: int) -> None:
-        self.moves += n
+    @property
+    def moves(self) -> int:
+        return self.rotate_moves + self.walk_moves + self.tail_moves
 
     def note_aux(self, words: int) -> None:
         if words > self.aux_words_peak:
@@ -124,11 +135,17 @@ class RecordBuffer:
 
 @dataclass(frozen=True)
 class Block:
-    """One cycle-leader sub-problem: 2m = 3^k - 1 elements at `offset`."""
+    """One cycle-leader sub-problem: 2m = p^k - 1 elements at `offset`.
+
+    ``p`` is the block's base and ``k`` its exponent, which is also the
+    number of its cycles, led by p^0 .. p^(k-1); so the walk makes
+    ``size + k`` moves.
+    """
 
     offset: int
     m: int
     k: int
+    p: int
 
     @property
     def size(self) -> int:
@@ -137,22 +154,25 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Greedy tiling of a length into 3^k - 1 blocks, left to right."""
+    """Greedy tiling of a length into p^k - 1 blocks, left to right."""
 
     blocks: tuple[Block, ...]
     total: int
 
 
 def plan_blocks(total: int) -> BlockPlan:
-    """Tile `total` elements with the largest 3^k - 1 block at each step.
+    """Tile `total` elements with the largest p^k - 1 block at each step.
 
-    The greedy rule keeps every block at least a third of what remains, so
-    the number of blocks is logarithmic and rotation work stays linear.
+    The bases p are those of the 2-way table, ``kway._BASES[2]``. The
+    ladder of their powers has no gap wider than x3, so every block is at
+    least a third of what remains, the number of blocks is logarithmic and
+    rotation work stays linear.
     """
     validate_order(IN_SHUFFLE, total)
     blocks = tuple(
-        Block(offset=offset, m=(modulus - 1) // 2, k=k)
-        for offset, modulus, _, k in _blocks(0, total, 2)
+        Block(offset=offset, m=(modulus - 1) // 2, k=k, p=p)
+        for start, modulus, p, k, count in _blocks(0, total, 2)
+        for offset in range(start, start + count * (modulus - 1), modulus - 1)
     )
     return BlockPlan(blocks=blocks, total=total)
 

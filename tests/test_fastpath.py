@@ -16,7 +16,7 @@ from conftest import CountingList
 
 import faro
 from faro import _fastpath, _loops, cli
-from faro.kway import _BASES, _blocks, _prime_factors, _rungs, k_shuffle, k_unshuffle
+from faro.kway import _LADDERS, _blocks, _prime_factors, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
 from faro.rotate import reverse_range, rotate_right
@@ -245,15 +245,16 @@ def test_first_import_builds_one_cached_kernel(tmp_path):
 
 
 def _verify_lengths(kind):
-    """0 and the smallest order, orders just around the admissible blocks of
-    every base in the table, and a tail just below the smallest block."""
+    """0 and the smallest order, orders just around every admissible block
+    of the table below 1001, and a tail just below the smallest block."""
     if kind.family != "kway":
-        lengths = {0, 2} | {3**k - 1 + d for k in range(2, 7) for d in (-2, 0, 2)}
+        blocks = {m - 1 for m, _, _ in _LADDERS[2] if m <= 1001}
+        lengths = {0, 2} | {b + d for b in blocks for d in (-2, 0, 2)}
         return sorted(lengths - ({0} if kind.family == "out" else set()))
     k = kind.k
     lengths = {0, k}
     for q in set(_prime_factors(k)):
-        blocks = {m - 1 for p in _BASES[q] for m, _, _ in _rungs(p, q, 1001)}
+        blocks = {m - 1 for m, _, _ in _LADDERS[q] if m <= 1001}
         lengths.add(max(min(blocks) // k * k - k, 0))
         lengths |= {b // k * k for b in blocks} | {(b // k + 1) * k for b in blocks}
     return sorted(lengths)
@@ -428,9 +429,9 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
         # one walk call per ladder: one per block, a second for a twin
         # block 2p^j, and one per cycle of the tail
         calls = 0
-        for _, modulus, _, j in _blocks(0, n, q):
+        for _, modulus, _, j, count in _blocks(0, n, q):
             if j:
-                calls += 1 + (modulus % 2 == 0)
+                calls += count * (1 + (modulus % 2 == 0))
             else:
                 calls += len(cycle_decomposition(kway_kind(q), modulus - 1).cycles)
         return calls

@@ -62,7 +62,7 @@ def test_base_table_is_valid():
     # and, for odd q, of every 2p^j; entries are sorted by their first
     # admissible power p^e, e = ord_q(p)
     assert set(kway._BASES) == {q for k in range(2, 10) for q in _prime_factors(k)}
-    assert kway._BASES[2] == (3,)
+    assert kway._BASES[2] == (3, 5, 11, 13, 19, 29, 37, 53)
     for q, bases in kway._BASES.items():
         for p in bases:
             assert p > 2 and euler_totient(p) == p - 1, p
@@ -70,6 +70,87 @@ def test_base_table_is_valid():
             assert is_primitive_root(q, p * p), (q, p)
         firsts = [p ** multiplicative_order(p, q) for p in bases]
         assert firsts == sorted(firsts), q
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_ladder_is_every_admissible_rung_largest_first(q):
+    # brute force: p^j, and 2p^j for odd q, of every base below 2^63, kept
+    # when q divides modulus - 1
+    ladder = kway._LADDERS[q]
+    moduli = [modulus for modulus, _, _ in ladder]
+    assert all(a > b for a, b in zip(moduli, moduli[1:]))
+    expected = set()
+    for p in kway._BASES[q]:
+        for j in range(1, 64):
+            for c in (1, 2) if q > 2 else (1,):
+                if c * p**j < 1 << 63 and (c * p**j - 1) % q == 0:
+                    expected.add((c * p**j, p, j))
+    assert set(ladder) == expected
+    assert kway._FITS[q] == tuple(1 - modulus for modulus in moduli)
+
+
+def _naive_blocks(lo, hi, q):
+    # the largest admissible block that fits, one block at a time
+    offset = lo
+    while offset < hi:
+        fits = [rung for rung in kway._LADDERS[q] if rung[0] - 1 <= hi - offset]
+        if not fits:
+            yield offset, hi - offset + 1, 0, 0
+            return
+        modulus, p, j = fits[0]
+        yield offset, modulus, p, j
+        offset += modulus - 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_blocks_are_the_naive_greedy_tiling(q):
+    rng = random.Random(q)
+    for case in range(200):
+        lo = rng.choice((0, 1, rng.randrange(0, 1000)))
+        hi = lo + q * rng.choice((rng.randrange(0, 100), rng.randrange(0, 1 << 20)))
+        runs = list(kway._blocks(lo, hi, q))
+        # one run per modulus: each takes every block of its size that fits
+        moduli = [modulus for _, modulus, _, _, _ in runs]
+        assert all(a > b for a, b in zip(moduli, moduli[1:])), (lo, hi)
+        assert all(count >= 1 for *_, count in runs), (lo, hi)
+        blocks = [
+            (offset, modulus, p, j)
+            for start, modulus, p, j, count in runs
+            for offset in range(start, start + count * (modulus - 1), modulus - 1)
+        ]
+        assert blocks == list(_naive_blocks(lo, hi, q)), (lo, hi)
+
+
+@pytest.mark.parametrize("k,n", [(2, 19_998), (3, 900), (5, 4_000), (7, 2_100)])
+def test_moves_split_by_layer(k, n, monkeypatch):
+    # rotate_moves are the moves made inside the gather and scatter
+    # rotations; walk_moves and tail_moves are, for each block and for the
+    # tail, its moving positions plus one hold load per cycle; moves is
+    # their sum
+    rotated = []
+
+    def counted(buf, lo, hi, d, instr, **kernel):
+        before = instr.moves
+        rotate_right(buf, lo, hi, d, instr, **kernel)
+        rotated.append(instr.moves - before)
+
+    monkeypatch.setattr(kway, "rotate_right", counted)
+    walk = tail = 0
+    for _, modulus, _, j, count in kway._blocks(0, n, k):
+        cycles = cycle_decomposition(kway_kind(k), modulus - 1)
+        if j:
+            walk += count * (cycles.moved_count() + len(cycles.cycles))
+        else:
+            tail += cycles.moved_count() + len(cycles.cycles)
+    # q = 2 and 5 have a block of q elements (moduli 3 and 6), so no tail
+    assert (tail > 0) == (k in (3, 7))
+    for call in (k_shuffle, k_unshuffle):
+        rotated.clear()
+        instr = Instrumentation()
+        call(list(range(n)), k, instr)
+        assert (instr.rotate_moves, instr.walk_moves, instr.tail_moves) == (sum(rotated), walk, tail)
+        assert sum(rotated) > 0
+        assert instr.moves == sum(rotated) + walk + tail
 
 
 @pytest.mark.parametrize("k,p,j,moves", [(3, 5, 3, 254), (5, 3, 5, 494)])
@@ -80,7 +161,7 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
     # the moves are every element but p^j, plus one hold load per leader.
     modulus = 2 * p**j
     n = modulus - 1
-    assert list(kway._blocks(0, n, k)) == [(0, modulus, p, j)]
+    assert list(kway._blocks(0, n, k)) == [(0, modulus, p, j, 1)]
     leaders = sorted(c * p**s for s in range(j) for c in (1, 2))
     decomposition = cycle_decomposition(kway_kind(k), n)
     assert [cycle[0] for cycle in decomposition.cycles] == leaders

@@ -182,4 +182,4 @@ def test_every_kind_matches_the_oracle_and_round_trips(kind, inverse, data):
             assert drawn.tobytes() == expected, shape
         else:
             assert list(other) == result
-        assert (other_instr.moves, other_instr.aux_words_peak) == (instr.moves, 24)
+        assert other_instr == instr  # every layer's moves and the aux peak
