@@ -2,12 +2,14 @@
 
 The library permutes arbitrary even-length buffers (and k-way divisible ones)
 without scratch arrays, by reducing each length to blocks of p^j - 1 elements
-whose shuffle cycles are located in closed form. The paper's 2-way blocks
-are 3^k - 1; faro tiles the 2-way shuffles with the powers of eight bases p,
-3 among them. Instrumentation counters certify the linear-move and
-constant-auxiliary-space behaviour, a naive out-of-place oracle supplies
-ground truth, and the ``faro`` CLI applies the permutations to files of
-fixed-size records.
+(and 2p^j - 1 for odd k) whose shuffle cycles are located in closed form.
+The paper's 2-way blocks are 3^k - 1; faro tiles the 2-way shuffles with the
+powers of eight bases p, 3 among them. Where the paper composes one pass per
+prime factor of k, faro shuffles every arity 2..9 in one pass, with cycle
+leaders c * p^s for c over the coset representatives of <k> mod p.
+Instrumentation counters certify the linear-move and constant-auxiliary-
+space behaviour, a naive out-of-place oracle supplies ground truth, and the
+``faro`` CLI applies the permutations to files of fixed-size records.
 """
 
 from .kway import k_shuffle, k_unshuffle

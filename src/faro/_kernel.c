@@ -59,7 +59,7 @@ static int64_t inverse(int64_t a, int64_t m)
  * forward pass (mult = q) pushes and every inverse pass (mult = q^-1) pulls,
  * both stepping by x q:
  *   TIMES2  f = 2: 2j, less m when it reaches m;
- *   TIMES   f = 3, 5 or 7 with f * m <= 2^32: f * j by Lemire's fastmod,
+ *   TIMES   f = 3..9 with f * m <= 2^32: f * j by Lemire's fastmod,
  *           exact below 2^32, with recip = floor((2^64 - 1) / m) + 1 and
  *           rf = recip * f mod 2^64, so that a step is two multiplications;
  *   MULMOD  any other unit or modulus, pushing: mulmod(j, mult, m).
@@ -74,7 +74,7 @@ struct step {
 /* 1 iff x f mod m has a step that does not divide */
 static int fast(int64_t f, int64_t m)
 {
-    return f == 2 || ((f == 3 || f == 5 || f == 7) && m <= (INT64_C(1) << 32) / f);
+    return f == 2 || (f >= 3 && f <= 9 && m <= (INT64_C(1) << 32) / f);
 }
 
 /* 1 after filling st for a walk under x mult mod m, for 0 <= mult < m;

@@ -1,36 +1,39 @@
 """k-way generalization of the in-place shuffle, for small k.
 
 A k-way shuffle of kn elements cuts the array into k equal parts and
-interleaves them, sending 1-based position i to k*i mod (kn + 1). Prime
-arities q run directly, block by block, as the two-way construction does;
-composite k factors into prime passes, since consecutive passes with
-arities q1, q2 compose to q1*q2*i mod (len + 1), the (q1*q2)-way map. That
-also covers k whose power residues can never generate a full unit group
-(4 and 9, being perfect squares, have no primitive-root base at all).
+interleaves them, sending 1-based position i to k*i mod (kn + 1). Every
+arity 2..9 runs in one pass, block by block, as the two-way construction
+does. The paper reaches composite arities by composing one pass per prime
+factor, and squares (4, 9) only that way, since a square residue is never a
+primitive root; faro needs neither.
 
 A block of m - 1 elements is placed by cycle leaders in constant space when
-q generates the units mod m. Primitive roots exist modulo p^j and 2p^j for
-odd primes p (Gauss). If q is a primitive root of p^2 it is one of every
-p^j, and for odd q also of every 2p^j, whose units mirror those mod p^j. So
-each prime arity has a fixed table of such bases p, ``_BASES``, and two
-kinds of block:
+the cycles of x k mod m have leaders in closed form. Take an odd prime p
+with k^(p-1) != 1 mod p^2, so that the order of k mod p^t is ord_p(k) *
+p^(t-1). Then <k> holds the whole kernel of the reduction (Z/p^t)^x ->
+(Z/p)^x, and its d = (p - 1) / ord_p(k) cosets are fixed by the residue mod
+p, for every t. So each base p of the arity's table, ``_BASES``, comes with
+``reps``, the smallest member c of each coset of <k mod p> in (Z/p)^x, and
+gives two kinds of block:
 
-  * modulus p^j: the j cycles are led by p^0 .. p^(j-1);
-  * modulus 2p^j, odd q only: 2j cycles led by p^s and 2p^s, and the
-    position p^j is a fixed point.
+  * modulus p^j: the d*j cycles are led by c * p^s, for s < j;
+  * modulus 2p^j, odd k only: 2d*j cycles, led by c' * p^s and 2c * p^s,
+    where c' is c, or c + p when c is even, so that it is odd; the position
+    p^j is a fixed point.
 
-These leaders are in closed form (Jain, arXiv:0805.1598), so one call of
-the buffer's walk realizes a whole ladder of them, p^s or 2p^s for s < j.
+These leaders are in closed form (Jain, arXiv:0805.1598, for d = 1; Fich,
+Munro and Poblete, "Permuting in place", 1995), so one call of the buffer's
+walk realizes a whole ladder of them, c * p^s for s < j. When k = 1 mod p
+every cycle of the last level would be a fixed point, so no table holds
+such a p. At d = 1, k is a primitive root of p^2, which is the paper's case
+and that of every 2-way base.
 
-A block is admissible when q divides m - 1, so that each part contributes
-a whole slice; the gather step is q - 1 successive right rotations that
+A block is admissible when k divides m - 1, so that each part contributes
+a whole slice; the gather step is k - 1 successive right rotations that
 pull the first slice of each part to the front. A gather costs in
 proportion to the window left, so the gaps of the block ladder set the
-moves per element. One base alone leaves gaps of x3 (q = 2, p = 3), x25
-(q = 3), x81 (q = 5) and x1331 (q = 7) between admissible blocks; the
-rungs of the whole table, merged, are at most x2.1, x2.7, x7.7 and x9.2
-apart up to 2^20. Every admissible rung below 2^63 is listed once, largest
-first, in a constant ladder per arity, ``_LADDERS``, so the greedy tiling
+moves per element. Every admissible rung below 2^63 is listed once, largest
+first, in a constant ladder per arity, ``_ladder(k)``, so the greedy tiling
 takes one bisect per run of equal blocks.
 
 Leftovers smaller than the smallest admissible block are bounded by the
@@ -38,16 +41,17 @@ table alone, so they are permuted by a constant-space minimum-leader sweep
 whose quadratic cost is a constant independent of the buffer length.
 
 This module holds the only shuffle driver, one forward and one inverse
-prime pass over a range. The 2-way shuffles of ``shuffle`` are its q = 2
-case. The paper tiles them with 3^k - 1 blocks alone; faro's q = 2 table
-has eight odd bases, every power of which is admissible, and since 3 is
-among them no tail is left.
+pass over a range. The 2-way shuffles of ``shuffle`` are its k = 2 case.
+The paper tiles them with 3^k - 1 blocks alone; faro's 2-way table has
+eight odd bases, every power of which is admissible, and since 3 is among
+them no tail is left.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
 """
 
 from bisect import bisect_left
+from functools import cache
 
 from . import _fastpath
 from .permcore import kway_kind, validate_order
@@ -57,71 +61,104 @@ __all__ = ["k_shuffle", "k_unshuffle", "MAX_K"]
 
 MAX_K = 9
 
-# The bases p of each prime arity q: primes with q a primitive root of p^2,
-# hence of every p^j and, for odd q, of every 2p^j. Sorted by p^e, where
-# e = ord_q(p) is the first power whose block is admissible. A test checks
-# the table; nothing is searched at import.
-_BASES = {
-    2: (3, 5, 11, 13, 19, 29, 37, 53),
-    3: (7, 19, 5, 31, 43, 79, 127, 139),
-    5: (3, 7, 17, 23, 37, 43, 47, 53),
-    7: (71, 127, 13, 211, 239, 379, 491, 547),
+# The bases of each arity k, as (p, reps): odd primes p coprime to k, with
+# k^(p-1) != 1 mod p^2 and k != 1 mod p, each with the smallest member of
+# every coset of <k mod p> in (Z/p)^x, at most 8 of them. Sorted by p. A
+# test checks the table; nothing is searched at import. For k >= 3 the 32
+# bases were picked from the primes below 1500, greedily and then by swaps,
+# to cut the moves over every length up to 6000 and the time of lists up
+# to 2^16, where each walk call and rotation costs microseconds; the base
+# of the smallest admissible block stays, which at k = 4, 5, 6 and 9 has k
+# elements, so that only k = 3, 7 and 8 leave a tail.
+#
+# _TABLE spells each base "p:c,c,...", or "p" alone when its one coset
+# representative is 1 (k is a primitive root of p^2). Strings, since every
+# import compiles this module where bytecode is not cached, and nested
+# tuple literals of this size took 2.6 ms to compile against 0.06 ms.
+_TABLE = {
+    2: "3 5 11 13 19 29 37 53",
+    3: "5 7 17 19 29 31 37:1,2 43 47:1,5 53 59:1,2 67:1,2,4 71:1,7 79 89 97:1,5 113 127 139 149 "
+        "157:1,2 163 199 211 223 227:1,2 233 241:1,7 257 641 809 1087",
+    4: "5:1,2 7:1,3 11:1,2 13:1,2 17:1,2,3,6 19:1,2 29:1,2 37:1,2 41:1,2,3,6 53:1,2 59:1,2 "
+        "61:1,2 67:1,2 71:1,7 83:1,2 101:1,2 139:1,2 149:1,2 173:1,2 181:1,2 197:1,2 199:1,3 "
+        "211:1,2 229:1,2,3,5,6,7 239:1,7 317:1,2 461:1,2 557:1,2 977:1,2,3,6 1109:1,2 1301:1,2 "
+        "1493:1,2",
+    5: "3 7 11:1,2 13:1,2,4 23 41:1,3 43 53 61:1,2 83 101:1,2,4,8 109:1,2,4,8 131:1,2 139:1,2 "
+        "151:1,3 179:1,2 211:1,2,4,8,16,29 229:1,2 239:1,7 311:1,11 421:1,2 593 863 911:1,7 953 "
+        "1013 1051:1,2 1093 1283 1373 1481:1,3 1483",
+    6: "7:1,2,3 11 13 19:1,2 31:1,2,3,4,8 41 53:1,2 59 61 67:1,2 73:1,5 79 89 "
+        "97:1,2,3,4,5,7,10,20 103 109 127 139:1,2,3,4,8,9 151 157 181:1,2,3 199 211:1,2 223 233 "
+        "277 397 547:1,2 757 1039 1249:1,7 1381",
+    7: "11 13 23 29:1,2,4,8 37:1,2,3,5 41 43:1,2,3,4,5,9,10 47:1,5 53:1,2 61 67 71 79 97 107 "
+        "127 131:1,2 137:1,3 139:1,2 151 163 197:1,2 211 239 251:1,2 379 463:1,2,4 547 739 1019 "
+        "1187 1439",
+    8: "5 13:1,2,4 17:1,3 19:1,2,4 41:1,3 43:1,3,7 47:1,5 53 61:1,2,4 67:1,2,4 83 "
+        "89:1,3,5,9,11,13,19,33 97:1,2,4,5,10,19 101 113:1,3,5,9 137:1,3 149 179 "
+        "193:1,2,4,5,10,11 199:1,2,3,4,6,11 211:1,2,4 223:1,3,5,9,13,19 233:1,3,5,7,9,17,27,29 "
+        "239:1,7 313:1,2,3,5,10,15 401:1,3 457:1,3,5,7,13,31 569:1,3 809:1,3 929:1,3 1361:1,3 "
+        "1481:1,3,5,11",
+    9: "5:1,2 7:1,3 17:1,3 19:1,2 23:1,5 31:1,3 37:1,2,3,5 53:1,2 59:1,2 71:1,7 89:1,3 "
+        "109:1,2,4,8 113:1,3 127:1,3 163:1,2 181:1,2,4,7 197:1,2 199:1,3 233:1,3 241:1,2,7,13 "
+        "251:1,2 487:1,3 541:1,2,4,8 631:1,3 797:1,2 811:1,2 887:1,5 991:1,2,3,4,6,7 1031:1,7 "
+        "1063:1,3 1283:1,2 1499:1,2",
 }
 
-# aux accounting for every arity, 2-way included: the driver's locals plus
-# those of its deepest callee, independent of input size
-_DRIVER_AUX_WORDS = 24
+
+def _bases(text):
+    # the (p, reps) of each "p:c,c,..." or "p" in a _TABLE entry
+    bases = []
+    for base in text.split():
+        p, _, reps = base.partition(":")
+        bases.append((int(p), tuple(map(int, reps.split(","))) if reps else (1,)))
+    return tuple(bases)
 
 
-def _prime_factors(k: int) -> list[int]:
-    out = []
-    n, q = k, 2
-    while q * q <= n:
-        while n % q == 0:
-            out.append(q)
-            n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
+_BASES = {k: _bases(text) for k, text in _TABLE.items()}
+_REPS = {k: dict(bases) for k, bases in _BASES.items()}
+
+# aux accounting for every arity: the driver's locals plus those of its
+# deepest callee, the coset representatives and their cursor among them,
+# independent of input size
+_DRIVER_AUX_WORDS = 26
 
 
-def _ladder(q):
-    # Every admissible modulus of q's bases below 2^63 (the kernel's int64
-    # positions), largest first, as (modulus, p, j): p^j, and 2p^j, whenever
-    # q divides modulus - 1. At q = 2 that is every p^j, since the bases are
-    # odd, and never 2p^j.
+@cache
+def _ladder(k):
+    """k's block ladder and its fits, built on the first call for k.
+
+    The ladder is every admissible modulus of k's bases below 2^63 (the
+    kernel's int64 positions), largest first, as (modulus, p, j): p^j, and
+    2p^j, whenever k divides modulus - 1. For even k that is never 2p^j,
+    since 2p^j - 1 is odd. The fits are each rung's 1 - modulus, in
+    ascending order, so that bisect finds the largest block that fits. An
+    arity's ladder holds 149 to 324 rungs, so a process builds only those
+    it uses.
+    """
     rungs = []
-    for p in _BASES[q]:
+    for p, _ in _BASES[k]:
         power, j = p, 1
         while power < 1 << 63:
-            rungs += [(m, p, j) for m in (power, 2 * power) if m < 1 << 63 and (m - 1) % q == 0]
+            rungs += [(m, p, j) for m in (power, 2 * power) if m < 1 << 63 and (m - 1) % k == 0]
             power *= p
             j += 1
-    return tuple(sorted(rungs, reverse=True))
+    ladder = tuple(sorted(rungs, reverse=True))
+    return ladder, tuple(1 - modulus for modulus, _, _ in ladder)
 
 
-# The block ladder of each prime arity, built once from _BASES: 149, 111, 64
-# and 62 rungs for q = 2, 3, 5, 7. _FITS holds each rung's 1 - modulus, in
-# ascending order, so that bisect finds the largest block that fits.
-_LADDERS = {q: _ladder(q) for q in _BASES}
-_FITS = {q: tuple(1 - modulus for modulus, _, _ in ladder) for q, ladder in _LADDERS.items()}
-
-
-def _blocks(lo, hi, q):
+def _blocks(lo, hi, k):
     """Greedy tiling of [lo, hi), left to right, as runs (offset, modulus, p, j, count).
 
     A run is `count` adjacent blocks of modulus - 1 elements each, where
-    modulus is p^j or, for odd q, 2p^j, with p from the base table of q. Its
+    modulus is p^j or, for odd k, 2p^j, with p from the base table of k. Its
     block is the largest admissible one across the table that fits what
-    remains; admissible means q divides modulus - 1, so that every part
+    remains; admissible means k divides modulus - 1, so that every part
     gives the block a whole slice. The run takes as many of them as fit, so
-    each run is one bisect of q's ladder and one division, whatever its
+    each run is one bisect of k's ladder and one division, whatever its
     count. What fits no block comes last, as a tail run with p = j = 0,
-    count = 1 and modulus = its length + 1; at q = 2, where 3 is a base,
+    count = 1 and modulus = its length + 1; at k = 2, where 3 is a base,
     there is never a tail.
     """
-    ladder, fits = _LADDERS[q], _FITS[q]
+    ladder, fits = _ladder(k)
     offset = lo
     while offset < hi:
         i = bisect_left(fits, offset - hi)
@@ -134,21 +171,25 @@ def _blocks(lo, hi, q):
         offset += count * (modulus - 1)
 
 
-def _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk):
-    # modulus is p^j, or 2p^j for odd q. For s = 0..j-1, p^s leads the
-    # cycle of the positions whose p-part is p^s; when modulus is even that
-    # cycle holds only the odd ones, and 2p^s leads the even ones. One walk
-    # call takes each ladder of leaders, p^s and 2p^s for s < j. The cycles
-    # hold every position but p^j, which is fixed under an odd multiplier
-    # and is not walked; the moves are those positions plus one hold per
-    # cycle.
+def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, instr, walk):
+    # modulus is p^j, or 2p^j for odd k. For s = 0..j-1 and each coset
+    # representative c, c * p^s leads the cycle of the positions whose
+    # p-part is p^s and whose cofactor is c mod p; when modulus is even
+    # that cycle holds only the odd ones, led by c or c + p, whichever is
+    # odd, and 2c * p^s leads the even ones. One walk call takes each
+    # ladder of leaders, s < j. The cycles hold every position but p^j,
+    # which is fixed under an odd multiplier and is not walked; the moves
+    # are those positions plus one hold per cycle.
     base = offset - 1
     twin = modulus % 2 == 0
-    walk(buf, base, 1, mult, modulus, p, j)
-    if twin:
-        walk(buf, base, 2, mult, modulus, p, j)
+    for c in reps:
+        walk(buf, base, c + p if twin and c % 2 == 0 else c, mult, modulus, p, j)
+        if twin:
+            walk(buf, base, 2 * c, mult, modulus, p, j)
     if instr is not None:
-        instr.walk_moves += modulus - 1 - twin + (1 + twin) * j
+        cycles = len(reps) * (1 + twin) * j
+        instr.cycles += cycles
+        instr.walk_moves += modulus - 1 - twin + cycles
 
 
 def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
@@ -159,7 +200,7 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
     # size is bounded by the base table, not the buffer.
     modulus = length + 1
     base = offset - 1
-    moves = 0
+    moves = cycles = 0
     for lead in range(1, length + 1):
         probe = lead * mult % modulus
         if probe == lead:
@@ -172,63 +213,72 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
             continue
         walk(buf, base, lead, mult, modulus, 1, 1)
         moves += steps + 1
+        cycles += 1
     if instr is not None:
         instr.tail_moves += moves
+        instr.cycles += cycles
 
 
-def _gather_parts(buf, offset, part, b, q, instr, reverse):
+def _gather_parts(buf, offset, part, b, k, instr, reverse):
     # After rotation t, the first b elements of parts 1..t+1 sit contiguously
     # at `offset` and the part remainders stay in part order behind them.
-    for t in range(1, q):
+    for t in range(1, k):
         rotate_right(buf, offset + t * b, offset + t * part + b, b, instr, reverse=reverse)
 
 
-def _scatter_parts(buf, offset, part, b, q, instr, reverse):
+def _scatter_parts(buf, offset, part, b, k, instr, reverse):
     # Undo _gather_parts: the same windows in reverse order, each rotated
     # right by its width minus b.
-    for t in range(q - 1, 0, -1):
+    for t in range(k - 1, 0, -1):
         rotate_right(
             buf, offset + t * b, offset + t * part + b, t * (part - b), instr, reverse=reverse
         )
 
 
-def _prime_shuffle_range(buf, lo, hi, q, instr, kernel):
-    # The q-way shuffle of buf[lo:hi] for a prime q, block by block: gather
-    # the block's slice of every part to the front of what remains, then
-    # place the block by its cycle passes. The 2-way shuffles are q = 2.
-    # `kernel` is the buffer's (reverse, walk) pair from _fastpath.kernel.
+def _shuffle_range(buf, lo, hi, k, instr, kernel):
+    # The k-way shuffle of buf[lo:hi], block by block: gather the block's
+    # slice of every part to the front of what remains, then place the
+    # block by its cycle passes. The 2-way shuffles are k = 2. `kernel` is
+    # the buffer's (reverse, walk) pair from _fastpath.kernel.
     reverse, walk = kernel
+    reps_of = _REPS[k]
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
-    for start, modulus, p, j, count in _blocks(lo, hi, q):
+    for start, modulus, p, j, count in _blocks(lo, hi, k):
+        if instr is not None:
+            instr.blocks += count
         if j == 0:
-            _bounded_cycle_shuffle(buf, start, modulus - 1, q, instr, walk)
+            _bounded_cycle_shuffle(buf, start, modulus - 1, k, instr, walk)
             continue
+        reps = reps_of[p]
         for offset in range(start, start + count * (modulus - 1), modulus - 1):
-            _gather_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr, reverse)
-            _general_cycle_passes(buf, offset, j, p, q, modulus, instr, walk)
+            _gather_parts(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, instr, reverse)
+            _general_cycle_passes(buf, offset, j, p, reps, k, modulus, instr, walk)
 
 
-def _prime_unshuffle_range(buf, lo, hi, q, instr, kernel):
-    # Exact inverse of _prime_shuffle_range: undo the runs right to left,
-    # the tail first, and each run's blocks right to left. A scan of the
-    # tiling finds the run that ends at `done`; the tiling is rescanned per
-    # run instead of being stored, which keeps the state constant.
+def _unshuffle_range(buf, lo, hi, k, instr, kernel):
+    # Exact inverse of _shuffle_range: undo the runs right to left, the
+    # tail first, and each run's blocks right to left. A scan of the tiling
+    # finds the run that ends at `done`; the tiling is rescanned per run
+    # instead of being stored, which keeps the state constant.
     reverse, walk = kernel
+    reps_of = _REPS[k]
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
     done = hi
     while done > lo:
-        for start, modulus, p, j, count in _blocks(lo, hi, q):
+        for start, modulus, p, j, count in _blocks(lo, hi, k):
             if start + count * (modulus - 1) == done:
                 break
-        mult = pow(q, -1, modulus)
+        if instr is not None:
+            instr.blocks += count
+        mult = pow(k, -1, modulus)
         for offset in range(done - modulus + 1, start - 1, 1 - modulus):
             if j == 0:
                 _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr, walk)
             else:
-                _general_cycle_passes(buf, offset, j, p, mult, modulus, instr, walk)
-                _scatter_parts(buf, offset, (hi - offset) // q, (modulus - 1) // q, q, instr, reverse)
+                _general_cycle_passes(buf, offset, j, p, reps_of[p], mult, modulus, instr, walk)
+                _scatter_parts(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, instr, reverse)
         done = start
 
 
@@ -241,19 +291,13 @@ def _check_k_buffer(buf, k: int) -> None:
 def k_shuffle(buf, k: int, instr=None) -> None:
     """In-place k-way shuffle: the element at 1-based i moves to k*i mod (len + 1).
 
-    Prime arities use the cycle-leader construction directly; composite
-    arities apply one pass per prime factor (with multiplicity), which
-    composes to the same permutation.
+    One pass of the cycle-leader construction, for every arity 2..9.
     """
     _check_k_buffer(buf, k)
-    kernel = _fastpath.kernel(buf)
-    for q in _prime_factors(k):
-        _prime_shuffle_range(buf, 0, len(buf), q, instr, kernel)
+    _shuffle_range(buf, 0, len(buf), k, instr, _fastpath.kernel(buf))
 
 
 def k_unshuffle(buf, k: int, instr=None) -> None:
     """Exact inverse of :func:`k_shuffle`."""
     _check_k_buffer(buf, k)
-    kernel = _fastpath.kernel(buf)
-    for q in reversed(_prime_factors(k)):
-        _prime_unshuffle_range(buf, 0, len(buf), q, instr, kernel)
+    _unshuffle_range(buf, 0, len(buf), k, instr, _fastpath.kernel(buf))

@@ -14,10 +14,11 @@ General even lengths reduce to that case:
     3. run the k cycle-leader passes on the block;
     4. advance past the block and repeat on the rest.
 
-That is the paper's construction. faro runs it as the q = 2 case of the
-prime-arity driver in ``kway``, and there is only that one driver: the four
-functions here check their arguments and run it on [0, n), or on the
-interior [1, n - 1) for the out-shuffles. The driver tiles with a denser
+That is the paper's construction. faro runs it as the k = 2 case of the
+one-pass driver in ``kway``, which serves every arity 2..9 without the
+paper's composition of prime passes, and there is only that one driver:
+the four functions here check their arguments and run it on [0, n), or on
+the interior [1, n - 1) for the out-shuffles. The driver tiles with a denser
 ladder than 3^k - 1 alone: 2 is a primitive root of p^2, hence of every
 p^k, for each of its eight odd bases p (3, 5, 11, 13, 19, 29, 37, 53), so
 every block p^k - 1 has the k cycle leaders p^0 .. p^(k-1). The smaller
@@ -41,7 +42,7 @@ buffers can be shuffled concurrently.
 from dataclasses import dataclass
 
 from . import _fastpath
-from .kway import _blocks, _prime_shuffle_range, _prime_unshuffle_range
+from .kway import _blocks, _shuffle_range, _unshuffle_range
 from .permcore import IN_SHUFFLE, OUT_SHUFFLE, validate_order
 # unused here; kept bound because perfbench swaps faro.shuffle.rotate_right by name
 from .rotate import rotate_right  # noqa: F401
@@ -68,7 +69,13 @@ class Instrumentation:
     slot). A swap contributes two moves. It is the sum of three layers:
     ``rotate_moves`` (the reversals of the gather and scatter rotations),
     ``walk_moves`` (the cycle-leader walks of the blocks) and ``tail_moves``
-    (the leftover sweep of the odd prime arities).
+    (the leftover sweep of the arities whose smallest block leaves one).
+
+    ``blocks`` counts the blocks placed, a leftover tail as one, and
+    ``cycles`` the cycles walked, the tail's included. A block of modulus
+    m walks its m - 1 elements, less the fixed point of a 2p^j block, plus
+    one hold per cycle, so the walk and tail moves are the moving positions
+    plus ``cycles``.
 
     ``aux_words_peak`` is the high-water mark of auxiliary state declared by
     the routines: element-sized temporaries plus integer bookkeeping slots,
@@ -81,6 +88,8 @@ class Instrumentation:
     rotate_moves: int = 0
     walk_moves: int = 0
     tail_moves: int = 0
+    blocks: int = 0
+    cycles: int = 0
     aux_words_peak: int = 0
 
     @property
@@ -184,13 +193,13 @@ def in_shuffle(buf, instr=None) -> None:
     first card of the second half coming out on top.
     """
     validate_order(IN_SHUFFLE, len(buf))
-    _prime_shuffle_range(buf, 0, len(buf), 2, instr, _fastpath.kernel(buf))
+    _shuffle_range(buf, 0, len(buf), 2, instr, _fastpath.kernel(buf))
 
 
 def un_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`in_shuffle`, block by block in reverse."""
     validate_order(IN_SHUFFLE, len(buf))
-    _prime_unshuffle_range(buf, 0, len(buf), 2, instr, _fastpath.kernel(buf))
+    _unshuffle_range(buf, 0, len(buf), 2, instr, _fastpath.kernel(buf))
 
 
 def out_shuffle(buf, instr=None) -> None:
@@ -200,10 +209,10 @@ def out_shuffle(buf, instr=None) -> None:
     permutation of the interleave that keeps the original top card on top.
     """
     validate_order(OUT_SHUFFLE, len(buf))
-    _prime_shuffle_range(buf, 1, len(buf) - 1, 2, instr, _fastpath.kernel(buf))
+    _shuffle_range(buf, 1, len(buf) - 1, 2, instr, _fastpath.kernel(buf))
 
 
 def un_out_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`out_shuffle`."""
     validate_order(OUT_SHUFFLE, len(buf))
-    _prime_unshuffle_range(buf, 1, len(buf) - 1, 2, instr, _fastpath.kernel(buf))
+    _unshuffle_range(buf, 1, len(buf) - 1, 2, instr, _fastpath.kernel(buf))

@@ -16,7 +16,7 @@ from conftest import CountingList
 
 import faro
 from faro import _fastpath, _loops, cli
-from faro.kway import _LADDERS, _blocks, _prime_factors, k_shuffle, k_unshuffle
+from faro.kway import _REPS, _blocks, _general_cycle_passes, _ladder, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
 from faro.rotate import reverse_range, rotate_right
@@ -47,16 +47,16 @@ def test_mulmod_matches_python_near_2_63():
 
 def _multipliers(m):
     """Units mod m that reach each kind of walk step: q and q^-1 mod m for
-    every q in 2, 3, 5, 7 coprime to m, and a unit with neither side at most
-    7 when there is one, which takes mulmod."""
-    units = [mult for q in (2, 3, 5, 7) if q < m and gcd(q, m) == 1 for mult in (q, pow(q, -1, m))]
-    big = (u for u in range(m // 3, m) if gcd(u, m) == 1 and min(u, pow(u, -1, m)) > 7)
+    every arity q in 2..9 coprime to m, and a unit with neither side at most
+    9 when there is one, which takes mulmod."""
+    units = [mult for q in range(2, 10) if q < m and gcd(q, m) == 1 for mult in (q, pow(q, -1, m))]
+    big = (u for u in range(m // 3, m) if gcd(u, m) == 1 and min(u, pow(u, -1, m)) > 9)
     return units + [u for u in [next(big, None)] if u is not None]
 
 
 def _fast(f, m):
     """Whether the walk has a step by x f mod m that does not divide."""
-    return f == 2 or f in (3, 5, 7) and f * m <= 2**32
+    return f == 2 or 3 <= f <= 9 and f * m <= 2**32
 
 
 @needs_kernel
@@ -68,7 +68,7 @@ def test_walk_step_matches_python_at_the_edges_of_each_path():
     moduli = {3, 4, 5, 8, 9, 11, 243, 2 * 7**5, 3**12, 2**32 - 5, 2**32 + 15, 3**39}
     moduli |= {2**63 - d for d in range(1, 40)} | {rng.randrange(2**61, 2**63) for _ in range(10)}
     # Lemire's fastmod serves the q-way steps while q * m <= 2^32
-    for q in (3, 5, 7):
+    for q in range(3, 10):
         moduli |= set(range(2**32 // q - 3, 2**32 // q + 4))
     for m in sorted(moduli):
         for mult in _multipliers(m) + [1, m - 1]:
@@ -109,23 +109,30 @@ def test_native_walk_matches_the_pure_walk(itemsize):
 
 @needs_kernel
 def test_forward_and_inverse_walks_run_at_one_speed():
-    # Both directions of the 2-, 3-, 5- and 7-way walks step by x q without
-    # a division. A direction that fell back to one, or to a copy call per
-    # item, would be far slower: on a 2-core Xeon the two directions read
-    # within 1.12x of each other, and a forward 3-way walk forced onto
-    # mulmod 2.85x. The blocks fit in L2, so the walks are bound by the
-    # step rather than by memory: (q, p, j, twin).
-    for q, p, j, twin in ((2, 3, 11, 1), (3, 7, 5, 2), (5, 3, 10, 1), (7, 13, 4, 2)):
-        m = twin * p**j
+    # Both directions of every walk step by x q without a division. A
+    # direction that fell back to one, or to a copy call per item, would be
+    # far slower: on a 2-core Xeon the two directions read within 1.12x of
+    # each other, and a forward 3-way walk forced onto mulmod 2.85x. The
+    # blocks fit in L2, so the walks are bound by the step rather than by
+    # memory. Each is one block's cycle passes, every coset representative
+    # of its base included: (q, p, j, modulus).
+    for q, p, j, m in (
+        (2, 3, 11, 3**11),
+        (3, 7, 5, 2 * 7**5),
+        (4, 5, 7, 5**7),
+        (5, 3, 10, 3**10),
+        (7, 13, 4, 2 * 13**4),
+        (9, 5, 7, 2 * 5**7),
+    ):
         buf = np.arange(m - 1, dtype=np.int64)
         walk = _fastpath.kernel(buf)[1]
+        reps = tuple(sorted({min(c * q**t % p for t in range(p)) for c in range(1, p)}))
 
         def best(mult):
             times = []
             for _ in range(7):
                 start = time.perf_counter()
-                for c in range(1, twin + 1):
-                    walk(buf, -1, c, mult, m, p, j)
+                _general_cycle_passes(buf, 0, j, p, reps, mult, m, None, walk)
                 times.append(time.perf_counter() - start)
             return min(times)
 
@@ -248,15 +255,13 @@ def _verify_lengths(kind):
     """0 and the smallest order, orders just around every admissible block
     of the table below 1001, and a tail just below the smallest block."""
     if kind.family != "kway":
-        blocks = {m - 1 for m, _, _ in _LADDERS[2] if m <= 1001}
+        blocks = {m - 1 for m, _, _ in _ladder(2)[0] if m <= 1001}
         lengths = {0, 2} | {b + d for b in blocks for d in (-2, 0, 2)}
         return sorted(lengths - ({0} if kind.family == "out" else set()))
     k = kind.k
-    lengths = {0, k}
-    for q in set(_prime_factors(k)):
-        blocks = {m - 1 for m, _, _ in _LADDERS[q] if m <= 1001}
-        lengths.add(max(min(blocks) // k * k - k, 0))
-        lengths |= {b // k * k for b in blocks} | {(b // k + 1) * k for b in blocks}
+    blocks = {m - 1 for m, _, _ in _ladder(k)[0] if m <= 1001}
+    lengths = {0, k, max(min(blocks) - k, 0)}
+    lengths |= {b // k * k for b in blocks} | {(b // k + 1) * k for b in blocks}
     return sorted(lengths)
 
 
@@ -425,30 +430,32 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
         reverse, walk = real_kernel(buf)
         return counting("reverse", reverse), counting("walk", walk)
 
-    def ladders(n, q):
-        # one walk call per ladder: one per block, a second for a twin
-        # block 2p^j, and one per cycle of the tail
+    def ladders(n, k):
+        # one walk call per ladder: d per block, one per coset representative
+        # of its base, twice that for a twin block 2p^j, and one per cycle
+        # of the tail
         calls = 0
-        for _, modulus, _, j, count in _blocks(0, n, q):
+        for _, modulus, p, j, count in _blocks(0, n, k):
             if j:
-                calls += count * (1 + (modulus % 2 == 0))
+                calls += count * len(_REPS[k][p]) * (1 + (modulus % 2 == 0))
             else:
-                calls += len(cycle_decomposition(kway_kind(q), modulus - 1).cycles)
+                calls += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
         return calls
 
     monkeypatch.setattr(_fastpath, "kernel", kernel)
-    # (call, length, prime passes, walk calls)
+    # (call, length, walk calls, reversals to exceed); every call is one pass
     calls = [
-        (lambda buf: k_shuffle(buf, 6), 60_000, 2, ladders(60_000, 2) + ladders(60_000, 3)),
-        (un_shuffle, 1 << 16, 1, ladders(1 << 16, 2)),
+        (lambda buf: k_shuffle(buf, 6), 60_000, ladders(60_000, 6), 20),
+        (lambda buf: k_unshuffle(buf, 9), 59_994, ladders(59_994, 9), 20),
+        (un_shuffle, 1 << 16, ladders(1 << 16, 2), 10),
     ]
-    for call, n, passes, walks in calls:
+    for call, n, walks, reversals in calls:
         counts.update(kernel=0, reverse=0, walk=0)
         buf = np.arange(n, dtype=np.int64)
         call(buf)
         assert sorted(buf.tolist()) == list(range(n))
         assert counts["kernel"] == 1, counts
-        assert counts["reverse"] > 10 * passes and counts["walk"] == walks, (counts, walks)
+        assert counts["reverse"] > reversals and counts["walk"] == walks, (counts, walks)
 
     counts.update(kernel=0, reverse=0)
     buf = list(range(10))

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from faro import _fastpath, kway
-from faro.kway import _prime_factors, k_shuffle, k_unshuffle
+from faro.kway import k_shuffle, k_unshuffle
 from faro.numtheory import euler_totient, is_primitive_root, multiplicative_order
 from faro.oracle import oracle_shuffle
 from faro.permcore import cycle_decomposition, kway_kind
@@ -15,11 +15,13 @@ from faro.shuffle import Instrumentation, in_shuffle
 @pytest.mark.parametrize("k", [4, 9])
 def test_squares_have_no_base(k):
     # a square residue generates at most half of any unit group, so no
-    # prime p makes it a primitive root of p^2: squares are reached only by
-    # composing prime passes
+    # prime p makes it a primitive root of p^2: the paper reaches squares
+    # only by composing prime passes, while every base of their tables has
+    # two or more coset representatives
     for p in range(3, 101, 2):
         if euler_totient(p) == p - 1 and gcd(k, p) == 1:
             assert not is_primitive_root(k, p * p), p
+    assert all(len(reps) >= 2 for _, reps in kway._BASES[k])
 
 
 def test_k_shuffle_arity_two_is_bit_identical_to_in_shuffle():
@@ -57,43 +59,55 @@ def test_k3_exact_block_structure():
 
 
 def test_base_table_is_valid():
-    # every prime factor of a supported arity has a table; each entry is a
-    # prime p coprime to q with q a primitive root of p^2, so of every p^j
-    # and, for odd q, of every 2p^j; entries are sorted by their first
-    # admissible power p^e, e = ord_q(p)
-    assert set(kway._BASES) == {q for k in range(2, 10) for q in _prime_factors(k)}
-    assert kway._BASES[2] == (3, 5, 11, 13, 19, 29, 37, 53)
-    for q, bases in kway._BASES.items():
-        for p in bases:
+    # every supported arity has a table, sorted by p; each entry is an odd
+    # prime p coprime to k, with k^(p-1) != 1 mod p^2 (so the order of k
+    # mod p^t is ord_p(k) * p^(t-1) and the cosets of <k> mod every p^t are
+    # fixed by the residue mod p) and k != 1 mod p, and its reps are the
+    # smallest member of each of the d = (p - 1) / ord_p(k) <= 8 cosets of
+    # <k mod p> in (Z/p)^x
+    assert set(kway._BASES) == set(range(2, kway.MAX_K + 1))
+    assert kway._BASES[2] == tuple((p, (1,)) for p in (3, 5, 11, 13, 19, 29, 37, 53))
+    for k, bases in kway._BASES.items():
+        primes = [p for p, _ in bases]
+        assert primes == sorted(set(primes)), k
+        for p, reps in bases:
             assert p > 2 and euler_totient(p) == p - 1, p
-            assert gcd(p, q) == 1, p
-            assert is_primitive_root(q, p * p), (q, p)
-        firsts = [p ** multiplicative_order(p, q) for p in bases]
-        assert firsts == sorted(firsts), q
+            assert gcd(p, k) == 1 and k % p != 1, (k, p)
+            order = multiplicative_order(k, p)
+            assert multiplicative_order(k, p * p) == order * p, (k, p)
+            smallest, seen = [], set()
+            for c in range(1, p):
+                if c not in seen:
+                    smallest.append(c)
+                    seen |= {c * pow(k, t, p) % p for t in range(order)}
+            assert reps == tuple(smallest), (k, p)
+            assert len(reps) == (p - 1) // order <= 8, (k, p)
+            # d = 1 is the paper's case: k is a primitive root of p^2
+            assert (len(reps) == 1) == is_primitive_root(k, p * p), (k, p)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("q", range(2, 10))
 def test_ladder_is_every_admissible_rung_largest_first(q):
     # brute force: p^j, and 2p^j for odd q, of every base below 2^63, kept
     # when q divides modulus - 1
-    ladder = kway._LADDERS[q]
+    ladder, fits = kway._ladder(q)
     moduli = [modulus for modulus, _, _ in ladder]
     assert all(a > b for a, b in zip(moduli, moduli[1:]))
     expected = set()
-    for p in kway._BASES[q]:
+    for p, _ in kway._BASES[q]:
         for j in range(1, 64):
             for c in (1, 2) if q > 2 else (1,):
                 if c * p**j < 1 << 63 and (c * p**j - 1) % q == 0:
                     expected.add((c * p**j, p, j))
     assert set(ladder) == expected
-    assert kway._FITS[q] == tuple(1 - modulus for modulus in moduli)
+    assert fits == tuple(1 - modulus for modulus in moduli)
 
 
 def _naive_blocks(lo, hi, q):
     # the largest admissible block that fits, one block at a time
     offset = lo
     while offset < hi:
-        fits = [rung for rung in kway._LADDERS[q] if rung[0] - 1 <= hi - offset]
+        fits = [rung for rung in kway._ladder(q)[0] if rung[0] - 1 <= hi - offset]
         if not fits:
             yield offset, hi - offset + 1, 0, 0
             return
@@ -102,7 +116,7 @@ def _naive_blocks(lo, hi, q):
         offset += modulus - 1
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("q", range(2, 10))
 def test_blocks_are_the_naive_greedy_tiling(q):
     rng = random.Random(q)
     for case in range(200):
@@ -121,12 +135,19 @@ def test_blocks_are_the_naive_greedy_tiling(q):
         assert blocks == list(_naive_blocks(lo, hi, q)), (lo, hi)
 
 
-@pytest.mark.parametrize("k,n", [(2, 19_998), (3, 900), (5, 4_000), (7, 2_100)])
+@pytest.mark.parametrize(
+    "k,n",
+    [(2, 19_998), (3, 900), (4, 4_000), (5, 4_000), (6, 3_000), (7, 2_093), (8, 4_000),
+     (9, 3_600)],
+)
 def test_moves_split_by_layer(k, n, monkeypatch):
     # rotate_moves are the moves made inside the gather and scatter
     # rotations; walk_moves and tail_moves are, for each block and for the
     # tail, its moving positions plus one hold load per cycle; moves is
-    # their sum
+    # their sum. blocks counts every block, the tail as one, and cycles
+    # every cycle walked. A block of modulus m moves its m - 1 positions but
+    # the fixed point p^j of a twin 2p^j, in d * j cycles, twice that for a
+    # twin, where d is the number of coset representatives of p.
     rotated = []
 
     def counted(buf, lo, hi, d, instr, **kernel):
@@ -135,22 +156,86 @@ def test_moves_split_by_layer(k, n, monkeypatch):
         rotated.append(instr.moves - before)
 
     monkeypatch.setattr(kway, "rotate_right", counted)
-    walk = tail = 0
-    for _, modulus, _, j, count in kway._blocks(0, n, k):
+    walk = tail = blocks = walked = 0
+    for _, modulus, p, j, count in kway._blocks(0, n, k):
         cycles = cycle_decomposition(kway_kind(k), modulus - 1)
+        blocks += count
+        walked += count * len(cycles.cycles)
         if j:
+            twin = modulus % 2 == 0
+            block_cycles = len(kway._REPS[k][p]) * (1 + twin) * j
+            assert (cycles.moved_count(), len(cycles.cycles)) == (modulus - 1 - twin, block_cycles)
             walk += count * (cycles.moved_count() + len(cycles.cycles))
         else:
             tail += cycles.moved_count() + len(cycles.cycles)
-    # q = 2 and 5 have a block of q elements (moduli 3 and 6), so no tail
-    assert (tail > 0) == (k in (3, 7))
+    # every arity but 3, 7 and 8 has a block of k elements (modulus k + 1 =
+    # p or 2p), so only those three leave a tail
+    assert (tail > 0) == (k in (3, 7, 8))
     for call in (k_shuffle, k_unshuffle):
         rotated.clear()
         instr = Instrumentation()
         call(list(range(n)), k, instr)
         assert (instr.rotate_moves, instr.walk_moves, instr.tail_moves) == (sum(rotated), walk, tail)
+        assert (instr.blocks, instr.cycles) == (blocks, walked)
         assert sum(rotated) > 0
         assert instr.moves == sum(rotated) + walk + tail
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_leaders_meet_every_cycle_once(k):
+    # the leaders of a block's cycle passes, c * p^s and, for a twin block,
+    # c' * p^s and 2c * p^s, lie on distinct moving cycles and cover them
+    # all, for every rung of the ladder up to 5000
+    for modulus, p, j in kway._ladder(k)[0]:
+        if modulus > 5000:
+            continue
+        leaders = []
+
+        def walk(buf, base, leader, mult, modulus, p, count):
+            leaders.extend(leader * p**s for s in range(count))
+
+        kway._general_cycle_passes(None, 0, j, p, kway._REPS[k][p], k, modulus, None, walk)
+        cycles = cycle_decomposition(kway_kind(k), modulus - 1).cycles
+        owner = {i: c for c, cycle in enumerate(cycles) for i in cycle}
+        met = sorted(owner.get(leader, -1) for leader in leaders)
+        assert met == list(range(len(cycles))), modulus
+
+
+# Worst and mean moves per element over the sweep of
+# test_one_pass_beats_the_prime_passes, as the driver made them with bases of
+# which k was a primitive root and one pass per prime factor of k: the
+# 2-way table for 4 and 8, 2 then 3 for 6, 3 twice for 9
+_PRIME_PASSES = {
+    3: (4.069, 3.112),
+    4: (5.371, 4.489),
+    5: (15.2, 5.323),
+    6: (6.771, 5.344),
+    7: (27.457, 11.411),
+    8: (8.066, 6.725),
+    9: (8.275, 6.222),
+}
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_one_pass_beats_the_prime_passes(k):
+    # every multiple of k up to 6000 and 150 random ones up to 2^16, both
+    # directions, longest first on one list: each round trip restores it,
+    # and cutting its end leaves the next length
+    rng = random.Random(13)
+    lengths = list(range(k, 6001, k))
+    lengths += [k * rng.randrange(1, (1 << 16) // k + 1) for _ in range(150)]
+    buf = list(range(max(lengths)))
+    ratios = []
+    for n in sorted(lengths, reverse=True):
+        del buf[n:]
+        for call in (k_shuffle, k_unshuffle):
+            instr = Instrumentation()
+            call(buf, k, instr)
+            ratios.append(instr.moves / n)
+    assert buf == list(range(k))
+    worst, mean = _PRIME_PASSES[k]
+    assert max(ratios) <= worst
+    assert sum(ratios) / len(ratios) <= mean
 
 
 @pytest.mark.parametrize("k,p,j,moves", [(3, 5, 3, 254), (5, 3, 5, 494)])

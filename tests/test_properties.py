@@ -1,7 +1,7 @@
 """Differential property tests over the one shuffle driver.
 
-Every kind (in, out, k:2..9) runs in both directions through the prime
-driver in ``faro.kway``; the 2-way kinds are its q = 2, p = 3 case. Lengths
+Every kind (in, out, k:2..9) runs in both directions through the one-pass
+driver in ``faro.kway``; the 2-way kinds are its k = 2 case. Lengths
 are drawn mostly next to the block sizes c * p^j - 1 of every base in the
 table, where the greedy tiling changes shape, and just below the smallest
 block, where only the k-way tail is left.
@@ -19,7 +19,7 @@ from conftest import CountingList
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faro.kway import _BASES, _prime_factors, k_shuffle, k_unshuffle
+from faro.kway import _BASES, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, kway_kind
 from faro.shuffle import (
@@ -60,63 +60,73 @@ def _kind_calls(kind):
     )
 
 
-def _rungs(q, limit):
-    """The admissible moduli p^j and, for odd q, 2p^j of q's bases, up to limit."""
+def _rungs(k, limit):
+    """The admissible moduli p^j and, for odd k, 2p^j of k's bases, up to limit."""
     rungs = set()
-    for p in _BASES[q]:
+    for p, _ in _BASES[k]:
         power = p
         while power <= limit:
-            rungs |= {m for m in (power, 2 * power) if (m - 1) % q == 0}
+            rungs |= {m for m in (power, 2 * power) if (m - 1) % k == 0}
             power *= p
     return sorted(rungs)
 
 
-def _near_blocks(arity):
-    """c * p^j - 1 + d for every base p of each prime factor q, c in {1, 2},
-    d in {0, ±1, ±q}; and tails just below q's smallest block."""
+def _near_blocks(k):
+    """c * p^j - 1 + d for every base p of the arity k, c in {1, 2}, d in
+    {0, ±1, ±k}; and tails just below k's smallest block."""
     near = set()
-    for q in set(_prime_factors(arity)):
-        for p in _BASES[q]:
-            for c in (1, 2):
-                block = c * p - 1
-                while block <= MAX_LENGTH:
-                    near |= {block + d for d in (-q, -1, 0, 1, q)}
-                    block = (block + 1) * p - 1
-        smallest = _rungs(q, MAX_LENGTH)[0] - 1
-        near |= {smallest - d for d in range(1, 2 * q + 1)}
+    for p, _ in _BASES[k]:
+        for c in (1, 2):
+            block = c * p - 1
+            while block <= MAX_LENGTH:
+                near |= {block + d for d in (-k, -1, 0, 1, k)}
+                block = (block + 1) * p - 1
+    smallest = _rungs(k, MAX_LENGTH)[0] - 1
+    near |= {smallest - d for d in range(1, 2 * k + 1)}
     return sorted(near)
 
 
-def _moves_per_element(q):
-    """Moves per element that one q-way prime pass may take, from its ladder.
+def _moves_bound(kind, k, n):
+    """Moves one pass of arity k may take on n elements, from its table.
 
-    A pass over n elements places block i, of B_i = M_i - 1 elements with M_i
-    a rung, in a window of W_i elements (W_0 = n, W_(i+1) = W_i - B_i):
-      * its gather rotates windows of t(W_i - B_i)/q + B_i/q elements for
-        t = 1..q-1, at two moves per element at most: (q - 1)(W_i - B_i)
-        + 2(q - 1)B_i/q moves;
+    The pass tiles greedily: block i, of B_i = M_i - 1 elements with M_i the
+    largest rung not above W_i + 1, sits in a window of W_i elements (W_0 =
+    n, less 2 for an out-shuffle, and W_(i+1) = W_i - B_i):
+      * its gather rotates windows of t(W_i - B_i)/k + B_i/k elements for
+        t = 1..k-1, at two moves per element at most: (k - 1)(W_i - B_i)
+        + 2(k - 1)B_i/k moves;
       * its cycle passes write each of its elements once, plus one hold
-        load per leader;
-      * M_i is the largest rung not above W_i + 1, so the next rung, at most
-        r * M_i for the largest ratio r of consecutive rungs, lies above
-        W_i + 1: W_i - B_i < (r - 1) M_i.
-    With sum B_i <= n this gives 1 + 2(q - 1)/q + (q - 1)(r - 1) moves per
-    element. The leader loads and the + 1 in M_i are lower order and are
-    absorbed by the gather term, which is loose on the later, smaller
-    windows. The tail below the smallest block moves at most twice per
-    element, which the slack in _moves_bound covers.
+        load per cycle: d * j of them for M_i = p^j and 2d * j for 2p^j,
+        where d is the number of coset representatives of p.
+    What no rung fits is the tail, which moves at most twice per element.
+    Bounding every W_i - B_i by (r - 1) M_i, for the largest ratio r of
+    consecutive rungs, would give 1 + 2(k - 1)/k + (k - 1)(r - 1) moves per
+    element; but r is set by the sparse rungs at the bottom of the ladder,
+    which only the last, small windows use, and (k - 1)(r - 1) grows with k.
+    Summed block by block, the bound is tighter at every length than one
+    such term per prime factor of k, which is what the arities that were
+    composed of prime passes had.
     """
-    rungs = _rungs(q, 1 << 24)
-    r = max(b / a for a, b in zip(rungs, rungs[1:]) if a <= MAX_LENGTH + 1)
-    return 1 + 2 * (q - 1) / q + (q - 1) * (r - 1)
-
-
-def _moves_bound(kind, arity, n):
-    """Moves a whole call of `kind` on n elements may take: one bound per pass."""
     if kind == "out":
         n -= 2
-    passes = _prime_factors(arity)
-    return sum(_moves_per_element(q) * n + 2 * _rungs(q, MAX_LENGTH)[0] for q in passes)
+    cycles = {}  # admissible modulus -> cycles of its block
+    for p, reps in _BASES[k]:
+        power, j = p, 1
+        while power <= n + 1:
+            for c in (1, 2):
+                if (c * power - 1) % k == 0:
+                    cycles[c * power] = len(reps) * c * j
+            power *= p
+            j += 1
+    moves, window = 0, n
+    while window:
+        fits = [m for m in cycles if m - 1 <= window]
+        if not fits:
+            return moves + 2 * window
+        block = max(fits) - 1
+        moves += (k - 1) * (window - block) + 2 * (k - 1) * block / k + block + cycles[block + 1]
+        window -= block
+    return moves
 
 
 def _legal_length(kind, arity, raw):
@@ -157,7 +167,7 @@ def test_every_kind_matches_the_oracle_and_round_trips(kind, inverse, data):
     buf, instr = CountingList(original), Instrumentation()
     forward(buf, instr)
     assert instr.moves <= _moves_bound(kind, arity, n)
-    assert instr.aux_words_peak == 24
+    assert instr.aux_words_peak == 26
     if inverse:
         assert oracle_shuffle(buf, shuffle_kind) == original
     else:

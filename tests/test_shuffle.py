@@ -50,7 +50,8 @@ def test_plan_blocks_rejects_odd_totals():
 def test_plan_blocks_invariants():
     # every p^k of a 2-way base is admissible, and the plan takes the
     # largest such block that still fits, left to right
-    rungs = sorted(p**k for p in _BASES[2] for k in range(1, 40) if p**k < 1 << 40)
+    bases = [p for p, _ in _BASES[2]]
+    rungs = sorted(p**k for p in bases for k in range(1, 40) if p**k < 1 << 40)
     rng = random.Random(12)
     totals = [2 * rng.randrange(0, 500_000) for _ in range(60)] + [2, 4, 80, 3**9 - 1]
     for total in totals:
@@ -60,7 +61,7 @@ def test_plan_blocks_invariants():
         remaining = total
         for block in plan.blocks:
             assert block.offset == position
-            assert block.p in _BASES[2]
+            assert block.p in bases
             assert block.size == block.p**block.k - 1
             assert block.size + 1 == max(m for m in rungs if m - 1 <= remaining)
             position += block.size
@@ -69,8 +70,9 @@ def test_plan_blocks_invariants():
 
 
 def cycle_leader_pass(buf, offset, k, instr=None):
-    # the driver's cycle-leader passes on one 3^k - 1 block, at q = 2, p = 3
-    _general_cycle_passes(buf, offset, k, 3, 2, 3**k, instr, _fastpath.kernel(buf)[1])
+    # the driver's cycle-leader passes on one 3^k - 1 block, at arity 2 and
+    # p = 3, whose one coset representative is 1
+    _general_cycle_passes(buf, offset, k, 3, (1,), 2, 3**k, instr, _fastpath.kernel(buf)[1])
 
 
 def test_cycle_leader_pass_small_blocks():
