@@ -1,5 +1,6 @@
 /* Native twins of the loops in _loops.py, and the check faro apply --verify
- * makes, loaded by _fastpath with ctypes.
+ * makes: the CPython extension module _kernel, built and loaded by
+ * _fastpath.
  *
  * Items are opaque runs of `itemsize` bytes at buf + i * itemsize, moved with
  * fixed 8-byte copies; itemsize 8 gets its own constant-size copy of each
@@ -10,19 +11,15 @@
  * walk of a q-way pass steps j -> q * j mod m, without a division: the
  * forward passes (mult = q) push each item on to its target q * j, and the
  * inverse passes (mult = q^-1) pull each slot's item from its source q * j
- * (see struct step). _fastpath checks every range and ladder against the
- * buffer length before calling in.
+ * (see struct step).
  *
- * When Python.h is on the include path, the same loops also serve exact
- * lists, over their PyObject * slots (see the list entries at the end).
+ * The entries at the end take an exact list, over its PyObject * slots, or
+ * any writable, C-contiguous, 1-D buffer (an ndarray, a bytearray), and
+ * check every range and ladder against it before a loop runs; only agree
+ * leaves its checks to _fastpath.agree.
  */
-#if defined(__has_include)
-#if __has_include(<Python.h>)
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#define FARO_LISTS 1
-#endif
-#endif
 
 #include <stdint.h>
 #include <string.h>
@@ -36,9 +33,6 @@ static inline int64_t mulmod(int64_t a, int64_t b, int64_t m)
     unsigned __int128 p = (unsigned __int128)a * (uint64_t)b;
     return (int64_t)(p >> 64 ? p % (uint64_t)m : (uint64_t)p % (uint64_t)m);
 }
-
-/* the MULMOD step of the walks below, exported for testing */
-int64_t faro_mulmod(int64_t a, int64_t b, int64_t m) { return mulmod(a, b, m); }
 
 /* a^-1 mod m by extended Euclid, for 0 <= a < m; 0 when gcd(a, m) != 1 */
 static int64_t inverse(int64_t a, int64_t m)
@@ -108,15 +102,6 @@ static inline __attribute__((always_inline)) int64_t next(const struct step *st,
     }
 }
 
-/* the slot after j in the order a walk under x mult mod modulus visits
- * slots, f * j mod modulus, or -1 when mult is no unit; exported for
- * testing */
-int64_t faro_step(int64_t j, int64_t mult, int64_t modulus)
-{
-    struct step st;
-    return plan(&st, mult, modulus) ? next(&st, st.kind, j) : -1;
-}
-
 /* exchange n bytes a word at a time, through registers */
 static inline void swap_bytes(char *a, char *b, size_t n)
 {
@@ -141,7 +126,7 @@ static inline void reverse(char *buf, size_t size, int64_t lo, int64_t hi)
         swap_bytes(buf + lo * size, buf + hi * size, size);
 }
 
-void faro_reverse(char *buf, size_t itemsize, int64_t lo, int64_t hi)
+static void reverse_items(char *buf, size_t itemsize, int64_t lo, int64_t hi)
 {
     if (itemsize == 8)
         reverse(buf, 8, lo, hi);
@@ -225,20 +210,17 @@ static inline __attribute__((always_inline)) void ladder(char *buf, size_t size,
     }
 }
 
-/* does nothing when mult is no unit; _fastpath checks that it is one, and
- * that leader * p^s lies in (0, modulus) for every s < count */
-void faro_walk(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t mult, int64_t modulus,
-               int64_t p, int64_t count)
+/* the ladder under the step st, one COLUMN-byte column of the items at a
+ * time */
+static void walk_items(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t p, int64_t count,
+                       const struct step *st)
 {
-    struct step st;
-    if (!plan(&st, mult, modulus))
-        return;
     if (itemsize == 8)
-        ladder(buf, 8, 8, base, leader, p, count, &st);
+        ladder(buf, 8, 8, base, leader, p, count, st);
     else
         for (size_t off = 0; off < itemsize; off += COLUMN)
             ladder(buf + off, itemsize, itemsize - off < COLUMN ? itemsize - off : COLUMN, base, leader, p,
-                   count, &st);
+                   count, st);
 }
 
 /* 1 iff item i of chunk equals item base + ((j0 + i) * mult mod modulus)
@@ -247,8 +229,8 @@ void faro_walk(char *buf, size_t itemsize, int64_t base, int64_t leader, int64_t
  * j -> j * mult. Reads only; _fastpath checks that mult < modulus is a unit,
  * that 1 <= j0 <= j0 + count <= modulus, and that chunk holds count items
  * and res items base + 1 .. base + modulus - 1. */
-int faro_agree(const char *chunk, const char *res, size_t itemsize, int64_t base, int64_t mult, int64_t modulus,
-               int64_t j0, int64_t count)
+static int agree_items(const char *chunk, const char *res, size_t itemsize, int64_t base, int64_t mult,
+                       int64_t modulus, int64_t j0, int64_t count)
 {
     int64_t t = mulmod(j0, mult, modulus);
     for (int64_t i = 0; i < count; i++) {
@@ -259,47 +241,6 @@ int faro_agree(const char *chunk, const char *res, size_t itemsize, int64_t base
             t -= modulus;
     }
     return 1;
-}
-
-#ifdef FARO_LISTS
-/* The list entries. A permutation of a list's slots leaves every refcount as
- * it was, so the loops above move the PyObject * slots as 8-byte items.
- * _fastpath binds these through ctypes.PyDLL, so they run with the GIL held
- * and may raise; they check the list's current size on every call and keep
- * no pointer into it, since another thread may resize it between two calls.
- * Their integers arrive as Python objects, since ctypes would wrap one beyond
- * 64 bits into range instead of refusing it.
- */
-static int not_a_list(PyObject *list)
-{
-    if (PyList_CheckExact(list))
-        return 0;
-    PyErr_Format(PyExc_TypeError, "expected a list, got %s", Py_TYPE(list)->tp_name);
-    return 1;
-}
-
-/* 1 with OverflowError or TypeError set unless arg is an int64 */
-static int not_int64(PyObject *arg, int64_t *value)
-{
-    long long v = PyLong_AsLongLong(arg);
-    if (v == -1 && PyErr_Occurred())
-        return 1;
-    *value = v;
-    return 0;
-}
-
-void faro_list_reverse(PyObject *list, PyObject *lo_arg, PyObject *hi_arg)
-{
-    int64_t lo, hi;
-    if (not_a_list(list) || not_int64(lo_arg, &lo) || not_int64(hi_arg, &hi))
-        return;
-    Py_ssize_t n = PyList_GET_SIZE(list);
-    if (!(0 <= lo && lo <= hi && hi <= n)) {
-        PyErr_Format(PyExc_IndexError, "range [%lld, %lld) out of a list of %zd", (long long)lo,
-                     (long long)hi, n);
-        return;
-    }
-    reverse((char *)((PyListObject *)list)->ob_item, sizeof(PyObject *), lo, hi);
 }
 
 /* 1 iff leader * p^s lies in (0, m) for every s < count, computed without
@@ -317,37 +258,222 @@ static int ladder_fits(int64_t leader, int64_t p, int64_t count, int64_t m)
     return count >= 0;
 }
 
-void faro_list_walk(PyObject *list, PyObject *base_arg, PyObject *leader_arg, PyObject *mult_arg,
-                    PyObject *modulus_arg, PyObject *p_arg, PyObject *count_arg)
+/* The module's entries, METH_FASTCALL functions. Every integer must fit an
+ * int64: one beyond it raises OverflowError rather than wrapping into range.
+ * reverse and walk take an exact list or a buffer (see get_items) and check
+ * every range and ladder before their loop runs. */
+
+/* 1 iff lo <= nargs <= hi; 0 with TypeError set */
+static int nargs_in(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
 {
-    int64_t base, leader, mult, modulus, p, count;
-    if (not_a_list(list) || not_int64(base_arg, &base) || not_int64(leader_arg, &leader)
-        || not_int64(mult_arg, &mult) || not_int64(modulus_arg, &modulus) || not_int64(p_arg, &p)
-        || not_int64(count_arg, &count))
-        return;
-    Py_ssize_t n = PyList_GET_SIZE(list);
-    /* the orbits stay in local positions 1..modulus-1 and close only when
-     * mult is a unit and the leaders are among those positions */
-    if (!(modulus >= 2 && base >= -1 && modulus <= n - base)) {
-        PyErr_Format(PyExc_IndexError, "walk mod %lld at base %lld leaves a list of %zd",
-                     (long long)modulus, (long long)base, n);
-        return;
-    }
-    mult %= modulus;
-    if (mult < 0)
-        mult += modulus;
-    struct step st;
-    if (!(0 < leader && leader < modulus) || !plan(&st, mult, modulus)) {
-        PyErr_Format(PyExc_ValueError, "leader %lld under x%lld mod %lld is no closed orbit",
-                     (long long)leader, (long long)mult, (long long)modulus);
-        return;
-    }
-    if (!ladder_fits(leader, p, count, modulus)) {
-        PyErr_Format(PyExc_ValueError, "ladder of %lld leaders %lld * %lld^s leaves 1..%lld", (long long)count,
-                     (long long)leader, (long long)p, (long long)modulus - 1);
-        return;
-    }
-    ladder((char *)((PyListObject *)list)->ob_item, sizeof(PyObject *), sizeof(PyObject *), base, leader, p,
-           count, &st);
+    if (lo <= nargs && nargs <= hi)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd arguments (%zd given)", name, lo, hi, nargs);
+    return 0;
 }
-#endif
+
+/* 1 after reading the n integers at args into v; 0 with OverflowError or
+ * TypeError set unless each is an int64 */
+static int int64s(PyObject *const *args, Py_ssize_t n, int64_t *v)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long long x = PyLong_AsLongLong(args[i]);
+        if (x == -1 && PyErr_Occurred())
+            return 0;
+        v[i] = x;
+    }
+    return 1;
+}
+
+/* The n items an entry moves, of size bytes each at buf. A list's are its
+ * PyObject * slots, whose permutation leaves every refcount as it was; its
+ * loops hold the GIL, and its size is read anew on every call, since another
+ * thread may resize it between two calls. A buffer's are its memory, held in
+ * view until put_items(): its loops run without the GIL, and the held view
+ * stops a bytearray from being resized meanwhile. */
+struct items {
+    Py_buffer view; /* view.obj is NULL for a list */
+    char *buf;
+    size_t size;
+    Py_ssize_t n;
+};
+
+/* 1 after filling it from obj: an exact list, when size is 0, or memory
+ * that is writable, C-contiguous and 1-D, read as items of size bytes, or of
+ * its own itemsize when size is 0; 0 with an exception set. The format of
+ * the memory is not asked for, since numpy cannot spell some dtypes in one;
+ * _fastpath.kernel keeps ndarrays that hold Python objects away, as their
+ * loops would move references without the GIL. */
+static int get_items(struct items *it, PyObject *obj, int64_t size)
+{
+    if (PyList_CheckExact(obj) && !size) {
+        it->view.obj = NULL;
+        it->buf = (char *)((PyListObject *)obj)->ob_item;
+        it->size = sizeof(PyObject *);
+        it->n = PyList_GET_SIZE(obj);
+        return 1;
+    }
+    if (size < 0) {
+        PyErr_Format(PyExc_ValueError, "items of %lld bytes", (long long)size);
+        return 0;
+    }
+    if (PyObject_GetBuffer(obj, &it->view, PyBUF_WRITABLE | PyBUF_ND) < 0)
+        return 0;
+    Py_ssize_t bytes = size ? size : it->view.itemsize;
+    if (it->view.ndim != 1 || bytes < 1) {
+        PyErr_Format(PyExc_BufferError, "expected 1-D memory of items of at least one byte, got %d-D",
+                     it->view.ndim);
+        PyBuffer_Release(&it->view);
+        return 0;
+    }
+    it->buf = it->view.buf;
+    it->size = bytes;
+    it->n = it->view.len / bytes;
+    return 1;
+}
+
+static void put_items(struct items *it)
+{
+    if (it->view.obj)
+        PyBuffer_Release(&it->view);
+}
+
+/* reverse(buf, lo, hi[, itemsize]): reverse items [lo, hi) */
+static PyObject *py_reverse(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t a[3] = {0, 0, 0}; /* lo, hi, itemsize */
+    struct items it;
+    if (!nargs_in("reverse", nargs, 3, 4) || !int64s(args + 1, nargs - 1, a) || !get_items(&it, args[0], a[2]))
+        return NULL;
+    int64_t lo = a[0], hi = a[1];
+    if (!(0 <= lo && lo <= hi && hi <= it.n)) {
+        PyErr_Format(PyExc_IndexError, "reversal of [%lld, %lld) leaves %zd items", (long long)lo,
+                     (long long)hi, it.n);
+        put_items(&it);
+        return NULL;
+    }
+    PyThreadState *unlocked = it.view.obj ? PyEval_SaveThread() : NULL;
+    reverse_items(it.buf, it.size, lo, hi);
+    if (unlocked)
+        PyEval_RestoreThread(unlocked);
+    put_items(&it);
+    Py_RETURN_NONE;
+}
+
+/* 1 after planning st for the walk a describes over it; 0 with IndexError
+ * or ValueError set. The orbits stay in local positions 1..modulus-1 and
+ * close only when mult is a unit and the leaders are among those
+ * positions. */
+static int walk_fits(const struct items *it, const int64_t *a, struct step *st)
+{
+    int64_t base = a[0], leader = a[1], m = a[3], p = a[4], count = a[5];
+    if (!(m >= 2 && base >= -1 && m <= it->n - base)) {
+        PyErr_Format(PyExc_IndexError, "walk mod %lld at base %lld leaves %zd items", (long long)m,
+                     (long long)base, it->n);
+        return 0;
+    }
+    int64_t mult = a[2] % m;
+    if (mult < 0)
+        mult += m;
+    if (!(0 < leader && leader < m) || !plan(st, mult, m)) {
+        PyErr_Format(PyExc_ValueError, "leader %lld under x%lld mod %lld is no closed orbit", (long long)leader,
+                     (long long)mult, (long long)m);
+        return 0;
+    }
+    if (!ladder_fits(leader, p, count, m)) {
+        PyErr_Format(PyExc_ValueError, "ladder of %lld leaders %lld * %lld^s leaves 1..%lld", (long long)count,
+                     (long long)leader, (long long)p, (long long)m - 1);
+        return 0;
+    }
+    return 1;
+}
+
+/* walk(buf, base, leader, mult, modulus, p, count[, itemsize]): realize the
+ * cycles of items base + j under j -> j * mult mod modulus led by
+ * leader * p^s for s < count */
+static PyObject *py_walk(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t a[7] = {0, 0, 0, 0, 0, 0, 0}; /* base, leader, mult, modulus, p, count, itemsize */
+    struct items it;
+    struct step st;
+    if (!nargs_in("walk", nargs, 7, 8) || !int64s(args + 1, nargs - 1, a) || !get_items(&it, args[0], a[6]))
+        return NULL;
+    if (!walk_fits(&it, a, &st)) {
+        put_items(&it);
+        return NULL;
+    }
+    PyThreadState *unlocked = it.view.obj ? PyEval_SaveThread() : NULL;
+    walk_items(it.buf, it.size, a[0], a[1], a[4], a[5], &st);
+    if (unlocked)
+        PyEval_RestoreThread(unlocked);
+    put_items(&it);
+    Py_RETURN_NONE;
+}
+
+/* agree(chunk, result, itemsize, base, mult, modulus, j0, count): see
+ * agree_items; _fastpath.agree checks the arguments */
+static PyObject *py_agree(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t a[6]; /* itemsize, base, mult, modulus, j0, count */
+    Py_buffer chunk, res;
+    if (!nargs_in("agree", nargs, 8, 8) || !int64s(args + 2, 6, a))
+        return NULL;
+    if (PyObject_GetBuffer(args[0], &chunk, PyBUF_SIMPLE) < 0)
+        return NULL;
+    if (PyObject_GetBuffer(args[1], &res, PyBUF_SIMPLE) < 0) {
+        PyBuffer_Release(&chunk);
+        return NULL;
+    }
+    int same;
+    Py_BEGIN_ALLOW_THREADS
+    same = agree_items(chunk.buf, res.buf, a[0], a[1], a[2], a[3], a[4], a[5]);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&res);
+    PyBuffer_Release(&chunk);
+    return PyBool_FromLong(same);
+}
+
+/* 1 iff a[0] and a[1] lie in [0, a[2]); 0 with ValueError set */
+static int residues(const int64_t *a)
+{
+    if (0 <= a[0] && a[0] < a[2] && 0 <= a[1] && a[1] < a[2])
+        return 1;
+    PyErr_Format(PyExc_ValueError, "%lld or %lld is no residue mod %lld", (long long)a[0], (long long)a[1],
+                 (long long)a[2]);
+    return 0;
+}
+
+/* mulmod(a, b, m): the MULMOD step of the walks, for testing */
+static PyObject *py_mulmod(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t a[3];
+    if (!nargs_in("mulmod", nargs, 3, 3) || !int64s(args, 3, a) || !residues(a))
+        return NULL;
+    return PyLong_FromLongLong(mulmod(a[0], a[1], a[2]));
+}
+
+/* step(j, mult, modulus): the slot after j in the order a walk under
+ * x mult mod modulus visits slots, f * j mod modulus, or -1 when mult is no
+ * unit; for testing */
+static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t a[3];
+    struct step st;
+    if (!nargs_in("step", nargs, 3, 3) || !int64s(args, 3, a) || !residues(a))
+        return NULL;
+    return PyLong_FromLongLong(plan(&st, a[1], a[2]) ? next(&st, st.kind, a[0]) : -1);
+}
+
+#define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
+
+static PyMethodDef entries[] = {
+    ENTRY(reverse), ENTRY(walk), ENTRY(agree), ENTRY(mulmod), ENTRY(step), {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_methods = entries,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void) { return PyModuleDef_Init(&module); }

@@ -2,10 +2,10 @@
 
 These are the reference loops, and the path of every buffer the native
 kernel does not take: list subclasses, strided or read-only arrays, and
-everything when the kernel did not build (lists too when it was built
-without ``Python.h``). ``_kernel.c`` holds the same two loops in C for
-ndarrays, ``RecordBuffer`` and lists; the test suite runs both paths on the
-same inputs and requires equal results and equal instrumentation counts.
+everything when the kernel did not build (with no ``cc`` or no
+``Python.h``, say). ``_kernel.c`` holds the same two loops in C for lists,
+ndarrays and ``RecordBuffer``; the test suite runs both paths on the same
+inputs and requires equal results and equal instrumentation counts.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
 loops only move elements.

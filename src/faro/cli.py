@@ -115,7 +115,7 @@ def _verified(path: Path, result: bytearray, record_size: int, kind: ShuffleKind
     the oracle instead.
     """
     rs = record_size
-    if _fastpath._lib is None:
+    if _fastpath._native is None:
         disk = _read(path)[0]
         records = [[buf[i : i + rs] for i in range(0, len(buf), rs)] for buf in (disk, result)]
         before, after = records[::-1] if inverse else records

@@ -31,8 +31,8 @@ times the length in single-element moves.
 The buffer layer is 0-based half-open; every call into the 1-based math
 above documents the shift. Buffers are anything indexable with integer
 get/set and a length: lists, numpy arrays, or ``RecordBuffer`` views over
-packed bytes; ``_fastpath`` sends all three to the native kernel (lists only
-when ``Python.h`` was found at build time).
+packed bytes; ``_fastpath`` sends all three to the native kernel, a CPython
+extension module built against the interpreter's ``Python.h``.
 
 Every operation mutates exactly one buffer and assumes exclusive access to
 it for the duration of the call; there is no shared state, so distinct

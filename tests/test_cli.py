@@ -121,7 +121,7 @@ def test_apply_verify_mismatch_leaves_file_untouched(tmp_path, monkeypatch):
     for native in (True, False):
         with monkeypatch.context() as m:
             if not native:
-                m.setattr(_fastpath, "_lib", None)  # as when the kernel did not build
+                m.setattr(_fastpath, "_native", None)  # as when the kernel did not build
             oracle_calls.clear()
             assert cli.main(["apply", "--verify", "--record-size", "4", str(target)]) == 4
             assert sha256(target) == before
@@ -287,7 +287,7 @@ def test_apply_verify_fails_when_the_file_changes_under_it(tmp_path, monkeypatch
     for native in (True, False):
         with monkeypatch.context() as m:
             if not native:
-                m.setattr(_fastpath, "_lib", None)  # as when the kernel did not build
+                m.setattr(_fastpath, "_native", None)  # as when the kernel did not build
             write_records(target, make_records(26, 8, seed=13))
             expected = bytes(meddle(bytearray(target.read_bytes())))
             assert cli.main(["apply", "--verify", "--record-size", "8", str(target)]) == 4

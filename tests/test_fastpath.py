@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 import time
 from importlib.machinery import EXTENSION_SUFFIXES
 from math import gcd
@@ -23,10 +24,6 @@ from faro.rotate import reverse_range, rotate_right
 from faro.shuffle import RecordBuffer, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
 
 needs_kernel = pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
-needs_list_kernel = pytest.mark.skipif(
-    _fastpath._lists is None,
-    reason=str(_fastpath.BUILD_ERROR or "kernel built without Python.h: lists take _loops"),
-)
 HEADERS = sysconfig.get_paths()["include"]
 HAVE_HEADERS = os.path.exists(os.path.join(HEADERS, "Python.h"))
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(faro.__file__).parents[1])}
@@ -42,7 +39,7 @@ def test_mulmod_matches_python_near_2_63():
         pairs = [(m - 1, m - 1), (m - 1, 2), (2, m - 1), (0, m - 1), (1, 1)]
         pairs += [(rng.randrange(m), rng.randrange(m)) for _ in range(200)]
         for a, b in pairs:
-            assert _fastpath._lib.faro_mulmod(a, b, m) == a * b % m, (a, b, m)
+            assert _fastpath._native.mulmod(a, b, m) == a * b % m, (a, b, m)
 
 
 def _multipliers(m):
@@ -63,7 +60,7 @@ def _fast(f, m):
 def test_walk_step_matches_python_at_the_edges_of_each_path():
     # a walk under x mult visits slots by x f: it pushes along f = mult when
     # that step is fast or mult^-1 has none, and pulls along f = mult^-1
-    step = _fastpath._lib.faro_step
+    step = _fastpath._native.step
     rng = random.Random(51)
     moduli = {3, 4, 5, 8, 9, 11, 243, 2 * 7**5, 3**12, 2**32 - 5, 2**32 + 15, 3**39}
     moduli |= {2**63 - d for d in range(1, 40)} | {rng.randrange(2**61, 2**63) for _ in range(10)}
@@ -293,7 +290,7 @@ def test_native_verify_agrees_with_the_oracle(kind, monkeypatch, tmp_path):
                         m.setattr(cli, "_CHUNK", 7 * rs + rs // 2)
                         assert cli._verified(*args) is expected, (n, rs, inverse, "7 per chunk")
                     with monkeypatch.context() as m:
-                        m.setattr(_fastpath, "_lib", None)
+                        m.setattr(_fastpath, "_native", None)
                         assert cli._verified(*args) is expected, (n, rs, inverse)
 
 
@@ -301,11 +298,11 @@ def test_agree_refuses_bad_calls_before_any_native_read(monkeypatch):
     calls = []
 
     class Kernel:
-        def faro_agree(self, *args):
+        def agree(self, *args):
             calls.append(args)
-            return 1
+            return True
 
-    monkeypatch.setattr(_fastpath, "_lib", Kernel())
+    monkeypatch.setattr(_fastpath, "_native", Kernel())
     agree = _fastpath.agree
     buf = bytearray(8 * 26)
     with pytest.raises(IndexError):
@@ -323,7 +320,7 @@ def test_agree_refuses_bad_calls_before_any_native_read(monkeypatch):
     with pytest.raises(ValueError):
         agree(buf, buf, 8, 0, 2, 0, 1, 0)
     # a chunk past the end, from before j = 1 (j0 = 0 maps to item base), or
-    # out of int64, where ctypes would wrap the integers into range
+    # out of int64
     for j0, count in ((2, 26), (27, 1), (0, 26), (-1, 2), (1, -1), (2**64, 1), (1, 2**64),
                       (2**64 + 1, -(2**64)), (1 - 2**64, 2**64)):
         with pytest.raises(IndexError):
@@ -345,6 +342,14 @@ def test_cli_import_leaves_numpy_out():
     assert out.strip() == "False"
 
 
+def test_cli_import_leaves_ctypes_out():
+    probe = "import sys, faro.cli; print('ctypes' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
 @needs_kernel
 def test_numpy_imported_after_faro_takes_the_native_path():
     probe = (
@@ -359,28 +364,52 @@ def test_numpy_imported_after_faro_takes_the_native_path():
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
 
 
-def _syntax_check(*include):
-    return subprocess.run(
-        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *include, _fastpath._SOURCE],
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+needs_headers = pytest.mark.skipif(not HAVE_HEADERS, reason=f"no Python.h in {HEADERS}")
+
+
+@needs_cc
+@needs_headers
+def test_kernel_source_compiles_without_warnings():
+    built = subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", HEADERS, _fastpath._SOURCE],
         capture_output=True,
         text=True,
     )
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.skipif(not HAVE_HEADERS, reason=f"no Python.h in {HEADERS}: no list entries")
-def test_kernel_source_compiles_without_warnings():
-    built = _syntax_check("-I", HEADERS)  # with the list entries
     assert built.returncode == 0, built.stderr
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_kernel_source_compiles_without_warnings_or_headers():
-    built = _syntax_check()
-    assert built.returncode == 0, built.stderr
+@needs_cc
+def test_build_without_python_h_takes_the_pure_loops(tmp_path, monkeypatch):
+    source = tmp_path / "_kernel.c"
+    shutil.copyfile(_fastpath._SOURCE, source)
+    monkeypatch.setattr(_fastpath, "_SOURCE", str(source))
+    empty = tmp_path / "include"
+    empty.mkdir()
+    with pytest.raises(OSError, match="Python.h"):
+        _fastpath._load(["cc", "-O2", "-shared", "-fPIC", "-I", str(empty), "-x", "c"])
+    assert not list((tmp_path / "__pycache__").iterdir())
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(empty)})
+    with pytest.raises(OSError, match="Python.h"):
+        _fastpath._cc_argv()
+    # an interpreter whose include dir lacks Python.h sends every buffer to
+    # the pure loops
+    probe = (
+        "import sysconfig\n"
+        "paths = sysconfig.get_paths\n"
+        f"sysconfig.get_paths = lambda *a, **k: {{**paths(*a, **k), 'include': {str(empty)!r}}}\n"
+        "import numpy as np\n"
+        "from faro import _fastpath, _loops\n"
+        "from faro.shuffle import RecordBuffer\n"
+        "assert not _fastpath.HAVE_COMPILED and 'Python.h' in _fastpath.BUILD_ERROR\n"
+        "for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2)):\n"
+        "    assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk), buf\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@needs_cc
+@needs_headers
 def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
     source = tmp_path / "_kernel.c"
     shutil.copyfile(_fastpath._SOURCE, source)
@@ -392,26 +421,20 @@ def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
     def built():
         return sorted(cache.glob("_kernel-*"))
 
-    def only(lib):
-        # a build leaves its own library alone in the cache
-        return built() == [Path(lib._name)]
+    def only(module):
+        # a build leaves its own module alone in the cache
+        return built() == [Path(module.__file__)]
 
-    plain = ["cc", "-O2", "-shared", "-fPIC", "-x", "c"]
-    lib, lists = _fastpath._load(plain)
-    assert lists is None  # no include dir, no list entries
-    assert only(lib)
-    first = Path(lib._name)
+    argv = _fastpath._cc_argv()
+    assert argv == ["cc", "-O2", "-shared", "-fPIC", "-I", HEADERS, "-x", "c"]
+    module = _fastpath._load(argv)
+    assert only(module)
+    first = Path(module.__file__)
     stale.write_bytes(b"")
-    assert _fastpath._load(plain)[1] is None
-    assert stale.exists()  # loading a cached library removes nothing
-    lib = _fastpath._load(["cc", "-O1", *plain[2:]])[0]
-    assert only(lib) and Path(lib._name) != first
-    if HAVE_HEADERS:
-        with_headers = _fastpath._cc_argv()
-        assert with_headers == [*plain[:4], "-I", HEADERS, *plain[4:]]
-        lib, lists = _fastpath._load(with_headers)
-        assert lists is not None
-        assert only(lib)
+    assert Path(_fastpath._load(argv).__file__) == first
+    assert stale.exists()  # loading a cached module removes nothing
+    module = _fastpath._load(["cc", "-O1", *argv[2:]])
+    assert only(module) and Path(module.__file__) != first
 
 
 def test_kernel_is_resolved_once_per_call(monkeypatch):
@@ -487,12 +510,12 @@ def test_list_subclass_takes_the_pure_loops(monkeypatch):
     k_shuffle(buf, 3)
     assert buf.gets > 600 and buf.sets > 600
     assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))
-    monkeypatch.setattr(_fastpath, "_lists", None)  # as when built without Python.h
+    monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
     assert _fastpath.kernel([1, 2]) == (_loops.reverse_slots, _loops.cycle_walk)
 
 
 def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
-    monkeypatch.setattr(_fastpath, "_lib", None)  # as when the kernel did not build
+    monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
     for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2)):
         assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk), buf
 
@@ -525,7 +548,7 @@ def test_empty_and_two_element_lists():
     assert buf == []
 
 
-@needs_list_kernel
+@needs_kernel
 def test_list_entries_refuse_bad_calls_and_leave_the_list():
     buf = list(range(26))
     reverse, walk = _fastpath.kernel(buf)
@@ -566,7 +589,96 @@ def test_list_entries_refuse_bad_calls_and_leave_the_list():
     assert sorted(buf) == list(range(26))
 
 
-@needs_list_kernel
+@needs_kernel
+def test_buffer_entries_refuse_bad_calls_and_leave_the_buffer():
+    native = _fastpath._native
+    # memory the entries cannot take: (owner, buffer, itemsize or 0 for the
+    # buffer's own), each of 26 items
+    backing = np.arange(52, dtype=np.int64)
+    for owner, buf, size in (
+        (None, bytes(26 * 8), 8),  # read-only
+        (backing, memoryview(backing)[::2], 0),  # strided
+        (backing, backing.reshape(2, 26), 0),  # 2-D
+    ):
+        before = bytes(memoryview(buf if owner is None else owner).tobytes())
+        extra = (size,) if size else ()
+        with pytest.raises(BufferError):
+            native.reverse(buf, 0, 2, *extra)
+        with pytest.raises(BufferError):
+            native.walk(buf, -1, 1, 2, 27, 3, 3, *extra)
+        assert memoryview(buf if owner is None else owner).tobytes() == before
+    # memory they take, bound to bad calls
+    for buf, size in ((np.arange(26, dtype=np.int64), 0), (bytearray(range(78)), 3)):
+        before = bytes(buf)
+        extra = (size,) if size else ()
+        with pytest.raises(IndexError):
+            native.walk(buf, 0, 1, 2, 27, 3, 1, *extra)  # last slot would be 26, one past the end
+        with pytest.raises(IndexError):
+            native.walk(buf, -2, 1, 2, 27, 3, 1, *extra)
+        for lo, hi in ((0, 27), (-1, 3), (5, 4)):
+            with pytest.raises(IndexError):
+                native.reverse(buf, lo, hi, *extra)
+        with pytest.raises(ValueError):
+            native.walk(buf, -1, 0, 2, 27, 3, 1, *extra)  # leader 0 is fixed, not a cycle
+        with pytest.raises(ValueError):
+            native.walk(buf, -1, 1, 3, 27, 3, 1, *extra)  # 3 is no unit mod 27
+        for leader, p, count in _BAD_LADDERS:
+            with pytest.raises(ValueError):
+                native.walk(buf, -1, leader, 2, 27, p, count, *extra)
+        # integers beyond int64 are refused, not wrapped into range
+        for lo, hi in ((2**64, 2**64 + 2), (0, 2**63), (-(2**64), 2)):
+            with pytest.raises((OverflowError, IndexError)):
+                native.reverse(buf, lo, hi, *extra)
+        for args in ((2**64 - 1, 1, 2, 5, 3, 1), (-1, 1, 2 + 27 * 2**64, 27, 3, 1),
+                     (-1, 2**64 + 1, 2, 27, 3, 1), (-1, 1, 2, 2**64 + 27, 3, 1),
+                     (-1, 1, 2, 27, 3 + 2**64, 2), (-1, 1, 2, 27, 3, 2**64 + 1)):
+            with pytest.raises((OverflowError, IndexError)):
+                native.walk(buf, *args, *extra)
+        for bad in (2**64 + size, -size - 1):
+            with pytest.raises((OverflowError, ValueError)):
+                native.walk(buf, -1, 1, 2, 27, 3, 3, bad)
+        assert bytes(buf) == before
+        native.walk(buf, -1, 1, 2, 27, 3, 3, *extra)
+        assert bytes(buf) != before
+
+
+@needs_kernel
+def test_buffer_walks_run_without_the_gil():
+    # A walk of every cycle mod 3^14 takes milliseconds. Another thread that
+    # keeps taking timestamps meanwhile can only take one well inside the
+    # call when the walk has let go of the GIL: a walk that held it would let
+    # that thread run only around the call, within a switch interval of it.
+    interval = sys.getswitchinterval()
+    m = 3**14
+    buf = np.arange(m - 1, dtype=np.int64)
+    stamps, stop = [], threading.Event()
+
+    def tick():
+        while not stop.is_set():
+            stamps.append(time.perf_counter())
+
+    ticker = threading.Thread(target=tick)
+    sys.setswitchinterval(1e-4)
+    ticker.start()
+    try:
+        while not stamps:
+            time.sleep(0.001)
+        start = time.perf_counter()
+        _fastpath._native.walk(buf, -1, 1, 2, m, 3, 14)
+        end = time.perf_counter()
+    finally:
+        stop.set()
+        ticker.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not ticker.is_alive()
+    quarter = (end - start) / 4
+    assert any(start + quarter < t < end - quarter for t in stamps), (end - start, len(stamps))
+    expected = np.empty_like(buf)
+    expected[2 * np.arange(1, m) % m - 1] = np.arange(m - 1)  # the in-shuffle
+    assert np.array_equal(buf, expected)
+
+
+@needs_kernel
 def test_fresh_interpreter_sends_lists_to_the_kernel():
     probe = (
         "from faro import _fastpath, _loops\n"
