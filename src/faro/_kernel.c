@@ -11,7 +11,10 @@
  * walk of a q-way pass steps j -> q * j mod m, without a division: the
  * forward passes (mult = q) push each item on to its target q * j, and the
  * inverse passes (mult = q^-1) pull each slot's item from its source q * j
- * (see struct step).
+ * (see struct step). A walk by x 3..9 with f^4 * m <= 2^32 computes the
+ * next four slots at once, each straight from the current one, so that its
+ * loop waits on one step per four items rather than per item; the
+ * reversal of 8-byte items swaps two of them from each end at a time.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any writable, C-contiguous, 1-D buffer (an ndarray, a bytearray), and
@@ -55,14 +58,21 @@ static int64_t inverse(int64_t a, int64_t m)
  *   TIMES2  f = 2: 2j, less m when it reaches m;
  *   TIMES   f = 3..9 with f * m <= 2^32: f * j by Lemire's fastmod,
  *           exact below 2^32, with recip = floor((2^64 - 1) / m) + 1 and
- *           rf = recip * f mod 2^64, so that a step is two multiplications;
+ *           rf[0] = recip * f mod 2^64, so that a step is two
+ *           multiplications;
  *   MULMOD  any other unit or modulus, pushing: mulmod(j, mult, m).
+ * A TIMES walk with f^4 * m <= 2^32 (m <= 654,620 at f = 9) looks AHEAD
+ * slots ahead: rf[s - 1] = recip * f^s mod 2^64 gives f^s * j mod m by one
+ * fastmod, exact since f^s * j < f^4 * m, so the four slots after j are
+ * computed independently of each other and the walk goes on from the
+ * fourth. Every other walk takes its slots one step at a time.
  */
 enum { TIMES2, TIMES, MULMOD };
+enum { AHEAD = 4 };
 
 struct step {
-    int kind, push;
-    uint64_t f, m, rf;
+    int kind, push, ahead;
+    uint64_t f, m, rf[AHEAD];
 };
 
 /* 1 iff x f mod m has a step that does not divide */
@@ -82,13 +92,17 @@ static int plan(struct step *st, int64_t mult, int64_t m)
     st->f = st->push ? mult : inv;
     st->m = m;
     st->kind = st->f == 2 ? TIMES2 : fast(st->f, m) ? TIMES : MULMOD;
-    st->rf = (UINT64_MAX / (uint64_t)m + 1) * st->f;
+    /* a TIMES step has f <= 9 and m < 2^32, so f^4 * m cannot overflow */
+    st->ahead = st->kind == TIMES && st->f * st->f * st->f * st->f * st->m <= UINT64_C(1) << 32 ? AHEAD : 1;
+    uint64_t rf = UINT64_MAX / (uint64_t)m + 1;
+    for (int s = 0; s < AHEAD; s++)
+        st->rf[s] = rf *= st->f;
     return 1;
 }
 
-/* f * j mod m by the step `kind`; ladder() passes the kind as a constant,
- * so each kind compiles to its own loop */
-static inline __attribute__((always_inline)) int64_t next(const struct step *st, int kind, int64_t j)
+/* f^s * j mod m by the step `kind`, for 1 <= s <= st->ahead; ladder()
+ * passes the kind as a constant, so each kind compiles to its own loop */
+static inline __attribute__((always_inline)) int64_t next(const struct step *st, int kind, int64_t j, int s)
 {
     uint64_t u = j, m = st->m;
     switch (kind) {
@@ -96,7 +110,7 @@ static inline __attribute__((always_inline)) int64_t next(const struct step *st,
         u *= 2;
         return u >= m ? u - m : u;
     case TIMES:
-        return ((unsigned __int128)(st->rf * u) * m) >> 64;
+        return ((unsigned __int128)(st->rf[s - 1] * u) * m) >> 64;
     default:
         return mulmod(j, st->f, m);
     }
@@ -126,10 +140,27 @@ static inline void reverse(char *buf, size_t size, int64_t lo, int64_t hi)
         swap_bytes(buf + lo * size, buf + hi * size, size);
 }
 
+/* reverse() for 8-byte items, two from each end at a time: the 16 bytes at
+ * each end swap places, each pair reversed on the way; reverse() takes the
+ * 0 to 3 items left in the middle */
+static void reverse8(char *buf, int64_t lo, int64_t hi)
+{
+    for (; hi - lo >= 4; lo += 2, hi -= 2) {
+        uint64_t a[2], b[2];
+        char *x = buf + lo * 8, *y = buf + (hi - 2) * 8;
+        memcpy(a, x, 16);
+        memcpy(b, y, 16);
+        uint64_t ra[2] = {a[1], a[0]}, rb[2] = {b[1], b[0]};
+        memcpy(x, rb, 16);
+        memcpy(y, ra, 16);
+    }
+    reverse(buf, 8, lo, hi);
+}
+
 static void reverse_items(char *buf, size_t itemsize, int64_t lo, int64_t hi)
 {
     if (itemsize == 8)
-        reverse(buf, 8, lo, hi);
+        reverse8(buf, lo, hi);
     else
         reverse(buf, itemsize, lo, hi);
 }
@@ -150,40 +181,69 @@ static inline void copy_bytes(char *a, const char *b, size_t n)
  * f = mult, by pushing: hold the leader's column, exchange it with the
  * column of each slot j = f * j in turn (a word at a time, through
  * registers), and put the held column back in the leader's slot once the
- * walk returns there. */
+ * walk returns there. Each round takes the `ahead` slots after j, each
+ * computed from j, and stops at the first that is the leader. */
 static inline __attribute__((always_inline)) void push(char *buf, size_t size, size_t width, int64_t base,
-                                                       int64_t leader, const struct step *st, int kind)
+                                                       int64_t leader, const struct step *st, int kind,
+                                                       int ahead)
 {
     struct step k = *st; /* a copy no store into buf can alias */
     char t[COLUMN];
     char *slot = buf + (base + leader) * size;
     copy_bytes(t, slot, width);
-    for (int64_t j = next(&k, kind, leader); j != leader; j = next(&k, kind, j))
-        swap_bytes(t, buf + (base + j) * size, width);
+    for (int64_t j = leader;;) {
+        int64_t to[AHEAD];
+#pragma GCC unroll 4
+        for (int s = 0; s < ahead; s++)
+            to[s] = next(&k, kind, j, s + 1);
+#pragma GCC unroll 4
+        for (int s = 0; s < ahead; s++) {
+            if (to[s] == leader)
+                goto closed;
+            swap_bytes(t, buf + (base + to[s]) * size, width);
+        }
+        j = to[ahead - 1];
+    }
+closed:
     copy_bytes(slot, t, width);
 }
 
 /* The same cycle with f = mult^-1, by pulling: hold the leader's column,
  * fill each slot j from its source f * j (one load and one store), move on
  * to that source, and put the held column in the last slot, the one whose
- * source is the leader. */
+ * source is the leader. Sources are taken `ahead` at a time, as in push(). */
 static inline __attribute__((always_inline)) void pull(char *buf, size_t size, size_t width, int64_t base,
-                                                       int64_t leader, const struct step *st, int kind)
+                                                       int64_t leader, const struct step *st, int kind,
+                                                       int ahead)
 {
     struct step k = *st;
     char t[COLUMN];
     char *slot = buf + (base + leader) * size;
     copy_bytes(t, slot, width);
-    for (int64_t s = next(&k, kind, leader); s != leader; s = next(&k, kind, s)) {
-        char *from = buf + (base + s) * size;
-        copy_bytes(slot, from, width);
-        slot = from;
+    for (int64_t j = leader;;) {
+        int64_t from[AHEAD];
+#pragma GCC unroll 4
+        for (int s = 0; s < ahead; s++)
+            from[s] = next(&k, kind, j, s + 1);
+#pragma GCC unroll 4
+        for (int s = 0; s < ahead; s++) {
+            if (from[s] == leader)
+                goto closed;
+            char *source = buf + (base + from[s]) * size;
+            copy_bytes(slot, source, width);
+            slot = source;
+        }
+        j = from[ahead - 1];
     }
+closed:
     copy_bytes(slot, t, width);
 }
 
-/* Walk the cycles led by leader * p^s for s < count, by push() or pull()
- * with the kind of st as a constant: one loop per kind and direction. */
+/* push() or pull() by the step st, its kind and look-ahead as constants:
+ * one loop per kind, look-ahead and direction */
+#define CYCLE(dir, kind, ahead) dir(buf, size, width, base, leader, st, kind, ahead)
+
+/* Walk the cycles led by leader * p^s for s < count. */
 static inline __attribute__((always_inline)) void ladder(char *buf, size_t size, size_t width, int64_t base,
                                                          int64_t leader, int64_t p, int64_t count,
                                                          const struct step *st)
@@ -192,23 +252,28 @@ static inline __attribute__((always_inline)) void ladder(char *buf, size_t size,
         switch (st->kind) {
         case TIMES2:
             if (st->push)
-                push(buf, size, width, base, leader, st, TIMES2);
+                CYCLE(push, TIMES2, 1);
             else
-                pull(buf, size, width, base, leader, st, TIMES2);
+                CYCLE(pull, TIMES2, 1);
             break;
         case TIMES:
-            if (st->push)
-                push(buf, size, width, base, leader, st, TIMES);
+            if (st->push && st->ahead == AHEAD)
+                CYCLE(push, TIMES, AHEAD);
+            else if (st->push)
+                CYCLE(push, TIMES, 1);
+            else if (st->ahead == AHEAD)
+                CYCLE(pull, TIMES, AHEAD);
             else
-                pull(buf, size, width, base, leader, st, TIMES);
+                CYCLE(pull, TIMES, 1);
             break;
         default:
-            push(buf, size, width, base, leader, st, MULMOD); /* plan() pulls only by fast steps */
+            CYCLE(push, MULMOD, 1); /* plan() pulls only by fast steps */
         }
         /* wraps only past the last rung, where it goes unused */
         leader = (int64_t)((uint64_t)leader * (uint64_t)p);
     }
 }
+#undef CYCLE
 
 /* the ladder under the step st, one COLUMN-byte column of the items at a
  * time */
@@ -298,12 +363,28 @@ struct items {
     Py_ssize_t n;
 };
 
+/* 1 iff the struct format fmt has an item that is a Python object ('O'),
+ * the field names of a structure, each spelled between colons, aside */
+static int holds_objects(const char *fmt)
+{
+    int name = 0;
+    for (; *fmt; fmt++)
+        if (*fmt == ':')
+            name = !name;
+        else if (*fmt == 'O' && !name)
+            return 1;
+    return 0;
+}
+
 /* 1 after filling it from obj: an exact list, when size is 0, or memory
  * that is writable, C-contiguous and 1-D, read as items of size bytes, or of
- * its own itemsize when size is 0; 0 with an exception set. The format of
- * the memory is not asked for, since numpy cannot spell some dtypes in one;
- * _fastpath.kernel keeps ndarrays that hold Python objects away, as their
- * loops would move references without the GIL. */
+ * its own itemsize when size is 0; 0 with an exception set. Memory whose
+ * format holds Python objects is refused with BufferError, since its loops
+ * would move references without the GIL. Memory whose exporter cannot
+ * spell its format (numpy raises ValueError for datetime64 and timedelta64)
+ * is taken without one, so a structured dtype that mixes a datetime field
+ * with an object field passes here: only _fastpath.kernel's hasobject sort
+ * keeps such an ndarray away. */
 static int get_items(struct items *it, PyObject *obj, int64_t size)
 {
     if (PyList_CheckExact(obj) && !size) {
@@ -317,8 +398,18 @@ static int get_items(struct items *it, PyObject *obj, int64_t size)
         PyErr_Format(PyExc_ValueError, "items of %lld bytes", (long long)size);
         return 0;
     }
-    if (PyObject_GetBuffer(obj, &it->view, PyBUF_WRITABLE | PyBUF_ND) < 0)
+    if (PyObject_GetBuffer(obj, &it->view, PyBUF_WRITABLE | PyBUF_ND | PyBUF_FORMAT) < 0) {
+        /* the same request without the format: when that succeeds, the
+         * format was all the exporter refused; when not, its error stands */
+        PyErr_Clear();
+        if (PyObject_GetBuffer(obj, &it->view, PyBUF_WRITABLE | PyBUF_ND) < 0)
+            return 0;
+    }
+    if (it->view.format && holds_objects(it->view.format)) {
+        PyErr_Format(PyExc_BufferError, "memory of format '%s' holds Python objects", it->view.format);
+        PyBuffer_Release(&it->view);
         return 0;
+    }
     Py_ssize_t bytes = size ? size : it->view.itemsize;
     if (it->view.ndim != 1 || bytes < 1) {
         PyErr_Format(PyExc_BufferError, "expected 1-D memory of items of at least one byte, got %d-D",
@@ -452,16 +543,29 @@ static PyObject *py_mulmod(PyObject *Py_UNUSED(module), PyObject *const *args, P
     return PyLong_FromLongLong(mulmod(a[0], a[1], a[2]));
 }
 
-/* step(j, mult, modulus): the slot after j in the order a walk under
- * x mult mod modulus visits slots, f * j mod modulus, or -1 when mult is no
- * unit; for testing */
+/* step(j, mult, modulus[, s]): the s-th slot after j (the first by
+ * default) in the order a walk under x mult mod modulus visits slots,
+ * f^s * j mod modulus, computed as the walk computes it: by one look-ahead
+ * step when the walk looks s slots ahead, else one step at a time; -1 when
+ * mult is no unit. For testing. */
 static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    int64_t a[3];
+    int64_t a[4] = {0, 0, 0, 1}; /* j, mult, modulus, s */
     struct step st;
-    if (!nargs_in("step", nargs, 3, 3) || !int64s(args, 3, a) || !residues(a))
+    if (!nargs_in("step", nargs, 3, 4) || !int64s(args, nargs, a) || !residues(a))
         return NULL;
-    return PyLong_FromLongLong(plan(&st, a[1], a[2]) ? next(&st, st.kind, a[0]) : -1);
+    if (!(1 <= a[3] && a[3] <= AHEAD)) {
+        PyErr_Format(PyExc_ValueError, "no look-ahead of %lld slots", (long long)a[3]);
+        return NULL;
+    }
+    if (!plan(&st, a[1], a[2]))
+        return PyLong_FromLong(-1);
+    int64_t j = a[0];
+    if (a[3] <= st.ahead)
+        return PyLong_FromLongLong(next(&st, st.kind, j, (int)a[3]));
+    for (int64_t s = 0; s < a[3]; s++)
+        j = next(&st, st.kind, j, 1);
+    return PyLong_FromLongLong(j);
 }
 
 #define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}

@@ -18,6 +18,7 @@ from conftest import CountingList
 import faro
 from faro import _fastpath, _loops, cli
 from faro.kway import _REPS, _blocks, _general_cycle_passes, _ladder, k_shuffle, k_unshuffle
+from faro.numtheory import is_primitive_root
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
 from faro.rotate import reverse_range, rotate_right
@@ -59,21 +60,49 @@ def _fast(f, m):
 @needs_kernel
 def test_walk_step_matches_python_at_the_edges_of_each_path():
     # a walk under x mult visits slots by x f: it pushes along f = mult when
-    # that step is fast or mult^-1 has none, and pulls along f = mult^-1
+    # that step is fast or mult^-1 has none, and pulls along f = mult^-1;
+    # step(j, mult, m, s) is the s-th slot after j, computed as the walk
+    # computes it, by one look-ahead fastmod while f^4 * m <= 2^32
     step = _fastpath._native.step
     rng = random.Random(51)
     moduli = {3, 4, 5, 8, 9, 11, 243, 2 * 7**5, 3**12, 2**32 - 5, 2**32 + 15, 3**39}
     moduli |= {2**63 - d for d in range(1, 40)} | {rng.randrange(2**61, 2**63) for _ in range(10)}
-    # Lemire's fastmod serves the q-way steps while q * m <= 2^32
-    for q in range(3, 10):
-        moduli |= set(range(2**32 // q - 3, 2**32 // q + 4))
+    # Lemire's fastmod serves the q-way steps while q * m <= 2^32, and the
+    # look-ahead by s slots while q^s * m <= 2^32
+    for q in range(2, 10):
+        for s in range(1, 5):
+            moduli |= set(range(2**32 // q**s - 3, 2**32 // q**s + 4))
     for m in sorted(moduli):
         for mult in _multipliers(m) + [1, m - 1]:
             inv = pow(mult, -1, m)
             f = inv if _fast(inv, m) and not _fast(mult, m) else mult
             for j in {1, 2, m // 2, m - 2, m - 1, *(rng.randrange(1, m) for _ in range(20))} - {0}:
                 assert step(j, mult, m) == j * f % m, (j, mult, m)
+                for s in range(1, 5):
+                    assert step(j, mult, m, s) == j * pow(f, s, m) % m, (j, mult, m, s)
     assert step(1, 3, 9) == -1 and step(1, 0, 7) == -1  # no unit, no step
+    for s in (0, 5):
+        with pytest.raises(ValueError):
+            step(1, 2, 7, s)
+
+
+@needs_kernel
+@pytest.mark.parametrize("m", [654_593, 654_629], ids=["ahead", "one-step"])
+def test_walk_switches_look_ahead_at_f4_m_2_32(m):
+    # A 9-way walk looks four slots ahead while 9^4 * m <= 2^32, that is
+    # m <= 654,620, and steps one slot at a time above. m is a prime of
+    # which 3 is a primitive root, so x 9 has two cycles, led by 1 and 3:
+    # one ladder of p = 3 and count 2 walks all of them.
+    assert all(m % d for d in range(2, 810)) and is_primitive_root(3, m)
+    assert 9**4 * m <= 2**32 if m < 654_620 else 9 * m <= 2**32 < 9**4 * m
+    rng = np.random.default_rng(m)
+    for mult in (9, pow(9, -1, m)):
+        items = rng.integers(-(2**63), 2**63 - 1, m - 1, dtype=np.int64)
+        buf = items.copy()
+        _fastpath.kernel(buf)[1](buf, -1, 1, mult, m, 3, 2)
+        expected = np.empty_like(items)
+        expected[np.arange(1, m, dtype=np.int64) * mult % m - 1] = items  # j -> j * mult
+        assert np.array_equal(buf, expected), mult
 
 
 @needs_kernel
@@ -207,6 +236,60 @@ def test_native_reverse_stays_inside_a_view():
     assert backing.tolist() == list(range(10))
     reverse(view, 0, 4)
     assert backing.tolist() == [3, 2, 1, 0, 4, 5, 6, 7, 8, 9]
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind", ["list", "ndarray", "records8", "records64"])
+def test_native_reverse_matches_slice_reversal_exhaustively(kind):
+    # 8-byte items are reversed two from each end at a time and the 0 to 3
+    # left in the middle one at a time: every range of every length up to
+    # 40 meets each parity of lo and hi and each size of that middle
+    rng = random.Random(kind)
+    for n in range(41):
+        if kind == "list":
+            buf = list(range(n))
+        elif kind == "ndarray":
+            buf = np.array([rng.randrange(-(2**63), 2**63) for _ in range(n)], dtype=np.int64)
+        else:
+            buf = RecordBuffer(bytearray(rng.randbytes(n * int(kind[7:]))), int(kind[7:]))
+        reverse = _fastpath.kernel(buf)[0]
+        assert reverse is not _loops.reverse_slots
+        expected = [buf[i] for i in range(n)]
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                reverse(buf, lo, hi)
+                expected[lo:hi] = expected[lo:hi][::-1]
+                assert [buf[i] for i in range(n)] == expected, (n, lo, hi)
+
+
+@needs_kernel
+def test_entries_refuse_memory_of_python_objects():
+    # an object ndarray's memory is references: moving them without the GIL
+    # could free an object under another thread, so both entries refuse it,
+    # directly as through the kernel's own sort; a field merely named O is
+    # no object
+    native = _fastpath._native
+    for buf in (
+        np.array([None, 1, "x", 2.5] * 8, dtype=object),
+        np.array([(i, str(i), -i) for i in range(32)], dtype=[("i", "i8"), ("a", "O"), ("b", "i8")]),
+    ):
+        before = buf.copy()
+        with pytest.raises(BufferError, match="Python objects"):
+            native.reverse(buf, 0, 32)
+        with pytest.raises(BufferError, match="Python objects"):
+            native.walk(buf, -1, 1, 2, 33, 2, 1)
+        assert buf.tolist() == before.tolist()
+        assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk)
+    named = np.array([(i, -i) for i in range(32)], dtype=[("O", "i8"), ("x", "f8")])
+    native.reverse(named, 0, 32)
+    assert named["O"].tolist() == list(range(31, -1, -1))
+    # numpy cannot spell a datetime64 in a format: its memory is taken
+    # without one, natively
+    times = np.arange(3000).astype("datetime64[s]")
+    before = times.tolist()
+    assert _fastpath.kernel(times)[1] is native.walk
+    k_shuffle(times, 3)
+    assert times.tolist() == oracle_shuffle(before, kway_kind(3))
 
 
 @needs_kernel
@@ -370,13 +453,17 @@ needs_headers = pytest.mark.skipif(not HAVE_HEADERS, reason=f"no Python.h in {HE
 
 @needs_cc
 @needs_headers
-def test_kernel_source_compiles_without_warnings():
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # with the build's own flags, -O2 among them, so that warnings only the
+    # optimizer finds (-Wmaybe-uninitialized, say) fail it too
     built = subprocess.run(
-        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", HEADERS, _fastpath._SOURCE],
+        [*_fastpath._cc_argv(), "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "_kernel.o"),
+         _fastpath._SOURCE],
         capture_output=True,
         text=True,
     )
     assert built.returncode == 0, built.stderr
+    assert (tmp_path / "_kernel.o").stat().st_size > 0
 
 
 @needs_cc
