@@ -1,4 +1,4 @@
-"""Command-line front end: shuffle record files, inspect cycles, benchmark.
+"""Command-line front end: shuffle record files and inspect cycles.
 
 Exit codes: 0 success, 2 argument or validation error, 3 I/O failure,
 4 verification mismatch.
@@ -10,7 +10,6 @@ import os
 import stat
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from . import _fastpath
@@ -18,6 +17,7 @@ from .kway import k_shuffle, k_unshuffle
 from .oracle import oracle_shuffle
 from .permcore import (
     IN_SHUFFLE,
+    OUT_SHUFFLE,
     ShuffleKind,
     cycle_decomposition,
     in_shuffle_order,
@@ -25,7 +25,6 @@ from .permcore import (
     validate_order,
 )
 from .shuffle import (
-    Instrumentation,
     RecordBuffer,
     in_shuffle,
     out_shuffle,
@@ -43,7 +42,7 @@ def parse_kind(text: str) -> ShuffleKind:
     if text == "in":
         return IN_SHUFFLE
     if text == "out":
-        return ShuffleKind("out")
+        return OUT_SHUFFLE
     if text.startswith("k:"):
         try:
             return kway_kind(int(text[2:]))
@@ -226,37 +225,6 @@ def cmd_order(order: int) -> int:
     return EXIT_OK
 
 
-def _fresh_buffer(size: int):
-    # imported here, so that no other command pays for numpy
-    try:
-        import numpy as np
-    except ImportError:
-        return list(range(size))
-    return np.arange(size, dtype=np.int64)
-
-
-def cmd_bench(min_size: int, max_size: int, factor: float) -> int:
-    if not 2 <= min_size <= max_size:
-        return _fail(EXIT_USAGE, f"need 2 <= min <= max, got {min_size}..{max_size}")
-    if factor <= 1:
-        return _fail(EXIT_USAGE, f"growth factor must be > 1, got {factor}")
-    print("size,nanos,moves,aux_words")
-    s = min_size
-    last_emitted = None
-    while s <= max_size:
-        size = max(2, (s + 1) // 2 * 2)  # nearest even, ties rounded up
-        if size != last_emitted:
-            buf = _fresh_buffer(size)
-            instr = Instrumentation()
-            started = time.perf_counter_ns()
-            in_shuffle(buf, instr)
-            elapsed = time.perf_counter_ns() - started
-            print(f"{size},{elapsed},{instr.moves},{instr.aux_words_peak}")
-            last_emitted = size
-        s = math.ceil(s * factor)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="faro",
@@ -281,13 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     order_p = sub.add_parser("order", help="print how many in-shuffles restore the original")
     order_p.add_argument("order", type=int, help="number of elements")
-
-    bench_p = sub.add_parser("bench", help="sweep sizes and emit CSV of time and move counts")
-    bench_p.add_argument("--min", type=int, required=True, dest="min_size")
-    bench_p.add_argument("--max", type=int, required=True, dest="max_size")
-    bench_p.add_argument("--factor", type=float, required=True,
-                         help="size growth per step; sizes are rounded to the nearest "
-                              "even value (ties up)")
     return parser
 
 
@@ -301,9 +262,7 @@ def main(argv=None) -> int:
         return cmd_apply(args.path, args.record_size, args.kind, args.inverse, args.verify)
     if args.command == "cycles":
         return cmd_cycles(args.order, args.kind)
-    if args.command == "order":
-        return cmd_order(args.order)
-    return cmd_bench(args.min_size, args.max_size, args.factor)
+    return cmd_order(args.order)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ Cycle decompositions here may use memory proportional to the order; they are
 the analysis and test surface, not the in-place shuffling path.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .numtheory import multiplicative_order
@@ -32,26 +32,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShuffleKind:
+class ShuffleKind(namedtuple("ShuffleKind", "family k")):
     """A permutation family: perfect in-shuffle, out-shuffle, or k-way.
 
     ``k`` is the interleave arity; it is 2 for the in- and out-shuffle and
-    at least 2 for the k-way family. ``kway_kind(2)`` names the same
-    permutation as ``IN_SHUFFLE``.
+    at least 2 for the k-way family. A kind is an immutable named tuple,
+    compared and hashed by value. ``kway_kind(2)`` names the same
+    permutation as ``IN_SHUFFLE`` but does not compare equal to it.
     """
 
-    family: str
-    k: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("in", "out", "kway"):
-            raise ValueError(f"unknown shuffle family {self.family!r}")
-        if self.family == "kway":
-            if self.k < 2:
-                raise ValueError(f"k-way arity must be >= 2, got {self.k}")
-        elif self.k != 2:
-            raise ValueError(f"{self.family}-shuffle has fixed arity 2")
+    def __new__(cls, family: str, k: int = 2):
+        if family not in ("in", "out", "kway"):
+            raise ValueError(f"unknown shuffle family {family!r}")
+        if family == "kway":
+            if k < 2:
+                raise ValueError(f"k-way arity must be >= 2, got {k}")
+        elif k != 2:
+            raise ValueError(f"{family}-shuffle has fixed arity 2")
+        return super().__new__(cls, family, k)
 
     def __str__(self):
         if self.family == "kway":
@@ -67,8 +67,7 @@ def kway_kind(k: int) -> ShuffleKind:
     return ShuffleKind("kway", k)
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(namedtuple("CycleDecomposition", "cycles order")):
     """Disjoint moving cycles of a permutation on {1..order}.
 
     Each cycle is rotated so its smallest position leads, and cycles are
@@ -76,8 +75,7 @@ class CycleDecomposition:
     that actually move appear.
     """
 
-    cycles: tuple[tuple[int, ...], ...]
-    order: int
+    __slots__ = ()
 
     def moved_count(self) -> int:
         return sum(len(c) for c in self.cycles)

@@ -39,7 +39,7 @@ it for the duration of the call; there is no shared state, so distinct
 buffers can be shuffled concurrently.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _fastpath
 from .kway import _blocks, _shuffle_range, _unshuffle_range
@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class Instrumentation:
     """Operation counters that make the complexity claims measurable.
 
@@ -82,15 +81,31 @@ class Instrumentation:
     as documented constants per routine. The in-place property shows up as
     this peak staying a small constant regardless of buffer length.
 
+    Every counter starts at 0. Two instances are equal when all their
+    counters are, and being mutable, they are not hashable.
+
     Pass ``instr=None`` to any operation to skip counting entirely.
     """
 
-    rotate_moves: int = 0
-    walk_moves: int = 0
-    tail_moves: int = 0
-    blocks: int = 0
-    cycles: int = 0
-    aux_words_peak: int = 0
+    __slots__ = ("rotate_moves", "walk_moves", "tail_moves", "blocks", "cycles", "aux_words_peak")
+
+    def __init__(self, rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0,
+                 aux_words_peak=0):
+        self.rotate_moves = rotate_moves
+        self.walk_moves = walk_moves
+        self.tail_moves = tail_moves
+        self.blocks = blocks
+        self.cycles = cycles
+        self.aux_words_peak = aux_words_peak
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        counters = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({counters})"
 
     @property
     def moves(self) -> int:
@@ -142,8 +157,7 @@ class RecordBuffer:
         return bytes(self.data)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "offset m k p")):
     """One cycle-leader sub-problem: 2m = p^k - 1 elements at `offset`.
 
     ``p`` is the block's base and ``k`` its exponent, which is also the
@@ -151,22 +165,17 @@ class Block:
     ``size + k`` moves.
     """
 
-    offset: int
-    m: int
-    k: int
-    p: int
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return 2 * self.m
 
 
-@dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(namedtuple("BlockPlan", "blocks total")):
     """Greedy tiling of a length into p^k - 1 blocks, left to right."""
 
-    blocks: tuple[Block, ...]
-    total: int
+    __slots__ = ()
 
 
 def plan_blocks(total: int) -> BlockPlan:

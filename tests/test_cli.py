@@ -360,41 +360,6 @@ def test_order_runs_in_constant_memory(capsys):
     assert peak < 64 * 1024
 
 
-def test_bench_single_point(capsys):
-    assert cli.main(["bench", "--min", "2", "--max", "2", "--factor", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "size,nanos,moves,aux_words"
-    assert len(lines) == 2
-    size, nanos, moves, aux = map(int, lines[1].split(","))
-    assert size == 2
-    assert moves <= 12
-    assert aux <= 64
-    assert nanos >= 0
-
-
-def test_bench_sweep_is_parseable_and_linearish(capsys):
-    assert cli.main(["bench", "--min", "8", "--max", "4096", "--factor", "4"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "size,nanos,moves,aux_words"
-    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
-    assert [r[0] for r in rows] == [8, 32, 128, 512, 2048]
-    for size, _, moves, aux in rows:
-        assert size <= moves <= 6 * size
-        assert aux <= 64
-
-
-def test_bench_rounds_to_even_sizes(capsys):
-    assert cli.main(["bench", "--min", "3", "--max", "7", "--factor", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [int(line.split(",")[0]) for line in lines[1:]] == [4, 6]
-
-
-def test_bench_rejects_bad_ranges():
-    assert cli.main(["bench", "--min", "1", "--max", "4", "--factor", "2"]) == 2
-    assert cli.main(["bench", "--min", "8", "--max", "4", "--factor", "2"]) == 2
-    assert cli.main(["bench", "--min", "2", "--max", "4", "--factor", "1"]) == 2
-
-
 def test_unknown_kind_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "x.bin"
     target.write_bytes(b"\x00" * 8)

@@ -425,12 +425,17 @@ def test_cli_import_leaves_numpy_out():
     assert out.strip() == "False"
 
 
-def test_cli_import_leaves_ctypes_out():
-    probe = "import sys, faro.cli; print('ctypes' in sys.modules)"
+def test_cli_import_leaves_ctypes_dataclasses_and_inspect_out():
+    # every `faro apply` child imports faro.cli afresh; dataclasses alone
+    # would pull in inspect, ast, dis and tokenize
+    probe = (
+        "import sys, faro.cli\n"
+        "print(sorted({'ctypes', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 @needs_kernel
@@ -735,9 +740,12 @@ def test_buffer_walks_run_without_the_gil():
     # keeps taking timestamps meanwhile can only take one well inside the
     # call when the walk has let go of the GIL: a walk that held it would let
     # that thread run only around the call, within a switch interval of it.
+    # A busy host can still deschedule the ticker for the whole middle of one
+    # walk, so up to three walks are timed, each on a fresh buffer.
     interval = sys.getswitchinterval()
     m = 3**14
-    buf = np.arange(m - 1, dtype=np.int64)
+    expected = np.empty(m - 1, dtype=np.int64)
+    expected[2 * np.arange(1, m) % m - 1] = np.arange(m - 1)  # the in-shuffle
     stamps, stop = [], threading.Event()
 
     def tick():
@@ -750,19 +758,21 @@ def test_buffer_walks_run_without_the_gil():
     try:
         while not stamps:
             time.sleep(0.001)
-        start = time.perf_counter()
-        _fastpath._native.walk(buf, -1, 1, 2, m, 3, 14)
-        end = time.perf_counter()
+        for _ in range(3):
+            buf = np.arange(m - 1, dtype=np.int64)
+            start = time.perf_counter()
+            _fastpath._native.walk(buf, -1, 1, 2, m, 3, 14)
+            end = time.perf_counter()
+            assert np.array_equal(buf, expected)
+            quarter = (end - start) / 4
+            if any(start + quarter < t < end - quarter for t in stamps):
+                break
     finally:
         stop.set()
         ticker.join(timeout=60)
         sys.setswitchinterval(interval)
     assert not ticker.is_alive()
-    quarter = (end - start) / 4
     assert any(start + quarter < t < end - quarter for t in stamps), (end - start, len(stamps))
-    expected = np.empty_like(buf)
-    expected[2 * np.arange(1, m) % m - 1] = np.arange(m - 1)  # the in-shuffle
-    assert np.array_equal(buf, expected)
 
 
 @needs_kernel

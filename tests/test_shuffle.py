@@ -6,7 +6,16 @@ from conftest import CountingList
 from faro import _fastpath, _loops
 from faro.kway import _BASES, _general_cycle_passes, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
-from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, in_target, permutation_order
+from faro.permcore import (
+    IN_SHUFFLE,
+    OUT_SHUFFLE,
+    CycleDecomposition,
+    ShuffleKind,
+    cycle_decomposition,
+    in_target,
+    kway_kind,
+    permutation_order,
+)
 from faro.shuffle import (
     Block,
     Instrumentation,
@@ -353,6 +362,44 @@ def test_compiled_path_matches_pure_path(monkeypatch):
                 assert result == expected, case
                 # every counter: rotate, walk and tail moves and the aux peak
                 assert instr == pure_instr, case
+
+
+def test_value_types_compare_hash_and_print_by_their_fields():
+    # Instrumentation: mutable counters, equal when every counter is
+    instr = Instrumentation()
+    assert repr(instr) == (
+        "Instrumentation(rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0, "
+        "aux_words_peak=0)"
+    )
+    assert instr == Instrumentation() and not instr != Instrumentation()
+    instr.cycles += 1
+    assert instr != Instrumentation() and instr == Instrumentation(cycles=1)
+    counted = Instrumentation(rotate_moves=1, walk_moves=2, tail_moves=4, blocks=8, cycles=16,
+                              aux_words_peak=32)
+    assert repr(counted) == (
+        "Instrumentation(rotate_moves=1, walk_moves=2, tail_moves=4, blocks=8, cycles=16, "
+        "aux_words_peak=32)"
+    )
+    assert counted.moves == 7
+    # the frozen types: equal and hashed by value, printed field by field,
+    # and no field can be assigned
+    for value, same, text, field in [
+        (IN_SHUFFLE, ShuffleKind("in"), "ShuffleKind(family='in', k=2)", "family"),
+        (kway_kind(3), ShuffleKind("kway", 3), "ShuffleKind(family='kway', k=3)", "k"),
+        (Block(offset=6, m=4, k=2, p=3), Block(6, 4, 2, 3), "Block(offset=6, m=4, k=2, p=3)",
+         "offset"),
+        (cycle_decomposition(IN_SHUFFLE, 6), CycleDecomposition(((1, 2, 4), (3, 6, 5)), 6),
+         "CycleDecomposition(cycles=((1, 2, 4), (3, 6, 5)), order=6)", "cycles"),
+    ]:
+        assert value == same and not value != same
+        assert hash(value) == hash(same) and len({value, same}) == 1
+        assert repr(value) == text
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert kway_kind(2) != IN_SHUFFLE
+    assert kway_kind(3) != kway_kind(4)
+    assert Block(6, 4, 2, 3).size == 8
+    assert cycle_decomposition(IN_SHUFFLE, 6).moved_count() == 6
 
 
 def test_record_buffer_semantics():
