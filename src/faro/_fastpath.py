@@ -1,15 +1,15 @@
 """Native twins of the inner loops, and the choice between them and ``_loops``.
 
-``_kernel.c`` is a CPython extension module holding the reversal and the
-cycle walk of ``_loops`` in C, over raw item memory, and the check behind
-``faro apply --verify`` (``agree``). On first import it is compiled with
-``cc`` against the interpreter's ``Python.h`` into
+``_kernel.c`` is a CPython extension module holding the three loops of
+``_loops`` in C: the reversal and the cycle walk, over raw item memory, and
+the check behind ``faro apply --verify`` (``agree``). On first import it is
+compiled with ``cc`` against the interpreter's ``Python.h`` into
 ``__pycache__/_kernel-<crc32 of the source and the cc argv><extension
 suffix>`` next to this file and loaded with importlib; later imports load
 that file, and a new build removes the modules built there before it. If
 ``Python.h`` is missing, or the build or the load fails, ``HAVE_COMPILED``
-is False, ``BUILD_ERROR`` says why, every buffer takes the Python loops and
-``agree`` returns None.
+is False, ``BUILD_ERROR`` says why, and every buffer and every ``agree``
+takes the Python loops.
 
 The kernel takes exact lists (not subclasses), through their ``PyObject *``
 slots, with the GIL held and the list's size checked on every call; 1-D,
@@ -17,8 +17,11 @@ writable, C-contiguous ndarrays of any dtype that holds no Python objects;
 and ``RecordBuffer`` over a bytearray. The memory of the last two is held as
 a buffer view for the length of a call, which runs without the GIL. Every
 other buffer, read-only or strided arrays among them, takes the Python
-loops. numpy is never imported here: no ndarray can exist before the caller
-has imported it.
+loops, except an ndarray whose items are views (one that is not 1-D, or of
+a structured dtype): the Python loops would copy an item through a view
+that an earlier write has already overwritten, so ``kernel`` refuses it
+with ValueError. numpy is never imported here: no ndarray can exist before
+the caller has imported it.
 
 One walk call realizes a whole ladder of cycles, those led by
 ``leader * p**s`` for ``s < count``. Every walk of a q-way pass steps
@@ -112,16 +115,20 @@ def kernel(buf):
     """The (reverse, walk) pair for this buffer, for the length of one call.
 
     Every native loop checks its range against the buffer and raises
-    IndexError outside it.
+    IndexError outside it. ValueError for an ndarray whose items are views
+    and that the kernel does not take, before anything moves.
     """
-    if _native is None:
-        return _PURE
     if type(buf) is list:
-        return _native.reverse, _native.walk
+        return _PURE if _native is None else (_native.reverse, _native.walk)
     np = sys.modules.get("numpy")
     if np is not None and isinstance(buf, np.ndarray):
-        if buf.ndim == 1 and buf.flags.c_contiguous and buf.flags.writeable and not buf.dtype.hasobject:
+        takes = buf.ndim == 1 and buf.flags.c_contiguous and buf.flags.writeable and not buf.dtype.hasobject
+        if takes and _native is not None:
             return _native.reverse, _native.walk
+        if buf.ndim != 1 or buf.dtype.names:
+            raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
+        return _PURE
+    if _native is None:
         return _PURE
     from .shuffle import RecordBuffer  # shuffle imports this module
 
@@ -146,11 +153,10 @@ def agree(chunk, result, itemsize, base, mult, modulus, j0, count):
     `itemsize` bytes in two contiguous buffers (bytearrays, say). Called on
     consecutive chunks for j = 1..modulus-1, it checks that `result` holds a
     buffer read in order, item ``base + j`` moved to ``base + (j * mult %
-    modulus)``. One native pass per chunk that allocates nothing; it shares
-    no code with the shuffles it checks. None when the kernel did not build.
+    modulus)``. One pass per chunk that holds nothing beyond it, native or,
+    when the kernel did not build, by its twin ``_loops.agree_items``; it
+    shares no code with the shuffles it checks. The checks here guard both.
     """
-    if _native is None:
-        return None
     if itemsize < 1 or modulus < 1 or base + 1 < 0:
         raise ValueError(f"no items {base} + 1..{modulus - 1} of {itemsize} bytes")
     # a unit keeps every target off item `base` and makes the map a bijection
@@ -164,4 +170,5 @@ def agree(chunk, result, itemsize, base, mult, modulus, j0, count):
             raise IndexError(f"buffer of {size} bytes, need {need}")
     if count == 0:
         return True  # nothing to compare
-    return _native.agree(chunk, result, itemsize, base, mult % modulus, modulus, j0, count)
+    agree_items = _loops.agree_items if _native is None else _native.agree
+    return agree_items(chunk, result, itemsize, base, mult % modulus, modulus, j0, count)

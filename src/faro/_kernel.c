@@ -11,10 +11,11 @@
  * walk of a q-way pass steps j -> q * j mod m, without a division: the
  * forward passes (mult = q) push each item on to its target q * j, and the
  * inverse passes (mult = q^-1) pull each slot's item from its source q * j
- * (see struct step). A walk by x 3..9 with f^4 * m <= 2^32 computes the
- * next four slots at once, each straight from the current one, so that its
- * loop waits on one step per four items rather than per item; the
- * reversal of 8-byte items swaps two of them from each end at a time.
+ * (see struct step), both by one loop, cycle(). A walk by x 3..9 with
+ * f^4 * m <= 2^32 computes the next four slots at once, each straight from
+ * the current one, so that its loop waits on one step per four items rather
+ * than per item; the reversal of 8-byte items swaps two of them from each
+ * end at a time.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any writable, C-contiguous, 1-D buffer (an ndarray, a bytearray), and
@@ -51,10 +52,10 @@ static int64_t inverse(int64_t a, int64_t m)
 /* How a walk under x mult mod m steps from slot j to slot f * j mod m,
  * chosen once per walk so that no step the shuffles take divides. With
  * f = mult the walk pushes, moving each item on to its target; with
- * f = mult^-1 it pulls, filling each slot from its source. It pushes when
- * mult has a fast step or mult^-1 has none, and pulls otherwise, so every
- * forward pass (mult = q) pushes and every inverse pass (mult = q^-1) pulls,
- * both stepping by x q:
+ * f = mult^-1 it pulls, filling each slot from its source (cycle() walks
+ * either way). It pushes when mult has a fast step or mult^-1 has none,
+ * and pulls otherwise, so every forward pass (mult = q) pushes and every
+ * inverse pass (mult = q^-1) pulls, both stepping by x q:
  *   TIMES2  f = 2: 2j, less m when it reaches m;
  *   TIMES   f = 3..9 with f * m <= 2^32: f * j by Lemire's fastmod,
  *           exact below 2^32, with recip = floor((2^64 - 1) / m) + 1 and
@@ -177,73 +178,52 @@ static inline void copy_bytes(char *a, const char *b, size_t n)
         *a++ = *b++;
 }
 
-/* Realize the cycle of item base + leader under j -> j * mult mod m, with
- * f = mult, by pushing: hold the leader's column, exchange it with the
- * column of each slot j = f * j in turn (a word at a time, through
- * registers), and put the held column back in the leader's slot once the
- * walk returns there. Each round takes the `ahead` slots after j, each
- * computed from j, and stops at the first that is the leader. */
-static inline __attribute__((always_inline)) void push(char *buf, size_t size, size_t width, int64_t base,
-                                                       int64_t leader, const struct step *st, int kind,
-                                                       int ahead)
+/* Realize the cycle of item base + leader under j -> j * mult mod m. Hold
+ * the leader's column, then visit the slots j = f * j in turn until the walk
+ * returns to the leader. With f = mult it pushes (pulls = 0): it exchanges
+ * the held column with each slot's (a word at a time, through registers),
+ * and `slot` stays the leader's. With f = mult^-1 it pulls (pulls = 1): it
+ * fills `slot` from its source f * j (one load and one store) and moves on
+ * to that source. Either way the held column then goes into `slot`, which
+ * when pulling is the slot whose source is the leader. Each round takes
+ * the `ahead` slots after j, each computed from j, and stops at the first
+ * that is the leader. */
+static inline __attribute__((always_inline)) void cycle(char *buf, size_t size, size_t width, int64_t base,
+                                                        int64_t leader, const struct step *st, int kind,
+                                                        int ahead, int pulls)
 {
     struct step k = *st; /* a copy no store into buf can alias */
     char t[COLUMN];
     char *slot = buf + (base + leader) * size;
     copy_bytes(t, slot, width);
     for (int64_t j = leader;;) {
-        int64_t to[AHEAD];
+        int64_t visit[AHEAD];
 #pragma GCC unroll 4
         for (int s = 0; s < ahead; s++)
-            to[s] = next(&k, kind, j, s + 1);
+            visit[s] = next(&k, kind, j, s + 1);
 #pragma GCC unroll 4
         for (int s = 0; s < ahead; s++) {
-            if (to[s] == leader)
+            if (visit[s] == leader)
                 goto closed;
-            swap_bytes(t, buf + (base + to[s]) * size, width);
+            char *at = buf + (base + visit[s]) * size;
+            if (pulls) {
+                copy_bytes(slot, at, width);
+                slot = at;
+            } else
+                swap_bytes(t, at, width);
         }
-        j = to[ahead - 1];
+        j = visit[ahead - 1];
     }
 closed:
     copy_bytes(slot, t, width);
 }
 
-/* The same cycle with f = mult^-1, by pulling: hold the leader's column,
- * fill each slot j from its source f * j (one load and one store), move on
- * to that source, and put the held column in the last slot, the one whose
- * source is the leader. Sources are taken `ahead` at a time, as in push(). */
-static inline __attribute__((always_inline)) void pull(char *buf, size_t size, size_t width, int64_t base,
-                                                       int64_t leader, const struct step *st, int kind,
-                                                       int ahead)
-{
-    struct step k = *st;
-    char t[COLUMN];
-    char *slot = buf + (base + leader) * size;
-    copy_bytes(t, slot, width);
-    for (int64_t j = leader;;) {
-        int64_t from[AHEAD];
-#pragma GCC unroll 4
-        for (int s = 0; s < ahead; s++)
-            from[s] = next(&k, kind, j, s + 1);
-#pragma GCC unroll 4
-        for (int s = 0; s < ahead; s++) {
-            if (from[s] == leader)
-                goto closed;
-            char *source = buf + (base + from[s]) * size;
-            copy_bytes(slot, source, width);
-            slot = source;
-        }
-        j = from[ahead - 1];
-    }
-closed:
-    copy_bytes(slot, t, width);
-}
+/* cycle() under the step st; pulls is 0 to push and 1 to pull */
+#define CYCLE(pulls, kind, ahead) cycle(buf, size, width, base, leader, st, kind, ahead, pulls)
 
-/* push() or pull() by the step st, its kind and look-ahead as constants:
- * one loop per kind, look-ahead and direction */
-#define CYCLE(dir, kind, ahead) dir(buf, size, width, base, leader, st, kind, ahead)
-
-/* Walk the cycles led by leader * p^s for s < count. */
+/* Walk the cycles led by leader * p^s for s < count, passing cycle() the
+ * step's kind, look-ahead and direction as constants: one loop per kind,
+ * look-ahead and direction. */
 static inline __attribute__((always_inline)) void ladder(char *buf, size_t size, size_t width, int64_t base,
                                                          int64_t leader, int64_t p, int64_t count,
                                                          const struct step *st)
@@ -252,22 +232,22 @@ static inline __attribute__((always_inline)) void ladder(char *buf, size_t size,
         switch (st->kind) {
         case TIMES2:
             if (st->push)
-                CYCLE(push, TIMES2, 1);
+                CYCLE(0, TIMES2, 1);
             else
-                CYCLE(pull, TIMES2, 1);
+                CYCLE(1, TIMES2, 1);
             break;
         case TIMES:
             if (st->push && st->ahead == AHEAD)
-                CYCLE(push, TIMES, AHEAD);
+                CYCLE(0, TIMES, AHEAD);
             else if (st->push)
-                CYCLE(push, TIMES, 1);
+                CYCLE(0, TIMES, 1);
             else if (st->ahead == AHEAD)
-                CYCLE(pull, TIMES, AHEAD);
+                CYCLE(1, TIMES, AHEAD);
             else
-                CYCLE(pull, TIMES, 1);
+                CYCLE(1, TIMES, 1);
             break;
         default:
-            CYCLE(push, MULMOD, 1); /* plan() pulls only by fast steps */
+            CYCLE(0, MULMOD, 1); /* plan() pulls only by fast steps */
         }
         /* wraps only past the last rung, where it goes unused */
         leader = (int64_t)((uint64_t)leader * (uint64_t)p);

@@ -1,14 +1,15 @@
-"""Innermost element-moving loops.
+"""Innermost element-moving loops, and the check behind ``faro apply --verify``.
 
 These are the reference loops, and the path of every buffer the native
 kernel does not take: list subclasses, strided or read-only arrays, and
 everything when the kernel did not build (with no ``cc`` or no
-``Python.h``, say). ``_kernel.c`` holds the same two loops in C for lists,
-ndarrays and ``RecordBuffer``; the test suite runs both paths on the same
-inputs and requires equal results and equal instrumentation counts.
+``Python.h``, say). ``_kernel.c`` holds the same three loops in C, the
+moving two for lists, ndarrays and ``RecordBuffer``; the test suite runs
+both paths on the same inputs and requires equal results, equal
+instrumentation counts and equal answers.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
-loops only move elements.
+loops only move or compare elements.
 """
 
 
@@ -41,3 +42,16 @@ def cycle_walk(buf, base, leader, mult, modulus, p, count):
             if j == leader:
                 break
         leader *= p
+
+
+def agree_items(chunk, res, itemsize, base, mult, modulus, j0, count):
+    # True iff item i of chunk equals item base + ((j0 + i) * mult % modulus)
+    # of res for every i in 0..count-1, items being runs of itemsize bytes;
+    # the twin of agree_items in _kernel.c. Reads only; _fastpath.agree
+    # checks the arguments.
+    chunk, res = memoryview(chunk).cast("B"), memoryview(res).cast("B")
+    for i in range(count):
+        at = (base + (j0 + i) * mult % modulus) * itemsize
+        if chunk[i * itemsize : (i + 1) * itemsize] != res[at : at + itemsize]:
+            return False
+    return True

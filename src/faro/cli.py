@@ -14,7 +14,8 @@ from pathlib import Path
 
 from . import _fastpath
 from .kway import k_shuffle, k_unshuffle
-from .oracle import oracle_shuffle
+# unused here; kept bound because perfbench swaps faro.cli.oracle_shuffle by name
+from .oracle import oracle_shuffle  # noqa: F401
 from .permcore import (
     IN_SHUFFLE,
     OUT_SHUFFLE,
@@ -107,18 +108,11 @@ def _verified(path: Path, result: bytearray, record_size: int, kind: ShuffleKind
 
     The file is read again, strictly in order, one chunk of about ``_CHUNK``
     bytes at a time into one reused buffer, and each chunk is checked
-    against `result` under the closed-form target map in one native pass.
-    So the check holds no second copy of the file, and a file that got
-    shorter, longer or changed since it was read fails it. Without the
-    kernel, the file is read whole and record lists are compared against
-    the oracle instead.
+    against `result` under the closed-form target map in one pass of
+    ``_fastpath.agree``. So the check holds no second copy of the file, and
+    a file that got shorter, longer or changed since it was read fails it.
     """
     rs = record_size
-    if _fastpath._native is None:
-        disk = _read(path)[0]
-        records = [[buf[i : i + rs] for i in range(0, len(buf), rs)] for buf in (disk, result)]
-        before, after = records[::-1] if inverse else records
-        return len(before) == len(after) and oracle_shuffle(before, kind) == after
     count = len(result) // rs
     # item base + j moves to base + (j * mult % modulus) for j in 1..modulus-1;
     # items base and base + modulus stay, which in a file are the out-shuffle's

@@ -134,6 +134,41 @@ def test_native_walk_matches_the_pure_walk(itemsize):
 
 
 @needs_kernel
+@pytest.mark.parametrize("itemsize", [1, 3, 8, 64, 257])
+def test_native_agree_matches_the_pure_agree(itemsize):
+    # every unit mult mod m <= 30 over the whole of 1..m-1, and every window
+    # j0 .. j0 + count - 1 under the smallest unit above 1 (few wraps) and
+    # m - 1 (a wrap at almost every step); each against the moved items and
+    # against copies with one byte flipped at the first, middle and last item
+    rng = random.Random(itemsize)
+    for m in range(2, 31):
+        base = m % 3 - 1
+        items = [rng.randbytes(itemsize) for _ in range(m)]
+        units = [u for u in range(1, m) if gcd(u, m) == 1]
+        for mult in units:
+            moved = bytearray(itemsize * (base + m))
+            for j in range(1, m):
+                t = base + j * mult % m
+                moved[t * itemsize : (t + 1) * itemsize] = items[j]
+            results = [(moved, True)]
+            for j in sorted({1, m // 2, m - 1}):
+                flipped = bytearray(moved)
+                flipped[(base + j) * itemsize + rng.randrange(itemsize)] ^= 1 << rng.randrange(8)
+                results.append((flipped, False))
+            windows = [(1, m - 1)]
+            if mult in (units[1:2] + units[-1:]):
+                windows = [(j0, count) for j0 in range(1, m) for count in range(1, m - j0 + 1)]
+            for res, whole in results:
+                for j0, count in windows:
+                    chunk = b"".join(items[j0 : j0 + count])
+                    args = (chunk, res, itemsize, base, mult, m, j0, count)
+                    same = _loops.agree_items(*args)
+                    assert _fastpath._native.agree(*args) is same, (m, mult, j0, count)
+                    if count == m - 1:
+                        assert same is whole, (m, mult)
+
+
+@needs_kernel
 def test_forward_and_inverse_walks_run_at_one_speed():
     # Both directions of every walk step by x q without a division. A
     # direction that fell back to one, or to a copy call per item, would be
@@ -266,8 +301,9 @@ def test_native_reverse_matches_slice_reversal_exhaustively(kind):
 def test_entries_refuse_memory_of_python_objects():
     # an object ndarray's memory is references: moving them without the GIL
     # could free an object under another thread, so both entries refuse it,
-    # directly as through the kernel's own sort; a field merely named O is
-    # no object
+    # directly as through the kernel's own sort, which sends an object array
+    # to the pure loops and refuses a structured one, whose items are views;
+    # a field merely named O is no object
     native = _fastpath._native
     for buf in (
         np.array([None, 1, "x", 2.5] * 8, dtype=object),
@@ -279,7 +315,11 @@ def test_entries_refuse_memory_of_python_objects():
         with pytest.raises(BufferError, match="Python objects"):
             native.walk(buf, -1, 1, 2, 33, 2, 1)
         assert buf.tolist() == before.tolist()
-        assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk)
+        if buf.dtype.names:
+            with pytest.raises(ValueError, match="views"):
+                _fastpath.kernel(buf)
+        else:
+            assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk)
     named = np.array([(i, -i) for i in range(32)], dtype=[("O", "i8"), ("x", "f8")])
     native.reverse(named, 0, 32)
     assert named["O"].tolist() == list(range(31, -1, -1))
@@ -290,6 +330,40 @@ def test_entries_refuse_memory_of_python_objects():
     assert _fastpath.kernel(times)[1] is native.walk
     k_shuffle(times, 3)
     assert times.tolist() == oracle_shuffle(before, kway_kind(3))
+
+
+def _views():
+    """Arrays whose items are views, by case: (array, whether the kernel stays)."""
+    pair, objects = [("a", "i8"), ("b", "i4")], [("a", "i8"), ("o", "O")]
+    return {
+        "2-D": (np.arange(12).reshape(6, 2), True),
+        "strided-structured": (np.array([(i, -i) for i in range(24)], dtype=pair)[::2], True),
+        "structured-with-objects": (np.array([(i, str(i)) for i in range(12)], dtype=objects), True),
+        "structured-without-the-kernel": (np.array([(i, -i) for i in range(12)], dtype=pair), False),
+    }
+
+
+@pytest.mark.parametrize("case", list(_views()))
+def test_arrays_whose_items_are_views_raise_and_stay_unmodified(case, monkeypatch):
+    # buf[i] of these is a view into buf, so a pure swap would copy an item
+    # that its first write has already overwritten
+    buf, native = _views()[case]
+    if not native:
+        monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
+    before = (buf.base if buf.base is not None else buf).tobytes()
+    for shuffle in (in_shuffle, un_shuffle, lambda b: k_shuffle(b, 3), lambda b: reverse_range(b, 0, 4)):
+        with pytest.raises(ValueError, match="views"):
+            shuffle(buf)
+        assert (buf.base if buf.base is not None else buf).tobytes() == before
+
+
+@needs_kernel
+def test_contiguous_structured_array_shuffles_through_the_kernel():
+    buf = np.array([(i, -i, i / 2) for i in range(1000)], dtype=[("a", "i8"), ("b", "i4"), ("c", "f8")])
+    before = buf.tolist()
+    assert _fastpath.kernel(buf)[1] is _fastpath._native.walk
+    in_shuffle(buf)
+    assert buf.tolist() == oracle_shuffle(before, IN_SHUFFLE)
 
 
 @needs_kernel
