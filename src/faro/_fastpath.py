@@ -16,19 +16,21 @@ slots, with the GIL held and the list's size checked on every call; 1-D,
 writable, C-contiguous ndarrays of any dtype that holds no Python objects;
 and ``RecordBuffer`` over a bytearray. The memory of the last two is held as
 a buffer view for the length of a call, which runs without the GIL. Every
-other buffer, read-only or strided arrays among them, takes the Python
-loops, except an ndarray whose items are views (one that is not 1-D, or of
-a structured dtype): the Python loops would copy an item through a view
-that an earlier write has already overwritten, so ``kernel`` refuses it
-with ValueError. numpy is never imported here: no ndarray can exist before
-the caller has imported it.
+other buffer takes the Python loops: read-only or strided arrays, and
+numpy MaskedArrays, whose masks the kernel would leave behind. Two kinds of
+ndarray are refused with ValueError instead. One is an ndarray whose items
+are views (one that is not 1-D, or of a structured dtype): the Python loops
+would copy an item through a view that an earlier write has already
+overwritten. The other is a MaskedArray whose hard mask holds masked items
+in place. numpy is never imported here: no ndarray can exist before the
+caller has imported it.
 
 One walk call realizes a whole ladder of cycles, those led by
-``leader * p**s`` for ``s < count``. Every walk of a q-way pass steps
-``j -> q * j mod m`` without a division: the forward passes push each item
-on to its target, and the inverse passes pull each slot's item from its
-source. The native ``reverse`` and ``walk`` check every range, integer and
-ladder against the buffer themselves.
+``leader * p**s`` for ``s < count``. Every walk of a q-way pass modulo m,
+while ``q * m <= 2**32``, steps ``j -> q * j mod m`` without a division:
+the forward passes push each item on to its target, and the inverse passes
+pull each slot's item from its source. The native ``reverse`` and ``walk``
+check every range, integer and ladder against the buffer themselves.
 
 ``kernel`` is the one place that sorts a buffer onto its loops. A public
 call resolves its (reverse, walk) pair once, with it, and hands the pair
@@ -115,15 +117,21 @@ def kernel(buf):
     """The (reverse, walk) pair for this buffer, for the length of one call.
 
     Every native loop checks its range against the buffer and raises
-    IndexError outside it. ValueError for an ndarray whose items are views
-    and that the kernel does not take, before anything moves.
+    IndexError outside it. A numpy MaskedArray takes the Python loops, which
+    move each item's mask with it. ValueError, before anything moves, for
+    an ndarray whose items are views and that the kernel does not take, and
+    for a MaskedArray whose hard mask holds masked items in place.
     """
     if type(buf) is list:
         return _PURE if _native is None else (_native.reverse, _native.walk)
     np = sys.modules.get("numpy")
     if np is not None and isinstance(buf, np.ndarray):
+        ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
+        masked = ma is not None and isinstance(buf, ma.MaskedArray)
+        if masked and buf.hardmask and buf.mask.any():
+            raise ValueError("a hard mask keeps the masked items from moving")
         takes = buf.ndim == 1 and buf.flags.c_contiguous and buf.flags.writeable and not buf.dtype.hasobject
-        if takes and _native is not None:
+        if takes and not masked and _native is not None:
             return _native.reverse, _native.walk
         if buf.ndim != 1 or buf.dtype.names:
             raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")

@@ -8,14 +8,14 @@
  * COLUMN bytes: wider records are walked once per COLUMN-byte column, so
  * extra space stays constant whatever the record size. One call walks a
  * whole ladder of cycles, those led by leader * p^s for s < count. Every
- * walk of a q-way pass steps j -> q * j mod m, without a division: the
- * forward passes (mult = q) push each item on to its target q * j, and the
- * inverse passes (mult = q^-1) pull each slot's item from its source q * j
- * (see struct step), both by one loop, cycle(). A walk by x 3..9 with
- * f^4 * m <= 2^32 computes the next four slots at once, each straight from
- * the current one, so that its loop waits on one step per four items rather
- * than per item; the reversal of 8-byte items swaps two of them from each
- * end at a time.
+ * walk of a q-way pass with q * m <= 2^32 steps j -> q * j mod m, without a
+ * division: the forward passes (mult = q) push each item on to its target
+ * q * j, and the inverse passes (mult = q^-1) pull each slot's item from its
+ * source q * j (see struct step), both by one loop, cycle(). A walk by
+ * x 2..9 with f^4 * m <= 2^32 computes the next four slots at once, each
+ * straight from the current one, so that its loop waits on one step per
+ * four items rather than per item; the reversal of 8-byte items swaps two
+ * of them from each end at a time.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any writable, C-contiguous, 1-D buffer (an ndarray, a bytearray), and
@@ -56,19 +56,20 @@ static int64_t inverse(int64_t a, int64_t m)
  * either way). It pushes when mult has a fast step or mult^-1 has none,
  * and pulls otherwise, so every forward pass (mult = q) pushes and every
  * inverse pass (mult = q^-1) pulls, both stepping by x q:
- *   TIMES2  f = 2: 2j, less m when it reaches m;
- *   TIMES   f = 3..9 with f * m <= 2^32: f * j by Lemire's fastmod,
+ *   TIMES   f = 2..9 with f * m <= 2^32: f * j by Lemire's fastmod,
  *           exact below 2^32, with recip = floor((2^64 - 1) / m) + 1 and
  *           rf[0] = recip * f mod 2^64, so that a step is two
  *           multiplications;
  *   MULMOD  any other unit or modulus, pushing: mulmod(j, mult, m).
- * A TIMES walk with f^4 * m <= 2^32 (m <= 654,620 at f = 9) looks AHEAD
- * slots ahead: rf[s - 1] = recip * f^s mod 2^64 gives f^s * j mod m by one
- * fastmod, exact since f^s * j < f^4 * m, so the four slots after j are
- * computed independently of each other and the walk goes on from the
- * fourth. Every other walk takes its slots one step at a time.
+ * So the walks of a 2-way pass on a block with m > 2^31 push by mulmod,
+ * forward or inverse. A TIMES walk with f^4 * m <= 2^32 (m <= 2^28 at f = 2,
+ * 654,620 at f = 9) looks AHEAD slots ahead: rf[s - 1] = recip * f^s mod
+ * 2^64 gives f^s * j mod m by one fastmod, exact since f^s * j < f^4 * m,
+ * so the four slots after j are computed independently of each other and
+ * the walk goes on from the fourth. Every other walk takes its slots one
+ * step at a time.
  */
-enum { TIMES2, TIMES, MULMOD };
+enum { TIMES, MULMOD };
 enum { AHEAD = 4 };
 
 struct step {
@@ -79,7 +80,7 @@ struct step {
 /* 1 iff x f mod m has a step that does not divide */
 static int fast(int64_t f, int64_t m)
 {
-    return f == 2 || (f >= 3 && f <= 9 && m <= (INT64_C(1) << 32) / f);
+    return f >= 2 && f <= 9 && m <= (INT64_C(1) << 32) / f;
 }
 
 /* 1 after filling st for a walk under x mult mod m, for 0 <= mult < m;
@@ -92,7 +93,7 @@ static int plan(struct step *st, int64_t mult, int64_t m)
     st->push = fast(mult, m) || !fast(inv, m);
     st->f = st->push ? mult : inv;
     st->m = m;
-    st->kind = st->f == 2 ? TIMES2 : fast(st->f, m) ? TIMES : MULMOD;
+    st->kind = fast(st->f, m) ? TIMES : MULMOD;
     /* a TIMES step has f <= 9 and m < 2^32, so f^4 * m cannot overflow */
     st->ahead = st->kind == TIMES && st->f * st->f * st->f * st->f * st->m <= UINT64_C(1) << 32 ? AHEAD : 1;
     uint64_t rf = UINT64_MAX / (uint64_t)m + 1;
@@ -105,16 +106,9 @@ static int plan(struct step *st, int64_t mult, int64_t m)
  * passes the kind as a constant, so each kind compiles to its own loop */
 static inline __attribute__((always_inline)) int64_t next(const struct step *st, int kind, int64_t j, int s)
 {
-    uint64_t u = j, m = st->m;
-    switch (kind) {
-    case TIMES2:
-        u *= 2;
-        return u >= m ? u - m : u;
-    case TIMES:
-        return ((unsigned __int128)(st->rf[s - 1] * u) * m) >> 64;
-    default:
-        return mulmod(j, st->f, m);
-    }
+    if (kind == TIMES)
+        return ((unsigned __int128)(st->rf[s - 1] * (uint64_t)j) * st->m) >> 64;
+    return mulmod(j, st->f, st->m);
 }
 
 /* exchange n bytes a word at a time, through registers */
@@ -229,26 +223,16 @@ static inline __attribute__((always_inline)) void ladder(char *buf, size_t size,
                                                          const struct step *st)
 {
     for (; count > 0; count--) {
-        switch (st->kind) {
-        case TIMES2:
-            if (st->push)
-                CYCLE(0, TIMES2, 1);
-            else
-                CYCLE(1, TIMES2, 1);
-            break;
-        case TIMES:
-            if (st->push && st->ahead == AHEAD)
-                CYCLE(0, TIMES, AHEAD);
-            else if (st->push)
-                CYCLE(0, TIMES, 1);
-            else if (st->ahead == AHEAD)
-                CYCLE(1, TIMES, AHEAD);
-            else
-                CYCLE(1, TIMES, 1);
-            break;
-        default:
+        if (st->kind == MULMOD)
             CYCLE(0, MULMOD, 1); /* plan() pulls only by fast steps */
-        }
+        else if (st->push && st->ahead == AHEAD)
+            CYCLE(0, TIMES, AHEAD);
+        else if (st->push)
+            CYCLE(0, TIMES, 1);
+        else if (st->ahead == AHEAD)
+            CYCLE(1, TIMES, AHEAD);
+        else
+            CYCLE(1, TIMES, 1);
         /* wraps only past the last rung, where it goes unused */
         leader = (int64_t)((uint64_t)leader * (uint64_t)p);
     }

@@ -54,7 +54,7 @@ def _multipliers(m):
 
 def _fast(f, m):
     """Whether the walk has a step by x f mod m that does not divide."""
-    return f == 2 or 3 <= f <= 9 and f * m <= 2**32
+    return 2 <= f <= 9 and f * m <= 2**32
 
 
 @needs_kernel
@@ -109,9 +109,12 @@ def test_walk_switches_look_ahead_at_f4_m_2_32(m):
 @pytest.mark.parametrize("itemsize", [1, 8, 9, 64, 256, 257, "list", "ndarray"])
 def test_native_walk_matches_the_pure_walk(itemsize):
     # blocks p^j and 2p^j under every step kind: each leader p^s and 2p^s
-    # alone, then whole and partial ladders of them in one call
+    # alone, then whole and partial ladders of them in one call; the x 2
+    # cycles of 5^2 and 7^2 (lengths 20, 4, 21 and 3) and of 3^5 (162, ...)
+    # close on every one of a look-ahead's four slots
     rng = random.Random(str(itemsize))
-    for p, j, m in ((3, 5, 3**5), (7, 2, 2 * 7**2), (3, 3, 2 * 3**3), (13, 2, 2 * 13**2)):
+    blocks = ((3, 5, 3**5), (7, 2, 2 * 7**2), (3, 3, 2 * 3**3), (13, 2, 2 * 13**2), (5, 2, 5**2), (7, 2, 7**2))
+    for p, j, m in blocks:
         starts = (1, 2) if m % 2 == 0 else (1,)
         leaders = [c * p**s for c in starts for s in range(j)]
         if itemsize == "list":
@@ -364,6 +367,32 @@ def test_contiguous_structured_array_shuffles_through_the_kernel():
     assert _fastpath.kernel(buf)[1] is _fastpath._native.walk
     in_shuffle(buf)
     assert buf.tolist() == oracle_shuffle(before, IN_SHUFFLE)
+
+
+@needs_kernel
+def test_masked_arrays_move_each_mask_with_its_item():
+    # the kernel would move a MaskedArray's data and leave its mask behind,
+    # so it takes the pure loops; a hard mask would keep masked items put
+    shuffles = [(in_shuffle, un_shuffle, IN_SHUFFLE), (out_shuffle, un_out_shuffle, OUT_SHUFFLE)]
+    for k in range(3, 10):
+        shuffles.append((lambda b, k=k: k_shuffle(b, k), lambda b, k=k: k_unshuffle(b, k), kway_kind(k)))
+    for length in (242, 1000):
+        for forward, inverse, kind in shuffles:
+            n = length - length % kind.k
+            buf = np.ma.array(np.arange(n, dtype=np.int64), mask=np.arange(n) % 7 == 0)
+            values, mask = buf.filled(-1).tolist(), buf.mask.tolist()
+            forward(buf)
+            assert buf.filled(-1).tolist() == oracle_shuffle(values, kind), (n, kind)
+            assert buf.mask.tolist() == oracle_shuffle(mask, kind), (n, kind)
+            inverse(buf)
+            assert buf.filled(-1).tolist() == values and buf.mask.tolist() == mask, (n, kind)
+    assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk)
+    assert _fastpath.kernel(buf.data)[1] is _fastpath._native.walk
+    hard = np.ma.array(np.arange(8), mask=[1, 0, 0, 0, 0, 0, 0, 0], hard_mask=True)
+    for shuffle in (in_shuffle, un_shuffle):
+        with pytest.raises(ValueError, match="hard mask"):
+            shuffle(hard)
+        assert hard.data.tolist() == list(range(8)) and hard.mask.tolist() == [True] + [False] * 7
 
 
 @needs_kernel
