@@ -4,7 +4,7 @@ The library permutes arbitrary even-length buffers (and k-way divisible ones)
 without scratch arrays, by reducing each length to blocks of p^j - 1 elements
 (and 2p^j - 1 for odd k) whose shuffle cycles are located in closed form.
 The paper's 2-way blocks are 3^k - 1; faro tiles the 2-way shuffles with the
-powers of eight bases p, 3 among them. Where the paper composes one pass per
+powers of 32 bases p, 3 among them. Where the paper composes one pass per
 prime factor of k, faro shuffles every arity 2..9 in one pass, with cycle
 leaders c * p^s for c over the coset representatives of <k> mod p.
 Instrumentation counters certify the linear-move and constant-auxiliary-

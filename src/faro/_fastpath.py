@@ -15,13 +15,13 @@ The kernel takes exact lists (not subclasses), through their ``PyObject *``
 slots, with the GIL held and the list's size checked on every call; 1-D,
 writable, C-contiguous ndarrays of any dtype that holds no Python objects;
 and ``RecordBuffer`` over a bytearray. The memory of the last two is held as
-a buffer view for the length of a call, which runs without the GIL. Every
-other buffer takes the Python loops: read-only or strided arrays, and
-numpy MaskedArrays, whose masks the kernel would leave behind. Two kinds of
-ndarray are refused with ValueError instead. One is an ndarray whose items
-are views (one that is not 1-D, or of a structured dtype): the Python loops
-would copy an item through a view that an earlier write has already
-overwritten. The other is a MaskedArray whose hard mask holds masked items
+a buffer view for the length of a call, which runs without the GIL. A
+numpy MaskedArray moves as two plain arrays, its data and its mask, each
+on its own loops. Every other buffer takes the Python loops: read-only or
+strided arrays, say. Two kinds of ndarray are refused with ValueError
+instead. One is an ndarray whose items are views (one that is not 1-D, or
+of a structured dtype): the Python loops would copy an item through a view
+that an earlier write has already overwritten. The other is a MaskedArray whose hard mask holds masked items
 in place. numpy is never imported here: no ndarray can exist before the
 caller has imported it.
 
@@ -117,21 +117,21 @@ def kernel(buf):
     """The (reverse, walk) pair for this buffer, for the length of one call.
 
     Every native loop checks its range against the buffer and raises
-    IndexError outside it. A numpy MaskedArray takes the Python loops, which
-    move each item's mask with it. ValueError, before anything moves, for
-    an ndarray whose items are views and that the kernel does not take, and
-    for a MaskedArray whose hard mask holds masked items in place.
+    IndexError outside it. A numpy MaskedArray gets a pair that moves its
+    data and its mask alike, each by the pair of that plain array, so every
+    item keeps both. ValueError, before anything moves, for an ndarray
+    whose items are views and that the kernel does not take, and for a
+    MaskedArray whose hard mask holds masked items in place.
     """
     if type(buf) is list:
         return _PURE if _native is None else (_native.reverse, _native.walk)
     np = sys.modules.get("numpy")
     if np is not None and isinstance(buf, np.ndarray):
         ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
-        masked = ma is not None and isinstance(buf, ma.MaskedArray)
-        if masked and buf.hardmask and buf.mask.any():
-            raise ValueError("a hard mask keeps the masked items from moving")
+        if ma is not None and isinstance(buf, ma.MaskedArray):
+            return _masked(buf, ma)
         takes = buf.ndim == 1 and buf.flags.c_contiguous and buf.flags.writeable and not buf.dtype.hasobject
-        if takes and not masked and _native is not None:
+        if takes and _native is not None:
             return _native.reverse, _native.walk
         if buf.ndim != 1 or buf.dtype.names:
             raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
@@ -149,6 +149,27 @@ def kernel(buf):
 
     def walk(_buf, base, leader, mult, modulus, p, count):
         _native.walk(data, base, leader, mult, modulus, p, count, size)
+
+    return reverse, walk
+
+
+def _masked(buf, ma):
+    # A MaskedArray moves as its data and, unless it is nomask, its mask:
+    # each a plain array on its own loops. Item by item, the Python loops
+    # would read a masked item as np.ma.masked, and writing that back sets
+    # the mask but leaves the data under it behind.
+    mask = ma.getmask(buf)
+    if buf.hardmask and mask.any():
+        raise ValueError("a hard mask keeps the masked items from moving")
+    parts = [(array, kernel(array)) for array in (buf.data, mask) if array is not ma.nomask]
+
+    def reverse(_buf, lo, hi):
+        for array, pair in parts:
+            pair[0](array, lo, hi)
+
+    def walk(_buf, base, leader, mult, modulus, p, count):
+        for array, pair in parts:
+            pair[1](array, base, leader, mult, modulus, p, count)
 
     return reverse, walk
 

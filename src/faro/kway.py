@@ -43,7 +43,7 @@ whose quadratic cost is a constant independent of the buffer length.
 This module holds the only shuffle driver, one forward and one inverse
 pass over a range. The 2-way shuffles of ``shuffle`` are its k = 2 case.
 The paper tiles them with 3^k - 1 blocks alone; faro's 2-way table has
-eight odd bases, every power of which is admissible, and since 3 is among
+32 odd bases, every power of which is admissible, and since 3 is among
 them no tail is left.
 
 Each call mutates one buffer and assumes exclusive access to it while it
@@ -64,19 +64,23 @@ MAX_K = 9
 # The bases of each arity k, as (p, reps): odd primes p coprime to k, with
 # k^(p-1) != 1 mod p^2 and k != 1 mod p, each with the smallest member of
 # every coset of <k mod p> in (Z/p)^x, at most 8 of them. Sorted by p. A
-# test checks the table; nothing is searched at import. For k >= 3 the 32
+# test checks the table; nothing is searched at import. Each arity's 32
 # bases were picked from the primes below 1500, greedily and then by swaps,
-# to cut the moves over every length up to 6000 and the time of lists up
-# to 2^16, where each walk call and rotation costs microseconds; the base
-# of the smallest admissible block stays, which at k = 4, 5, 6 and 9 has k
-# elements, so that only k = 3, 7 and 8 leave a tail.
+# to cut the moves over every length up to 6000 and, for k >= 3, the time
+# of lists up to 2^16, where each walk call and rotation costs
+# microseconds, or, for k = 2, the moves of random lengths up to 2^21. The
+# base of the smallest admissible block stays, which at k = 2, 4, 5, 6 and
+# 9 has k elements, so that only k = 3, 7 and 8 leave a tail. At k = 2 the
+# candidates were only the primes with d = 1, so that a block p^j has j
+# cycles, as ``shuffle.Block`` says.
 #
 # _TABLE spells each base "p:c,c,...", or "p" alone when its one coset
 # representative is 1 (k is a primitive root of p^2). Strings, since every
 # import compiles this module where bytecode is not cached, and nested
 # tuple literals of this size took 2.6 ms to compile against 0.06 ms.
 _TABLE = {
-    2: "3 5 11 13 19 29 37 53",
+    2: "3 5 11 13 19 29 37 53 59 61 67 101 139 181 211 269 317 389 419 467 509 547 587 659 773 "
+        "907 947 1019 1091 1171 1237 1499",
     3: "5 7 17 19 29 31 37:1,2 43 47:1,5 53 59:1,2 67:1,2,4 71:1,7 79 89 97:1,5 113 127 139 149 "
         "157:1,2 163 199 211 223 227:1,2 233 241:1,7 257 641 809 1087",
     4: "5:1,2 7:1,3 11:1,2 13:1,2 17:1,2,3,6 19:1,2 29:1,2 37:1,2 41:1,2,3,6 53:1,2 59:1,2 "
@@ -131,7 +135,7 @@ def _ladder(k):
     2p^j, whenever k divides modulus - 1. For even k that is never 2p^j,
     since 2p^j - 1 is odd. The fits are each rung's 1 - modulus, in
     ascending order, so that bisect finds the largest block that fits. An
-    arity's ladder holds 149 to 324 rungs, so a process builds only those
+    arity's ladder holds 179 to 324 rungs, so a process builds only those
     it uses.
     """
     rungs = []

@@ -20,7 +20,7 @@ paper's composition of prime passes, and there is only that one driver:
 the four functions here check their arguments and run it on [0, n), or on
 the interior [1, n - 1) for the out-shuffles. The driver tiles with a denser
 ladder than 3^k - 1 alone: 2 is a primitive root of p^2, hence of every
-p^k, for each of its eight odd bases p (3, 5, 11, 13, 19, 29, 37, 53), so
+p^k, for each of its 32 odd bases p (3 to 1499, ``kway._BASES[2]``), so
 every block p^k - 1 has the k cycle leaders p^0 .. p^(k-1). The smaller
 gaps between blocks leave smaller windows to rotate after each block.
 Step 4 is a loop, not a recursion, so control state stays constant. Each
@@ -182,7 +182,7 @@ def plan_blocks(total: int) -> BlockPlan:
     """Tile `total` elements with the largest p^k - 1 block at each step.
 
     The bases p are those of the 2-way table, ``kway._BASES[2]``. The
-    ladder of their powers has no gap wider than x3, so every block is at
+    ladder of their powers has no gap wider than x1.8, so every block is at
     least a third of what remains, the number of blocks is logarithmic and
     rotation work stays linear.
     """

@@ -370,24 +370,37 @@ def test_contiguous_structured_array_shuffles_through_the_kernel():
 
 
 @needs_kernel
-def test_masked_arrays_move_each_mask_with_its_item():
-    # the kernel would move a MaskedArray's data and leave its mask behind,
-    # so it takes the pure loops; a hard mask would keep masked items put
+def test_masked_arrays_move_each_mask_with_its_item(monkeypatch):
+    # a MaskedArray moves its data and its mask as two plain arrays, both
+    # native here: the data under a masked item moves with it, where the
+    # pure loops would write back only the mask; a hard mask would keep
+    # masked items put
     shuffles = [(in_shuffle, un_shuffle, IN_SHUFFLE), (out_shuffle, un_out_shuffle, OUT_SHUFFLE)]
     for k in range(3, 10):
         shuffles.append((lambda b, k=k: k_shuffle(b, k), lambda b, k=k: k_unshuffle(b, k), kway_kind(k)))
     for length in (242, 1000):
         for forward, inverse, kind in shuffles:
             n = length - length % kind.k
-            buf = np.ma.array(np.arange(n, dtype=np.int64), mask=np.arange(n) % 7 == 0)
-            values, mask = buf.filled(-1).tolist(), buf.mask.tolist()
-            forward(buf)
-            assert buf.filled(-1).tolist() == oracle_shuffle(values, kind), (n, kind)
-            assert buf.mask.tolist() == oracle_shuffle(mask, kind), (n, kind)
-            inverse(buf)
-            assert buf.filled(-1).tolist() == values and buf.mask.tolist() == mask, (n, kind)
-    assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk)
-    assert _fastpath.kernel(buf.data)[1] is _fastpath._native.walk
+            for mask in (np.arange(n) % 7 == 0, np.ma.nomask):
+                buf = np.ma.array(np.arange(n, dtype=np.int64), mask=mask)
+                data, values = buf.data.tolist(), buf.filled(-1).tolist()
+                flags = np.ma.getmaskarray(buf).tolist()
+                forward(buf)
+                assert buf.data.tolist() == oracle_shuffle(data, kind), (n, kind)
+                assert buf.filled(-1).tolist() == oracle_shuffle(values, kind), (n, kind)
+                assert np.ma.getmaskarray(buf).tolist() == oracle_shuffle(flags, kind), (n, kind)
+                inverse(buf)
+                assert buf.data.tolist() == data and buf.filled(-1).tolist() == values, (n, kind)
+                assert np.ma.getmaskarray(buf).tolist() == flags, (n, kind)
+
+    def refused(*args):
+        raise AssertionError("a MaskedArray took the pure loops")
+
+    monkeypatch.setattr(_fastpath, "_PURE", (refused, refused))
+    buf = np.ma.array(np.arange(8), mask=[1, 0, 0, 0, 0, 0, 0, 0])
+    in_shuffle(buf)
+    assert buf.data.tolist() == [4, 0, 5, 1, 6, 2, 7, 3]
+    assert buf.mask.tolist() == [False, True] + [False] * 6
     hard = np.ma.array(np.arange(8), mask=[1, 0, 0, 0, 0, 0, 0, 0], hard_mask=True)
     for shuffle in (in_shuffle, un_shuffle):
         with pytest.raises(ValueError, match="hard mask"):

@@ -41,10 +41,11 @@ def test_plan_blocks_examples():
     assert plan_blocks(8).blocks == (Block(offset=0, m=4, k=2, p=3),)
     assert plan_blocks(26).blocks == (Block(offset=0, m=13, k=3, p=3),)
     assert plan_blocks(28).blocks == (Block(offset=0, m=14, k=1, p=29),)
-    assert plan_blocks(100).blocks == (
-        Block(offset=0, m=40, k=4, p=3),
-        Block(offset=80, m=9, k=1, p=19),
-        Block(offset=98, m=1, k=1, p=3),
+    assert plan_blocks(100).blocks == (Block(offset=0, m=50, k=1, p=101),)
+    assert plan_blocks(116).blocks == (
+        Block(offset=0, m=50, k=1, p=101),
+        Block(offset=100, m=6, k=1, p=13),
+        Block(offset=112, m=2, k=1, p=5),
     )
     assert plan_blocks(0).blocks == ()
 
@@ -76,6 +77,19 @@ def test_plan_blocks_invariants():
             position += block.size
             remaining -= block.size
         assert position == total
+
+
+def test_blocks_and_cycles_are_those_of_the_plan():
+    # Block.k is the cycle count of its block only while every 2-way base
+    # has one coset representative (d = 1); a base with d > 1 would make it
+    # d * k cycles
+    rng = random.Random(29)
+    for total in [*range(0, 2001, 2), *(2 * rng.randrange(1, 1 << 18) for _ in range(8))]:
+        plan = plan_blocks(total).blocks
+        instr = Instrumentation()
+        in_shuffle(list(range(total)), instr)
+        assert instr.cycles == sum(block.k for block in plan), total
+        assert instr.blocks == len(plan), total
 
 
 def cycle_leader_pass(buf, offset, k, instr=None):
@@ -279,20 +293,20 @@ def test_total_move_count_audit():
 
 
 # Instrumentation.moves on lists. An inverse makes as many as its shuffle.
-# Since the 2-way table holds eight bases, no count is above the one the
-# table of 3 alone gave.
+# No count is above the one that the 2-way table's earlier eight bases (3
+# to 53) gave, nor above that of 3 alone.
 # length: (in_shuffle and un_shuffle, out_shuffle and un_out_shuffle)
 PINNED_MOVES = {
     2: (3, 0),
     8: (10, 12),
     26: (29, 26),
     28: (29, 29),
-    100: (224, 199),
-    728: (734, 1580),
+    100: (101, 199),
+    728: (734, 1519),
     730: (1465, 734),
-    6560: (6568, 16956),
+    6560: (6568, 15759),
     6562: (13131, 6568),
-    19998: (40417, 40409),
+    19998: (40004, 40358),
 }
 
 
