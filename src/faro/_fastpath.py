@@ -12,18 +12,12 @@ is False, ``BUILD_ERROR`` says why, and every buffer and every ``agree``
 takes the Python loops.
 
 The kernel takes exact lists (not subclasses), through their ``PyObject *``
-slots, with the GIL held and the list's size checked on every call; 1-D,
-writable, C-contiguous ndarrays of any dtype that holds no Python objects;
-and ``RecordBuffer`` over a bytearray. The memory of the last two is held as
-a buffer view for the length of a call, which runs without the GIL. A
-numpy MaskedArray moves as two plain arrays, its data and its mask, each
-on its own loops. Every other buffer takes the Python loops: read-only or
-strided arrays, say. Two kinds of ndarray are refused with ValueError
-instead. One is an ndarray whose items are views (one that is not 1-D, or
-of a structured dtype): the Python loops would copy an item through a view
-that an earlier write has already overwritten. The other is a MaskedArray whose hard mask holds masked items
-in place. numpy is never imported here: no ndarray can exist before the
-caller has imported it.
+slots, with the GIL held and the list's size checked on every call, and
+all memory its entries take: an ndarray, ``array.array``, ``memoryview``,
+bytearray or mmap, say, alone or under a ``RecordBuffer``. Memory is held
+as a buffer view for the length of a call, which runs without the GIL.
+numpy is never imported here: no ndarray can exist before the caller has
+imported it.
 
 One walk call realizes a whole ladder of cycles, those led by
 ``leader * p**s`` for ``s < count``. Every walk of a q-way pass modulo m,
@@ -116,41 +110,45 @@ HAVE_COMPILED = _native is not None
 def kernel(buf):
     """The (reverse, walk) pair for this buffer, for the length of one call.
 
-    Every native loop checks its range against the buffer and raises
-    IndexError outside it. A numpy MaskedArray gets a pair that moves its
-    data and its mask alike, each by the pair of that plain array, so every
-    item keeps both. ValueError, before anything moves, for an ndarray
-    whose items are views and that the kernel does not take, and for a
-    MaskedArray whose hard mask holds masked items in place.
+    Memory goes native iff one empty reversal by the native entries takes
+    it (``get_items`` in ``_kernel.c`` holds the rule) and it is not an
+    ndarray that holds objects. A numpy MaskedArray moves its data and its
+    mask alike, each by the pair of that plain array. ValueError, before
+    anything moves, for a MaskedArray whose hard mask holds masked items in
+    place, and for an ndarray whose items are views (not 1-D, or
+    structured) that the kernel does not take: the Python loops would copy
+    an item through a view that an earlier write has already overwritten.
     """
     if type(buf) is list:
         return _PURE if _native is None else (_native.reverse, _native.walk)
     np = sys.modules.get("numpy")
-    if np is not None and isinstance(buf, np.ndarray):
-        ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
-        if ma is not None and isinstance(buf, ma.MaskedArray):
-            return _masked(buf, ma)
-        takes = buf.ndim == 1 and buf.flags.c_contiguous and buf.flags.writeable and not buf.dtype.hasobject
-        if takes and _native is not None:
-            return _native.reverse, _native.walk
-        if buf.ndim != 1 or buf.dtype.names:
-            raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
-        return _PURE
-    if _native is None:
-        return _PURE
-    from .shuffle import RecordBuffer  # shuffle imports this module
+    ndarray = np is not None and isinstance(buf, np.ndarray)
+    ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
+    if ndarray and ma is not None and isinstance(buf, ma.MaskedArray):
+        return _masked(buf, ma)
+    # loaded with the package; an import statement here takes microseconds
+    records = sys.modules[f"{__package__}.shuffle"].RecordBuffer
+    data, size = (buf.data, buf.record_size) if type(buf) is records else (buf, 0)
+    # get_items cannot see an object field beside a datetime64 one
+    if _native is not None and not (ndarray and buf.dtype.hasobject):
+        try:
+            _native.reverse(data, 0, 0, size)
+        except (BufferError, TypeError, ValueError):
+            pass
+        else:
+            if not size:
+                return _native.reverse, _native.walk
 
-    if type(buf) is not RecordBuffer or type(buf.data) is not bytearray:
-        return _PURE
-    data, size = buf.data, buf.record_size
+            def reverse(_buf, lo, hi):
+                _native.reverse(data, lo, hi, size)
 
-    def reverse(_buf, lo, hi):
-        _native.reverse(data, lo, hi, size)
+            def walk(_buf, base, leader, mult, modulus, p, count):
+                _native.walk(data, base, leader, mult, modulus, p, count, size)
 
-    def walk(_buf, base, leader, mult, modulus, p, count):
-        _native.walk(data, base, leader, mult, modulus, p, count, size)
-
-    return reverse, walk
+            return reverse, walk
+    if ndarray and (buf.ndim != 1 or buf.dtype.names):
+        raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
+    return _PURE
 
 
 def _masked(buf, ma):

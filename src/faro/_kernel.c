@@ -18,9 +18,9 @@
  * of them from each end at a time.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
- * any writable, C-contiguous, 1-D buffer (an ndarray, a bytearray), and
- * check every range and ladder against it before a loop runs; only agree
- * leaves its checks to _fastpath.agree.
+ * any memory get_items takes: _fastpath asks them, so that rule alone sends
+ * a buffer here. They check every range and ladder against it before a
+ * loop runs; only agree leaves its checks to _fastpath.agree.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

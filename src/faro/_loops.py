@@ -1,12 +1,9 @@
 """Innermost element-moving loops, and the check behind ``faro apply --verify``.
 
-These are the reference loops, and the path of every buffer the native
-kernel does not take: list subclasses, strided or read-only arrays, and
-everything when the kernel did not build (with no ``cc`` or no
-``Python.h``, say). ``_kernel.c`` holds the same three loops in C, the
-moving two for lists, ndarrays and ``RecordBuffer``; the test suite runs
-both paths on the same inputs and requires equal results, equal
-instrumentation counts and equal answers.
+These are the reference loops, and the path of every buffer that
+``_fastpath.kernel`` does not send to ``_kernel.c``, which holds the same
+three loops in C; the test suite runs both paths on the same inputs and
+requires equal results, equal instrumentation counts and equal answers.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
 loops only move or compare elements.

@@ -132,17 +132,18 @@ def _ladder(k):
 
     The ladder is every admissible modulus of k's bases below 2^63 (the
     kernel's int64 positions), largest first, as (modulus, p, j): p^j, and
-    2p^j, whenever k divides modulus - 1. For even k that is never 2p^j,
-    since 2p^j - 1 is odd. The fits are each rung's 1 - modulus, in
-    ascending order, so that bisect finds the largest block that fits. An
-    arity's ladder holds 179 to 324 rungs, so a process builds only those
-    it uses.
+    for odd k 2p^j (2p^j - 1 is odd), whenever k divides modulus - 1. The
+    fits are each rung's 1 - modulus, in ascending order, so that bisect
+    finds the largest block that fits. An arity's ladder holds 179 to 324
+    rungs, so a process builds only those it uses.
     """
     rungs = []
     for p, _ in _BASES[k]:
         power, j = p, 1
         while power < 1 << 63:
-            rungs += [(m, p, j) for m in (power, 2 * power) if m < 1 << 63 and (m - 1) % k == 0]
+            for m in (power, 2 * power) if k % 2 else (power,):
+                if m < 1 << 63 and (m - 1) % k == 0:
+                    rungs.append((m, p, j))
             power *= p
             j += 1
     ladder = tuple(sorted(rungs, reverse=True))

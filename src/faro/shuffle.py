@@ -30,9 +30,9 @@ times the length in single-element moves.
 
 The buffer layer is 0-based half-open; every call into the 1-based math
 above documents the shift. Buffers are anything indexable with integer
-get/set and a length: lists, numpy arrays, or ``RecordBuffer`` views over
-packed bytes; ``_fastpath`` sends all three to the native kernel, a CPython
-extension module built against the interpreter's ``Python.h``.
+get/set and a length: lists, numpy arrays, other memory, or ``RecordBuffer``
+views over packed bytes; ``_fastpath`` sends each that the compiled kernel
+takes to it, and the rest to the pure-Python loops.
 
 Every operation mutates exactly one buffer and assumes exclusive access to
 it for the duration of the call; there is no shared state, so distinct
@@ -117,10 +117,11 @@ class Instrumentation:
 
 
 class RecordBuffer:
-    """Mutable sequence of fixed-size records over a contiguous bytearray.
+    """Mutable sequence of fixed-size records over a buffer of bytes.
 
     Records are opaque: the shuffles read, hold and write whole records and
-    never look inside. The backing bytearray is shared, not copied.
+    never look inside. The backing buffer, a bytearray or an mmap, say, is
+    shared, not copied.
     """
 
     __slots__ = ("data", "record_size")
@@ -128,6 +129,8 @@ class RecordBuffer:
     def __init__(self, data: bytearray, record_size: int):
         if record_size < 1:
             raise ValueError(f"record size must be >= 1, got {record_size}")
+        if memoryview(data).nbytes != len(data):  # so that len(data) counts bytes
+            raise ValueError(f"a buffer of {len(data)} items that are not single bytes")
         if len(data) % record_size != 0:
             raise ValueError(
                 f"buffer of {len(data)} bytes is not a whole number of "

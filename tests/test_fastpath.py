@@ -1,3 +1,5 @@
+import array
+import mmap
 import os
 import random
 import shutil
@@ -205,13 +207,23 @@ def test_forward_and_inverse_walks_run_at_one_speed():
         assert sorted(buf.tolist()) == list(range(m - 1))
 
 
-def test_read_only_ndarray_raises_and_stays_unmodified():
+def test_read_only_ndarray_raises_and_stays_unmodified(tmp_path):
     for length in (8, 10, 242, 1000):
         buf = np.arange(length, dtype=np.int64)
         buf.flags.writeable = False
         with pytest.raises(ValueError):
             in_shuffle(buf)
         assert buf.tolist() == list(range(length))
+        # read-only memory of other types: the pure loops' first write raises
+        payload = bytes(i % 251 for i in range(length))
+        (tmp_path / "records").write_bytes(payload)
+        with open(tmp_path / "records", "rb") as handle:
+            mapped = mmap.mmap(handle.fileno(), length, access=mmap.ACCESS_READ)
+        for buf in (payload, memoryview(payload), mapped):
+            with pytest.raises(TypeError):
+                in_shuffle(buf)
+            assert bytes(buf) == payload
+        mapped.close()
 
 
 def test_strided_view_matches_oracle_through_fallback():
@@ -724,7 +736,9 @@ def test_list_subclass_takes_the_pure_loops(monkeypatch):
 
 def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
     monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
-    for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2)):
+    for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2), array.array("q", [1, 2]),
+                memoryview(bytearray(16)).cast("q"), bytearray(4), mmap.mmap(-1, 4),
+                RecordBuffer(mmap.mmap(-1, 4), 2)):
         assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk), buf
 
 
@@ -893,10 +907,14 @@ def test_buffer_walks_run_without_the_gil():
 
 @needs_kernel
 def test_fresh_interpreter_sends_lists_to_the_kernel():
+    # memory goes native by the kernel's own check, with numpy never imported
     probe = (
+        "import array, sys\n"
         "from faro import _fastpath, _loops\n"
-        "reverse, walk = _fastpath.kernel([1, 2])\n"
-        "assert reverse is not _loops.reverse_slots and walk is not _loops.cycle_walk\n"
+        "for buf in ([1, 2], array.array('q', [1, 2]), bytearray(4)):\n"
+        "    reverse, walk = _fastpath.kernel(buf)\n"
+        "    assert reverse is not _loops.reverse_slots and walk is not _loops.cycle_walk, buf\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
 

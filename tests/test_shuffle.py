@@ -1,3 +1,5 @@
+import array
+import mmap
 import random
 
 import pytest
@@ -333,11 +335,28 @@ def _parity_calls():
         yield f"k_unshuffle({k})", k, lambda buf, instr, k=k: k_unshuffle(buf, k, instr)
 
 
+def _mapped(payload):
+    # an anonymous mmap that holds payload
+    mapped = mmap.mmap(-1, len(payload))
+    mapped[:] = payload
+    return mapped
+
+
 def _native_buffers(raw_bytes, count):
     # (label, buffer, itemsize, payload) over fresh payload bytes; a list
     # holds its payload as 8-byte bytes objects
     payload = raw_bytes(count * 8)
     yield "list", [payload[i : i + 8] for i in range(0, len(payload), 8)], 8, payload
+    for label, itemsize, make in (
+        ("array q", 8, lambda payload: array.array("q", payload)),
+        ("array d", 8, lambda payload: array.array("d", payload)),
+        ("memoryview q", 8, lambda payload: memoryview(bytearray(payload)).cast("q")),
+        ("bytearray", 1, bytearray),
+        ("mmap", 1, _mapped),
+        ("rs=64 over mmap", 64, lambda payload: RecordBuffer(_mapped(payload), 64)),
+    ):
+        payload = raw_bytes(count * itemsize)
+        yield label, make(payload), itemsize, payload
     if np is not None:
         for dtype in ("int8", "int64", "float64", "complex128", "bool", "V3"):
             itemsize = np.dtype(dtype).itemsize
@@ -372,7 +391,10 @@ def test_compiled_path_matches_pure_path(monkeypatch):
                 call(buf, instr)
                 expected = b"".join(payload[i * itemsize : (i + 1) * itemsize] for i in pure)
                 case = f"{name} on {label} at length {length}"
-                result = b"".join(buf) if label == "list" else buf.tobytes()
+                if label == "list":
+                    result = b"".join(buf)
+                else:
+                    result = bytes(buf.data if isinstance(buf, RecordBuffer) else buf)
                 assert result == expected, case
                 # every counter: rotate, walk and tail moves and the aux peak
                 assert instr == pure_instr, case
@@ -435,6 +457,9 @@ def test_record_buffer_semantics():
         RecordBuffer(bytearray(b"abc"), 2)
     with pytest.raises(ValueError):
         RecordBuffer(bytearray(b"abc"), 0)
+    # 8 items of 8 bytes: a length that counts items would make 2 records of 4
+    with pytest.raises(ValueError):
+        RecordBuffer(memoryview(bytearray(64)).cast("q"), 4)
 
 
 def test_record_buffer_shuffles_like_any_sequence():
