@@ -1,12 +1,13 @@
 """Native twins of the inner loops, and the choice between them and ``_loops``.
 
-``_kernel.c`` is a CPython extension module holding the three loops of
-``_loops`` in C: the reversal and the cycle walk, over raw item memory, and
-the check behind ``faro apply --verify`` (``agree``). On first import it is
-compiled with ``cc`` against the interpreter's ``Python.h`` into
-``__pycache__/_kernel-<crc32 of the source and the cc argv><extension
-suffix>`` next to this file and loaded with importlib; later imports load
-that file, and a new build removes the modules built there before it. If
+``_kernel.c`` is a CPython extension module holding the loops of
+``_loops`` in C: the reversal, the block gather and the cycle walk, over
+raw item memory, and the check behind ``faro apply --verify`` (``agree``).
+On first import it is compiled with ``cc`` against the interpreter's
+``Python.h`` into ``__pycache__/_kernel-<crc32 of the source and the cc
+argv><extension suffix>`` next to this file and loaded with importlib;
+later imports load that file, and a new build removes the modules built
+there before it. If
 ``Python.h`` is missing, or the build or the load fails, ``HAVE_COMPILED``
 is False, ``BUILD_ERROR`` says why, and every buffer and every ``agree``
 takes the Python loops.
@@ -19,16 +20,20 @@ as a buffer view for the length of a call, which runs without the GIL.
 numpy is never imported here: no ndarray can exist before the caller has
 imported it.
 
+One gather call makes all k - 1 rotations of a block's gather, or of its
+inverse, the scatter, each by triple reversal, and returns their moves.
 One walk call realizes a whole ladder of cycles, those led by
 ``leader * p**s`` for ``s < count``. Every walk of a q-way pass modulo m,
 while ``q * m <= 2**32``, steps ``j -> q * j mod m`` without a division:
 the forward passes push each item on to its target, and the inverse passes
-pull each slot's item from its source. The native ``reverse`` and ``walk``
-check every range, integer and ladder against the buffer themselves.
+pull each slot's item from its source. The native ``reverse``, ``gather``
+and ``walk`` check every range, window, integer and ladder against the
+buffer themselves.
 
-``kernel`` is the one place that sorts a buffer onto its loops. A public
-call resolves its (reverse, walk) pair once, with it, and hands the pair
-down; nothing is cached across calls.
+``loops`` is the one place that sorts a buffer onto its loops, as a
+(reverse, gather, walk) triple; ``faro.rotate`` takes its reversal. A
+driver call resolves its (gather, walk) pair once, with ``kernel``, and
+hands the pair down; nothing is cached across calls.
 """
 
 import os
@@ -40,7 +45,7 @@ from math import gcd
 from . import _loops
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-_PURE = (_loops.reverse_slots, _loops.cycle_walk)
+_PURE = (_loops.reverse_slots, _loops.gather_slots, _loops.cycle_walk)
 
 
 def _cc_argv():
@@ -108,19 +113,24 @@ HAVE_COMPILED = _native is not None
 
 
 def kernel(buf):
-    """The (reverse, walk) pair for this buffer, for the length of one call.
+    """The driver's (gather, walk) pair for this buffer: those of ``loops``."""
+    return loops(buf)[1:]
+
+
+def loops(buf):
+    """The (reverse, gather, walk) loops for this buffer, for the length of one call.
 
     Memory goes native iff one empty reversal by the native entries takes
     it (``get_items`` in ``_kernel.c`` holds the rule) and it is not an
     ndarray that holds objects. A numpy MaskedArray moves its data and its
-    mask alike, each by the pair of that plain array. ValueError, before
+    mask alike, each by the loops of that plain array. ValueError, before
     anything moves, for a MaskedArray whose hard mask holds masked items in
     place, and for an ndarray whose items are views (not 1-D, or
     structured) that the kernel does not take: the Python loops would copy
     an item through a view that an earlier write has already overwritten.
     """
     if type(buf) is list:
-        return _PURE if _native is None else (_native.reverse, _native.walk)
+        return _PURE if _native is None else (_native.reverse, _native.gather, _native.walk)
     np = sys.modules.get("numpy")
     ndarray = np is not None and isinstance(buf, np.ndarray)
     ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
@@ -137,15 +147,18 @@ def kernel(buf):
             pass
         else:
             if not size:
-                return _native.reverse, _native.walk
+                return _native.reverse, _native.gather, _native.walk
 
             def reverse(_buf, lo, hi):
                 _native.reverse(data, lo, hi, size)
 
+            def gather(_buf, offset, part, b, k, inverse):
+                return _native.gather(data, offset, part, b, k, inverse, size)
+
             def walk(_buf, base, leader, mult, modulus, p, count):
                 _native.walk(data, base, leader, mult, modulus, p, count, size)
 
-            return reverse, walk
+            return reverse, gather, walk
     if ndarray and (buf.ndim != 1 or buf.dtype.names):
         raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
     return _PURE
@@ -159,17 +172,23 @@ def _masked(buf, ma):
     mask = ma.getmask(buf)
     if buf.hardmask and mask.any():
         raise ValueError("a hard mask keeps the masked items from moving")
-    parts = [(array, kernel(array)) for array in (buf.data, mask) if array is not ma.nomask]
+    parts = [(array, loops(array)) for array in (buf.data, mask) if array is not ma.nomask]
 
     def reverse(_buf, lo, hi):
-        for array, pair in parts:
-            pair[0](array, lo, hi)
+        for array, entries in parts:
+            entries[0](array, lo, hi)
+
+    def gather(_buf, offset, part, b, k, inverse):
+        # the data and the mask make the same moves: count them once
+        for array, entries in parts:
+            moves = entries[1](array, offset, part, b, k, inverse)
+        return moves
 
     def walk(_buf, base, leader, mult, modulus, p, count):
-        for array, pair in parts:
-            pair[1](array, base, leader, mult, modulus, p, count)
+        for array, entries in parts:
+            entries[2](array, base, leader, mult, modulus, p, count)
 
-    return reverse, walk
+    return reverse, gather, walk
 
 
 def agree(chunk, result, itemsize, base, mult, modulus, j0, count):

@@ -15,12 +15,15 @@
  * x 2..9 with f^4 * m <= 2^32 computes the next four slots at once, each
  * straight from the current one, so that its loop waits on one step per
  * four items rather than per item; the reversal of 8-byte items swaps two
- * of them from each end at a time.
+ * of them from each end at a time. The driver's pair of loops is (gather,
+ * walk): one gather call makes all k - 1 rotations of a block, each by
+ * triple reversal, and returns their moves; reverse stays for faro.rotate
+ * and as _fastpath's probe.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any memory get_items takes: _fastpath asks them, so that rule alone sends
- * a buffer here. They check every range and ladder against it before a
- * loop runs; only agree leaves its checks to _fastpath.agree.
+ * a buffer here. They check every range, window and ladder against it
+ * before a loop runs; only agree leaves its checks to _fastpath.agree.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -160,6 +163,37 @@ static void reverse_items(char *buf, size_t itemsize, int64_t lo, int64_t hi)
         reverse(buf, itemsize, lo, hi);
 }
 
+/* Rotate the w items at lo right by d, for 0 <= d <= w, by triple
+ * reversal: reverse all w, then the first d and the last w - d. Returns the
+ * moves made, two per swap; a distance of 0 or w moves nothing. */
+static int64_t rotate_items(char *buf, size_t itemsize, int64_t lo, int64_t w, int64_t d)
+{
+    if (d == 0 || d == w)
+        return 0;
+    reverse_items(buf, itemsize, lo, lo + w);
+    reverse_items(buf, itemsize, lo, lo + d);
+    reverse_items(buf, itemsize, lo + d, lo + w);
+    return 2 * (w / 2 + d / 2 + (w - d) / 2);
+}
+
+/* The gather of the block at offset, whose k parts of `part` items each
+ * begin at offset + t * part, and its inverse, the scatter; returns the
+ * moves made. The gather rotates [offset + t * b, offset + t * part + b)
+ * right by b for t = 1..k-1: after rotation t the first b items of parts
+ * 0..t sit together at offset, and the rests of the parts follow in part
+ * order. The scatter undoes it: the same windows for t = k-1..1, each
+ * rotated right by its width less b, t * (part - b). */
+static int64_t gather_items(char *buf, size_t itemsize, int64_t offset, int64_t part, int64_t b, int64_t k,
+                            int inverse)
+{
+    int64_t moves = 0;
+    for (int64_t i = 1; i < k; i++) {
+        int64_t t = inverse ? k - i : i, rest = t * (part - b);
+        moves += rotate_items(buf, itemsize, offset + t * b, rest + b, inverse ? rest : b);
+    }
+    return moves;
+}
+
 /* copy n bytes a word at a time, through registers */
 static inline void copy_bytes(char *a, const char *b, size_t n)
 {
@@ -289,8 +323,8 @@ static int ladder_fits(int64_t leader, int64_t p, int64_t count, int64_t m)
 
 /* The module's entries, METH_FASTCALL functions. Every integer must fit an
  * int64: one beyond it raises OverflowError rather than wrapping into range.
- * reverse and walk take an exact list or a buffer (see get_items) and check
- * every range and ladder before their loop runs. */
+ * reverse, gather and walk take an exact list or a buffer (see get_items)
+ * and check every range, window and ladder before their loop runs. */
 
 /* 1 iff lo <= nargs <= hi; 0 with TypeError set */
 static int nargs_in(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
@@ -415,6 +449,39 @@ static PyObject *py_reverse(PyObject *Py_UNUSED(module), PyObject *const *args, 
     Py_RETURN_NONE;
 }
 
+/* gather(buf, offset, part, b, k, inverse[, itemsize]): the k - 1
+ * rotations of one block's gather, or with inverse true of its scatter (see
+ * gather_items); returns the moves made */
+static PyObject *py_gather(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t a[6] = {0, 0, 0, 0, 0, 0}; /* offset, part, b, k, inverse, itemsize */
+    struct items it;
+    if (!nargs_in("gather", nargs, 6, 7) || !int64s(args + 1, nargs - 1, a) || !get_items(&it, args[0], a[5]))
+        return NULL;
+    int64_t offset = a[0], part = a[1], b = a[2], k = a[3], end;
+    if (!(0 <= b && b <= part && 2 <= k && k <= 9)) {
+        PyErr_Format(PyExc_ValueError, "no gather of %lld parts of %lld items by %lld", (long long)k,
+                     (long long)part, (long long)b);
+        put_items(&it);
+        return NULL;
+    }
+    /* the last window ends at offset + (k - 1) * part + b; every other
+     * bound of every window lies between offset and it */
+    if (offset < 0 || __builtin_mul_overflow(k - 1, part, &end) || __builtin_add_overflow(end, b, &end) ||
+        __builtin_add_overflow(end, offset, &end) || end > it.n) {
+        PyErr_Format(PyExc_IndexError, "gather of %lld parts of %lld items at %lld leaves %zd items",
+                     (long long)k, (long long)part, (long long)offset, it.n);
+        put_items(&it);
+        return NULL;
+    }
+    PyThreadState *unlocked = it.view.obj ? PyEval_SaveThread() : NULL;
+    int64_t moves = gather_items(it.buf, it.size, offset, part, b, k, a[4] != 0);
+    if (unlocked)
+        PyEval_RestoreThread(unlocked);
+    put_items(&it);
+    return PyLong_FromLongLong(moves);
+}
+
 /* 1 after planning st for the walk a describes over it; 0 with IndexError
  * or ValueError set. The orbits stay in local positions 1..modulus-1 and
  * close only when mult is a unit and the leaders are among those
@@ -535,7 +602,7 @@ static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
 #define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef entries[] = {
-    ENTRY(reverse), ENTRY(walk), ENTRY(agree), ENTRY(mulmod), ENTRY(step), {NULL, NULL, 0, NULL},
+    ENTRY(reverse), ENTRY(gather), ENTRY(walk), ENTRY(agree), ENTRY(mulmod), ENTRY(step), {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {

@@ -1,12 +1,14 @@
 """Innermost element-moving loops, and the check behind ``faro apply --verify``.
 
 These are the reference loops, and the path of every buffer that
-``_fastpath.kernel`` does not send to ``_kernel.c``, which holds the same
-three loops in C; the test suite runs both paths on the same inputs and
-requires equal results, equal instrumentation counts and equal answers.
+``_fastpath.loops`` does not send to ``_kernel.c``, which holds the same
+loops in C: the reversal, the block gather (its k - 1 rotations by triple
+reversal), the cycle walk and the check. The driver's pair is (gather,
+walk). The test suite runs both paths on the same inputs and requires equal
+results, equal instrumentation counts and equal answers.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
-loops only move or compare elements.
+loops only move or compare elements, and the gather returns its moves.
 """
 
 
@@ -17,6 +19,28 @@ def reverse_slots(buf, lo, hi):
         buf[lo], buf[hi] = buf[hi], buf[lo]
         lo += 1
         hi -= 1
+
+
+def gather_slots(buf, offset, part, b, k, inverse):
+    # The k - 1 rotations of the gather of the block at offset, whose k parts
+    # of `part` slots each begin at offset + t * part, and the moves they
+    # make, two per swap; the twin of gather_items in _kernel.c. The gather
+    # rotates [offset + t * b, offset + t * part + b) right by b for t =
+    # 1..k-1: after rotation t the first b slots of parts 0..t sit together
+    # at offset, and the rests of the parts follow in part order. With
+    # `inverse` it scatters: the same windows for t = k-1..1, each rotated
+    # right by its width less b. Each rotation is a triple reversal: all of
+    # the window, then its first d slots and its last w - d.
+    moves = 0
+    for t in range(k - 1, 0, -1) if inverse else range(1, k):
+        lo, rest = offset + t * b, t * (part - b)
+        w, d = rest + b, rest if inverse else b
+        if 0 < d < w:
+            reverse_slots(buf, lo, lo + w)
+            reverse_slots(buf, lo, lo + d)
+            reverse_slots(buf, lo + d, lo + w)
+            moves += 2 * (w // 2 + d // 2 + (w - d) // 2)
+    return moves
 
 
 def cycle_walk(buf, base, leader, mult, modulus, p, count):

@@ -29,9 +29,11 @@ such a p. At d = 1, k is a primitive root of p^2, which is the paper's case
 and that of every 2-way base.
 
 A block is admissible when k divides m - 1, so that each part contributes
-a whole slice; the gather step is k - 1 successive right rotations that
-pull the first slice of each part to the front. A gather costs in
-proportion to the window left, so the gaps of the block ladder set the
+a whole slice; the gather step is k - 1 successive right rotations, each
+by triple reversal, that pull the first slice of each part to the front.
+The buffer's kernel makes them in one call of its gather loop, which
+returns their moves, and its inverse, the scatter, likewise. A gather costs
+in proportion to the window left, so the gaps of the block ladder set the
 moves per element. Every admissible rung below 2^63 is listed once, largest
 first, in a constant ladder per arity, ``_ladder(k)``, so the greedy tiling
 takes one bisect per run of equal blocks.
@@ -55,7 +57,8 @@ from functools import cache
 
 from . import _fastpath
 from .permcore import kway_kind, validate_order
-from .rotate import rotate_right
+# unused here; kept bound because perfbench swaps faro.kway.rotate_right by name
+from .rotate import rotate_right  # noqa: F401
 
 __all__ = ["k_shuffle", "k_unshuffle", "MAX_K"]
 
@@ -224,28 +227,12 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
         instr.cycles += cycles
 
 
-def _gather_parts(buf, offset, part, b, k, instr, reverse):
-    # After rotation t, the first b elements of parts 1..t+1 sit contiguously
-    # at `offset` and the part remainders stay in part order behind them.
-    for t in range(1, k):
-        rotate_right(buf, offset + t * b, offset + t * part + b, b, instr, reverse=reverse)
-
-
-def _scatter_parts(buf, offset, part, b, k, instr, reverse):
-    # Undo _gather_parts: the same windows in reverse order, each rotated
-    # right by its width minus b.
-    for t in range(k - 1, 0, -1):
-        rotate_right(
-            buf, offset + t * b, offset + t * part + b, t * (part - b), instr, reverse=reverse
-        )
-
-
 def _shuffle_range(buf, lo, hi, k, instr, kernel):
     # The k-way shuffle of buf[lo:hi], block by block: gather the block's
     # slice of every part to the front of what remains, then place the
     # block by its cycle passes. The 2-way shuffles are k = 2. `kernel` is
-    # the buffer's (reverse, walk) pair from _fastpath.kernel.
-    reverse, walk = kernel
+    # the buffer's (gather, walk) pair from _fastpath.kernel.
+    gather, walk = kernel
     reps_of = _REPS[k]
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
@@ -257,7 +244,9 @@ def _shuffle_range(buf, lo, hi, k, instr, kernel):
             continue
         reps = reps_of[p]
         for offset in range(start, start + count * (modulus - 1), modulus - 1):
-            _gather_parts(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, instr, reverse)
+            moved = gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, False)
+            if instr is not None:
+                instr.rotate_moves += moved
             _general_cycle_passes(buf, offset, j, p, reps, k, modulus, instr, walk)
 
 
@@ -266,7 +255,7 @@ def _unshuffle_range(buf, lo, hi, k, instr, kernel):
     # tail first, and each run's blocks right to left. A scan of the tiling
     # finds the run that ends at `done`; the tiling is rescanned per run
     # instead of being stored, which keeps the state constant.
-    reverse, walk = kernel
+    gather, walk = kernel
     reps_of = _REPS[k]
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
@@ -283,7 +272,9 @@ def _unshuffle_range(buf, lo, hi, k, instr, kernel):
                 _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr, walk)
             else:
                 _general_cycle_passes(buf, offset, j, p, reps_of[p], mult, modulus, instr, walk)
-                _scatter_parts(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, instr, reverse)
+                moved = gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, True)
+                if instr is not None:
+                    instr.rotate_moves += moved
         done = start
 
 

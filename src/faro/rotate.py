@@ -9,9 +9,10 @@ which costs at most 2 * (w//2 + d//2 + (w-d)//2) single-element moves for a
 window of w elements and needs exactly one element-sized temporary (the swap
 slot) no matter how large the window is.
 
-Both functions take the buffer's reversal loop as the keyword `reverse`
-when the caller has resolved it already, and otherwise take the first loop
-of ``_fastpath.kernel(buf)``.
+Both functions reverse by the buffer's reversal loop, the first of
+``_fastpath.loops(buf)``. The shuffle drivers do not call them: a block's
+rotations are one call of the buffer's gather loop, which makes the same
+reversals and counts the same moves.
 """
 
 from . import _fastpath
@@ -29,18 +30,16 @@ def _check_range(buf, lo: int, hi: int) -> None:
         raise ValueError(f"range [{lo}, {hi}) out of bounds for length {len(buf)}")
 
 
-def reverse_range(buf, lo: int, hi: int, instr=None, *, reverse=None) -> None:
+def reverse_range(buf, lo: int, hi: int, instr=None) -> None:
     """Reverse buf[lo:hi] in place with (hi - lo) // 2 swaps."""
     _check_range(buf, lo, hi)
-    if reverse is None:
-        reverse = _fastpath.kernel(buf)[0]
-    reverse(buf, lo, hi)
+    _fastpath.loops(buf)[0](buf, lo, hi)
     if instr is not None:
         instr.rotate_moves += 2 * ((hi - lo) // 2)
         instr.note_aux(_REVERSE_AUX_WORDS)
 
 
-def rotate_right(buf, lo: int, hi: int, d: int, instr=None, *, reverse=None) -> None:
+def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
     """Cyclic right shift of buf[lo:hi] by d slots, by triple reversal.
 
     The element at p lands at lo + ((p - lo + d) mod (hi - lo)). Distances
@@ -50,15 +49,12 @@ def rotate_right(buf, lo: int, hi: int, d: int, instr=None, *, reverse=None) -> 
     w = hi - lo
     if not 0 <= d <= w:
         raise ValueError(f"distance {d} out of range 0..{w}")
-    if w == 0:
+    if d == 0 or d == w:
         return
-    d %= w
-    if d == 0:
-        return
+    reverse = _fastpath.loops(buf)[0]
+    reverse(buf, lo, hi)
+    reverse(buf, lo, lo + d)
+    reverse(buf, lo + d, hi)
     if instr is not None:
+        instr.rotate_moves += 2 * (w // 2 + d // 2 + (w - d) // 2)
         instr.note_aux(_ROTATE_AUX_WORDS)
-    if reverse is None:
-        reverse = _fastpath.kernel(buf)[0]
-    reverse_range(buf, lo, hi, instr, reverse=reverse)
-    reverse_range(buf, lo, lo + d, instr, reverse=reverse)
-    reverse_range(buf, lo + d, hi, instr, reverse=reverse)

@@ -24,7 +24,7 @@ from faro.numtheory import is_primitive_root
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
 from faro.rotate import reverse_range, rotate_right
-from faro.shuffle import RecordBuffer, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
+from faro.shuffle import Instrumentation, RecordBuffer, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
 
 needs_kernel = pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
 HEADERS = sysconfig.get_paths()["include"]
@@ -255,7 +255,7 @@ _BAD_LADDERS = ((1, 3, 4), (3, 6148914691236517206, 2), (1, 3, -1))
 )
 def test_native_walk_refuses_to_leave_the_buffer(buf):
     before = buf.tobytes()
-    reverse, walk = _fastpath.kernel(buf)
+    reverse, _, walk = _fastpath.loops(buf)
     with pytest.raises(IndexError):
         walk(buf, 0, 1, 2, 27, 3, 1)  # last slot would be 26, one past the end
     with pytest.raises(IndexError):
@@ -279,7 +279,7 @@ def test_native_walk_refuses_to_leave_the_buffer(buf):
 def test_native_reverse_stays_inside_a_view():
     backing = np.arange(10)
     view = backing[:4]
-    reverse = _fastpath.kernel(view)[0]
+    reverse = _fastpath.loops(view)[0]
     assert reverse is not _loops.reverse_slots
     with pytest.raises(IndexError):
         reverse(view, 0, 6)  # the view ends at 4; the backing array goes on
@@ -302,7 +302,7 @@ def test_native_reverse_matches_slice_reversal_exhaustively(kind):
             buf = np.array([rng.randrange(-(2**63), 2**63) for _ in range(n)], dtype=np.int64)
         else:
             buf = RecordBuffer(bytearray(rng.randbytes(n * int(kind[7:]))), int(kind[7:]))
-        reverse = _fastpath.kernel(buf)[0]
+        reverse = _fastpath.loops(buf)[0]
         assert reverse is not _loops.reverse_slots
         expected = [buf[i] for i in range(n)]
         for lo in range(n + 1):
@@ -310,6 +310,92 @@ def test_native_reverse_matches_slice_reversal_exhaustively(kind):
                 reverse(buf, lo, hi)
                 expected[lo:hi] = expected[lo:hi][::-1]
                 assert [buf[i] for i in range(n)] == expected, (n, lo, hi)
+
+
+def _gathers(n):
+    """Every (offset, part, b, k) of a gather inside n items: k parts of
+    `part` items from `offset`, whose windows reach offset + (k - 1) * part + b."""
+    for k in range(2, 10):
+        for part in range(n // (k - 1) + 1):
+            for b in range(min(part, n - (k - 1) * part) + 1):
+                for offset in range(n - (k - 1) * part - b + 1):
+                    yield offset, part, b, k
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind", ["list", "ndarray", "records1", "records8", "records64", "masked"])
+def test_native_gather_matches_its_rotations_exhaustively(kind):
+    # every gather and scatter inside 40 items, at k = 2..9: the native
+    # gather, its pure twin and the public rotate_right over the same
+    # windows leave the same items and count the same moves, and each
+    # scatter undoes its gather
+    n = 40
+    records = [bytes((i * 37 + s) % 256 for s in range(int(kind[7:]))) for i in range(n)] if kind[7:] else None
+    if kind == "list":
+        buf = list(range(n))
+    elif kind == "ndarray":
+        buf = np.arange(n, dtype=np.int64)
+    elif kind == "masked":
+        buf = np.ma.array(np.arange(n, dtype=np.int64), mask=np.arange(n) % 3 == 0)
+    else:
+        buf = RecordBuffer(bytearray(b"".join(records)), len(records[0]))
+    gather = _fastpath.kernel(buf)[0]
+    assert gather is not _loops.gather_slots
+
+    def holds(order):
+        # whether buf holds its first items in this order
+        if kind == "masked":
+            return buf.data.tolist() == order and buf.mask.tolist() == [i % 3 == 0 for i in order]
+        if records:
+            return bytes(buf.data) == b"".join(records[i] for i in order)
+        return (buf if kind == "list" else buf.tolist()) == order
+
+    pure = list(range(n))
+    for offset, part, b, k in _gathers(n):
+        for inverse in (False, True):
+            moves = gather(buf, offset, part, b, k, inverse)
+            rotated, instr = list(pure), Instrumentation()
+            for t in range(k - 1, 0, -1) if inverse else range(1, k):
+                d = t * (part - b) if inverse else b
+                rotate_right(rotated, offset + t * b, offset + t * part + b, d, instr)
+            case = (offset, part, b, k, inverse)
+            assert _loops.gather_slots(pure, offset, part, b, k, inverse) == moves, case
+            assert instr.rotate_moves == moves and rotated == pure, case
+            assert holds(pure), case
+        assert pure == list(range(n)), (offset, part, b, k)
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "buf",
+    [list(range(26)), np.arange(26, dtype=np.int64), RecordBuffer(bytearray(range(78)), 3)],
+    ids=["list", "ndarray", "records"],
+)
+def test_native_gather_refuses_to_leave_the_buffer(buf):
+    before = [buf[i] for i in range(26)]
+    gather = _fastpath.kernel(buf)[0]
+    assert gather is not _loops.gather_slots
+    # (offset, part, b, k): windows that end one past the buffer or begin
+    # before it, and bounds that overflow int64 on the way to the last end
+    for args in ((0, 13, 1, 3), (2, 24, 1, 2), (1, 3, 2, 9), (-1, 1, 1, 2),
+                 (0, 2**62, 0, 3), (0, 2**61, 0, 9), (0, 2**62, 2**62, 2), (2**62, 2**62 - 1, 1, 2),
+                 (2**63 - 1, 0, 0, 2)):
+        for inverse in (False, True):
+            with pytest.raises(IndexError):
+                gather(buf, *args, inverse)
+    # slices wider than their parts, and arities outside 2..9
+    for args in ((0, 3, 4, 2), (0, 3, -1, 2), (0, 2, 1, 1), (0, 2, 1, 10), (0, 0, 0, -1)):
+        with pytest.raises(ValueError):
+            gather(buf, *args, False)
+    # integers beyond int64 are refused, not wrapped into range
+    for args in ((2**64, 1, 1, 2), (0, 2**64 + 1, 1, 2), (0, 2, 2**64 + 1, 2), (0, 2, 1, 2**64 + 2)):
+        with pytest.raises(OverflowError):
+            gather(buf, *args, False)
+    assert [buf[i] for i in range(26)] == before
+    assert gather(buf, 1, 12, 12, 2, False) == 0  # a slice of the whole part moves nothing
+    assert gather(buf, 0, 13, 0, 2, True) == 0
+    assert gather(buf, 2, 8, 3, 3, False) == 2 * (4 + 1 + 2) + 2 * (6 + 1 + 5)
+    assert [buf[i] for i in range(26)] != before
 
 
 @needs_kernel
@@ -328,13 +414,16 @@ def test_entries_refuse_memory_of_python_objects():
         with pytest.raises(BufferError, match="Python objects"):
             native.reverse(buf, 0, 32)
         with pytest.raises(BufferError, match="Python objects"):
+            native.gather(buf, 0, 16, 8, 2, False)
+        with pytest.raises(BufferError, match="Python objects"):
             native.walk(buf, -1, 1, 2, 33, 2, 1)
         assert buf.tolist() == before.tolist()
         if buf.dtype.names:
             with pytest.raises(ValueError, match="views"):
                 _fastpath.kernel(buf)
         else:
-            assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk)
+            assert _fastpath.loops(buf) == _fastpath._PURE
+            assert _fastpath.kernel(buf) == (_loops.gather_slots, _loops.cycle_walk)
     named = np.array([(i, -i) for i in range(32)], dtype=[("O", "i8"), ("x", "f8")])
     native.reverse(named, 0, 32)
     assert named["O"].tolist() == list(range(31, -1, -1))
@@ -408,7 +497,7 @@ def test_masked_arrays_move_each_mask_with_its_item(monkeypatch):
     def refused(*args):
         raise AssertionError("a MaskedArray took the pure loops")
 
-    monkeypatch.setattr(_fastpath, "_PURE", (refused, refused))
+    monkeypatch.setattr(_fastpath, "_PURE", (refused, refused, refused))
     buf = np.ma.array(np.arange(8), mask=[1, 0, 0, 0, 0, 0, 0, 0])
     in_shuffle(buf)
     assert buf.data.tolist() == [4, 0, 5, 1, 6, 2, 7, 3]
@@ -623,7 +712,7 @@ def test_build_without_python_h_takes_the_pure_loops(tmp_path, monkeypatch):
         "from faro.shuffle import RecordBuffer\n"
         "assert not _fastpath.HAVE_COMPILED and 'Python.h' in _fastpath.BUILD_ERROR\n"
         "for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2)):\n"
-        "    assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk), buf\n"
+        "    assert _fastpath.kernel(buf) == (_loops.gather_slots, _loops.cycle_walk), buf\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
 
@@ -658,55 +747,56 @@ def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
 
 
 def test_kernel_is_resolved_once_per_call(monkeypatch):
-    counts = dict(kernel=0, reverse=0, walk=0)
-    real_kernel = _fastpath.kernel
+    counts = dict(loops=0, reverse=0, gather=0, walk=0)
+    real_loops = _fastpath.loops
 
     def counting(name, loop):
         def counted(*args):
             counts[name] += 1
-            loop(*args)
+            return loop(*args)
 
         return counted
 
-    def kernel(buf):
-        counts["kernel"] += 1
-        reverse, walk = real_kernel(buf)
-        return counting("reverse", reverse), counting("walk", walk)
+    def loops(buf):
+        counts["loops"] += 1
+        return tuple(counting(name, loop) for name, loop in zip(("reverse", "gather", "walk"), real_loops(buf)))
 
-    def ladders(n, k):
-        # one walk call per ladder: d per block, one per coset representative
-        # of its base, twice that for a twin block 2p^j, and one per cycle
-        # of the tail
-        calls = 0
+    def gathers_and_ladders(n, k):
+        # one gather call per block; one walk call per ladder: d per block,
+        # one per coset representative of its base, twice that for a twin
+        # block 2p^j, and one per cycle of the tail
+        gathers = walks = 0
         for _, modulus, p, j, count in _blocks(0, n, k):
             if j:
-                calls += count * len(_REPS[k][p]) * (1 + (modulus % 2 == 0))
+                gathers += count
+                walks += count * len(_REPS[k][p]) * (1 + (modulus % 2 == 0))
             else:
-                calls += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
-        return calls
+                walks += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
+        return gathers, walks
 
-    monkeypatch.setattr(_fastpath, "kernel", kernel)
-    # (call, length, walk calls, reversals to exceed); every call is one pass
+    monkeypatch.setattr(_fastpath, "loops", loops)
+    # (call, length, gather and walk calls); every call is one pass
     calls = [
-        (lambda buf: k_shuffle(buf, 6), 60_000, ladders(60_000, 6), 20),
-        (lambda buf: k_unshuffle(buf, 9), 59_994, ladders(59_994, 9), 20),
-        (un_shuffle, 1 << 16, ladders(1 << 16, 2), 10),
+        (lambda buf: k_shuffle(buf, 6), 60_000, gathers_and_ladders(60_000, 6)),
+        (lambda buf: k_unshuffle(buf, 9), 59_994, gathers_and_ladders(59_994, 9)),
+        (un_shuffle, 1 << 16, gathers_and_ladders(1 << 16, 2)),
     ]
-    for call, n, walks, reversals in calls:
-        counts.update(kernel=0, reverse=0, walk=0)
+    for call, n, (gathers, walks) in calls:
+        counts.update(loops=0, reverse=0, gather=0, walk=0)
         buf = np.arange(n, dtype=np.int64)
         call(buf)
         assert sorted(buf.tolist()) == list(range(n))
-        assert counts["kernel"] == 1, counts
-        assert counts["reverse"] > reversals and counts["walk"] == walks, (counts, walks)
+        assert counts["loops"] == 1, counts
+        assert gathers > 1 and counts["reverse"] == 0, (counts, gathers)
+        assert (counts["gather"], counts["walk"]) == (gathers, walks), (counts, gathers, walks)
 
-    counts.update(kernel=0, reverse=0)
+    counts.update(loops=0, reverse=0)
     buf = list(range(10))
     rotate_right(buf, 0, 10, 3)
     assert buf == [7, 8, 9, 0, 1, 2, 3, 4, 5, 6]
-    assert (counts["kernel"], counts["reverse"]) == (1, 3)
+    assert (counts["loops"], counts["reverse"]) == (1, 3)
     reverse_range(buf, 2, 6)
-    assert (counts["kernel"], counts["reverse"]) == (2, 4)
+    assert (counts["loops"], counts["reverse"]) == (2, 4)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6])
@@ -726,12 +816,12 @@ def test_list_shuffles_leave_refcounts_alone(k):
 
 def test_list_subclass_takes_the_pure_loops(monkeypatch):
     buf = CountingList(range(600))
-    assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk)
+    assert _fastpath.kernel(buf) == (_loops.gather_slots, _loops.cycle_walk)
     k_shuffle(buf, 3)
     assert buf.gets > 600 and buf.sets > 600
     assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))
     monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
-    assert _fastpath.kernel([1, 2]) == (_loops.reverse_slots, _loops.cycle_walk)
+    assert _fastpath.kernel([1, 2]) == (_loops.gather_slots, _loops.cycle_walk)
 
 
 def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
@@ -739,7 +829,8 @@ def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
     for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2), array.array("q", [1, 2]),
                 memoryview(bytearray(16)).cast("q"), bytearray(4), mmap.mmap(-1, 4),
                 RecordBuffer(mmap.mmap(-1, 4), 2)):
-        assert _fastpath.kernel(buf) == (_loops.reverse_slots, _loops.cycle_walk), buf
+        assert _fastpath.loops(buf) == _fastpath._PURE, buf
+        assert _fastpath.kernel(buf) == (_loops.gather_slots, _loops.cycle_walk), buf
 
 
 def test_empty_and_two_element_lists():
@@ -773,7 +864,7 @@ def test_empty_and_two_element_lists():
 @needs_kernel
 def test_list_entries_refuse_bad_calls_and_leave_the_list():
     buf = list(range(26))
-    reverse, walk = _fastpath.kernel(buf)
+    reverse, _, walk = _fastpath.loops(buf)
     with pytest.raises(IndexError):
         walk(buf, 0, 1, 2, 27, 3, 1)  # last slot would be 26, one past the end
     with pytest.raises(IndexError):
@@ -912,8 +1003,9 @@ def test_fresh_interpreter_sends_lists_to_the_kernel():
         "import array, sys\n"
         "from faro import _fastpath, _loops\n"
         "for buf in ([1, 2], array.array('q', [1, 2]), bytearray(4)):\n"
-        "    reverse, walk = _fastpath.kernel(buf)\n"
+        "    reverse, gather, walk = _fastpath.loops(buf)\n"
         "    assert reverse is not _loops.reverse_slots and walk is not _loops.cycle_walk, buf\n"
+        "    assert gather is not _loops.gather_slots, buf\n"
         "assert 'numpy' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)

@@ -150,22 +150,15 @@ def test_blocks_are_the_naive_greedy_tiling(q):
     [(2, 19_998), (3, 900), (4, 4_000), (5, 4_000), (6, 3_000), (7, 2_093), (8, 4_000),
      (9, 3_600)],
 )
-def test_moves_split_by_layer(k, n, monkeypatch):
+def test_moves_split_by_layer(k, n):
     # rotate_moves are the moves made inside the gather and scatter
-    # rotations; walk_moves and tail_moves are, for each block and for the
-    # tail, its moving positions plus one hold load per cycle; moves is
-    # their sum. blocks counts every block, the tail as one, and cycles
-    # every cycle walked. A block of modulus m moves its m - 1 positions but
-    # the fixed point p^j of a twin 2p^j, in d * j cycles, twice that for a
-    # twin, where d is the number of coset representatives of p.
-    rotated = []
-
-    def counted(buf, lo, hi, d, instr, **kernel):
-        before = instr.moves
-        rotate_right(buf, lo, hi, d, instr, **kernel)
-        rotated.append(instr.moves - before)
-
-    monkeypatch.setattr(kway, "rotate_right", counted)
+    # rotations, as rotate_right makes them over the same windows;
+    # walk_moves and tail_moves are, for each block and for the tail, its
+    # moving positions plus one hold load per cycle; moves is their sum.
+    # blocks counts every block, the tail as one, and cycles every cycle
+    # walked. A block of modulus m moves its m - 1 positions but the fixed
+    # point p^j of a twin 2p^j, in d * j cycles, twice that for a twin,
+    # where d is the number of coset representatives of p.
     walk = tail = blocks = walked = 0
     for _, modulus, p, j, count in kway._blocks(0, n, k):
         cycles = cycle_decomposition(kway_kind(k), modulus - 1)
@@ -182,13 +175,27 @@ def test_moves_split_by_layer(k, n, monkeypatch):
     # p or 2p), so only those three leave a tail
     assert (tail > 0) == (k in (3, 7, 8))
     for call in (k_shuffle, k_unshuffle):
-        rotated.clear()
+        rotated = _rotation_moves(n, k, inverse=call is k_unshuffle)
         instr = Instrumentation()
         call(list(range(n)), k, instr)
-        assert (instr.rotate_moves, instr.walk_moves, instr.tail_moves) == (sum(rotated), walk, tail)
+        assert (instr.rotate_moves, instr.walk_moves, instr.tail_moves) == (rotated, walk, tail)
         assert (instr.blocks, instr.cycles) == (blocks, walked)
-        assert sum(rotated) > 0
-        assert instr.moves == sum(rotated) + walk + tail
+        assert rotated > 0
+        assert instr.moves == rotated + walk + tail
+
+
+def _rotation_moves(n, k, inverse):
+    # the moves of the driver's gather rotations over [0, n), or with
+    # `inverse` of its scatter rotations, as the public rotate_right makes
+    # them over every block's windows, composed on a copy
+    copy, instr = list(range(n)), Instrumentation()
+    for start, modulus, p, j, count in kway._blocks(0, n, k):
+        for offset in range(start, start + count * (modulus - 1), modulus - 1) if j else ():
+            part, b = (n - offset) // k, (modulus - 1) // k
+            for t in range(k - 1, 0, -1) if inverse else range(1, k):
+                d = t * (part - b) if inverse else b
+                rotate_right(copy, offset + t * b, offset + t * part + b, d, instr)
+    return instr.rotate_moves
 
 
 @pytest.mark.parametrize("k", range(2, 10))
@@ -267,26 +274,26 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
     ]
     assert moves == modulus - 2 + 2 * j
 
-    walked, rotations = [], Instrumentation()
+    walked, rotated = [], []
     real_kernel = _fastpath.kernel
 
     def kernel(buf):
-        reverse, walk = real_kernel(buf)
+        gather, walk = real_kernel(buf)
+
+        def gather_spy(*args):
+            rotated.append(gather(*args))
+            return rotated[-1]
 
         def spy(buf, base, leader, mult, modulus, p, count):
             walked.extend(leader * p**s for s in range(count))
             walk(buf, base, leader, mult, modulus, p, count)
 
-        return reverse, spy
+        return gather_spy, spy
 
     monkeypatch.setattr(_fastpath, "kernel", kernel)
-    monkeypatch.setattr(
-        kway,
-        "rotate_right",
-        lambda buf, lo, hi, d, instr, **kernel: rotate_right(buf, lo, hi, d, rotations, **kernel),
-    )
     for call in (k_shuffle, k_unshuffle):
         walked.clear()
+        rotated.clear()
         buf, instr = list(range(n)), Instrumentation()
         call(buf, k, instr)
         if call is k_shuffle:
@@ -295,7 +302,7 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
             assert oracle_shuffle(buf, kway_kind(k)) == list(range(n))
         assert sorted(walked) == leaders
         assert instr.moves == moves
-        assert rotations.moves == 0
+        assert rotated == [0] and instr.rotate_moves == 0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

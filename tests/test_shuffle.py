@@ -383,10 +383,10 @@ def test_compiled_path_matches_pure_path(monkeypatch):
             pure_instr = Instrumentation()
             with monkeypatch.context() as m:
                 m.setattr(_fastpath, "_native", None)  # as when the kernel did not build
-                assert _fastpath.kernel(pure) == (_loops.reverse_slots, _loops.cycle_walk)
+                assert _fastpath.kernel(pure) == (_loops.gather_slots, _loops.cycle_walk)
                 call(pure, pure_instr)
             for label, buf, itemsize, payload in _native_buffers(rng.randbytes, length):
-                assert _fastpath.kernel(buf)[0] is not _loops.reverse_slots, label
+                assert _fastpath.kernel(buf)[0] is not _loops.gather_slots, label
                 instr = Instrumentation()
                 call(buf, instr)
                 expected = b"".join(payload[i * itemsize : (i + 1) * itemsize] for i in pure)
