@@ -21,7 +21,8 @@ numpy is never imported here: no ndarray can exist before the caller has
 imported it.
 
 One gather call makes all k - 1 rotations of a block's gather, or of its
-inverse, the scatter, each by triple reversal, and returns their moves.
+inverse, the scatter, each by conjoined triple reversal, and returns their
+moves.
 One walk call realizes a whole ladder of cycles, those led by
 ``leader * p**s`` for ``s < count``. Every walk of a q-way pass modulo m,
 while ``q * m <= 2**32``, steps ``j -> q * j mod m`` without a division:

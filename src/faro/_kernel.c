@@ -17,8 +17,10 @@
  * four items rather than per item; the reversal of 8-byte items swaps two
  * of them from each end at a time. The driver's pair of loops is (gather,
  * walk): one gather call makes all k - 1 rotations of a block, each by
- * triple reversal, and returns their moves; reverse stays for faro.rotate
- * and as _fastpath's probe.
+ * conjoined triple reversal, and returns their moves; its cycles move
+ * 8-byte items two per cursor, and other items a word at a time through
+ * registers, so the column stays the walk's only temporary array. reverse
+ * stays for faro.rotate and as _fastpath's probe.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any memory get_items takes: _fastpath asks them, so that rule alone sends
@@ -138,19 +140,32 @@ static inline void reverse(char *buf, size_t size, int64_t lo, int64_t hi)
         swap_bytes(buf + lo * size, buf + hi * size, size);
 }
 
+/* two 8-byte items, loaded and stored together; flip() swaps them */
+struct pair {
+    uint64_t w[2];
+};
+
+static inline struct pair get2(const char *p)
+{
+    struct pair x;
+    memcpy(&x, p, 16);
+    return x;
+}
+
+static inline void put2(char *p, struct pair x) { memcpy(p, &x, 16); }
+
+static inline struct pair flip(struct pair x) { return (struct pair){{x.w[1], x.w[0]}}; }
+
 /* reverse() for 8-byte items, two from each end at a time: the 16 bytes at
  * each end swap places, each pair reversed on the way; reverse() takes the
  * 0 to 3 items left in the middle */
 static void reverse8(char *buf, int64_t lo, int64_t hi)
 {
     for (; hi - lo >= 4; lo += 2, hi -= 2) {
-        uint64_t a[2], b[2];
         char *x = buf + lo * 8, *y = buf + (hi - 2) * 8;
-        memcpy(a, x, 16);
-        memcpy(b, y, 16);
-        uint64_t ra[2] = {a[1], a[0]}, rb[2] = {b[1], b[0]};
-        memcpy(x, rb, 16);
-        memcpy(y, ra, 16);
+        struct pair a = get2(x), b = get2(y);
+        put2(x, flip(b));
+        put2(y, flip(a));
     }
     reverse(buf, 8, lo, hi);
 }
@@ -163,17 +178,128 @@ static void reverse_items(char *buf, size_t itemsize, int64_t lo, int64_t hi)
         reverse(buf, itemsize, lo, hi);
 }
 
-/* Rotate the w items at lo right by d, for 0 <= d <= w, by triple
- * reversal: reverse all w, then the first d and the last w - d. Returns the
- * moves made, two per swap; a distance of 0 or w moves nothing. */
+/* the n bytes at x take those at y, y's take z's and z's take x's, a word
+ * at a time, through registers */
+static inline void turn3(char *x, char *y, char *z, size_t n)
+{
+    uint64_t p, q, r;
+    for (; n >= 8; n -= 8, x += 8, y += 8, z += 8) {
+        memcpy(&p, x, 8);
+        memcpy(&q, y, 8);
+        memcpy(&r, z, 8);
+        memcpy(x, &q, 8);
+        memcpy(y, &r, 8);
+        memcpy(z, &p, 8);
+    }
+    for (; n > 0; n--, x++, y++, z++) {
+        char c = *x;
+        *x = *y;
+        *y = *z;
+        *z = c;
+    }
+}
+
+/* turn3() with four runs: x takes y's bytes, y takes z's, z takes u's and u
+ * takes x's */
+static inline void turn4(char *x, char *y, char *z, char *u, size_t n)
+{
+    uint64_t p, q, r, s;
+    for (; n >= 8; n -= 8, x += 8, y += 8, z += 8, u += 8) {
+        memcpy(&p, x, 8);
+        memcpy(&q, y, 8);
+        memcpy(&r, z, 8);
+        memcpy(&s, u, 8);
+        memcpy(x, &q, 8);
+        memcpy(y, &r, 8);
+        memcpy(z, &s, 8);
+        memcpy(u, &p, 8);
+    }
+    for (; n > 0; n--, x++, y++, z++, u++) {
+        char c = *x;
+        *x = *y;
+        *y = *z;
+        *z = *u;
+        *u = c;
+    }
+}
+
+/* Rotate the w items at lo right by d, for 0 <= d <= w, by conjoined triple
+ * reversal (Igor van den Hoven, https://github.com/scandum/rotate): the
+ * reversals of the left side A, its first w - d items, of the right side B
+ * and then of all w, made in one sweep. Cursors a and b walk A inward from
+ * its ends, c and e walk B inward; each step hands the items round a cycle
+ * of cursors, with no temporary beyond registers:
+ *   1. s / 2 steps, s the shorter side: b takes a's item, a takes c's, c
+ *      takes e's and e takes b's;
+ *   2. over the rest of the longer side, a 3-cycle: with B longer, c takes
+ *      e's item, e takes a's and a takes c's; with A longer, b takes a's, a
+ *      takes e's and e takes b's;
+ *   3. what is left between a and e is reversed by swaps.
+ * Equal sides are a block swap. With `pairs` (8-byte items) each cursor
+ * moves two items at a time, as reverse8 does. The steps of a phase touch
+ * disjoint slots, save in phase 2, where a trails c, or e trails b, by s
+ * items, so it pairs only for s >= 2. Items of any other size go round the
+ * cycles a word at a time (turn3, turn4). Returns the moves: 4 per step of
+ * the first phase, 3 per step of the second and 2 per swap of the third,
+ * s/2 + 3 (g/2) + 2 ((s + g % 2) / 2) with g the longer side; 2 per item of
+ * either side when they are equal, and none at d = 0 or w. */
+static inline __attribute__((always_inline)) int64_t conjoined(char *buf, size_t size, int pairs, int64_t lo,
+                                                               int64_t w, int64_t d)
+{
+    int64_t left = w - d, s = d < left ? d : left, g = w - s;
+    int64_t a = lo, b = lo + left, c = lo + left, e = lo + w, n = s / 2;
+#define AT(i) (buf + (i) * size)
+    if (s == 0 || s == g) {
+        swap_bytes(AT(a), AT(c), s * size);
+        return 2 * s;
+    }
+    if (pairs)
+        for (; n >= 2; n -= 2, a += 2, c += 2) {
+            b -= 2, e -= 2;
+            struct pair x = get2(AT(a)), y = get2(AT(b)), z = get2(AT(c)), u = get2(AT(e));
+            put2(AT(b), flip(x));
+            put2(AT(a), z);
+            put2(AT(c), flip(u));
+            put2(AT(e), y);
+        }
+    for (; n > 0; n--, a++, c++)
+        turn4(AT(--b), AT(a), AT(c), AT(--e), size);
+    if (left < d) {
+        if (pairs && s >= 2)
+            for (; e - c >= 4; a += 2, c += 2) {
+                e -= 2;
+                struct pair x = get2(AT(a)), z = get2(AT(c)), u = get2(AT(e));
+                put2(AT(c), flip(u));
+                put2(AT(e), flip(x));
+                put2(AT(a), z);
+            }
+        for (; e - c >= 2; a++, c++)
+            turn3(AT(c), AT(--e), AT(a), size);
+    } else {
+        if (pairs && s >= 2)
+            for (; b - a >= 4; a += 2) {
+                b -= 2, e -= 2;
+                struct pair x = get2(AT(a)), y = get2(AT(b)), u = get2(AT(e));
+                put2(AT(b), flip(x));
+                put2(AT(a), flip(u));
+                put2(AT(e), y);
+            }
+        for (; b - a >= 2; a++)
+            turn3(AT(--b), AT(a), AT(--e), size);
+    }
+#undef AT
+    if (pairs)
+        reverse8(buf, a, e);
+    else
+        reverse(buf, size, a, e);
+    return s / 2 + 3 * (g / 2) + 2 * ((s + g % 2) / 2);
+}
+
 static int64_t rotate_items(char *buf, size_t itemsize, int64_t lo, int64_t w, int64_t d)
 {
-    if (d == 0 || d == w)
-        return 0;
-    reverse_items(buf, itemsize, lo, lo + w);
-    reverse_items(buf, itemsize, lo, lo + d);
-    reverse_items(buf, itemsize, lo + d, lo + w);
-    return 2 * (w / 2 + d / 2 + (w - d) / 2);
+    if (itemsize == 8)
+        return conjoined(buf, 8, 1, lo, w, d);
+    return conjoined(buf, itemsize, 0, lo, w, d);
 }
 
 /* The gather of the block at offset, whose k parts of `part` items each

@@ -2,10 +2,10 @@
 
 These are the reference loops, and the path of every buffer that
 ``_fastpath.loops`` does not send to ``_kernel.c``, which holds the same
-loops in C: the reversal, the block gather (its k - 1 rotations by triple
-reversal), the cycle walk and the check. The driver's pair is (gather,
-walk). The test suite runs both paths on the same inputs and requires equal
-results, equal instrumentation counts and equal answers.
+loops in C: the reversal, the block gather (its k - 1 rotations by
+conjoined triple reversal), the cycle walk and the check. The driver's pair
+is (gather, walk). The test suite runs both paths on the same inputs and
+requires equal results, equal instrumentation counts and equal answers.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
 loops only move or compare elements, and the gather returns its moves.
@@ -21,25 +21,61 @@ def reverse_slots(buf, lo, hi):
         hi -= 1
 
 
+def rotate_slots(buf, lo, w, d):
+    # Rotate the w slots at lo right by d, for 0 <= d <= w, by conjoined
+    # triple reversal (Igor van den Hoven, https://github.com/scandum/rotate),
+    # and return its moves; the twin of conjoined in _kernel.c. It makes the
+    # reversals of the left side A, the first w - d slots, of the right side
+    # B and of all w in one sweep: cursors a and b walk A inward from its
+    # ends and c and e walk B, and each step hands the items round a cycle of
+    # cursors, one temporary at most. First, while both sides last, b takes
+    # a's item, a takes c's, c takes e's and e takes b's (4 moves a step);
+    # then, over the rest of the longer side, a 3-cycle (3 moves); last, what
+    # lies between a and e is reversed by swaps (2 moves). Equal sides are a
+    # block swap, and d = 0 or w moves nothing.
+    left = w - d
+    s = min(left, d)
+    g = w - s
+    a, b, c, e = lo, lo + left, lo + left, lo + w
+    if s == 0 or s == g:
+        for i in range(s):
+            buf[a + i], buf[c + i] = buf[c + i], buf[a + i]
+        return 2 * s
+    for _ in range(s // 2):
+        b -= 1
+        e -= 1
+        buf[b], buf[a], buf[c], buf[e] = buf[a], buf[c], buf[e], buf[b]
+        a += 1
+        c += 1
+    if left < d:
+        while e - c >= 2:
+            e -= 1
+            buf[c], buf[e], buf[a] = buf[e], buf[a], buf[c]
+            a += 1
+            c += 1
+    else:
+        while b - a >= 2:
+            b -= 1
+            e -= 1
+            buf[b], buf[a], buf[e] = buf[a], buf[e], buf[b]
+            a += 1
+    reverse_slots(buf, a, e)
+    return s // 2 + 3 * (g // 2) + 2 * ((s + g % 2) // 2)
+
+
 def gather_slots(buf, offset, part, b, k, inverse):
     # The k - 1 rotations of the gather of the block at offset, whose k parts
     # of `part` slots each begin at offset + t * part, and the moves they
-    # make, two per swap; the twin of gather_items in _kernel.c. The gather
-    # rotates [offset + t * b, offset + t * part + b) right by b for t =
-    # 1..k-1: after rotation t the first b slots of parts 0..t sit together
-    # at offset, and the rests of the parts follow in part order. With
+    # make; the twin of gather_items in _kernel.c. The gather rotates
+    # [offset + t * b, offset + t * part + b) right by b for t = 1..k-1:
+    # after rotation t the first b slots of parts 0..t sit together at
+    # offset, and the rests of the parts follow in part order. With
     # `inverse` it scatters: the same windows for t = k-1..1, each rotated
-    # right by its width less b. Each rotation is a triple reversal: all of
-    # the window, then its first d slots and its last w - d.
+    # right by its width less b. Each rotation is rotate_slots'.
     moves = 0
     for t in range(k - 1, 0, -1) if inverse else range(1, k):
-        lo, rest = offset + t * b, t * (part - b)
-        w, d = rest + b, rest if inverse else b
-        if 0 < d < w:
-            reverse_slots(buf, lo, lo + w)
-            reverse_slots(buf, lo, lo + d)
-            reverse_slots(buf, lo + d, lo + w)
-            moves += 2 * (w // 2 + d // 2 + (w - d) // 2)
+        rest = t * (part - b)
+        moves += rotate_slots(buf, offset + t * b, rest + b, rest if inverse else b)
     return moves
 
 

@@ -30,7 +30,9 @@ and that of every 2-way base.
 
 A block is admissible when k divides m - 1, so that each part contributes
 a whole slice; the gather step is k - 1 successive right rotations, each
-by triple reversal, that pull the first slice of each part to the front.
+by conjoined triple reversal (the three reversals of triple reversal in
+one sweep, about 1.5 moves per item of the window against 2), that pull
+the first slice of each part to the front.
 The buffer's kernel makes them in one call of its gather loop, which
 returns their moves, and its inverse, the scatter, likewise. A gather costs
 in proportion to the window left, so the gaps of the block ladder set the
@@ -153,8 +155,9 @@ def _ladder(k):
     return ladder, tuple(1 - modulus for modulus, _, _ in ladder)
 
 
-def _blocks(lo, hi, k):
-    """Greedy tiling of [lo, hi), left to right, as runs (offset, modulus, p, j, count).
+def _blocks(lo, hi, k, backward=False):
+    """Greedy tiling of [lo, hi) as runs (offset, modulus, p, j, count),
+    left to right, or with `backward` right to left.
 
     A run is `count` adjacent blocks of modulus - 1 elements each, where
     modulus is p^j or, for odd k, 2p^j, with p from the base table of k. Its
@@ -164,19 +167,29 @@ def _blocks(lo, hi, k):
     each run is one bisect of k's ladder and one division, whatever its
     count. What fits no block comes last, as a tail run with p = j = 0,
     count = 1 and modulus = its length + 1; at k = 2, where 3 is a base,
-    there is never a tail.
+    there is never a tail. Backward, a scan of the tiling from lo finds each
+    run, the one that ends where the run after it starts: the tiling is
+    rescanned per run instead of being stored, which keeps the state
+    constant.
     """
     ladder, fits = _ladder(k)
-    offset = lo
-    while offset < hi:
-        i = bisect_left(fits, offset - hi)
-        if i == len(ladder):
-            yield offset, hi - offset + 1, 0, 0, 1
-            return
-        modulus, p, j = ladder[i]
-        count = (hi - offset) // (modulus - 1)
-        yield offset, modulus, p, j, count
-        offset += count * (modulus - 1)
+    done = hi
+    while done > lo:
+        offset = lo
+        while True:
+            i = bisect_left(fits, offset - hi)
+            if i == len(ladder):
+                modulus, p, j, count = hi - offset + 1, 0, 0, 1
+            else:
+                modulus, p, j = ladder[i]
+                count = (hi - offset) // (modulus - 1)
+            end = offset + count * (modulus - 1)
+            if end == done or not backward:
+                yield offset, modulus, p, j, count
+            if end == done:
+                break
+            offset = end
+        done = offset if backward else lo
 
 
 def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, instr, walk):
@@ -252,22 +265,16 @@ def _shuffle_range(buf, lo, hi, k, instr, kernel):
 
 def _unshuffle_range(buf, lo, hi, k, instr, kernel):
     # Exact inverse of _shuffle_range: undo the runs right to left, the
-    # tail first, and each run's blocks right to left. A scan of the tiling
-    # finds the run that ends at `done`; the tiling is rescanned per run
-    # instead of being stored, which keeps the state constant.
+    # tail first, and each run's blocks right to left.
     gather, walk = kernel
     reps_of = _REPS[k]
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
-    done = hi
-    while done > lo:
-        for start, modulus, p, j, count in _blocks(lo, hi, k):
-            if start + count * (modulus - 1) == done:
-                break
+    for start, modulus, p, j, count in _blocks(lo, hi, k, backward=True):
         if instr is not None:
             instr.blocks += count
         mult = pow(k, -1, modulus)
-        for offset in range(done - modulus + 1, start - 1, 1 - modulus):
+        for offset in range(start + (count - 1) * (modulus - 1), start - 1, 1 - modulus):
             if j == 0:
                 _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr, walk)
             else:
@@ -275,7 +282,6 @@ def _unshuffle_range(buf, lo, hi, k, instr, kernel):
                 moved = gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, True)
                 if instr is not None:
                     instr.rotate_moves += moved
-        done = start
 
 
 def _check_k_buffer(buf, k: int) -> None:

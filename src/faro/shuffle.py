@@ -10,7 +10,8 @@ General even lengths reduce to that case:
 
     1. take the largest block 2m = 3^k - 1 that fits the remaining window;
     2. right-rotate the middle of the window so the block's two halves
-       become adjacent (triple reversal, one temporary);
+       become adjacent (triple reversal, one temporary; faro makes its
+       three reversals in one sweep, by conjoined triple reversal);
     3. run the k cycle-leader passes on the block;
     4. advance past the block and repeat on the rest.
 
@@ -66,7 +67,7 @@ class Instrumentation:
     ``moves`` counts single-element move operations: every element written
     into the buffer, plus one temporary load per cycle-leader pass (the hold
     slot). A swap contributes two moves. It is the sum of three layers:
-    ``rotate_moves`` (the reversals of the gather and scatter rotations),
+    ``rotate_moves`` (the gather and scatter rotations),
     ``walk_moves`` (the cycle-leader walks of the blocks) and ``tail_moves``
     (the leftover sweep of the arities whose smallest block leaves one).
 

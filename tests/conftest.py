@@ -16,3 +16,16 @@ class CountingList(list):
     def __setitem__(self, i, value):
         self.sets += 1
         super().__setitem__(i, value)
+
+
+def conjoined_moves(w, d):
+    """The moves of a rotation of w items right by d by conjoined triple reversal.
+
+    None at d = 0 or w; two per item of either side when the sides are
+    equal; else, with s and g the shorter and the longer side,
+    s // 2 + 3 * (g // 2) + 2 * ((s + g % 2) // 2), about 1.5 w.
+    """
+    s, g = min(d, w - d), max(d, w - d)
+    if s == 0 or s == g:
+        return 2 * s
+    return s // 2 + 3 * (g // 2) + 2 * ((s + g % 2) // 2)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountingList
+from conftest import CountingList, conjoined_moves
 
 import faro
 from faro import _fastpath, _loops, cli
@@ -24,7 +24,7 @@ from faro.numtheory import is_primitive_root
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
 from faro.rotate import reverse_range, rotate_right
-from faro.shuffle import Instrumentation, RecordBuffer, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
+from faro.shuffle import RecordBuffer, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
 
 needs_kernel = pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
 HEADERS = sysconfig.get_paths()["include"]
@@ -323,12 +323,16 @@ def _gathers(n):
 
 
 @needs_kernel
-@pytest.mark.parametrize("kind", ["list", "ndarray", "records1", "records8", "records64", "masked"])
+@pytest.mark.parametrize(
+    "kind", ["list", "ndarray", "records1", "records3", "records8", "records64", "records300", "masked"]
+)
 def test_native_gather_matches_its_rotations_exhaustively(kind):
     # every gather and scatter inside 40 items, at k = 2..9: the native
     # gather, its pure twin and the public rotate_right over the same
-    # windows leave the same items and count the same moves, and each
-    # scatter undoes its gather
+    # windows leave the same items, the two gathers both count the closed
+    # form of the conjoined triple reversal over those windows, and each
+    # scatter undoes its gather. 3 B records take the word loops' byte
+    # tails, and 300 B ones are wider than the walk's column
     n = 40
     records = [bytes((i * 37 + s) % 256 for s in range(int(kind[7:]))) for i in range(n)] if kind[7:] else None
     if kind == "list":
@@ -354,15 +358,30 @@ def test_native_gather_matches_its_rotations_exhaustively(kind):
     for offset, part, b, k in _gathers(n):
         for inverse in (False, True):
             moves = gather(buf, offset, part, b, k, inverse)
-            rotated, instr = list(pure), Instrumentation()
+            rotated, expected = list(pure), 0
             for t in range(k - 1, 0, -1) if inverse else range(1, k):
                 d = t * (part - b) if inverse else b
-                rotate_right(rotated, offset + t * b, offset + t * part + b, d, instr)
+                rotate_right(rotated, offset + t * b, offset + t * part + b, d)
+                expected += conjoined_moves(t * (part - b) + b, d)
             case = (offset, part, b, k, inverse)
-            assert _loops.gather_slots(pure, offset, part, b, k, inverse) == moves, case
-            assert instr.rotate_moves == moves and rotated == pure, case
+            assert _loops.gather_slots(pure, offset, part, b, k, inverse) == moves == expected, case
+            assert rotated == pure, case
             assert holds(pure), case
         assert pure == list(range(n)), (offset, part, b, k)
+
+
+def test_rotation_closed_form_counts_the_pure_writes():
+    # the closed form is at most triple reversal's count for every window
+    # up to 300, and is the number of writes the pure rotation makes, each
+    # of them observed, for every window up to 100 and one of 300 items
+    for w in range(301):
+        for d in range(w + 1):
+            moves = conjoined_moves(w, d)
+            assert moves <= (2 * (w // 2 + d // 2 + (w - d) // 2) if 0 < d < w else 0), (w, d)
+            if w <= 100 or w == 300:
+                buf = CountingList(range(w))
+                assert _loops.rotate_slots(buf, 0, w, d) == moves == buf.sets, (w, d)
+                assert buf == [(i - d) % w for i in range(w)], (w, d)
 
 
 @needs_kernel
@@ -394,7 +413,9 @@ def test_native_gather_refuses_to_leave_the_buffer(buf):
     assert [buf[i] for i in range(26)] == before
     assert gather(buf, 1, 12, 12, 2, False) == 0  # a slice of the whole part moves nothing
     assert gather(buf, 0, 13, 0, 2, True) == 0
-    assert gather(buf, 2, 8, 3, 3, False) == 2 * (4 + 1 + 2) + 2 * (6 + 1 + 5)
+    # windows of 8 and 13 items, each rotated by 3: 11 + 18 moves, where
+    # plain triple reversal makes 14 + 24
+    assert gather(buf, 2, 8, 3, 3, False) == 29
     assert [buf[i] for i in range(26)] != before
 
 

@@ -3,12 +3,13 @@ from math import gcd
 
 import pytest
 
+from conftest import conjoined_moves
+
 from faro import _fastpath, kway
 from faro.kway import k_shuffle, k_unshuffle
 from faro.numtheory import euler_totient, is_primitive_root, multiplicative_order
 from faro.oracle import oracle_shuffle
 from faro.permcore import cycle_decomposition, kway_kind
-from faro.rotate import rotate_right
 from faro.shuffle import Instrumentation, in_shuffle
 
 
@@ -143,6 +144,8 @@ def test_blocks_are_the_naive_greedy_tiling(q):
             for offset in range(start, start + count * (modulus - 1), modulus - 1)
         ]
         assert blocks == list(_naive_blocks(lo, hi, q)), (lo, hi)
+        # the inverse takes the same runs, right to left
+        assert list(kway._blocks(lo, hi, q, backward=True)) == runs[::-1], (lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -152,7 +155,8 @@ def test_blocks_are_the_naive_greedy_tiling(q):
 )
 def test_moves_split_by_layer(k, n):
     # rotate_moves are the moves made inside the gather and scatter
-    # rotations, as rotate_right makes them over the same windows;
+    # rotations, the closed form of the conjoined triple reversal over
+    # every block's windows;
     # walk_moves and tail_moves are, for each block and for the tail, its
     # moving positions plus one hold load per cycle; moves is their sum.
     # blocks counts every block, the tail as one, and cycles every cycle
@@ -186,16 +190,17 @@ def test_moves_split_by_layer(k, n):
 
 def _rotation_moves(n, k, inverse):
     # the moves of the driver's gather rotations over [0, n), or with
-    # `inverse` of its scatter rotations, as the public rotate_right makes
-    # them over every block's windows, composed on a copy
-    copy, instr = list(range(n)), Instrumentation()
+    # `inverse` of its scatter rotations: the closed form of the conjoined
+    # triple reversal over every block's windows, t * (part - b) + b items
+    # rotated by b, or by the rest when scattering
+    moves = 0
     for start, modulus, p, j, count in kway._blocks(0, n, k):
         for offset in range(start, start + count * (modulus - 1), modulus - 1) if j else ():
             part, b = (n - offset) // k, (modulus - 1) // k
-            for t in range(k - 1, 0, -1) if inverse else range(1, k):
-                d = t * (part - b) if inverse else b
-                rotate_right(copy, offset + t * b, offset + t * part + b, d, instr)
-    return instr.rotate_moves
+            for t in range(1, k):
+                rest = t * (part - b)
+                moves += conjoined_moves(rest + b, rest if inverse else b)
+    return moves
 
 
 @pytest.mark.parametrize("k", range(2, 10))

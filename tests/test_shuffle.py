@@ -295,20 +295,21 @@ def test_total_move_count_audit():
 
 
 # Instrumentation.moves on lists. An inverse makes as many as its shuffle.
-# No count is above the one that the 2-way table's earlier eight bases (3
-# to 53) gave, nor above that of 3 alone.
+# The gathers rotate by conjoined triple reversal; no count is above the
+# one that the 2-way table's earlier eight bases (3 to 53) gave by plain
+# triple reversal, nor above that of 3 alone.
 # length: (in_shuffle and un_shuffle, out_shuffle and un_out_shuffle)
 PINNED_MOVES = {
     2: (3, 0),
-    8: (10, 12),
+    8: (10, 11),
     26: (29, 26),
     28: (29, 29),
-    100: (101, 199),
-    728: (734, 1519),
-    730: (1465, 734),
-    6560: (6568, 15759),
-    6562: (13131, 6568),
-    19998: (40004, 40358),
+    100: (101, 175),
+    728: (734, 1322),
+    730: (1283, 734),
+    6560: (6568, 13461),
+    6562: (11491, 6568),
+    19998: (35005, 35271),
 }
 
 
