@@ -114,8 +114,44 @@ HAVE_COMPILED = _native is not None
 
 
 def kernel(buf):
-    """The driver's (gather, walk) pair for this buffer: those of ``loops``."""
-    return loops(buf)[1:]
+    """The shuffle pass for this buffer, resolved once per public call.
+
+    The pass is ``shuffle(buf, lo, hi, k, inverse, table)`` and returns
+    the counts (rotate moves, walk moves, tail moves, blocks, cycles). It
+    is the native ``shuffle`` entry, bound to the record size for a
+    ``RecordBuffer``, for every buffer that ``loops`` sends to the native
+    loops, and its Python twin ``kway._pure_pass`` for the rest. A
+    MaskedArray's pass is that of its data, then that of its mask; its
+    counts are those of one. Raises as ``loops`` does.
+    """
+    if type(buf) is list:
+        return _twin() if _native is None else _native.shuffle
+    parts = _masked_parts(buf)
+    if parts is not None:
+        passes = [(array, kernel(array)) for array in parts]
+
+        def shuffle(_buf, *args):
+            for array, run in passes:
+                counts = run(array, *args)
+            return counts
+
+        return shuffle
+    items = _native_items(buf)
+    if items is None:
+        return _twin()
+    data, size = items
+    if not size:
+        return _native.shuffle
+
+    def shuffle(_buf, lo, hi, k, inverse, table):
+        return _native.shuffle(data, lo, hi, k, inverse, table, size)
+
+    return shuffle
+
+
+def _twin():
+    # the pure pass; kway is loaded with the package, and imports this module
+    return sys.modules[f"{__package__}.kway"]._pure_pass
 
 
 def loops(buf):
@@ -132,11 +168,33 @@ def loops(buf):
     """
     if type(buf) is list:
         return _PURE if _native is None else (_native.reverse, _native.gather, _native.walk)
+    parts = _masked_parts(buf)
+    if parts is not None:
+        return _masked(parts)
+    items = _native_items(buf)
+    if items is None:
+        return _PURE
+    data, size = items
+    if not size:
+        return _native.reverse, _native.gather, _native.walk
+
+    def reverse(_buf, lo, hi):
+        _native.reverse(data, lo, hi, size)
+
+    def gather(_buf, offset, part, b, k, inverse):
+        return _native.gather(data, offset, part, b, k, inverse, size)
+
+    def walk(_buf, base, leader, mult, modulus, p, count):
+        _native.walk(data, base, leader, mult, modulus, p, count, size)
+
+    return reverse, gather, walk
+
+
+def _native_items(buf):
+    # (data, itemsize) for the native entries, 0 for the buffer's own size,
+    # or None for the Python loops; ValueError as loops says
     np = sys.modules.get("numpy")
     ndarray = np is not None and isinstance(buf, np.ndarray)
-    ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
-    if ndarray and ma is not None and isinstance(buf, ma.MaskedArray):
-        return _masked(buf, ma)
     # loaded with the package; an import statement here takes microseconds
     records = sys.modules[f"{__package__}.shuffle"].RecordBuffer
     data, size = (buf.data, buf.record_size) if type(buf) is records else (buf, 0)
@@ -147,33 +205,30 @@ def loops(buf):
         except (BufferError, TypeError, ValueError):
             pass
         else:
-            if not size:
-                return _native.reverse, _native.gather, _native.walk
-
-            def reverse(_buf, lo, hi):
-                _native.reverse(data, lo, hi, size)
-
-            def gather(_buf, offset, part, b, k, inverse):
-                return _native.gather(data, offset, part, b, k, inverse, size)
-
-            def walk(_buf, base, leader, mult, modulus, p, count):
-                _native.walk(data, base, leader, mult, modulus, p, count, size)
-
-            return reverse, gather, walk
+            return data, size
     if ndarray and (buf.ndim != 1 or buf.dtype.names):
         raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
-    return _PURE
+    return None
 
 
-def _masked(buf, ma):
+def _masked_parts(buf):
     # A MaskedArray moves as its data and, unless it is nomask, its mask:
     # each a plain array on its own loops. Item by item, the Python loops
     # would read a masked item as np.ma.masked, and writing that back sets
-    # the mask but leaves the data under it behind.
+    # the mask but leaves the data under it behind. None for any other
+    # buffer.
+    ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
+    if ma is None or not isinstance(buf, ma.MaskedArray):
+        return None
     mask = ma.getmask(buf)
     if buf.hardmask and mask.any():
         raise ValueError("a hard mask keeps the masked items from moving")
-    parts = [(array, loops(array)) for array in (buf.data, mask) if array is not ma.nomask]
+    return [array for array in (buf.data, mask) if array is not ma.nomask]
+
+
+def _masked(parts):
+    # the loops of a MaskedArray, over the loops of each of its parts
+    parts = [(array, loops(array)) for array in parts]
 
     def reverse(_buf, lo, hi):
         for array, entries in parts:

@@ -15,17 +15,23 @@
  * x 2..9 with f^4 * m <= 2^32 computes the next four slots at once, each
  * straight from the current one, so that its loop waits on one step per
  * four items rather than per item; the reversal of 8-byte items swaps two
- * of them from each end at a time. The driver's pair of loops is (gather,
- * walk): one gather call makes all k - 1 rotations of a block, each by
- * conjoined triple reversal, and returns their moves; its cycles move
- * 8-byte items two per cursor, and other items a word at a time through
- * registers, so the column stays the walk's only temporary array. reverse
- * stays for faro.rotate and as _fastpath's probe.
+ * of them from each end at a time. A block's gather makes all k - 1
+ * rotations of its windows, each by conjoined triple reversal, and counts
+ * their moves; its cycles move 8-byte items two per cursor, and other items
+ * a word at a time through registers, so the column stays the walk's only
+ * temporary array.
+ *
+ * One shuffle call makes a whole forward or inverse pass of kway's driver:
+ * it tiles the range greedily by the rungs of a table that kway builds once
+ * per arity, gathers and walks each block, sweeps the tail, and returns the
+ * counts kway's Python twin of it keeps. The reverse, gather and walk
+ * entries stay for faro.rotate, for _fastpath's probe and for the tests,
+ * which reach every window and leader through them.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any memory get_items takes: _fastpath asks them, so that rule alone sends
- * a buffer here. They check every range, window and ladder against it
- * before a loop runs; only agree leaves its checks to _fastpath.agree.
+ * a buffer here. They check every range, window, ladder and rung against
+ * it before a loop runs; only agree leaves its checks to _fastpath.agree.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -447,10 +453,151 @@ static int ladder_fits(int64_t leader, int64_t p, int64_t count, int64_t m)
     return count >= 0;
 }
 
+/* The shuffle pass. kway._table(k) spells k's block ladder as rows of ROW
+ * int64s, one per rung, largest modulus first: the modulus m, p, j, the
+ * number d <= REPS of p's coset representatives, and the representatives,
+ * padded to REPS. The pass tiles [lo, hi) greedily by these rungs, as
+ * kway._blocks does, and makes each block's gather, or scatter, and walks
+ * as kway._shuffle_range and kway._unshuffle_range do, counting what
+ * they count. */
+enum { ROW = 12, REPS = 8 };
+enum { ROTATE, WALK, TAIL, BLOCKS, CYCLES };
+
+struct pass {
+    char *buf;
+    size_t size;
+    const int64_t *table;
+    Py_ssize_t rows;
+    int64_t lo, hi, k;
+    int inverse;
+    int64_t counts[5]; /* indexed by ROTATE .. CYCLES */
+};
+
+/* The run of the tiling that begins at offset: *row is its rung, or rows
+ * for the tail, and *m its modulus (the tail's length + 1); returns its
+ * number of blocks, 0 for a rung of modulus below 2. The rung is the first
+ * row whose block of m - 1 items fits what is left, found by bisection. */
+static int64_t run(const struct pass *ps, int64_t offset, Py_ssize_t *row, int64_t *m)
+{
+    int64_t left = ps->hi - offset;
+    Py_ssize_t lo = 0, hi = ps->rows;
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (ps->table[mid * ROW] <= left + 1)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    *row = lo;
+    *m = lo == ps->rows ? left + 1 : ps->table[lo * ROW];
+    return lo == ps->rows ? 1 : *m >= 2 ? left / (*m - 1) : 0;
+}
+
+/* the step of the pass's walks mod m, x k forward and x k^-1 inverse; 0
+ * when k is no unit mod m */
+static int pass_plan(const struct pass *ps, int64_t m, struct step *st)
+{
+    return plan(st, ps->inverse ? inverse(ps->k % m, m) : ps->k % m, m);
+}
+
+/* The first leader of one ladder of the rung r, for a coset representative
+ * c: c, or in a twin block (even m) the odd one of c and c + p; with even,
+ * 2c. -1 when that overflows. */
+static int64_t leader(const int64_t *r, int64_t c, int even)
+{
+    int64_t x;
+    if (even)
+        return __builtin_mul_overflow(c, 2, &x) ? -1 : x;
+    if (r[0] % 2 == 0 && c % 2 == 0)
+        return __builtin_add_overflow(c, r[1], &x) ? -1 : x;
+    return c;
+}
+
+/* the cycle passes of the block of rung r at offset under the step st, one
+ * walk call per ladder (see kway._general_cycle_passes) */
+static void place(struct pass *ps, const int64_t *r, int64_t offset, const struct step *st)
+{
+    int twin = r[0] % 2 == 0;
+    for (int64_t i = 0; i < r[3]; i++)
+        for (int even = 0; even <= twin; even++)
+            walk_items(ps->buf, ps->size, offset - 1, leader(r, r[4 + i], even), r[1], r[2], st);
+    int64_t cycles = r[3] * (1 + twin) * r[2];
+    ps->counts[CYCLES] += cycles;
+    ps->counts[WALK] += r[0] - 1 - twin + cycles;
+}
+
+/* The tail of m - 1 items at offset under the step st: each cycle is walked
+ * from its least position, found by probing the whole orbit of every
+ * position (see kway._bounded_cycle_shuffle) */
+static void sweep(struct pass *ps, int64_t offset, int64_t m, const struct step *st)
+{
+    for (int64_t lead = 1; lead < m; lead++) {
+        int64_t probe = next(st, st->kind, lead, 1), steps = 1;
+        if (probe == lead)
+            continue;
+        for (; probe > lead; steps++)
+            probe = next(st, st->kind, probe, 1);
+        if (probe != lead)
+            continue;
+        walk_items(ps->buf, ps->size, offset - 1, lead, 1, 1, st);
+        ps->counts[TAIL] += steps + 1;
+        ps->counts[CYCLES]++;
+    }
+}
+
+/* the run of count blocks of rung `row` at offset, or the tail, in the
+ * pass's direction: forward each block is gathered, then placed; inverse,
+ * right to left, each is placed, then scattered */
+static void run_blocks(struct pass *ps, Py_ssize_t row, int64_t offset, int64_t m, int64_t count)
+{
+    struct step st;
+    pass_plan(ps, m, &st);
+    ps->counts[BLOCKS] += count;
+    if (row == ps->rows) {
+        sweep(ps, offset, m, &st);
+        return;
+    }
+    const int64_t *r = ps->table + row * ROW;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t at = offset + (ps->inverse ? count - 1 - i : i) * (m - 1);
+        int64_t part = (ps->hi - at) / ps->k, b = (m - 1) / ps->k;
+        if (!ps->inverse)
+            ps->counts[ROTATE] += gather_items(ps->buf, ps->size, at, part, b, ps->k, 0);
+        place(ps, r, at, &st);
+        if (ps->inverse)
+            ps->counts[ROTATE] += gather_items(ps->buf, ps->size, at, part, b, ps->k, 1);
+    }
+}
+
+/* The pass, its runs left to right, or inverse right to left: each found by
+ * scanning the tiling from lo for the run that ends where the one after it
+ * starts, as kway._blocks does, so that the state stays constant. */
+static void shuffle_items(struct pass *ps)
+{
+    Py_ssize_t row;
+    int64_t m, count;
+    if (!ps->inverse) {
+        for (int64_t offset = ps->lo; offset < ps->hi; offset += count * (m - 1)) {
+            count = run(ps, offset, &row, &m);
+            run_blocks(ps, row, offset, m, count);
+        }
+        return;
+    }
+    for (int64_t done = ps->hi, offset; done > ps->lo; done = offset) {
+        for (offset = ps->lo;; offset += count * (m - 1)) {
+            count = run(ps, offset, &row, &m);
+            if (offset + count * (m - 1) == done)
+                break;
+        }
+        run_blocks(ps, row, offset, m, count);
+    }
+}
+
 /* The module's entries, METH_FASTCALL functions. Every integer must fit an
  * int64: one beyond it raises OverflowError rather than wrapping into range.
- * reverse, gather and walk take an exact list or a buffer (see get_items)
- * and check every range, window and ladder before their loop runs. */
+ * shuffle, reverse, gather and walk take an exact list or a buffer (see
+ * get_items) and check every range, window, ladder and rung before their
+ * loop runs. */
 
 /* 1 iff lo <= nargs <= hi; 0 with TypeError set */
 static int nargs_in(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
@@ -476,10 +623,11 @@ static int int64s(PyObject *const *args, Py_ssize_t n, int64_t *v)
 
 /* The n items an entry moves, of size bytes each at buf. A list's are its
  * PyObject * slots, whose permutation leaves every refcount as it was; its
- * loops hold the GIL, and its size is read anew on every call, since another
- * thread may resize it between two calls. A buffer's are its memory, held in
- * view until put_items(): its loops run without the GIL, and the held view
- * stops a bytearray from being resized meanwhile. */
+ * loops hold the GIL, so no other thread runs during a call, and its size is
+ * read anew on every call, since another thread may resize it between two
+ * calls. A buffer's are its memory, held in view until put_items(): its loops
+ * run without the GIL, and the held view stops a bytearray from being
+ * resized meanwhile. */
 struct items {
     Py_buffer view; /* view.obj is NULL for a list */
     char *buf;
@@ -658,6 +806,106 @@ static PyObject *py_walk(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     Py_RETURN_NONE;
 }
 
+/* 1 iff the rung r can serve the pass: its block of m - 1 items splits
+ * into k whole parts, its step is a unit mod m, and each of its 1 to REPS
+ * ladders of j >= 1 leaders, leader * p^s with p >= 2, stays in 1..m-1,
+ * which are the checks gather and walk make; 0 with ValueError set. With
+ * every bound of a window or a walk inside the block, which lies inside
+ * [lo, hi), no item outside it moves. */
+static int rung_fits(const struct pass *ps, const int64_t *r, struct step *st)
+{
+    int64_t m = r[0], p = r[1], j = r[2], d = r[3];
+    if (!(m >= 2 && (m - 1) % ps->k == 0 && p >= 2 && j >= 1 && 1 <= d && d <= REPS && pass_plan(ps, m, st))) {
+        PyErr_Format(PyExc_ValueError, "no %lld-way block mod %lld = %lld^%lld with %lld ladders",
+                     (long long)ps->k, (long long)m, (long long)p, (long long)j, (long long)d);
+        return 0;
+    }
+    for (int64_t i = 0; i < d; i++)
+        for (int even = 0; even <= (m % 2 == 0); even++)
+            if (!ladder_fits(leader(r, r[4 + i], even), p, j, m)) {
+                PyErr_Format(PyExc_ValueError, "ladder of %lld leaders %lld * %lld^s leaves 1..%lld",
+                             (long long)j, (long long)leader(r, r[4 + i], even), (long long)p,
+                             (long long)m - 1);
+                return 0;
+            }
+    return 1;
+}
+
+/* 1 iff the pass may run over the n items of its buffer: 0 <= lo <= hi <=
+ * n, 2 <= k <= 9, k divides hi - lo, and every rung its tiling takes fits
+ * (the tail's step is always a unit, since k divides its length); 0 with
+ * IndexError or ValueError set */
+static int pass_fits(const struct pass *ps, Py_ssize_t n)
+{
+    if (!(0 <= ps->lo && ps->lo <= ps->hi && ps->hi <= n)) {
+        PyErr_Format(PyExc_IndexError, "shuffle of [%lld, %lld) leaves %zd items", (long long)ps->lo,
+                     (long long)ps->hi, n);
+        return 0;
+    }
+    if (!(2 <= ps->k && ps->k <= 9 && (ps->hi - ps->lo) % ps->k == 0)) {
+        PyErr_Format(PyExc_ValueError, "no %lld-way shuffle of %lld items", (long long)ps->k,
+                     (long long)(ps->hi - ps->lo));
+        return 0;
+    }
+    Py_ssize_t row;
+    int64_t m, count;
+    struct step st;
+    for (int64_t offset = ps->lo; offset < ps->hi; offset += count * (m - 1)) {
+        count = run(ps, offset, &row, &m);
+        if (row < ps->rows && !rung_fits(ps, ps->table + row * ROW, &st))
+            return 0;
+    }
+    return 1;
+}
+
+/* 1 after taking a view of obj as the table of a pass: 1-D memory of
+ * int64s, ROW to a rung; 0 with an exception set */
+static int get_table(Py_buffer *view, PyObject *obj)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_ND | PyBUF_FORMAT) < 0)
+        return 0;
+    const char *f = view->format;
+    if (view->ndim == 1 && view->itemsize == 8 && (!strcmp(f, "q") || !strcmp(f, "l")) &&
+        view->len % (ROW * 8) == 0)
+        return 1;
+    PyErr_Format(PyExc_ValueError, "table of %zd bytes of format '%s' is no rows of %d int64s", view->len, f,
+                 ROW);
+    PyBuffer_Release(view);
+    return 0;
+}
+
+/* shuffle(buf, lo, hi, k, inverse, table[, itemsize]): the k-way shuffle
+ * of items [lo, hi), or with inverse true its inverse, in one pass over
+ * the blocks of the table's rungs (see shuffle_items); returns its counts,
+ * (rotate moves, walk moves, tail moves, blocks, cycles) */
+static PyObject *py_shuffle(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t a[5] = {0, 0, 0, 0, 0}; /* lo, hi, k, inverse, itemsize */
+    Py_buffer table;
+    struct items it;
+    if (!nargs_in("shuffle", nargs, 6, 7) || !int64s(args + 1, 4, a) || !int64s(args + 6, nargs - 6, a + 4) ||
+        !get_table(&table, args[5]))
+        return NULL;
+    if (!get_items(&it, args[0], a[4])) {
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    struct pass ps = {it.buf, it.size, table.buf, table.len / (ROW * 8), a[0], a[1], a[2], a[3] != 0, {0}};
+    PyObject *counts = NULL;
+    if (pass_fits(&ps, it.n)) {
+        PyThreadState *unlocked = it.view.obj ? PyEval_SaveThread() : NULL;
+        shuffle_items(&ps);
+        if (unlocked)
+            PyEval_RestoreThread(unlocked);
+        int64_t *c = ps.counts;
+        counts = Py_BuildValue("(LLLLL)", (long long)c[ROTATE], (long long)c[WALK], (long long)c[TAIL],
+                               (long long)c[BLOCKS], (long long)c[CYCLES]);
+    }
+    put_items(&it);
+    PyBuffer_Release(&table);
+    return counts;
+}
+
 /* agree(chunk, result, itemsize, base, mult, modulus, j0, count): see
  * agree_items; _fastpath.agree checks the arguments */
 static PyObject *py_agree(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -728,7 +976,8 @@ static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
 #define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef entries[] = {
-    ENTRY(reverse), ENTRY(gather), ENTRY(walk), ENTRY(agree), ENTRY(mulmod), ENTRY(step), {NULL, NULL, 0, NULL},
+    ENTRY(shuffle), ENTRY(reverse), ENTRY(gather), ENTRY(walk),
+    ENTRY(agree),   ENTRY(mulmod),  ENTRY(step),   {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {

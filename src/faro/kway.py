@@ -54,8 +54,10 @@ Each call mutates one buffer and assumes exclusive access to it while it
 runs.
 """
 
+from array import array
 from bisect import bisect_left
 from functools import cache
+from types import SimpleNamespace
 
 from . import _fastpath
 from .permcore import kway_kind, validate_order
@@ -124,6 +126,7 @@ def _bases(text):
 
 _BASES = {k: _bases(text) for k, text in _TABLE.items()}
 _REPS = {k: dict(bases) for k, bases in _BASES.items()}
+_KINDS = {k: kway_kind(k) for k in _TABLE}
 
 # aux accounting for every arity: the driver's locals plus those of its
 # deepest callee, the coset representatives and their cursor among them,
@@ -153,6 +156,21 @@ def _ladder(k):
             j += 1
     ladder = tuple(sorted(rungs, reverse=True))
     return ladder, tuple(1 - modulus for modulus, _, _ in ladder)
+
+
+@cache
+def _table(k):
+    """k's ladder as the native pass reads it, built once per arity.
+
+    One row of 12 int64s per rung of ``_ladder(k)``, largest first: the
+    modulus, p, j, the number d of p's coset representatives and the
+    representatives, padded with zeros to 8.
+    """
+    table = array("q")
+    for modulus, p, j in _ladder(k)[0]:
+        reps = _REPS[k][p]
+        table.extend((modulus, p, j, len(reps), *reps, *(0,) * (8 - len(reps))))
+    return table
 
 
 def _blocks(lo, hi, k, backward=False):
@@ -235,31 +253,25 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
         walk(buf, base, lead, mult, modulus, 1, 1)
         moves += steps + 1
         cycles += 1
-    if instr is not None:
-        instr.tail_moves += moves
-        instr.cycles += cycles
+    instr.tail_moves += moves
+    instr.cycles += cycles
 
 
 def _shuffle_range(buf, lo, hi, k, instr, kernel):
     # The k-way shuffle of buf[lo:hi], block by block: gather the block's
     # slice of every part to the front of what remains, then place the
     # block by its cycle passes. The 2-way shuffles are k = 2. `kernel` is
-    # the buffer's (gather, walk) pair from _fastpath.kernel.
+    # a (gather, walk) pair, such as the Python loops of _fastpath._PURE.
     gather, walk = kernel
     reps_of = _REPS[k]
-    if instr is not None:
-        instr.note_aux(_DRIVER_AUX_WORDS)
     for start, modulus, p, j, count in _blocks(lo, hi, k):
-        if instr is not None:
-            instr.blocks += count
+        instr.blocks += count
         if j == 0:
             _bounded_cycle_shuffle(buf, start, modulus - 1, k, instr, walk)
             continue
         reps = reps_of[p]
         for offset in range(start, start + count * (modulus - 1), modulus - 1):
-            moved = gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, False)
-            if instr is not None:
-                instr.rotate_moves += moved
+            instr.rotate_moves += gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, False)
             _general_cycle_passes(buf, offset, j, p, reps, k, modulus, instr, walk)
 
 
@@ -268,26 +280,47 @@ def _unshuffle_range(buf, lo, hi, k, instr, kernel):
     # tail first, and each run's blocks right to left.
     gather, walk = kernel
     reps_of = _REPS[k]
-    if instr is not None:
-        instr.note_aux(_DRIVER_AUX_WORDS)
     for start, modulus, p, j, count in _blocks(lo, hi, k, backward=True):
-        if instr is not None:
-            instr.blocks += count
+        instr.blocks += count
         mult = pow(k, -1, modulus)
         for offset in range(start + (count - 1) * (modulus - 1), start - 1, 1 - modulus):
             if j == 0:
                 _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr, walk)
             else:
                 _general_cycle_passes(buf, offset, j, p, reps_of[p], mult, modulus, instr, walk)
-                moved = gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, True)
-                if instr is not None:
-                    instr.rotate_moves += moved
+                instr.rotate_moves += gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, True)
+
+
+def _pure_pass(buf, lo, hi, k, inverse, table):
+    """The Python twin of the native pass, ``shuffle`` in ``_kernel.c``.
+
+    Shuffles buf[lo:hi] k ways, or with `inverse` unshuffles it, by the
+    loops of ``_fastpath._PURE``, and returns the counts: (rotate moves,
+    walk moves, tail moves, blocks, cycles). It takes the native pass's
+    table and leaves it unread: it tiles by ``_blocks``.
+    """
+    counts = SimpleNamespace(rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0)
+    (_unshuffle_range if inverse else _shuffle_range)(buf, lo, hi, k, counts, _fastpath._PURE[1:])
+    return counts.rotate_moves, counts.walk_moves, counts.tail_moves, counts.blocks, counts.cycles
+
+
+def _pass(buf, lo, hi, k, inverse, instr):
+    # one pass over buf[lo:hi] by the buffer's pass, its counts added to instr
+    rotate, walk, tail, blocks, cycles = _fastpath.kernel(buf)(buf, lo, hi, k, inverse, _table(k))
+    if instr is not None:
+        instr.note_aux(_DRIVER_AUX_WORDS)
+        instr.rotate_moves += rotate
+        instr.walk_moves += walk
+        instr.tail_moves += tail
+        instr.blocks += blocks
+        instr.cycles += cycles
 
 
 def _check_k_buffer(buf, k: int) -> None:
-    if not 2 <= k <= MAX_K:
+    kind = _KINDS.get(k)
+    if kind is None:
         raise ValueError(f"supported arities are 2..{MAX_K}, got {k}")
-    validate_order(kway_kind(k), len(buf))
+    validate_order(kind, len(buf))
 
 
 def k_shuffle(buf, k: int, instr=None) -> None:
@@ -296,10 +329,10 @@ def k_shuffle(buf, k: int, instr=None) -> None:
     One pass of the cycle-leader construction, for every arity 2..9.
     """
     _check_k_buffer(buf, k)
-    _shuffle_range(buf, 0, len(buf), k, instr, _fastpath.kernel(buf))
+    _pass(buf, 0, len(buf), k, False, instr)
 
 
 def k_unshuffle(buf, k: int, instr=None) -> None:
     """Exact inverse of :func:`k_shuffle`."""
     _check_k_buffer(buf, k)
-    _unshuffle_range(buf, 0, len(buf), k, instr, _fastpath.kernel(buf))
+    _pass(buf, 0, len(buf), k, True, instr)

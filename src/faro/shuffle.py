@@ -42,8 +42,7 @@ buffers can be shuffled concurrently.
 
 from collections import namedtuple
 
-from . import _fastpath
-from .kway import _blocks, _shuffle_range, _unshuffle_range
+from .kway import _blocks, _pass
 from .permcore import IN_SHUFFLE, OUT_SHUFFLE, validate_order
 # unused here; kept bound because perfbench swaps faro.shuffle.rotate_right by name
 from .rotate import rotate_right  # noqa: F401
@@ -206,13 +205,13 @@ def in_shuffle(buf, instr=None) -> None:
     first card of the second half coming out on top.
     """
     validate_order(IN_SHUFFLE, len(buf))
-    _shuffle_range(buf, 0, len(buf), 2, instr, _fastpath.kernel(buf))
+    _pass(buf, 0, len(buf), 2, False, instr)
 
 
 def un_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`in_shuffle`, block by block in reverse."""
     validate_order(IN_SHUFFLE, len(buf))
-    _unshuffle_range(buf, 0, len(buf), 2, instr, _fastpath.kernel(buf))
+    _pass(buf, 0, len(buf), 2, True, instr)
 
 
 def out_shuffle(buf, instr=None) -> None:
@@ -222,10 +221,10 @@ def out_shuffle(buf, instr=None) -> None:
     permutation of the interleave that keeps the original top card on top.
     """
     validate_order(OUT_SHUFFLE, len(buf))
-    _shuffle_range(buf, 1, len(buf) - 1, 2, instr, _fastpath.kernel(buf))
+    _pass(buf, 1, len(buf) - 1, 2, False, instr)
 
 
 def un_out_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`out_shuffle`."""
     validate_order(OUT_SHUFFLE, len(buf))
-    _unshuffle_range(buf, 1, len(buf) - 1, 2, instr, _fastpath.kernel(buf))
+    _pass(buf, 1, len(buf) - 1, 2, True, instr)

@@ -18,7 +18,7 @@ import pytest
 from conftest import CountingList, conjoined_moves
 
 import faro
-from faro import _fastpath, _loops, cli
+from faro import _fastpath, _loops, cli, kway
 from faro.kway import _REPS, _blocks, _general_cycle_passes, _ladder, k_shuffle, k_unshuffle
 from faro.numtheory import is_primitive_root
 from faro.oracle import oracle_shuffle
@@ -101,7 +101,7 @@ def test_walk_switches_look_ahead_at_f4_m_2_32(m):
     for mult in (9, pow(9, -1, m)):
         items = rng.integers(-(2**63), 2**63 - 1, m - 1, dtype=np.int64)
         buf = items.copy()
-        _fastpath.kernel(buf)[1](buf, -1, 1, mult, m, 3, 2)
+        _fastpath.loops(buf)[2](buf, -1, 1, mult, m, 3, 2)
         expected = np.empty_like(items)
         expected[np.arange(1, m, dtype=np.int64) * mult % m - 1] = items  # j -> j * mult
         assert np.array_equal(buf, expected), mult
@@ -126,7 +126,7 @@ def test_native_walk_matches_the_pure_walk(itemsize):
         else:
             buf = RecordBuffer(bytearray(rng.randbytes((m + 5) * itemsize)), itemsize)
         expected = [buf[i] for i in range(m + 5)]
-        walk = _fastpath.kernel(buf)[1]
+        walk = _fastpath.loops(buf)[2]
         assert walk is not _loops.cycle_walk
         ladders = [(leader, 1) for leader in leaders]
         ladders += [(c, j) for c in starts] + [(c * p, j - 1) for c in starts] + [(starts[-1], 0)]
@@ -191,7 +191,7 @@ def test_forward_and_inverse_walks_run_at_one_speed():
         (9, 5, 7, 2 * 5**7),
     ):
         buf = np.arange(m - 1, dtype=np.int64)
-        walk = _fastpath.kernel(buf)[1]
+        walk = _fastpath.loops(buf)[2]
         reps = tuple(sorted({min(c * q**t % p for t in range(p)) for c in range(1, p)}))
 
         def best(mult):
@@ -245,6 +245,53 @@ def test_strided_view_matches_oracle_through_fallback():
 # the last leader is 27; 3 * p is 2^64 + 2, which wraps into range in int64;
 # a negative count
 _BAD_LADDERS = ((1, 3, 4), (3, 6148914691236517206, 2), (1, 3, -1))
+
+
+def _refuse_bad_passes(shuffle, buf):
+    """Every bad call of a native pass over 26 items raises before any item moves.
+
+    `shuffle(buf, lo, hi, k, inverse, table)` is the native pass bound to
+    the buffer. The rows of a table of one rung for [0, 26) at k = 2, mod
+    27 = 3^3 as kway._table(2) has it, are spoilt one field at a time.
+    """
+    table = kway._table(2)
+
+    def rung(*row):
+        return array.array("q", [*row, *[0] * (12 - len(row))])
+
+    for inverse in (False, True):
+        # ranges that leave the buffer
+        for lo, hi in ((0, 28), (-2, 24), (4, 2)):
+            with pytest.raises(IndexError):
+                shuffle(buf, lo, hi, 2, inverse, table)
+        # lengths that k does not divide, and arities outside 2..9
+        for lo, hi, k in ((0, 25, 2), (0, 26, 3), (0, 20, 1), (0, 20, 10), (0, 0, -2)):
+            with pytest.raises(ValueError):
+                shuffle(buf, lo, hi, k, inverse, kway._table(min(max(k, 2), 9)))
+        for bad in (
+            table[:-1],  # truncated mid-row
+            array.array("d", [float(x) for x in rung(27, 3, 3, 1, 1)]),  # of floats
+            rung(16, 2, 4, 1, 1),  # 2 is no unit mod 16, nor divides 15
+            rung(1, 3, 3, 1, 1),  # a block of no items
+            rung(27, 3, 4, 1, 1),  # the ladder's last leader is 3^3 = 27
+            rung(27, 3, 3, 1, 0),  # leader 0 is fixed
+            rung(27, 3, 3, 1, 27),  # leader 27 is outside 1..26
+            rung(27, 3, 3, 2, 1, 2**62),  # so is its second representative
+            rung(27, 6148914691236517206, 2, 1, 3),  # 3p wraps into range in int64
+            rung(27, 3, 3, 0, 1),  # no ladders
+            rung(27, 3, 3, 9, 1, 2, 4, 5, 7, 8, 10, 11, 13),  # more than 8
+            rung(27, 1, 3, 1, 1),  # p = 1 walks one cycle three times
+            rung(27, 3, 0, 1, 1),  # no rungs to its ladders
+        ):
+            with pytest.raises(ValueError):
+                shuffle(buf, 0, 26, 2, inverse, bad)
+        for bad in ([27, 3, 3, 1, 1], None):
+            with pytest.raises(TypeError):
+                shuffle(buf, 0, 26, 2, inverse, bad)
+        # integers beyond int64 are refused, not wrapped into range
+        for lo, hi, k in ((2**64, 2**64 + 26, 2), (0, 2**64 + 26, 2), (0, 26, 2**64 + 2)):
+            with pytest.raises(OverflowError):
+                shuffle(buf, lo, hi, k, inverse, table)
 
 
 @needs_kernel
@@ -343,7 +390,7 @@ def test_native_gather_matches_its_rotations_exhaustively(kind):
         buf = np.ma.array(np.arange(n, dtype=np.int64), mask=np.arange(n) % 3 == 0)
     else:
         buf = RecordBuffer(bytearray(b"".join(records)), len(records[0]))
-    gather = _fastpath.kernel(buf)[0]
+    gather = _fastpath.loops(buf)[1]
     assert gather is not _loops.gather_slots
 
     def holds(order):
@@ -392,7 +439,7 @@ def test_rotation_closed_form_counts_the_pure_writes():
 )
 def test_native_gather_refuses_to_leave_the_buffer(buf):
     before = [buf[i] for i in range(26)]
-    gather = _fastpath.kernel(buf)[0]
+    gather = _fastpath.loops(buf)[1]
     assert gather is not _loops.gather_slots
     # (offset, part, b, k): windows that end one past the buffer or begin
     # before it, and bounds that overflow int64 on the way to the last end
@@ -444,7 +491,7 @@ def test_entries_refuse_memory_of_python_objects():
                 _fastpath.kernel(buf)
         else:
             assert _fastpath.loops(buf) == _fastpath._PURE
-            assert _fastpath.kernel(buf) == (_loops.gather_slots, _loops.cycle_walk)
+            assert _fastpath.kernel(buf) is kway._pure_pass
     named = np.array([(i, -i) for i in range(32)], dtype=[("O", "i8"), ("x", "f8")])
     native.reverse(named, 0, 32)
     assert named["O"].tolist() == list(range(31, -1, -1))
@@ -452,7 +499,7 @@ def test_entries_refuse_memory_of_python_objects():
     # without one, natively
     times = np.arange(3000).astype("datetime64[s]")
     before = times.tolist()
-    assert _fastpath.kernel(times)[1] is native.walk
+    assert _fastpath.kernel(times) is native.shuffle
     k_shuffle(times, 3)
     assert times.tolist() == oracle_shuffle(before, kway_kind(3))
 
@@ -486,7 +533,7 @@ def test_arrays_whose_items_are_views_raise_and_stay_unmodified(case, monkeypatc
 def test_contiguous_structured_array_shuffles_through_the_kernel():
     buf = np.array([(i, -i, i / 2) for i in range(1000)], dtype=[("a", "i8"), ("b", "i4"), ("c", "f8")])
     before = buf.tolist()
-    assert _fastpath.kernel(buf)[1] is _fastpath._native.walk
+    assert _fastpath.kernel(buf) is _fastpath._native.shuffle
     in_shuffle(buf)
     assert buf.tolist() == oracle_shuffle(before, IN_SHUFFLE)
 
@@ -683,7 +730,7 @@ def test_numpy_imported_after_faro_takes_the_native_path():
         "import numpy as np\n"
         "from faro import _fastpath, _loops\n"
         "buf = np.arange(1000, dtype=np.int64)\n"
-        "assert _fastpath.kernel(buf)[1] is not _loops.cycle_walk\n"
+        "assert _fastpath.kernel(buf) is _fastpath._native.shuffle\n"
         "faro.in_shuffle(buf)\n"
         "assert buf.tolist() == faro.oracle_shuffle(list(range(1000)), faro.IN_SHUFFLE)\n"
     )
@@ -729,11 +776,12 @@ def test_build_without_python_h_takes_the_pure_loops(tmp_path, monkeypatch):
         "paths = sysconfig.get_paths\n"
         f"sysconfig.get_paths = lambda *a, **k: {{**paths(*a, **k), 'include': {str(empty)!r}}}\n"
         "import numpy as np\n"
-        "from faro import _fastpath, _loops\n"
+        "from faro import _fastpath, kway\n"
         "from faro.shuffle import RecordBuffer\n"
         "assert not _fastpath.HAVE_COMPILED and 'Python.h' in _fastpath.BUILD_ERROR\n"
         "for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2)):\n"
-        "    assert _fastpath.kernel(buf) == (_loops.gather_slots, _loops.cycle_walk), buf\n"
+        "    assert _fastpath.loops(buf) == _fastpath._PURE, buf\n"
+        "    assert _fastpath.kernel(buf) is kway._pure_pass, buf\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
 
@@ -768,48 +816,61 @@ def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
 
 
 def test_kernel_is_resolved_once_per_call(monkeypatch):
-    counts = dict(loops=0, reverse=0, gather=0, walk=0)
-    real_loops = _fastpath.loops
+    counts = dict(kernel=0, shuffle=0, loops=0, reverse=0)
+    real_kernel, real_loops = _fastpath.kernel, _fastpath.loops
+    returned = []
 
-    def counting(name, loop):
+    def kernel(buf):
+        counts["kernel"] += 1
+        run = real_kernel(buf)
+
         def counted(*args):
-            counts[name] += 1
-            return loop(*args)
+            counts["shuffle"] += 1
+            returned.append(run(*args))
+            return returned[-1]
 
         return counted
 
     def loops(buf):
         counts["loops"] += 1
-        return tuple(counting(name, loop) for name, loop in zip(("reverse", "gather", "walk"), real_loops(buf)))
+        reverse, gather, walk = real_loops(buf)
 
-    def gathers_and_ladders(n, k):
-        # one gather call per block; one walk call per ladder: d per block,
-        # one per coset representative of its base, twice that for a twin
-        # block 2p^j, and one per cycle of the tail
-        gathers = walks = 0
+        def counted(*args):
+            counts["reverse"] += 1
+            return reverse(*args)
+
+        return counted, gather, walk
+
+    def blocks_and_cycles(n, k):
+        # a block per block of the tiling and the tail; d cycles per rung of
+        # the ladder of each of its d coset representatives, twice that for
+        # a twin block 2p^j, and the tail's own
+        blocks = cycles = 0
         for _, modulus, p, j, count in _blocks(0, n, k):
+            blocks += count
             if j:
-                gathers += count
-                walks += count * len(_REPS[k][p]) * (1 + (modulus % 2 == 0))
+                cycles += count * len(_REPS[k][p]) * (1 + (modulus % 2 == 0)) * j
             else:
-                walks += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
-        return gathers, walks
+                cycles += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
+        return blocks, cycles
 
+    monkeypatch.setattr(_fastpath, "kernel", kernel)
     monkeypatch.setattr(_fastpath, "loops", loops)
-    # (call, length, gather and walk calls); every call is one pass
+    # (call, length, k); every public call is one pass
     calls = [
-        (lambda buf: k_shuffle(buf, 6), 60_000, gathers_and_ladders(60_000, 6)),
-        (lambda buf: k_unshuffle(buf, 9), 59_994, gathers_and_ladders(59_994, 9)),
-        (un_shuffle, 1 << 16, gathers_and_ladders(1 << 16, 2)),
+        (lambda buf: k_shuffle(buf, 6), 60_000, 6),
+        (lambda buf: k_unshuffle(buf, 9), 59_994, 9),
+        (lambda buf: k_unshuffle(buf, 7), 7_000, 7),  # with a tail of 7
+        (un_shuffle, 1 << 16, 2),
     ]
-    for call, n, (gathers, walks) in calls:
-        counts.update(loops=0, reverse=0, gather=0, walk=0)
-        buf = np.arange(n, dtype=np.int64)
-        call(buf)
-        assert sorted(buf.tolist()) == list(range(n))
-        assert counts["loops"] == 1, counts
-        assert gathers > 1 and counts["reverse"] == 0, (counts, gathers)
-        assert (counts["gather"], counts["walk"]) == (gathers, walks), (counts, gathers, walks)
+    for call, n, k in calls:
+        for buf in (np.arange(n, dtype=np.int64), list(range(n))):
+            counts.update(kernel=0, shuffle=0, loops=0, reverse=0)
+            returned.clear()
+            call(buf)
+            assert sorted(buf.tolist() if isinstance(buf, np.ndarray) else buf) == list(range(n))
+            assert counts == dict(kernel=1, shuffle=1, loops=0, reverse=0), counts
+            assert returned[0][3:] == blocks_and_cycles(n, k), (returned, k)
 
     counts.update(loops=0, reverse=0)
     buf = list(range(10))
@@ -837,12 +898,14 @@ def test_list_shuffles_leave_refcounts_alone(k):
 
 def test_list_subclass_takes_the_pure_loops(monkeypatch):
     buf = CountingList(range(600))
-    assert _fastpath.kernel(buf) == (_loops.gather_slots, _loops.cycle_walk)
+    assert _fastpath.loops(buf) == _fastpath._PURE
+    assert _fastpath.kernel(buf) is kway._pure_pass
     k_shuffle(buf, 3)
     assert buf.gets > 600 and buf.sets > 600
     assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))
     monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
-    assert _fastpath.kernel([1, 2]) == (_loops.gather_slots, _loops.cycle_walk)
+    assert _fastpath.loops([1, 2]) == _fastpath._PURE
+    assert _fastpath.kernel([1, 2]) is kway._pure_pass
 
 
 def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
@@ -851,7 +914,7 @@ def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
                 memoryview(bytearray(16)).cast("q"), bytearray(4), mmap.mmap(-1, 4),
                 RecordBuffer(mmap.mmap(-1, 4), 2)):
         assert _fastpath.loops(buf) == _fastpath._PURE, buf
-        assert _fastpath.kernel(buf) == (_loops.gather_slots, _loops.cycle_walk), buf
+        assert _fastpath.kernel(buf) is kway._pure_pass, buf
 
 
 def test_empty_and_two_element_lists():
@@ -915,7 +978,13 @@ def test_list_entries_refuse_bad_calls_and_leave_the_list():
                  (-1, 1, 2, 27, 3 + 2**64, 2), (-1, 1, 2, 27, 3, 2**64 + 1)):
         with pytest.raises((OverflowError, IndexError)):
             walk(buf, *args)
+    _refuse_bad_passes(_fastpath.kernel(buf), buf)
+    with pytest.raises(TypeError):
+        _fastpath._native.shuffle(CountingList(buf), 0, 26, 2, False, kway._table(2))
     assert buf == list(range(26))
+    assert _fastpath.kernel(buf)(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
+    assert buf == oracle_shuffle(list(range(26)), IN_SHUFFLE)
+    buf[:] = range(26)
     walk(buf, -1, 1, 2, 27, 3, 3)
     assert buf != list(range(26)) and sorted(buf) == list(range(26))
     reverse(buf, 0, 26)
@@ -940,6 +1009,8 @@ def test_buffer_entries_refuse_bad_calls_and_leave_the_buffer():
             native.reverse(buf, 0, 2, *extra)
         with pytest.raises(BufferError):
             native.walk(buf, -1, 1, 2, 27, 3, 3, *extra)
+        with pytest.raises(BufferError):
+            native.shuffle(buf, 0, 26, 2, False, kway._table(2), *extra)
         assert memoryview(buf if owner is None else owner).tobytes() == before
     # memory they take, bound to bad calls
     for buf, size in ((np.arange(26, dtype=np.int64), 0), (bytearray(range(78)), 3)):
@@ -971,6 +1042,9 @@ def test_buffer_entries_refuse_bad_calls_and_leave_the_buffer():
         for bad in (2**64 + size, -size - 1):
             with pytest.raises((OverflowError, ValueError)):
                 native.walk(buf, -1, 1, 2, 27, 3, 3, bad)
+            with pytest.raises((OverflowError, ValueError)):
+                native.shuffle(buf, 0, 26, 2, False, kway._table(2), bad)
+        _refuse_bad_passes(lambda buf, *args: native.shuffle(buf, *args, *extra), buf)
         assert bytes(buf) == before
         native.walk(buf, -1, 1, 2, 27, 3, 3, *extra)
         assert bytes(buf) != before
@@ -1022,11 +1096,13 @@ def test_fresh_interpreter_sends_lists_to_the_kernel():
     # memory goes native by the kernel's own check, with numpy never imported
     probe = (
         "import array, sys\n"
-        "from faro import _fastpath, _loops\n"
+        "from faro import _fastpath, _loops, kway\n"
         "for buf in ([1, 2], array.array('q', [1, 2]), bytearray(4)):\n"
         "    reverse, gather, walk = _fastpath.loops(buf)\n"
         "    assert reverse is not _loops.reverse_slots and walk is not _loops.cycle_walk, buf\n"
         "    assert gather is not _loops.gather_slots, buf\n"
+        "    assert _fastpath.kernel(buf) is not kway._pure_pass, buf\n"
+        "assert _fastpath.kernel([1, 2]) is _fastpath._native.shuffle\n"
         "assert 'numpy' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)

@@ -279,35 +279,50 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
     ]
     assert moves == modulus - 2 + 2 * j
 
-    walked, rotated = [], []
+    # the pass, native or its Python twin, counts no rotate or tail moves,
+    # one block and 2j cycles; the twin walks each leader's ladder once
+    walked, rotated, passes = [], [], []
     real_kernel = _fastpath.kernel
+    reverse, gather, walk = _fastpath._PURE
 
     def kernel(buf):
-        gather, walk = real_kernel(buf)
+        run = real_kernel(buf)
 
-        def gather_spy(*args):
-            rotated.append(gather(*args))
-            return rotated[-1]
+        def pass_spy(*args):
+            passes.append(run(*args))
+            return passes[-1]
 
-        def spy(buf, base, leader, mult, modulus, p, count):
-            walked.extend(leader * p**s for s in range(count))
-            walk(buf, base, leader, mult, modulus, p, count)
+        return pass_spy
 
-        return gather_spy, spy
+    def gather_spy(*args):
+        rotated.append(gather(*args))
+        return rotated[-1]
+
+    def walk_spy(buf, base, leader, mult, modulus, p, count):
+        walked.extend(leader * p**s for s in range(count))
+        walk(buf, base, leader, mult, modulus, p, count)
 
     monkeypatch.setattr(_fastpath, "kernel", kernel)
+    monkeypatch.setattr(_fastpath, "_PURE", (reverse, gather_spy, walk_spy))
     for call in (k_shuffle, k_unshuffle):
-        walked.clear()
-        rotated.clear()
-        buf, instr = list(range(n)), Instrumentation()
-        call(buf, k, instr)
-        if call is k_shuffle:
-            assert buf == oracle_shuffle(list(range(n)), kway_kind(k))
-        else:
-            assert oracle_shuffle(buf, kway_kind(k)) == list(range(n))
-        assert sorted(walked) == leaders
-        assert instr.moves == moves
-        assert rotated == [0] and instr.rotate_moves == 0
+        for native in (True, False):
+            walked.clear()
+            rotated.clear()
+            passes.clear()
+            buf, instr = list(range(n)), Instrumentation()
+            with monkeypatch.context() as m:
+                if not native:
+                    m.setattr(_fastpath, "_native", None)  # as when the kernel did not build
+                call(buf, k, instr)
+            if call is k_shuffle:
+                assert buf == oracle_shuffle(list(range(n)), kway_kind(k))
+            else:
+                assert oracle_shuffle(buf, kway_kind(k)) == list(range(n))
+            assert passes == [(0, moves, 0, 1, 2 * j)]
+            assert instr.moves == moves and instr.rotate_moves == 0
+            if not native:
+                assert sorted(walked) == leaders
+                assert rotated == [0]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import CountingList
 from faro import _fastpath, _loops
-from faro.kway import _BASES, _general_cycle_passes, k_shuffle, k_unshuffle
+from faro.kway import _BASES, _general_cycle_passes, _ladder, _pure_pass, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import (
     IN_SHUFFLE,
@@ -97,7 +97,7 @@ def test_blocks_and_cycles_are_those_of_the_plan():
 def cycle_leader_pass(buf, offset, k, instr=None):
     # the driver's cycle-leader passes on one 3^k - 1 block, at arity 2 and
     # p = 3, whose one coset representative is 1
-    _general_cycle_passes(buf, offset, k, 3, (1,), 2, 3**k, instr, _fastpath.kernel(buf)[1])
+    _general_cycle_passes(buf, offset, k, 3, (1,), 2, 3**k, instr, _fastpath.loops(buf)[2])
 
 
 def test_cycle_leader_pass_small_blocks():
@@ -328,12 +328,24 @@ def test_move_counts_are_pinned(length):
 
 
 def _parity_calls():
-    # (name, arity, call) for every permutation the native kernel serves
+    # (name, arity, call) for every permutation the native kernel serves:
+    # the 2-way shuffles, out-shuffle interiors among them, and both
+    # directions of every arity 2..9
     for fn in (in_shuffle, un_shuffle, out_shuffle, un_out_shuffle):
         yield fn.__name__, 2, fn
-    for k in range(3, 9):
+    for k in range(2, 10):
         yield f"k_shuffle({k})", k, lambda buf, instr, k=k: k_shuffle(buf, k, instr)
         yield f"k_unshuffle({k})", k, lambda buf, instr, k=k: k_unshuffle(buf, k, instr)
+
+
+def _parity_counts(arity, rng):
+    # lengths / arity to compare at: one and two parts of one item, which
+    # at k = 3, 7 and 8 are a tail alone; one length past 3^5; the largest
+    # twin block 2p^j of an odd arity below 1200 items, alone; one at random
+    counts = {1, 2, 3**5 // arity, rng.randrange(1, 400)}
+    if arity % 2:
+        counts.add(max((m - 1) // arity for m, _, _ in _ladder(arity)[0] if m % 2 == 0 and m <= 1200))
+    return sorted(counts)
 
 
 def _mapped(payload):
@@ -365,39 +377,46 @@ def _native_buffers(raw_bytes, count):
             if dtype == "bool":
                 payload = bytes(b & 1 for b in payload)
             yield dtype, np.frombuffer(bytearray(payload), dtype=dtype), itemsize, payload
-    for record_size in (1, 3, 8, 64, 257, 1000):
+        # masked where the low bit of an item's first byte is set
+        payload = raw_bytes(count * 8)
+        data = np.frombuffer(bytearray(payload), dtype=np.int64)
+        yield "masked int64", np.ma.array(data, mask=[b & 1 for b in payload[::8]]), 8, payload
+    for record_size in (1, 3, 8, 64, 257, 300, 1000):
         payload = raw_bytes(count * record_size)
         yield f"rs={record_size}", RecordBuffer(bytearray(payload), record_size), record_size, payload
 
 
 @pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastpath.BUILD_ERROR))
 def test_compiled_path_matches_pure_path(monkeypatch):
-    # every kind and direction on every native buffer type against the pure
-    # loops on a list: same permutation, same moves in every layer, same
-    # aux peak
+    # every kind and direction on every native buffer type, whose pass is
+    # the native one, against the Python twin on a list: same permutation,
+    # the same five counts and the same aux peak
     rng = random.Random(18)
     for name, arity, call in _parity_calls():
-        counts = {1, 3**5 // arity, rng.randrange(1, 400)}
-        for count in sorted(counts):
+        for count in _parity_counts(arity, rng):
             length = arity * count
             pure = list(range(length))
             pure_instr = Instrumentation()
             with monkeypatch.context() as m:
                 m.setattr(_fastpath, "_native", None)  # as when the kernel did not build
-                assert _fastpath.kernel(pure) == (_loops.gather_slots, _loops.cycle_walk)
+                assert _fastpath.kernel(pure) is _pure_pass
                 call(pure, pure_instr)
             for label, buf, itemsize, payload in _native_buffers(rng.randbytes, length):
-                assert _fastpath.kernel(buf)[0] is not _loops.gather_slots, label
+                assert _fastpath.kernel(buf) is not _pure_pass, label
                 instr = Instrumentation()
                 call(buf, instr)
                 expected = b"".join(payload[i * itemsize : (i + 1) * itemsize] for i in pure)
                 case = f"{name} on {label} at length {length}"
                 if label == "list":
                     result = b"".join(buf)
+                elif label == "masked int64":
+                    result = bytes(buf.data)
+                    assert buf.mask.tolist() == [bool(payload[8 * i] & 1) for i in pure], case
                 else:
                     result = bytes(buf.data if isinstance(buf, RecordBuffer) else buf)
                 assert result == expected, case
-                # every counter: rotate, walk and tail moves and the aux peak
+                # every counter: rotate, walk and tail moves, blocks, cycles
+                # and the aux peak
                 assert instr == pure_instr, case
 
 
