@@ -1,7 +1,8 @@
-"""Native twins of the inner loops, and the choice between them and ``_loops``.
+"""Native twins of the shuffle pass and its loops, and the choice between them and Python.
 
-``_kernel.c`` is a CPython extension module holding the loops of
-``_loops`` in C: the reversal, the block gather and the cycle walk, over
+``_kernel.c`` is a CPython extension module holding in C the block loop of
+``kway``'s driver, one whole pass per call (``shuffle``), the loops of
+``_loops`` it runs: the reversal, the block gather and the cycle walk, over
 raw item memory, and the check behind ``faro apply --verify`` (``agree``).
 On first import it is compiled with ``cc`` against the interpreter's
 ``Python.h`` into ``__pycache__/_kernel-<crc32 of the source and the cc
@@ -20,21 +21,26 @@ as a buffer view for the length of a call, which runs without the GIL.
 numpy is never imported here: no ndarray can exist before the caller has
 imported it.
 
-One gather call makes all k - 1 rotations of a block's gather, or of its
-inverse, the scatter, each by conjoined triple reversal, and returns their
-moves.
-One walk call realizes a whole ladder of cycles, those led by
+One shuffle call tiles the range by a table of the arity's rungs that
+``kway`` builds once, and makes every block's gather and walks and the
+tail sweep, with the GIL held for a list and released for memory
+throughout; it returns the counts. One gather makes all k - 1 rotations of
+a block's gather, or of its inverse, the scatter, each by conjoined triple
+reversal, and counts their moves.
+One walk realizes a whole ladder of cycles, those led by
 ``leader * p**s`` for ``s < count``. Every walk of a q-way pass modulo m,
 while ``q * m <= 2**32``, steps ``j -> q * j mod m`` without a division:
 the forward passes push each item on to its target, and the inverse passes
-pull each slot's item from its source. The native ``reverse``, ``gather``
-and ``walk`` check every range, window, integer and ladder against the
-buffer themselves.
+pull each slot's item from its source. The native ``shuffle``,
+``reverse``, ``gather`` and ``walk`` check every range, window, integer,
+ladder and rung against the buffer themselves.
 
-``loops`` is the one place that sorts a buffer onto its loops, as a
-(reverse, gather, walk) triple; ``faro.rotate`` takes its reversal. A
-driver call resolves its (gather, walk) pair once, with ``kernel``, and
-hands the pair down; nothing is cached across calls.
+Buffers are sorted in one place, ``_native_items``. A public shuffle
+resolves its buffer's pass once, with ``kernel``: the native ``shuffle``
+or its Python twin, ``kway._pure_pass``. ``loops`` gives the (reverse,
+gather, walk) triple: ``faro.rotate`` takes its reversal, and the tests
+probe the native gather and walk through it. Nothing is cached across
+calls.
 """
 
 import os

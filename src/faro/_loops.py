@@ -1,11 +1,12 @@
 """Innermost element-moving loops, and the check behind ``faro apply --verify``.
 
 These are the reference loops, and the path of every buffer that
-``_fastpath.loops`` does not send to ``_kernel.c``, which holds the same
-loops in C: the reversal, the block gather (its k - 1 rotations by
-conjoined triple reversal), the cycle walk and the check. The driver's pair
-is (gather, walk). The test suite runs both paths on the same inputs and
-requires equal results, equal instrumentation counts and equal answers.
+``_fastpath`` does not send to ``_kernel.c``, which holds the same loops in
+C: the reversal, the block gather (its k - 1 rotations by conjoined triple
+reversal), the cycle walk and the check. ``kway``'s Python block loop runs
+the pair (gather, walk), as the native ``shuffle`` pass runs its own. The
+test suite runs both paths on the same inputs and requires equal results,
+equal instrumentation counts and equal answers.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
 loops only move or compare elements, and the gather returns its moves.

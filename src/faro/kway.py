@@ -22,8 +22,8 @@ gives two kinds of block:
     p^j is a fixed point.
 
 These leaders are in closed form (Jain, arXiv:0805.1598, for d = 1; Fich,
-Munro and Poblete, "Permuting in place", 1995), so one call of the buffer's
-walk realizes a whole ladder of them, c * p^s for s < j. When k = 1 mod p
+Munro and Poblete, "Permuting in place", 1995), so one walk realizes a
+whole ladder of them, c * p^s for s < j. When k = 1 mod p
 every cycle of the last level would be a fixed point, so no table holds
 such a p. At d = 1, k is a primitive root of p^2, which is the paper's case
 and that of every 2-way base.
@@ -33,8 +33,8 @@ a whole slice; the gather step is k - 1 successive right rotations, each
 by conjoined triple reversal (the three reversals of triple reversal in
 one sweep, about 1.5 moves per item of the window against 2), that pull
 the first slice of each part to the front.
-The buffer's kernel makes them in one call of its gather loop, which
-returns their moves, and its inverse, the scatter, likewise. A gather costs
+One gather makes them and counts their moves, and its inverse, the
+scatter, likewise. A gather costs
 in proportion to the window left, so the gaps of the block ladder set the
 moves per element. Every admissible rung below 2^63 is listed once, largest
 first, in a constant ladder per arity, ``_ladder(k)``, so the greedy tiling
@@ -50,11 +50,18 @@ The paper tiles them with 3^k - 1 blocks alone; faro's 2-way table has
 32 odd bases, every power of which is admissible, and since 3 is among
 them no tail is left.
 
+A public call checks its arguments and makes one call of its buffer's pass,
+``_fastpath.kernel(buf)``: the kernel's ``shuffle`` entry, which runs the
+whole pass in C over ``_table(k)``, the ladder and the coset
+representatives as int64 rows, or the Python block loop here, its twin
+``_pure_pass``, which the tests compare it with and which moves every
+buffer the kernel refuses. Both return the same counts.
+
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
 """
 
-from array import array
+import struct
 from bisect import bisect_left
 from functools import cache
 from types import SimpleNamespace
@@ -74,8 +81,8 @@ MAX_K = 9
 # test checks the table; nothing is searched at import. Each arity's 32
 # bases were picked from the primes below 1500, greedily and then by swaps,
 # to cut the moves over every length up to 6000 and, for k >= 3, the time
-# of lists up to 2^16, where each walk call and rotation costs
-# microseconds, or, for k = 2, the moves of random lengths up to 2^21. The
+# of lists up to 2^16, where each walk and rotation cost microseconds
+# from Python, or, for k = 2, the moves of random lengths up to 2^21. The
 # base of the smallest admissible block stays, which at k = 2, 4, 5, 6 and
 # 9 has k elements, so that only k = 3, 7 and 8 leave a tail. At k = 2 the
 # candidates were only the primes with d = 1, so that a block p^j has j
@@ -166,11 +173,12 @@ def _table(k):
     modulus, p, j, the number d of p's coset representatives and the
     representatives, padded with zeros to 8.
     """
-    table = array("q")
+    rows = []
     for modulus, p, j in _ladder(k)[0]:
         reps = _REPS[k][p]
-        table.extend((modulus, p, j, len(reps), *reps, *(0,) * (8 - len(reps))))
-    return table
+        rows += (modulus, p, j, len(reps), *reps, *(0,) * (8 - len(reps)))
+    # packed in one call: an array module import would cost each faro apply child more
+    return memoryview(struct.pack(f"{len(rows)}q", *rows)).cast("q")
 
 
 def _blocks(lo, hi, k, backward=False):

@@ -10,10 +10,10 @@ window of w elements and needs exactly one element-sized temporary (the swap
 slot) no matter how large the window is.
 
 Both functions reverse by the buffer's reversal loop, the first of
-``_fastpath.loops(buf)``. The shuffle drivers do not call them: a block's
-rotations are one call of the buffer's gather loop, which leaves the same
-items by conjoined triple reversal, the three reversals in one sweep, in
-about 1.5 moves per element of the window where these take about 2.
+``_fastpath.loops(buf)``. The shuffle driver does not call them: a block's
+rotations are one gather, which leaves the same items by conjoined triple
+reversal, the three reversals in one sweep, in about 1.5 moves per element
+of the window where these take about 2.
 """
 
 from . import _fastpath

@@ -33,7 +33,7 @@ The buffer layer is 0-based half-open; every call into the 1-based math
 above documents the shift. Buffers are anything indexable with integer
 get/set and a length: lists, numpy arrays, other memory, or ``RecordBuffer``
 views over packed bytes; ``_fastpath`` sends each that the compiled kernel
-takes to it, and the rest to the pure-Python loops.
+takes to its one-call pass, and the rest to the pure-Python twin.
 
 Every operation mutates exactly one buffer and assumes exclusive access to
 it for the duration of the call; there is no shared state, so distinct

@@ -285,6 +285,8 @@ def _refuse_bad_passes(shuffle, buf):
         ):
             with pytest.raises(ValueError):
                 shuffle(buf, 0, 26, 2, inverse, bad)
+        with pytest.raises(ValueError):  # 3 is a unit mod 20 but does not divide 19
+            shuffle(buf, 0, 24, 3, inverse, rung(20, 19, 1, 1, 1))
         for bad in ([27, 3, 3, 1, 1], None):
             with pytest.raises(TypeError):
                 shuffle(buf, 0, 26, 2, inverse, bad)
@@ -1052,17 +1054,22 @@ def test_buffer_entries_refuse_bad_calls_and_leave_the_buffer():
 
 @needs_kernel
 def test_buffer_walks_run_without_the_gil():
-    # A walk of every cycle mod 3^14 takes milliseconds. Another thread that
+    # A walk of every cycle mod 3^14 takes milliseconds, and so does the
+    # pass over 3^14 - 1 items, which is one such block. Another thread that
     # keeps taking timestamps meanwhile can only take one well inside the
-    # call when the walk has let go of the GIL: a walk that held it would let
+    # call when it has let go of the GIL: a call that held it would let
     # that thread run only around the call, within a switch interval of it.
     # A busy host can still deschedule the ticker for the whole middle of one
-    # walk, so up to three walks are timed, each on a fresh buffer.
+    # call, so up to three calls of each are timed, each on a fresh buffer.
     interval = sys.getswitchinterval()
     m = 3**14
     expected = np.empty(m - 1, dtype=np.int64)
     expected[2 * np.arange(1, m) % m - 1] = np.arange(m - 1)  # the in-shuffle
     stamps, stop = [], threading.Event()
+    calls = (
+        lambda buf: _fastpath._native.walk(buf, -1, 1, 2, m, 3, 14),
+        lambda buf: _fastpath._native.shuffle(buf, 0, m - 1, 2, False, kway._table(2)),
+    )
 
     def tick():
         while not stop.is_set():
@@ -1071,24 +1078,27 @@ def test_buffer_walks_run_without_the_gil():
     ticker = threading.Thread(target=tick)
     sys.setswitchinterval(1e-4)
     ticker.start()
+    inside = []
     try:
         while not stamps:
             time.sleep(0.001)
-        for _ in range(3):
-            buf = np.arange(m - 1, dtype=np.int64)
-            start = time.perf_counter()
-            _fastpath._native.walk(buf, -1, 1, 2, m, 3, 14)
-            end = time.perf_counter()
-            assert np.array_equal(buf, expected)
-            quarter = (end - start) / 4
-            if any(start + quarter < t < end - quarter for t in stamps):
-                break
+        for call in calls:
+            for _ in range(3):
+                buf = np.arange(m - 1, dtype=np.int64)
+                start = time.perf_counter()
+                call(buf)
+                end = time.perf_counter()
+                assert np.array_equal(buf, expected)
+                quarter = (end - start) / 4
+                if any(start + quarter < t < end - quarter for t in stamps):
+                    break
+            inside.append(any(start + quarter < t < end - quarter for t in stamps))
     finally:
         stop.set()
         ticker.join(timeout=60)
         sys.setswitchinterval(interval)
     assert not ticker.is_alive()
-    assert any(start + quarter < t < end - quarter for t in stamps), (end - start, len(stamps))
+    assert inside == [True, True], (end - start, len(stamps))
 
 
 @needs_kernel
@@ -1109,9 +1119,10 @@ def test_fresh_interpreter_sends_lists_to_the_kernel():
 
 
 def test_list_resized_by_another_thread_never_kills_the_process():
-    # The list entries hold the GIL and check the list's size on every call,
-    # so a thread that clears and refills the list between two of them can
-    # only make the shuffle raise or scramble the list, never crash it.
+    # A list's pass holds the GIL throughout and checks the list's size when
+    # it starts, so a thread that clears and refills the list between the
+    # public call's length check and its pass can only make the shuffle
+    # raise, never crash it.
     probe = (
         "import sys, threading, time\n"
         "import faro\n"
