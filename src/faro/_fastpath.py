@@ -137,6 +137,7 @@ def kernel(buf):
         passes = [(array, kernel(array)) for array in parts]
 
         def shuffle(_buf, *args):
+            # the data and the mask make the same moves: count them once
             for array, run in passes:
                 counts = run(array, *args)
             return counts
@@ -176,7 +177,23 @@ def loops(buf):
         return _PURE if _native is None else (_native.reverse, _native.gather, _native.walk)
     parts = _masked_parts(buf)
     if parts is not None:
-        return _masked(parts)
+        parts = [(array, loops(array)) for array in parts]
+
+        def reverse(_buf, lo, hi):
+            for array, entries in parts:
+                entries[0](array, lo, hi)
+
+        def gather(_buf, offset, part, b, k, inverse):
+            # the data and the mask make the same moves: count them once
+            for array, entries in parts:
+                moves = entries[1](array, offset, part, b, k, inverse)
+            return moves
+
+        def walk(_buf, base, leader, mult, modulus, p, count):
+            for array, entries in parts:
+                entries[2](array, base, leader, mult, modulus, p, count)
+
+        return reverse, gather, walk
     items = _native_items(buf)
     if items is None:
         return _PURE
@@ -230,27 +247,6 @@ def _masked_parts(buf):
     if buf.hardmask and mask.any():
         raise ValueError("a hard mask keeps the masked items from moving")
     return [array for array in (buf.data, mask) if array is not ma.nomask]
-
-
-def _masked(parts):
-    # the loops of a MaskedArray, over the loops of each of its parts
-    parts = [(array, loops(array)) for array in parts]
-
-    def reverse(_buf, lo, hi):
-        for array, entries in parts:
-            entries[0](array, lo, hi)
-
-    def gather(_buf, offset, part, b, k, inverse):
-        # the data and the mask make the same moves: count them once
-        for array, entries in parts:
-            moves = entries[1](array, offset, part, b, k, inverse)
-        return moves
-
-    def walk(_buf, base, leader, mult, modulus, p, count):
-        for array, entries in parts:
-            entries[2](array, base, leader, mult, modulus, p, count)
-
-    return reverse, gather, walk
 
 
 def agree(chunk, result, itemsize, base, mult, modulus, j0, count):

@@ -816,7 +816,7 @@ static int rung_fits(const struct pass *ps, const int64_t *r, struct step *st)
 {
     int64_t m = r[0], p = r[1], j = r[2], d = r[3];
     if (!(m >= 2 && (m - 1) % ps->k == 0 && p >= 2 && j >= 1 && 1 <= d && d <= REPS && pass_plan(ps, m, st))) {
-        PyErr_Format(PyExc_ValueError, "no %lld-way block mod %lld = %lld^%lld with %lld ladders",
+        PyErr_Format(PyExc_ValueError, "no %lld-way block mod %lld of base %lld^%lld with %lld cosets",
                      (long long)ps->k, (long long)m, (long long)p, (long long)j, (long long)d);
         return 0;
     }
