@@ -487,6 +487,8 @@ def test_entries_refuse_memory_of_python_objects():
             native.gather(buf, 0, 16, 8, 2, False)
         with pytest.raises(BufferError, match="Python objects"):
             native.walk(buf, -1, 1, 2, 33, 2, 1)
+        with pytest.raises(BufferError, match="Python objects"):
+            native.shuffle(buf, 0, 32, 2, False, kway._table(2))
         assert buf.tolist() == before.tolist()
         if buf.dtype.names:
             with pytest.raises(ValueError, match="views"):
@@ -730,7 +732,7 @@ def test_numpy_imported_after_faro_takes_the_native_path():
     probe = (
         "import faro\n"
         "import numpy as np\n"
-        "from faro import _fastpath, _loops\n"
+        "from faro import _fastpath\n"
         "buf = np.arange(1000, dtype=np.int64)\n"
         "assert _fastpath.kernel(buf) is _fastpath._native.shuffle\n"
         "faro.in_shuffle(buf)\n"
