@@ -82,9 +82,29 @@ def test_walk_step_matches_python_at_the_edges_of_each_path():
                 assert step(j, mult, m) == j * f % m, (j, mult, m)
                 for s in range(1, 5):
                     assert step(j, mult, m, s) == j * pow(f, s, m) % m, (j, mult, m, s)
+
+
+@needs_kernel
+def test_mulmod_and_step_refuse_what_is_no_residue():
+    mulmod, step = _fastpath._native.mulmod, _fastpath._native.step
+    for a, b, m in ((7, 1, 7), (1, 7, 7), (-1, 1, 7), (1, -1, 7), (0, 0, 0), (0, 0, -3)):
+        with pytest.raises(ValueError, match="residue"):
+            mulmod(a, b, m)
+        with pytest.raises(ValueError, match="residue"):
+            step(a, b, m)
+    for a, b, m in ((2**64, 1, 7), (1, 1, 2**63)):
+        with pytest.raises(OverflowError):
+            mulmod(a, b, m)
+        with pytest.raises(OverflowError):
+            step(a, b, m)
+    for args in ((1, 2), (1, 2, 7, 1)):
+        with pytest.raises(TypeError):
+            mulmod(*args)
+    with pytest.raises(TypeError):
+        step(1, 2, 7, 1, 1)
     assert step(1, 3, 9) == -1 and step(1, 0, 7) == -1  # no unit, no step
-    for s in (0, 5):
-        with pytest.raises(ValueError):
+    for s in (0, 5, -1):
+        with pytest.raises(ValueError, match="look-ahead"):
             step(1, 2, 7, s)
 
 
@@ -140,13 +160,13 @@ def test_native_walk_matches_the_pure_walk(itemsize):
 
 @needs_kernel
 @pytest.mark.parametrize("itemsize", [1, 3, 8, 64, 257])
-def test_native_agree_matches_the_pure_agree(itemsize):
+def test_native_agree_matches_the_pure_agree(itemsize, moduli=range(2, 31)):
     # every unit mult mod m <= 30 over the whole of 1..m-1, and every window
     # j0 .. j0 + count - 1 under the smallest unit above 1 (few wraps) and
     # m - 1 (a wrap at almost every step); each against the moved items and
     # against copies with one byte flipped at the first, middle and last item
     rng = random.Random(itemsize)
-    for m in range(2, 31):
+    for m in moduli:
         base = m % 3 - 1
         items = [rng.randbytes(itemsize) for _ in range(m)]
         units = [u for u in range(1, m) if gcd(u, m) == 1]
@@ -758,6 +778,70 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     )
     assert built.returncode == 0, built.stderr
     assert (tmp_path / "_kernel.o").stat().st_size > 0
+
+
+def _sanitized_cases():
+    """The cases the sanitized kernel runs: the pass's parity with its twin,
+    and the refusals of every entry."""
+    for itemsize in (1, 257, "list", "ndarray"):
+        test_native_walk_matches_the_pure_walk(itemsize)
+    for kind in ("list", "records3"):
+        test_native_gather_matches_its_rotations_exhaustively(kind)
+    for itemsize in (1, 257):
+        test_native_agree_matches_the_pure_agree(itemsize, range(2, 12))
+    for kind in ("list", "ndarray"):
+        test_native_reverse_matches_slice_reversal_exhaustively(kind)
+    for buf in (np.arange(26, dtype=np.int64), RecordBuffer(bytearray(range(78)), 3)):
+        test_native_walk_refuses_to_leave_the_buffer(buf)
+    for buf in (list(range(26)), np.arange(26, dtype=np.int64), RecordBuffer(bytearray(range(78)), 3)):
+        test_native_gather_refuses_to_leave_the_buffer(buf)
+    test_native_reverse_stays_inside_a_view()
+    test_entries_refuse_memory_of_python_objects()
+    test_list_entries_refuse_bad_calls_and_leave_the_list()
+    test_buffer_entries_refuse_bad_calls_and_leave_the_buffer()
+    test_mulmod_matches_python_near_2_63()
+    test_mulmod_and_step_refuse_what_is_no_residue()
+
+
+@needs_cc
+@needs_headers
+def test_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    # An overrun that crashes nothing goes unseen in the plain build: a pass
+    # let 2 items past a bytearray changes 2 bytes beyond it and returns.
+    # So a child interpreter builds the kernel with ASan and UBSan, preloads
+    # their runtimes (the interpreter itself is not instrumented) and runs
+    # _sanitized_cases on it, every allocation through malloc so that ASan
+    # sees small buffers too. Any report, or a halt, fails the test.
+    runtimes = []
+    for name in ("libasan.so", "libubsan.so"):
+        path = subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(path):
+            pytest.skip(f"cc names no {name}: no sanitizer runtime to build the kernel against")
+        runtimes.append(path)
+    source = tmp_path / "_kernel.c"
+    shutil.copyfile(_fastpath._SOURCE, source)
+    probe = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "os.environ.pop('LD_PRELOAD')  # for the interpreter, not for cc\n"
+        "from faro import _fastpath\n"
+        f"_fastpath._SOURCE = {str(source)!r}\n"
+        "_fastpath._native = _fastpath._load([*_fastpath._cc_argv(), '-fsanitize=address,undefined'])\n"
+        "import test_fastpath\n"
+        "test_fastpath._sanitized_cases()\n"
+        "print(_fastpath._native.__file__)\n"
+    )
+    env = {
+        **SRC_ENV,
+        "LD_PRELOAD": " ".join(runtimes),
+        "ASAN_OPTIONS": "detect_leaks=0",
+        "UBSAN_OPTIONS": "halt_on_error=1:print_stacktrace=1",
+        "PYTHONMALLOC": "malloc",
+    }
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-6000:]
+    assert "AddressSanitizer" not in done.stderr and "runtime error:" not in done.stderr, done.stderr[-6000:]
+    assert done.stdout.strip().startswith(str(tmp_path / "__pycache__" / "_kernel-")), done.stdout
 
 
 @needs_cc
