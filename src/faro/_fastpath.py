@@ -1,9 +1,10 @@
-"""Native twins of the shuffle pass and its loops, and the choice between them and Python.
+"""The native shuffle pass and reversal, and the choice between them and Python.
 
 ``_kernel.c`` is a CPython extension module holding in C the block loop of
-``kway``'s driver, one whole pass per call (``shuffle``), the loops of
-``_loops`` it runs: the reversal, the block gather and the cycle walk, over
-raw item memory, and the check behind ``faro apply --verify`` (``agree``).
+``kway``'s driver, one whole pass per call (``shuffle``), with the loops of
+``_loops`` it runs over raw item memory: the block gather and the cycle
+walk. It also holds the reversal (``reverse``), which ``faro.rotate`` runs,
+and the check behind ``faro apply --verify`` (``agree``).
 On first import it is compiled with ``cc`` against the interpreter's
 ``Python.h`` into ``__pycache__/_kernel-<crc32 of the source and the cc
 argv><extension suffix>`` next to this file and loaded with importlib;
@@ -24,23 +25,21 @@ imported it.
 One shuffle call tiles the range by a table of the arity's rungs that
 ``kway`` builds once, and makes every block's gather and walks and the
 tail sweep, with the GIL held for a list and released for memory
-throughout; it returns the counts. One gather makes all k - 1 rotations of
-a block's gather, or of its inverse, the scatter, each by conjoined triple
-reversal, and counts their moves.
-One walk realizes a whole ladder of cycles, those led by
+throughout; it returns the counts. A gather makes all k - 1 rotations of a
+block's gather, or of its inverse, the scatter, each by conjoined triple
+reversal. A walk realizes a whole ladder of cycles, those led by
 ``leader * p**s`` for ``s < count``. Every walk of a q-way pass modulo m,
 while ``q * m <= 2**32``, steps ``j -> q * j mod m`` without a division:
 the forward passes push each item on to its target, and the inverse passes
-pull each slot's item from its source. The native ``shuffle``,
-``reverse``, ``gather`` and ``walk`` check every range, window, integer,
-ladder and rung against the buffer themselves.
+pull each slot's item from its source. The native ``shuffle`` and
+``reverse`` check every range, integer and rung against the buffer
+themselves.
 
-Buffers are sorted in one place, ``_native_items``. A public shuffle
-resolves its buffer's pass once, with ``kernel``: the native ``shuffle``
-or its Python twin, ``kway._pure_pass``. ``loops`` gives the (reverse,
-gather, walk) triple: ``faro.rotate`` takes its reversal, and the tests
-probe the native gather and walk through it. Nothing is cached across
-calls.
+Buffers are sorted in one place, ``_native_items``, and resolved in one,
+``resolve``: once per public call, a native entry bound to the buffer or
+its Python twin. ``kernel`` resolves the pass, the native ``shuffle`` or
+``kway._pure_pass``; ``faro.rotate`` resolves the reversal, the native
+``reverse`` or ``_loops.reverse_slots``. Nothing is cached across calls.
 """
 
 import os
@@ -52,7 +51,6 @@ from math import gcd
 from . import _loops
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-_PURE = (_loops.reverse_slots, _loops.gather_slots, _loops.cycle_walk)
 
 
 def _cc_argv():
@@ -119,103 +117,63 @@ except (OSError, ImportError) as exc:
 HAVE_COMPILED = _native is not None
 
 
+def resolve(buf, name, twin):
+    """The native entry `name` for this buffer, or its Python `twin`, for the length of one call.
+
+    The entry takes ``(buf, *args[, itemsize])``, and is returned bound to
+    the record size for a ``RecordBuffer``; the twin takes ``(buf, *args)``.
+    Memory goes native iff one empty reversal by the native kernel takes it
+    (``get_items`` in ``_kernel.c`` holds the rule) and it is not an
+    ndarray that holds objects. A numpy MaskedArray moves its data and its
+    mask alike, each by what this resolves for that plain array, and
+    returns one of their equal results. ValueError, before anything
+    moves, for a MaskedArray whose hard mask holds masked items in place,
+    and for an ndarray whose items are views (not 1-D, or structured) that
+    the kernel does not take: the Python loops would copy an item through a
+    view that an earlier write has already overwritten.
+    """
+    if type(buf) is list:
+        return twin if _native is None else getattr(_native, name)
+    parts = _masked_parts(buf)
+    if parts is not None:
+        runs = [(array, resolve(array, name, twin)) for array in parts]
+
+        def run_parts(_buf, *args):
+            # the data and the mask make the same moves: one result stands for both
+            for array, run in runs:
+                result = run(array, *args)
+            return result
+
+        return run_parts
+    items = _native_items(buf)
+    if items is None:
+        return twin
+    data, size = items
+    entry = getattr(_native, name)
+    if not size:
+        return entry
+
+    def run_records(_buf, *args):
+        return entry(data, *args, size)
+
+    return run_records
+
+
 def kernel(buf):
     """The shuffle pass for this buffer, resolved once per public call.
 
     The pass is ``shuffle(buf, lo, hi, k, inverse, table)`` and returns
-    the counts (rotate moves, walk moves, tail moves, blocks, cycles). It
-    is the native ``shuffle`` entry, bound to the record size for a
-    ``RecordBuffer``, for every buffer that ``loops`` sends to the native
-    loops, and its Python twin ``kway._pure_pass`` for the rest. A
-    MaskedArray's pass is that of its data, then that of its mask; its
-    counts are those of one. Raises as ``loops`` does.
+    the counts (rotate moves, walk moves, tail moves, blocks, cycles): the
+    native ``shuffle`` entry, or its Python twin ``kway._pure_pass`` (see
+    ``resolve``, which says what raises). kway is loaded with the package,
+    and imports this module.
     """
-    if type(buf) is list:
-        return _twin() if _native is None else _native.shuffle
-    parts = _masked_parts(buf)
-    if parts is not None:
-        passes = [(array, kernel(array)) for array in parts]
-
-        def shuffle(_buf, *args):
-            # the data and the mask make the same moves: count them once
-            for array, run in passes:
-                counts = run(array, *args)
-            return counts
-
-        return shuffle
-    items = _native_items(buf)
-    if items is None:
-        return _twin()
-    data, size = items
-    if not size:
-        return _native.shuffle
-
-    def shuffle(_buf, lo, hi, k, inverse, table):
-        return _native.shuffle(data, lo, hi, k, inverse, table, size)
-
-    return shuffle
-
-
-def _twin():
-    # the pure pass; kway is loaded with the package, and imports this module
-    return sys.modules[f"{__package__}.kway"]._pure_pass
-
-
-def loops(buf):
-    """The (reverse, gather, walk) loops for this buffer, for the length of one call.
-
-    Memory goes native iff one empty reversal by the native entries takes
-    it (``get_items`` in ``_kernel.c`` holds the rule) and it is not an
-    ndarray that holds objects. A numpy MaskedArray moves its data and its
-    mask alike, each by the loops of that plain array. ValueError, before
-    anything moves, for a MaskedArray whose hard mask holds masked items in
-    place, and for an ndarray whose items are views (not 1-D, or
-    structured) that the kernel does not take: the Python loops would copy
-    an item through a view that an earlier write has already overwritten.
-    """
-    if type(buf) is list:
-        return _PURE if _native is None else (_native.reverse, _native.gather, _native.walk)
-    parts = _masked_parts(buf)
-    if parts is not None:
-        parts = [(array, loops(array)) for array in parts]
-
-        def reverse(_buf, lo, hi):
-            for array, entries in parts:
-                entries[0](array, lo, hi)
-
-        def gather(_buf, offset, part, b, k, inverse):
-            # the data and the mask make the same moves: count them once
-            for array, entries in parts:
-                moves = entries[1](array, offset, part, b, k, inverse)
-            return moves
-
-        def walk(_buf, base, leader, mult, modulus, p, count):
-            for array, entries in parts:
-                entries[2](array, base, leader, mult, modulus, p, count)
-
-        return reverse, gather, walk
-    items = _native_items(buf)
-    if items is None:
-        return _PURE
-    data, size = items
-    if not size:
-        return _native.reverse, _native.gather, _native.walk
-
-    def reverse(_buf, lo, hi):
-        _native.reverse(data, lo, hi, size)
-
-    def gather(_buf, offset, part, b, k, inverse):
-        return _native.gather(data, offset, part, b, k, inverse, size)
-
-    def walk(_buf, base, leader, mult, modulus, p, count):
-        _native.walk(data, base, leader, mult, modulus, p, count, size)
-
-    return reverse, gather, walk
+    return resolve(buf, "shuffle", sys.modules[f"{__package__}.kway"]._pure_pass)
 
 
 def _native_items(buf):
     # (data, itemsize) for the native entries, 0 for the buffer's own size,
-    # or None for the Python loops; ValueError as loops says
+    # or None for the Python loops; ValueError as resolve says
     np = sys.modules.get("numpy")
     ndarray = np is not None and isinstance(buf, np.ndarray)
     # loaded with the package; an import statement here takes microseconds

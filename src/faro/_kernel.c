@@ -1,12 +1,12 @@
-/* Native twins of the loops in _loops.py, and the check faro apply --verify
- * makes: the CPython extension module _kernel, built and loaded by
- * _fastpath.
+/* The shuffle pass of kway's driver, the loops it runs, which are the twins
+ * of those in _loops.py, and the check faro apply --verify makes: the
+ * CPython extension module _kernel, built and loaded by _fastpath.
  *
  * Items are opaque runs of `itemsize` bytes at buf + i * itemsize, moved with
  * fixed 8-byte copies; itemsize 8 gets its own constant-size copy of each
  * loop. The only temporary array is the walk's held column of at most
  * COLUMN bytes: wider records are walked once per COLUMN-byte column, so
- * extra space stays constant whatever the record size. One call walks a
+ * extra space stays constant whatever the record size. walk_items walks a
  * whole ladder of cycles, those led by leader * p^s for s < count. Every
  * walk of a q-way pass with q * m <= 2^32 steps j -> q * j mod m, without a
  * division: the forward passes (mult = q) push each item on to its target
@@ -24,14 +24,15 @@
  * One shuffle call makes a whole forward or inverse pass of kway's driver:
  * it tiles the range greedily by the rungs of a table that kway builds once
  * per arity, gathers and walks each block, sweeps the tail, and returns the
- * counts kway's Python twin of it keeps. The reverse, gather and walk
- * entries stay for faro.rotate, for _fastpath's probe and for the tests,
- * which reach every window and leader through them.
+ * counts kway's Python twin of it keeps. It is the only entry that moves
+ * a shuffle's items. reverse is faro.rotate's loop and _fastpath's probe of
+ * a buffer; mulmod and step give the tests the walks' arithmetic at moduli
+ * no pass in a test reaches.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any memory get_items takes: _fastpath asks them, so that rule alone sends
- * a buffer here. They check every range, window, ladder and rung against
- * it before a loop runs; only agree leaves its checks to _fastpath.agree.
+ * a buffer here. They check every range and rung against it before a
+ * loop runs; only agree leaves its checks to _fastpath.agree.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -514,7 +515,7 @@ static int64_t leader(const int64_t *r, int64_t c, int even)
 }
 
 /* the cycle passes of the block of rung r at offset under the step st, one
- * walk call per ladder (see kway._general_cycle_passes) */
+ * walk_items call per ladder (see kway._general_cycle_passes) */
 static void place(struct pass *ps, const int64_t *r, int64_t offset, const struct step *st)
 {
     int twin = r[0] % 2 == 0;
@@ -595,9 +596,8 @@ static void shuffle_items(struct pass *ps)
 
 /* The module's entries, METH_FASTCALL functions. Every integer must fit an
  * int64: one beyond it raises OverflowError rather than wrapping into range.
- * shuffle, reverse, gather and walk take an exact list or a buffer (see
- * get_items) and check every range, window, ladder and rung before their
- * loop runs. */
+ * shuffle and reverse take an exact list or a buffer (see get_items) and
+ * check every range and rung before their loop runs. */
 
 /* 1 iff lo <= nargs <= hi; 0 with TypeError set */
 static int nargs_in(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
@@ -723,95 +723,11 @@ static PyObject *py_reverse(PyObject *Py_UNUSED(module), PyObject *const *args, 
     Py_RETURN_NONE;
 }
 
-/* gather(buf, offset, part, b, k, inverse[, itemsize]): the k - 1
- * rotations of one block's gather, or with inverse true of its scatter (see
- * gather_items); returns the moves made */
-static PyObject *py_gather(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    int64_t a[6] = {0, 0, 0, 0, 0, 0}; /* offset, part, b, k, inverse, itemsize */
-    struct items it;
-    if (!nargs_in("gather", nargs, 6, 7) || !int64s(args + 1, nargs - 1, a) || !get_items(&it, args[0], a[5]))
-        return NULL;
-    int64_t offset = a[0], part = a[1], b = a[2], k = a[3], end;
-    if (!(0 <= b && b <= part && 2 <= k && k <= 9)) {
-        PyErr_Format(PyExc_ValueError, "no gather of %lld parts of %lld items by %lld", (long long)k,
-                     (long long)part, (long long)b);
-        put_items(&it);
-        return NULL;
-    }
-    /* the last window ends at offset + (k - 1) * part + b; every other
-     * bound of every window lies between offset and it */
-    if (offset < 0 || __builtin_mul_overflow(k - 1, part, &end) || __builtin_add_overflow(end, b, &end) ||
-        __builtin_add_overflow(end, offset, &end) || end > it.n) {
-        PyErr_Format(PyExc_IndexError, "gather of %lld parts of %lld items at %lld leaves %zd items",
-                     (long long)k, (long long)part, (long long)offset, it.n);
-        put_items(&it);
-        return NULL;
-    }
-    PyThreadState *unlocked = it.view.obj ? PyEval_SaveThread() : NULL;
-    int64_t moves = gather_items(it.buf, it.size, offset, part, b, k, a[4] != 0);
-    if (unlocked)
-        PyEval_RestoreThread(unlocked);
-    put_items(&it);
-    return PyLong_FromLongLong(moves);
-}
-
-/* 1 after planning st for the walk a describes over it; 0 with IndexError
- * or ValueError set. The orbits stay in local positions 1..modulus-1 and
- * close only when mult is a unit and the leaders are among those
- * positions. */
-static int walk_fits(const struct items *it, const int64_t *a, struct step *st)
-{
-    int64_t base = a[0], leader = a[1], m = a[3], p = a[4], count = a[5];
-    if (!(m >= 2 && base >= -1 && m <= it->n - base)) {
-        PyErr_Format(PyExc_IndexError, "walk mod %lld at base %lld leaves %zd items", (long long)m,
-                     (long long)base, it->n);
-        return 0;
-    }
-    int64_t mult = a[2] % m;
-    if (mult < 0)
-        mult += m;
-    if (!(0 < leader && leader < m) || !plan(st, mult, m)) {
-        PyErr_Format(PyExc_ValueError, "leader %lld under x%lld mod %lld is no closed orbit", (long long)leader,
-                     (long long)mult, (long long)m);
-        return 0;
-    }
-    if (!ladder_fits(leader, p, count, m)) {
-        PyErr_Format(PyExc_ValueError, "ladder of %lld leaders %lld * %lld^s leaves 1..%lld", (long long)count,
-                     (long long)leader, (long long)p, (long long)m - 1);
-        return 0;
-    }
-    return 1;
-}
-
-/* walk(buf, base, leader, mult, modulus, p, count[, itemsize]): realize the
- * cycles of items base + j under j -> j * mult mod modulus led by
- * leader * p^s for s < count */
-static PyObject *py_walk(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    int64_t a[7] = {0, 0, 0, 0, 0, 0, 0}; /* base, leader, mult, modulus, p, count, itemsize */
-    struct items it;
-    struct step st;
-    if (!nargs_in("walk", nargs, 7, 8) || !int64s(args + 1, nargs - 1, a) || !get_items(&it, args[0], a[6]))
-        return NULL;
-    if (!walk_fits(&it, a, &st)) {
-        put_items(&it);
-        return NULL;
-    }
-    PyThreadState *unlocked = it.view.obj ? PyEval_SaveThread() : NULL;
-    walk_items(it.buf, it.size, a[0], a[1], a[4], a[5], &st);
-    if (unlocked)
-        PyEval_RestoreThread(unlocked);
-    put_items(&it);
-    Py_RETURN_NONE;
-}
-
 /* 1 iff the rung r can serve the pass: its block of m - 1 items splits
  * into k whole parts, its step is a unit mod m, and each of its 1 to REPS
- * ladders of j >= 1 leaders, leader * p^s with p >= 2, stays in 1..m-1,
- * which are the checks gather and walk make; 0 with ValueError set. With
- * every bound of a window or a walk inside the block, which lies inside
- * [lo, hi), no item outside it moves. */
+ * ladders of j >= 1 leaders, leader * p^s with p >= 2, stays in 1..m-1; 0
+ * with ValueError set. With every bound of a window or a walk inside the
+ * block, which lies inside [lo, hi), no item outside it moves. */
 static int rung_fits(const struct pass *ps, const int64_t *r, struct step *st)
 {
     int64_t m = r[0], p = r[1], j = r[2], d = r[3];
@@ -976,8 +892,7 @@ static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
 #define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef entries[] = {
-    ENTRY(shuffle), ENTRY(reverse), ENTRY(gather), ENTRY(walk),
-    ENTRY(agree),   ENTRY(mulmod),  ENTRY(step),   {NULL, NULL, 0, NULL},
+    ENTRY(shuffle), ENTRY(reverse), ENTRY(agree), ENTRY(mulmod), ENTRY(step), {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {

@@ -66,7 +66,7 @@ from bisect import bisect_left
 from functools import cache
 from types import SimpleNamespace
 
-from . import _fastpath
+from . import _fastpath, _loops
 from .permcore import kway_kind, validate_order
 # unused here; kept bound because perfbench swaps faro.kway.rotate_right by name
 from .rotate import rotate_right  # noqa: F401
@@ -218,28 +218,28 @@ def _blocks(lo, hi, k, backward=False):
         done = offset if backward else lo
 
 
-def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, instr, walk):
+def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, instr):
     # modulus is p^j, or 2p^j for odd k. For s = 0..j-1 and each coset
     # representative c, c * p^s leads the cycle of the positions whose
     # p-part is p^s and whose cofactor is c mod p; when modulus is even
     # that cycle holds only the odd ones, led by c or c + p, whichever is
-    # odd, and 2c * p^s leads the even ones. One walk call takes each
+    # odd, and 2c * p^s leads the even ones. One cycle_walk call takes each
     # ladder of leaders, s < j. The cycles hold every position but p^j,
     # which is fixed under an odd multiplier and is not walked; the moves
     # are those positions plus one hold per cycle.
     base = offset - 1
     twin = modulus % 2 == 0
     for c in reps:
-        walk(buf, base, c + p if twin and c % 2 == 0 else c, mult, modulus, p, j)
+        _loops.cycle_walk(buf, base, c + p if twin and c % 2 == 0 else c, mult, modulus, p, j)
         if twin:
-            walk(buf, base, 2 * c, mult, modulus, p, j)
+            _loops.cycle_walk(buf, base, 2 * c, mult, modulus, p, j)
     if instr is not None:
         cycles = len(reps) * (1 + twin) * j
         instr.cycles += cycles
         instr.walk_moves += modulus - 1 - twin + cycles
 
 
-def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
+def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
     # Permute buf[offset : offset+length] by local i -> i*mult mod (length+1)
     # using the minimum-of-orbit leader rule: a position starts a cycle only
     # if probing its whole orbit meets nothing smaller. Quadratic in `length`
@@ -258,57 +258,54 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr, walk):
             steps += 1
         if probe != lead:
             continue
-        walk(buf, base, lead, mult, modulus, 1, 1)
+        _loops.cycle_walk(buf, base, lead, mult, modulus, 1, 1)
         moves += steps + 1
         cycles += 1
     instr.tail_moves += moves
     instr.cycles += cycles
 
 
-def _shuffle_range(buf, lo, hi, k, instr, kernel):
+def _shuffle_range(buf, lo, hi, k, instr):
     # The k-way shuffle of buf[lo:hi], block by block: gather the block's
     # slice of every part to the front of what remains, then place the
-    # block by its cycle passes. The 2-way shuffles are k = 2. `kernel` is
-    # a (gather, walk) pair, such as the Python loops of _fastpath._PURE.
-    gather, walk = kernel
+    # block by its cycle passes. The 2-way shuffles are k = 2.
     reps_of = _REPS[k]
     for start, modulus, p, j, count in _blocks(lo, hi, k):
         instr.blocks += count
         if j == 0:
-            _bounded_cycle_shuffle(buf, start, modulus - 1, k, instr, walk)
+            _bounded_cycle_shuffle(buf, start, modulus - 1, k, instr)
             continue
-        reps = reps_of[p]
+        reps, b = reps_of[p], (modulus - 1) // k
         for offset in range(start, start + count * (modulus - 1), modulus - 1):
-            instr.rotate_moves += gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, False)
-            _general_cycle_passes(buf, offset, j, p, reps, k, modulus, instr, walk)
+            instr.rotate_moves += _loops.gather_slots(buf, offset, (hi - offset) // k, b, k, False)
+            _general_cycle_passes(buf, offset, j, p, reps, k, modulus, instr)
 
 
-def _unshuffle_range(buf, lo, hi, k, instr, kernel):
+def _unshuffle_range(buf, lo, hi, k, instr):
     # Exact inverse of _shuffle_range: undo the runs right to left, the
     # tail first, and each run's blocks right to left.
-    gather, walk = kernel
     reps_of = _REPS[k]
     for start, modulus, p, j, count in _blocks(lo, hi, k, backward=True):
         instr.blocks += count
-        mult = pow(k, -1, modulus)
+        mult, b = pow(k, -1, modulus), (modulus - 1) // k
         for offset in range(start + (count - 1) * (modulus - 1), start - 1, 1 - modulus):
             if j == 0:
-                _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr, walk)
+                _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr)
             else:
-                _general_cycle_passes(buf, offset, j, p, reps_of[p], mult, modulus, instr, walk)
-                instr.rotate_moves += gather(buf, offset, (hi - offset) // k, (modulus - 1) // k, k, True)
+                _general_cycle_passes(buf, offset, j, p, reps_of[p], mult, modulus, instr)
+                instr.rotate_moves += _loops.gather_slots(buf, offset, (hi - offset) // k, b, k, True)
 
 
 def _pure_pass(buf, lo, hi, k, inverse, table):
     """The Python twin of the native pass, ``shuffle`` in ``_kernel.c``.
 
     Shuffles buf[lo:hi] k ways, or with `inverse` unshuffles it, by the
-    loops of ``_fastpath._PURE``, and returns the counts: (rotate moves,
-    walk moves, tail moves, blocks, cycles). It takes the native pass's
-    table and leaves it unread: it tiles by ``_blocks``.
+    gather and the walk of ``_loops``, and returns the counts: (rotate
+    moves, walk moves, tail moves, blocks, cycles). It takes the native
+    pass's table and leaves it unread: it tiles by ``_blocks``.
     """
     counts = SimpleNamespace(rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0)
-    (_unshuffle_range if inverse else _shuffle_range)(buf, lo, hi, k, counts, _fastpath._PURE[1:])
+    (_unshuffle_range if inverse else _shuffle_range)(buf, lo, hi, k, counts)
     return counts.rotate_moves, counts.walk_moves, counts.tail_moves, counts.blocks, counts.cycles
 
 

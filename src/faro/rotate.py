@@ -9,14 +9,15 @@ which costs at most 2 * (w//2 + d//2 + (w-d)//2) single-element moves for a
 window of w elements and needs exactly one element-sized temporary (the swap
 slot) no matter how large the window is.
 
-Both functions reverse by the buffer's reversal loop, the first of
-``_fastpath.loops(buf)``. The shuffle driver does not call them: a block's
+Both functions reverse by the buffer's reversal loop, the native
+``reverse`` or its twin ``_loops.reverse_slots``, as ``_fastpath.resolve``
+chooses. The shuffle driver does not call them: a block's
 rotations are one gather, which leaves the same items by conjoined triple
 reversal, the three reversals in one sweep, in about 1.5 moves per element
 of the window where these take about 2.
 """
 
-from . import _fastpath
+from . import _fastpath, _loops
 
 __all__ = ["reverse_range", "rotate_right"]
 
@@ -24,6 +25,10 @@ __all__ = ["reverse_range", "rotate_right"]
 _REVERSE_AUX_WORDS = 3
 # reversal's slots + window/distance bookkeeping
 _ROTATE_AUX_WORDS = 5
+
+
+def _reversal(buf):
+    return _fastpath.resolve(buf, "reverse", _loops.reverse_slots)
 
 
 def _check_range(buf, lo: int, hi: int) -> None:
@@ -34,7 +39,7 @@ def _check_range(buf, lo: int, hi: int) -> None:
 def reverse_range(buf, lo: int, hi: int, instr=None) -> None:
     """Reverse buf[lo:hi] in place with (hi - lo) // 2 swaps."""
     _check_range(buf, lo, hi)
-    _fastpath.loops(buf)[0](buf, lo, hi)
+    _reversal(buf)(buf, lo, hi)
     if instr is not None:
         instr.rotate_moves += 2 * ((hi - lo) // 2)
         instr.note_aux(_REVERSE_AUX_WORDS)
@@ -52,7 +57,7 @@ def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
         raise ValueError(f"distance {d} out of range 0..{w}")
     if d == 0 or d == w:
         return
-    reverse = _fastpath.loops(buf)[0]
+    reverse = _reversal(buf)
     reverse(buf, lo, hi)
     reverse(buf, lo, lo + d)
     reverse(buf, lo + d, hi)

@@ -20,8 +20,8 @@ import pytest
 from conftest import CountingList, conjoined_moves
 
 import faro
-from faro import _fastpath, _loops, cli, kway
-from faro.kway import _REPS, _blocks, _general_cycle_passes, _ladder, k_shuffle, k_unshuffle
+from faro import _fastpath, _loops, cli, kway, rotate
+from faro.kway import _REPS, _blocks, _ladder, k_shuffle, k_unshuffle
 from faro.numtheory import is_primitive_root
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
@@ -296,12 +296,6 @@ def test_strided_view_matches_oracle_through_fallback():
         )
 
 
-# (leader, p, count) of ladders mod 27 that leave 1..26 before any walk:
-# the last leader is 27; 3 * p is 2^64 + 2, which wraps into range in int64;
-# a negative count
-_BAD_LADDERS = ((1, 3, 4), (3, 6148914691236517206, 2), (1, 3, -1))
-
-
 def _refuse_bad_passes(shuffle, buf):
     """Every bad call of a native pass over 26 items raises before any item moves.
 
@@ -358,24 +352,17 @@ def _refuse_bad_passes(shuffle, buf):
     ids=["ndarray", "records"],
 )
 def test_native_walk_refuses_to_leave_the_buffer(buf):
+    # the entries as resolve binds them to the buffer, the record size
+    # among their arguments for the records
     before = buf.tobytes()
-    reverse, _, walk = _fastpath.loops(buf)
-    with pytest.raises(IndexError):
-        walk(buf, 0, 1, 2, 27, 3, 1)  # last slot would be 26, one past the end
-    with pytest.raises(IndexError):
-        walk(buf, -2, 1, 2, 27, 3, 1)
+    reverse, run = rotate._reversal(buf), _fastpath.kernel(buf)
+    assert reverse is not _loops.reverse_slots and run is not kway._pure_pass
     for lo, hi in ((0, 27), (-1, 3), (5, 4)):
         with pytest.raises(IndexError):
             reverse(buf, lo, hi)
-    with pytest.raises(ValueError):
-        walk(buf, -1, 0, 2, 27, 3, 1)  # leader 0 is fixed, not a cycle
-    with pytest.raises(ValueError):
-        walk(buf, -1, 1, 3, 27, 3, 1)  # 3 is no unit mod 27: the orbit never closes
-    for leader, p, count in _BAD_LADDERS:
-        with pytest.raises(ValueError):
-            walk(buf, -1, leader, 2, 27, p, count)
+    _refuse_bad_passes(run, buf)
     assert buf.tobytes() == before
-    walk(buf, -1, 1, 2, 27, 3, 3)
+    assert run(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
     assert buf.tobytes() != before
 
 
@@ -383,7 +370,7 @@ def test_native_walk_refuses_to_leave_the_buffer(buf):
 def test_native_reverse_stays_inside_a_view():
     backing = np.arange(10)
     view = backing[:4]
-    reverse = _fastpath.loops(view)[0]
+    reverse = rotate._reversal(view)
     assert reverse is not _loops.reverse_slots
     with pytest.raises(IndexError):
         reverse(view, 0, 6)  # the view ends at 4; the backing array goes on
@@ -406,7 +393,7 @@ def test_native_reverse_matches_slice_reversal_exhaustively(kind):
             buf = np.array([rng.randrange(-(2**63), 2**63) for _ in range(n)], dtype=np.int64)
         else:
             buf = RecordBuffer(bytearray(rng.randbytes(n * int(kind[7:]))), int(kind[7:]))
-        reverse = _fastpath.loops(buf)[0]
+        reverse = rotate._reversal(buf)
         assert reverse is not _loops.reverse_slots
         expected = [buf[i] for i in range(n)]
         for lo in range(n + 1):
@@ -452,41 +439,6 @@ def test_rotation_closed_form_counts_the_pure_writes():
 
 
 @needs_kernel
-@pytest.mark.parametrize(
-    "buf",
-    [list(range(26)), np.arange(26, dtype=np.int64), RecordBuffer(bytearray(range(78)), 3)],
-    ids=["list", "ndarray", "records"],
-)
-def test_native_gather_refuses_to_leave_the_buffer(buf):
-    before = [buf[i] for i in range(26)]
-    gather = _fastpath.loops(buf)[1]
-    assert gather is not _loops.gather_slots
-    # (offset, part, b, k): windows that end one past the buffer or begin
-    # before it, and bounds that overflow int64 on the way to the last end
-    for args in ((0, 13, 1, 3), (2, 24, 1, 2), (1, 3, 2, 9), (-1, 1, 1, 2),
-                 (0, 2**62, 0, 3), (0, 2**61, 0, 9), (0, 2**62, 2**62, 2), (2**62, 2**62 - 1, 1, 2),
-                 (2**63 - 1, 0, 0, 2)):
-        for inverse in (False, True):
-            with pytest.raises(IndexError):
-                gather(buf, *args, inverse)
-    # slices wider than their parts, and arities outside 2..9
-    for args in ((0, 3, 4, 2), (0, 3, -1, 2), (0, 2, 1, 1), (0, 2, 1, 10), (0, 0, 0, -1)):
-        with pytest.raises(ValueError):
-            gather(buf, *args, False)
-    # integers beyond int64 are refused, not wrapped into range
-    for args in ((2**64, 1, 1, 2), (0, 2**64 + 1, 1, 2), (0, 2, 2**64 + 1, 2), (0, 2, 1, 2**64 + 2)):
-        with pytest.raises(OverflowError):
-            gather(buf, *args, False)
-    assert [buf[i] for i in range(26)] == before
-    assert gather(buf, 1, 12, 12, 2, False) == 0  # a slice of the whole part moves nothing
-    assert gather(buf, 0, 13, 0, 2, True) == 0
-    # windows of 8 and 13 items, each rotated by 3: 11 + 18 moves, where
-    # plain triple reversal makes 14 + 24
-    assert gather(buf, 2, 8, 3, 3, False) == 29
-    assert [buf[i] for i in range(26)] != before
-
-
-@needs_kernel
 def test_entries_refuse_memory_of_python_objects():
     # an object ndarray's memory is references: moving them without the GIL
     # could free an object under another thread, so both entries refuse it,
@@ -502,17 +454,13 @@ def test_entries_refuse_memory_of_python_objects():
         with pytest.raises(BufferError, match="Python objects"):
             native.reverse(buf, 0, 32)
         with pytest.raises(BufferError, match="Python objects"):
-            native.gather(buf, 0, 16, 8, 2, False)
-        with pytest.raises(BufferError, match="Python objects"):
-            native.walk(buf, -1, 1, 2, 33, 2, 1)
-        with pytest.raises(BufferError, match="Python objects"):
             native.shuffle(buf, 0, 32, 2, False, kway._table(2))
         assert buf.tolist() == before.tolist()
         if buf.dtype.names:
             with pytest.raises(ValueError, match="views"):
                 _fastpath.kernel(buf)
         else:
-            assert _fastpath.loops(buf) == _fastpath._PURE
+            assert rotate._reversal(buf) is _loops.reverse_slots
             assert _fastpath.kernel(buf) is kway._pure_pass
     named = np.array([(i, -i) for i in range(32)], dtype=[("O", "i8"), ("x", "f8")])
     native.reverse(named, 0, 32)
@@ -587,7 +535,7 @@ def test_masked_arrays_move_each_mask_with_its_item(monkeypatch):
     def refused(*args):
         raise AssertionError("a MaskedArray took the pure loops")
 
-    monkeypatch.setattr(_fastpath, "_PURE", (refused, refused, refused))
+    monkeypatch.setattr(kway, "_pure_pass", refused)
     buf = np.ma.array(np.arange(8), mask=[1, 0, 0, 0, 0, 0, 0, 0])
     in_shuffle(buf)
     assert buf.data.tolist() == [4, 0, 5, 1, 6, 2, 7, 3]
@@ -630,7 +578,7 @@ def test_first_import_builds_one_cached_kernel(tmp_path):
 
     source = package / "_kernel.c"
     text = source.read_bytes()
-    source.write_bytes(text.replace(b"Native", b"native", 1))
+    source.write_bytes(text + b"/* edited */\n")
     out, err = start().communicate(timeout=120)
     assert out.strip() == expected, err
     rebuilt = sorted(cache.glob("_kernel-*.so"))
@@ -792,8 +740,6 @@ def _sanitized_cases():
     test_native_reverse_matches_slice_reversal_exhaustively("ndarray")
     for buf in (np.arange(26, dtype=np.int64), RecordBuffer(bytearray(range(78)), 3)):
         test_native_walk_refuses_to_leave_the_buffer(buf)
-    for buf in (list(range(26)), np.arange(26, dtype=np.int64), RecordBuffer(bytearray(range(78)), 3)):
-        test_native_gather_refuses_to_leave_the_buffer(buf)
     test_native_reverse_stays_inside_a_view()
     test_entries_refuse_memory_of_python_objects()
     test_list_entries_refuse_bad_calls_and_leave_the_list()
@@ -864,11 +810,11 @@ def test_build_without_python_h_takes_the_pure_loops(tmp_path, monkeypatch):
         "paths = sysconfig.get_paths\n"
         f"sysconfig.get_paths = lambda *a, **k: {{**paths(*a, **k), 'include': {str(empty)!r}}}\n"
         "import numpy as np\n"
-        "from faro import _fastpath, kway\n"
+        "from faro import _fastpath, _loops, kway, rotate\n"
         "from faro.shuffle import RecordBuffer\n"
         "assert not _fastpath.HAVE_COMPILED and 'Python.h' in _fastpath.BUILD_ERROR\n"
         "for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2)):\n"
-        "    assert _fastpath.loops(buf) == _fastpath._PURE, buf\n"
+        "    assert rotate._reversal(buf) is _loops.reverse_slots, buf\n"
         "    assert _fastpath.kernel(buf) is kway._pure_pass, buf\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
@@ -904,30 +850,22 @@ def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
 
 
 def test_kernel_is_resolved_once_per_call(monkeypatch):
-    counts = dict(kernel=0, shuffle=0, loops=0, reverse=0)
-    real_kernel, real_loops = _fastpath.kernel, _fastpath.loops
+    # every public shuffle resolves its pass once, and every rotation its
+    # reversal once
+    counts = dict(resolve=0, shuffle=0, reverse=0)
+    real_resolve = _fastpath.resolve
     returned = []
 
-    def kernel(buf):
-        counts["kernel"] += 1
-        run = real_kernel(buf)
+    def resolve(buf, name, twin):
+        counts["resolve"] += 1
+        run = real_resolve(buf, name, twin)
 
         def counted(*args):
-            counts["shuffle"] += 1
+            counts[name] += 1
             returned.append(run(*args))
             return returned[-1]
 
         return counted
-
-    def loops(buf):
-        counts["loops"] += 1
-        reverse, gather, walk = real_loops(buf)
-
-        def counted(*args):
-            counts["reverse"] += 1
-            return reverse(*args)
-
-        return counted, gather, walk
 
     def blocks_and_cycles(n, k):
         # a block per block of the tiling and the tail; d cycles per rung of
@@ -942,8 +880,7 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
                 cycles += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
         return blocks, cycles
 
-    monkeypatch.setattr(_fastpath, "kernel", kernel)
-    monkeypatch.setattr(_fastpath, "loops", loops)
+    monkeypatch.setattr(_fastpath, "resolve", resolve)
     # (call, length, k); every public call is one pass
     calls = [
         (lambda buf: k_shuffle(buf, 6), 60_000, 6),
@@ -953,20 +890,20 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
     ]
     for call, n, k in calls:
         for buf in (np.arange(n, dtype=np.int64), list(range(n))):
-            counts.update(kernel=0, shuffle=0, loops=0, reverse=0)
+            counts.update(resolve=0, shuffle=0, reverse=0)
             returned.clear()
             call(buf)
             assert sorted(buf.tolist() if isinstance(buf, np.ndarray) else buf) == list(range(n))
-            assert counts == dict(kernel=1, shuffle=1, loops=0, reverse=0), counts
+            assert counts == dict(resolve=1, shuffle=1, reverse=0), counts
             assert returned[0][3:] == blocks_and_cycles(n, k), (returned, k)
 
-    counts.update(loops=0, reverse=0)
+    counts.update(resolve=0, shuffle=0, reverse=0)
     buf = list(range(10))
     rotate_right(buf, 0, 10, 3)
     assert buf == [7, 8, 9, 0, 1, 2, 3, 4, 5, 6]
-    assert (counts["loops"], counts["reverse"]) == (1, 3)
+    assert counts == dict(resolve=1, shuffle=0, reverse=3), counts
     reverse_range(buf, 2, 6)
-    assert (counts["loops"], counts["reverse"]) == (2, 4)
+    assert counts == dict(resolve=2, shuffle=0, reverse=4), counts
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6])
@@ -986,13 +923,13 @@ def test_list_shuffles_leave_refcounts_alone(k):
 
 def test_list_subclass_takes_the_pure_loops(monkeypatch):
     buf = CountingList(range(600))
-    assert _fastpath.loops(buf) == _fastpath._PURE
+    assert rotate._reversal(buf) is _loops.reverse_slots
     assert _fastpath.kernel(buf) is kway._pure_pass
     k_shuffle(buf, 3)
     assert buf.gets > 600 and buf.sets > 600
     assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))
     monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
-    assert _fastpath.loops([1, 2]) == _fastpath._PURE
+    assert rotate._reversal([1, 2]) is _loops.reverse_slots
     assert _fastpath.kernel([1, 2]) is kway._pure_pass
 
 
@@ -1001,7 +938,7 @@ def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
     for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2), array.array("q", [1, 2]),
                 memoryview(bytearray(16)).cast("q"), bytearray(4), mmap.mmap(-1, 4),
                 RecordBuffer(mmap.mmap(-1, 4), 2)):
-        assert _fastpath.loops(buf) == _fastpath._PURE, buf
+        assert rotate._reversal(buf) is _loops.reverse_slots, buf
         assert _fastpath.kernel(buf) is kway._pure_pass, buf
 
 
@@ -1036,48 +973,24 @@ def test_empty_and_two_element_lists():
 @needs_kernel
 def test_list_entries_refuse_bad_calls_and_leave_the_list():
     buf = list(range(26))
-    reverse, _, walk = _fastpath.loops(buf)
-    with pytest.raises(IndexError):
-        walk(buf, 0, 1, 2, 27, 3, 1)  # last slot would be 26, one past the end
-    with pytest.raises(IndexError):
-        walk(buf, -2, 1, 2, 27, 3, 1)
-    with pytest.raises(IndexError):
-        walk([], -1, 1, 2, 3, 3, 1)
+    reverse, run = rotate._reversal(buf), _fastpath.kernel(buf)
     for lo, hi in ((0, 27), (-1, 3), (5, 4)):
         with pytest.raises(IndexError):
             reverse(buf, lo, hi)
-    with pytest.raises(ValueError):
-        walk(buf, -1, 0, 2, 27, 3, 1)  # leader 0 is fixed, not a cycle
-    with pytest.raises(ValueError):
-        walk(buf, -1, 1, 3, 27, 3, 1)  # 3 is no unit mod 27: the orbit never closes
-    for leader, p, count in _BAD_LADDERS:
-        with pytest.raises(ValueError):
-            walk(buf, -1, leader, 2, 27, p, count)
-    with pytest.raises(TypeError):
-        walk(CountingList(buf), -1, 1, 2, 27, 3, 1)
     with pytest.raises(TypeError):
         reverse(tuple(buf), 0, 2)
     # integers beyond int64 are refused, not wrapped into range
     for lo, hi in ((2**64, 2**64 + 2), (0, 2**63), (-(2**64), 2)):
         with pytest.raises((OverflowError, IndexError)):
             reverse(buf, lo, hi)
-    for args in ((2**64 - 1, 1, 2, 5, 3, 1), (-1, 1, 2 + 27 * 2**64, 27, 3, 1),
-                 (-1, 2**64 + 1, 2, 27, 3, 1), (-1, 1, 2, 2**64 + 27, 3, 1),
-                 (-1, 1, 2, 27, 3 + 2**64, 2), (-1, 1, 2, 27, 3, 2**64 + 1)):
-        with pytest.raises((OverflowError, IndexError)):
-            walk(buf, *args)
-    _refuse_bad_passes(_fastpath.kernel(buf), buf)
+    _refuse_bad_passes(run, buf)
     with pytest.raises(TypeError):
         _fastpath._native.shuffle(CountingList(buf), 0, 26, 2, False, kway._table(2))
     assert buf == list(range(26))
-    assert _fastpath.kernel(buf)(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
+    assert run(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
     assert buf == oracle_shuffle(list(range(26)), IN_SHUFFLE)
-    buf[:] = range(26)
-    walk(buf, -1, 1, 2, 27, 3, 3)
-    assert buf != list(range(26)) and sorted(buf) == list(range(26))
     reverse(buf, 0, 26)
-    walk(buf, -1, 1, 2, 27, 3, 3)  # a second walk leaves the reversed list permuted
-    assert sorted(buf) == list(range(26))
+    assert buf == oracle_shuffle(list(range(26)), IN_SHUFFLE)[::-1]
 
 
 @needs_kernel
@@ -1096,45 +1009,27 @@ def test_buffer_entries_refuse_bad_calls_and_leave_the_buffer():
         with pytest.raises(BufferError):
             native.reverse(buf, 0, 2, *extra)
         with pytest.raises(BufferError):
-            native.walk(buf, -1, 1, 2, 27, 3, 3, *extra)
-        with pytest.raises(BufferError):
             native.shuffle(buf, 0, 26, 2, False, kway._table(2), *extra)
         assert memoryview(buf if owner is None else owner).tobytes() == before
     # memory they take, bound to bad calls
     for buf, size in ((np.arange(26, dtype=np.int64), 0), (bytearray(range(78)), 3)):
         before = bytes(buf)
         extra = (size,) if size else ()
-        with pytest.raises(IndexError):
-            native.walk(buf, 0, 1, 2, 27, 3, 1, *extra)  # last slot would be 26, one past the end
-        with pytest.raises(IndexError):
-            native.walk(buf, -2, 1, 2, 27, 3, 1, *extra)
         for lo, hi in ((0, 27), (-1, 3), (5, 4)):
             with pytest.raises(IndexError):
                 native.reverse(buf, lo, hi, *extra)
-        with pytest.raises(ValueError):
-            native.walk(buf, -1, 0, 2, 27, 3, 1, *extra)  # leader 0 is fixed, not a cycle
-        with pytest.raises(ValueError):
-            native.walk(buf, -1, 1, 3, 27, 3, 1, *extra)  # 3 is no unit mod 27
-        for leader, p, count in _BAD_LADDERS:
-            with pytest.raises(ValueError):
-                native.walk(buf, -1, leader, 2, 27, p, count, *extra)
         # integers beyond int64 are refused, not wrapped into range
         for lo, hi in ((2**64, 2**64 + 2), (0, 2**63), (-(2**64), 2)):
             with pytest.raises((OverflowError, IndexError)):
                 native.reverse(buf, lo, hi, *extra)
-        for args in ((2**64 - 1, 1, 2, 5, 3, 1), (-1, 1, 2 + 27 * 2**64, 27, 3, 1),
-                     (-1, 2**64 + 1, 2, 27, 3, 1), (-1, 1, 2, 2**64 + 27, 3, 1),
-                     (-1, 1, 2, 27, 3 + 2**64, 2), (-1, 1, 2, 27, 3, 2**64 + 1)):
-            with pytest.raises((OverflowError, IndexError)):
-                native.walk(buf, *args, *extra)
         for bad in (2**64 + size, -size - 1):
             with pytest.raises((OverflowError, ValueError)):
-                native.walk(buf, -1, 1, 2, 27, 3, 3, bad)
+                native.reverse(buf, 0, 2, bad)
             with pytest.raises((OverflowError, ValueError)):
                 native.shuffle(buf, 0, 26, 2, False, kway._table(2), bad)
         _refuse_bad_passes(lambda buf, *args: native.shuffle(buf, *args, *extra), buf)
         assert bytes(buf) == before
-        native.walk(buf, -1, 1, 2, 27, 3, 3, *extra)
+        native.shuffle(buf, 0, 26, 2, False, kway._table(2), *extra)
         assert bytes(buf) != before
 
 
@@ -1186,11 +1081,9 @@ def test_fresh_interpreter_sends_lists_to_the_kernel():
     # memory goes native by the kernel's own check, with numpy never imported
     probe = (
         "import array, sys\n"
-        "from faro import _fastpath, _loops, kway\n"
+        "from faro import _fastpath, _loops, kway, rotate\n"
         "for buf in ([1, 2], array.array('q', [1, 2]), bytearray(4)):\n"
-        "    reverse, gather, walk = _fastpath.loops(buf)\n"
-        "    assert reverse is not _loops.reverse_slots and walk is not _loops.cycle_walk, buf\n"
-        "    assert gather is not _loops.gather_slots, buf\n"
+        "    assert rotate._reversal(buf) is not _loops.reverse_slots, buf\n"
         "    assert _fastpath.kernel(buf) is not kway._pure_pass, buf\n"
         "assert _fastpath.kernel([1, 2]) is _fastpath._native.shuffle\n"
         "assert 'numpy' not in sys.modules\n"

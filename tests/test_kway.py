@@ -5,7 +5,7 @@ import pytest
 
 from conftest import conjoined_moves
 
-from faro import _fastpath, kway
+from faro import _fastpath, _loops, kway
 from faro.kway import k_shuffle, k_unshuffle
 from faro.numtheory import euler_totient, is_primitive_root, multiplicative_order
 from faro.oracle import oracle_shuffle
@@ -204,19 +204,21 @@ def _rotation_moves(n, k, inverse):
 
 
 @pytest.mark.parametrize("k", range(2, 10))
-def test_leaders_meet_every_cycle_once(k):
+def test_leaders_meet_every_cycle_once(k, monkeypatch):
     # the leaders of a block's cycle passes, c * p^s and, for a twin block,
     # c' * p^s and 2c * p^s, lie on distinct moving cycles and cover them
     # all, for every rung of the ladder up to 5000
+    leaders = []
+
+    def walk(buf, base, leader, mult, modulus, p, count):
+        leaders.extend(leader * p**s for s in range(count))
+
+    monkeypatch.setattr(_loops, "cycle_walk", walk)
     for modulus, p, j in kway._ladder(k)[0]:
         if modulus > 5000:
             continue
-        leaders = []
-
-        def walk(buf, base, leader, mult, modulus, p, count):
-            leaders.extend(leader * p**s for s in range(count))
-
-        kway._general_cycle_passes(None, 0, j, p, kway._REPS[k][p], k, modulus, None, walk)
+        leaders.clear()
+        kway._general_cycle_passes(None, 0, j, p, kway._REPS[k][p], k, modulus, None)
         cycles = cycle_decomposition(kway_kind(k), modulus - 1).cycles
         owner = {i: c for c, cycle in enumerate(cycles) for i in cycle}
         met = sorted(owner.get(leader, -1) for leader in leaders)
@@ -282,8 +284,7 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
     # the pass, native or its Python twin, counts no rotate or tail moves,
     # one block and 2j cycles; the twin walks each leader's ladder once
     walked, rotated, passes = [], [], []
-    real_kernel = _fastpath.kernel
-    reverse, gather, walk = _fastpath._PURE
+    real_kernel, gather, walk = _fastpath.kernel, _loops.gather_slots, _loops.cycle_walk
 
     def kernel(buf):
         run = real_kernel(buf)
@@ -303,7 +304,8 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
         walk(buf, base, leader, mult, modulus, p, count)
 
     monkeypatch.setattr(_fastpath, "kernel", kernel)
-    monkeypatch.setattr(_fastpath, "_PURE", (reverse, gather_spy, walk_spy))
+    monkeypatch.setattr(_loops, "gather_slots", gather_spy)
+    monkeypatch.setattr(_loops, "cycle_walk", walk_spy)
     for call in (k_shuffle, k_unshuffle):
         for native in (True, False):
             walked.clear()

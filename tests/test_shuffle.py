@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import CountingList
-from faro import _fastpath, _loops
+from faro import _fastpath
 from faro.kway import _BASES, _general_cycle_passes, _ladder, _pure_pass, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import (
@@ -97,7 +97,7 @@ def test_blocks_and_cycles_are_those_of_the_plan():
 def cycle_leader_pass(buf, offset, k, instr=None):
     # the driver's cycle-leader passes on one 3^k - 1 block, at arity 2 and
     # p = 3, whose one coset representative is 1
-    _general_cycle_passes(buf, offset, k, 3, (1,), 2, 3**k, instr, _fastpath.loops(buf)[2])
+    _general_cycle_passes(buf, offset, k, 3, (1,), 2, 3**k, instr)
 
 
 def test_cycle_leader_pass_small_blocks():
