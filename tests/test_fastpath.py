@@ -850,22 +850,32 @@ def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
 
 
 def test_kernel_is_resolved_once_per_call(monkeypatch):
-    # every public shuffle resolves its pass once, and every rotation its
-    # reversal once
-    counts = dict(resolve=0, shuffle=0, reverse=0)
-    real_resolve = _fastpath.resolve
+    # every public shuffle resolves its pass once (an exact list without
+    # resolve's call), and every rotation its reversal once
+    counts = dict(kernel=0, resolve=0, shuffle=0, reverse=0)
+    real_kernel, real_resolve = _fastpath.kernel, _fastpath.resolve
     returned = []
+
+    def kernel(buf):
+        counts["kernel"] += 1
+        run = real_kernel(buf)
+
+        def counted(*args):
+            counts["shuffle"] += 1
+            returned.append(run(*args))
+            return returned[-1]
+
+        return counted
 
     def resolve(buf, name, twin):
         counts["resolve"] += 1
         run = real_resolve(buf, name, twin)
 
         def counted(*args):
-            counts[name] += 1
-            returned.append(run(*args))
-            return returned[-1]
+            counts["reverse"] += 1
+            return run(*args)
 
-        return counted
+        return counted if name == "reverse" else run
 
     def blocks_and_cycles(n, k):
         # a block per block of the tiling and the tail; d cycles per rung of
@@ -880,6 +890,7 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
                 cycles += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
         return blocks, cycles
 
+    monkeypatch.setattr(_fastpath, "kernel", kernel)
     monkeypatch.setattr(_fastpath, "resolve", resolve)
     # (call, length, k); every public call is one pass
     calls = [
@@ -890,20 +901,21 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
     ]
     for call, n, k in calls:
         for buf in (np.arange(n, dtype=np.int64), list(range(n))):
-            counts.update(resolve=0, shuffle=0, reverse=0)
+            counts.update(kernel=0, resolve=0, shuffle=0, reverse=0)
             returned.clear()
             call(buf)
             assert sorted(buf.tolist() if isinstance(buf, np.ndarray) else buf) == list(range(n))
-            assert counts == dict(resolve=1, shuffle=1, reverse=0), counts
+            resolved = int(type(buf) is not list or _fastpath._native is None)
+            assert counts == dict(kernel=1, resolve=resolved, shuffle=1, reverse=0), counts
             assert returned[0][3:] == blocks_and_cycles(n, k), (returned, k)
 
-    counts.update(resolve=0, shuffle=0, reverse=0)
+    counts.update(kernel=0, resolve=0, shuffle=0, reverse=0)
     buf = list(range(10))
     rotate_right(buf, 0, 10, 3)
     assert buf == [7, 8, 9, 0, 1, 2, 3, 4, 5, 6]
-    assert counts == dict(resolve=1, shuffle=0, reverse=3), counts
+    assert counts == dict(kernel=0, resolve=1, shuffle=0, reverse=3), counts
     reverse_range(buf, 2, 6)
-    assert counts == dict(resolve=2, shuffle=0, reverse=4), counts
+    assert counts == dict(kernel=0, resolve=2, shuffle=0, reverse=4), counts
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6])
