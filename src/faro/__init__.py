@@ -29,13 +29,10 @@ from .permcore import (
 )
 from .rotate import reverse_range, rotate_right
 from .shuffle import (
-    Block,
-    BlockPlan,
     Instrumentation,
     RecordBuffer,
     in_shuffle,
     out_shuffle,
-    plan_blocks,
     un_out_shuffle,
     un_shuffle,
 )
@@ -43,8 +40,6 @@ from .shuffle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block",
-    "BlockPlan",
     "CycleDecomposition",
     "IN_SHUFFLE",
     "Instrumentation",
@@ -66,7 +61,6 @@ __all__ = [
     "out_shuffle",
     "out_target",
     "permutation_order",
-    "plan_blocks",
     "reverse_range",
     "rotate_right",
     "un_out_shuffle",

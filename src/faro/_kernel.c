@@ -26,8 +26,8 @@
  * per arity, gathers and walks each block, sweeps the tail, and returns the
  * counts kway's Python twin of it keeps. It is the only entry that moves
  * a shuffle's items. reverse is faro.rotate's loop and _fastpath's probe of
- * a buffer; mulmod and step give the tests the walks' arithmetic at moduli
- * no pass in a test reaches.
+ * a buffer; step gives the tests the walks' arithmetic at moduli no pass in
+ * a test reaches.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any memory get_items takes: _fastpath asks them, so that rule alone sends
@@ -459,8 +459,7 @@ static int ladder_fits(int64_t leader, int64_t p, int64_t count, int64_t m)
  * number d <= REPS of p's coset representatives, and the representatives,
  * padded to REPS. The pass tiles [lo, hi) greedily by these rungs, as
  * kway._blocks does, and makes each block's gather, or scatter, and walks
- * as kway._shuffle_range and kway._unshuffle_range do, counting what
- * they count. */
+ * as kway._pure_pass does, counting what it counts. */
 enum { ROW = 12, REPS = 8 };
 enum { ROTATE, WALK, TAIL, BLOCKS, CYCLES };
 
@@ -855,15 +854,6 @@ static int residues(const int64_t *a)
     return 0;
 }
 
-/* mulmod(a, b, m): the MULMOD step of the walks, for testing */
-static PyObject *py_mulmod(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    int64_t a[3];
-    if (!nargs_in("mulmod", nargs, 3, 3) || !int64s(args, 3, a) || !residues(a))
-        return NULL;
-    return PyLong_FromLongLong(mulmod(a[0], a[1], a[2]));
-}
-
 /* step(j, mult, modulus[, s]): the s-th slot after j (the first by
  * default) in the order a walk under x mult mod modulus visits slots,
  * f^s * j mod modulus, computed as the walk computes it: by one look-ahead
@@ -892,7 +882,7 @@ static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
 #define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef entries[] = {
-    ENTRY(shuffle), ENTRY(reverse), ENTRY(agree), ENTRY(mulmod), ENTRY(step), {NULL, NULL, 0, NULL},
+    ENTRY(shuffle), ENTRY(reverse), ENTRY(agree), ENTRY(step), {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {

@@ -44,8 +44,8 @@ Leftovers smaller than the smallest admissible block are bounded by the
 table alone, so they are permuted by a constant-space minimum-leader sweep
 whose quadratic cost is a constant independent of the buffer length.
 
-This module holds the only shuffle driver, one forward and one inverse
-pass over a range. The 2-way shuffles of ``shuffle`` are its k = 2 case.
+This module holds the only shuffle driver, one pass over a range, forward
+or inverse. The 2-way shuffles of ``shuffle`` are its k = 2 case.
 The paper tiles them with 3^k - 1 blocks alone; faro's 2-way table has
 32 odd bases, every power of which is admissible, and since 3 is among
 them no tail is left.
@@ -86,7 +86,7 @@ MAX_K = 9
 # base of the smallest admissible block stays, which at k = 2, 4, 5, 6 and
 # 9 has k elements, so that only k = 3, 7 and 8 leave a tail. At k = 2 the
 # candidates were only the primes with d = 1, so that a block p^j has j
-# cycles, as ``shuffle.Block`` says.
+# cycles, led by p^0 .. p^(j-1).
 #
 # _TABLE spells each base "p:c,c,...", or "p" alone when its one coset
 # representative is 1 (k is a primitive root of p^2). Strings, since every
@@ -243,7 +243,7 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
     # Permute buf[offset : offset+length] by local i -> i*mult mod (length+1)
     # using the minimum-of-orbit leader rule: a position starts a cycle only
     # if probing its whole orbit meets nothing smaller. Quadratic in `length`
-    # and constant space; callers only use it for block-plan leftovers, whose
+    # and constant space; the pass only uses it for the tiling's tail, whose
     # size is bounded by the base table, not the buffer.
     modulus = length + 1
     base = offset - 1
@@ -265,47 +265,32 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
     instr.cycles += cycles
 
 
-def _shuffle_range(buf, lo, hi, k, instr):
-    # The k-way shuffle of buf[lo:hi], block by block: gather the block's
-    # slice of every part to the front of what remains, then place the
-    # block by its cycle passes. The 2-way shuffles are k = 2.
-    reps_of = _REPS[k]
-    for start, modulus, p, j, count in _blocks(lo, hi, k):
-        instr.blocks += count
-        if j == 0:
-            _bounded_cycle_shuffle(buf, start, modulus - 1, k, instr)
-            continue
-        reps, b = reps_of[p], (modulus - 1) // k
-        for offset in range(start, start + count * (modulus - 1), modulus - 1):
-            instr.rotate_moves += _loops.gather_slots(buf, offset, (hi - offset) // k, b, k, False)
-            _general_cycle_passes(buf, offset, j, p, reps, k, modulus, instr)
-
-
-def _unshuffle_range(buf, lo, hi, k, instr):
-    # Exact inverse of _shuffle_range: undo the runs right to left, the
-    # tail first, and each run's blocks right to left.
-    reps_of = _REPS[k]
-    for start, modulus, p, j, count in _blocks(lo, hi, k, backward=True):
-        instr.blocks += count
-        mult, b = pow(k, -1, modulus), (modulus - 1) // k
-        for offset in range(start + (count - 1) * (modulus - 1), start - 1, 1 - modulus):
-            if j == 0:
-                _bounded_cycle_shuffle(buf, offset, modulus - 1, mult, instr)
-            else:
-                _general_cycle_passes(buf, offset, j, p, reps_of[p], mult, modulus, instr)
-                instr.rotate_moves += _loops.gather_slots(buf, offset, (hi - offset) // k, b, k, True)
-
-
 def _pure_pass(buf, lo, hi, k, inverse, table):
     """The Python twin of the native pass, ``shuffle`` in ``_kernel.c``.
 
     Shuffles buf[lo:hi] k ways, or with `inverse` unshuffles it, by the
     gather and the walk of ``_loops``, and returns the counts: (rotate
     moves, walk moves, tail moves, blocks, cycles). It takes the native
-    pass's table and leaves it unread: it tiles by ``_blocks``.
+    pass's table and leaves it unread: it tiles by ``_blocks``. As in the
+    kernel's ``run_blocks``, each block is gathered, then placed; inverse,
+    right to left, each is placed, then scattered.
     """
     counts = SimpleNamespace(rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0)
-    (_unshuffle_range if inverse else _shuffle_range)(buf, lo, hi, k, counts)
+    for start, modulus, p, j, count in _blocks(lo, hi, k, inverse):
+        counts.blocks += count
+        mult = pow(k, -1, modulus) if inverse else k
+        if j == 0:
+            _bounded_cycle_shuffle(buf, start, modulus - 1, mult, counts)
+            continue
+        b = (modulus - 1) // k
+        for i in range(count):
+            offset = start + (count - 1 - i if inverse else i) * (modulus - 1)
+            part = (hi - offset) // k
+            if not inverse:
+                counts.rotate_moves += _loops.gather_slots(buf, offset, part, b, k, False)
+            _general_cycle_passes(buf, offset, j, p, _REPS[k][p], mult, modulus, counts)
+            if inverse:
+                counts.rotate_moves += _loops.gather_slots(buf, offset, part, b, k, True)
     return counts.rotate_moves, counts.walk_moves, counts.tail_moves, counts.blocks, counts.cycles
 
 

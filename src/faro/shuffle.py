@@ -40,19 +40,14 @@ it for the duration of the call; there is no shared state, so distinct
 buffers can be shuffled concurrently.
 """
 
-from collections import namedtuple
-
-from .kway import _blocks, _pass
+from .kway import _pass
 from .permcore import IN_SHUFFLE, OUT_SHUFFLE, validate_order
 # unused here; kept bound because perfbench swaps faro.shuffle.rotate_right by name
 from .rotate import rotate_right  # noqa: F401
 
 __all__ = [
     "Instrumentation",
-    "Block",
-    "BlockPlan",
     "RecordBuffer",
-    "plan_blocks",
     "in_shuffle",
     "un_shuffle",
     "out_shuffle",
@@ -158,44 +153,6 @@ class RecordBuffer:
 
     def tobytes(self) -> bytes:
         return bytes(self.data)
-
-
-class Block(namedtuple("Block", "offset m k p")):
-    """One cycle-leader sub-problem: 2m = p^k - 1 elements at `offset`.
-
-    ``p`` is the block's base and ``k`` its exponent, which is also the
-    number of its cycles, led by p^0 .. p^(k-1); so the walk makes
-    ``size + k`` moves.
-    """
-
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        return 2 * self.m
-
-
-class BlockPlan(namedtuple("BlockPlan", "blocks total")):
-    """Greedy tiling of a length into p^k - 1 blocks, left to right."""
-
-    __slots__ = ()
-
-
-def plan_blocks(total: int) -> BlockPlan:
-    """Tile `total` elements with the largest p^k - 1 block at each step.
-
-    The bases p are those of the 2-way table, ``kway._BASES[2]``. The
-    ladder of their powers has no gap wider than x1.8, so every block is at
-    least a third of what remains, the number of blocks is logarithmic and
-    rotation work stays linear.
-    """
-    validate_order(IN_SHUFFLE, total)
-    blocks = tuple(
-        Block(offset=offset, m=(modulus - 1) // 2, k=k, p=p)
-        for start, modulus, p, k, count in _blocks(0, total, 2)
-        for offset in range(start, start + count * (modulus - 1), modulus - 1)
-    )
-    return BlockPlan(blocks=blocks, total=total)
 
 
 def in_shuffle(buf, instr=None) -> None:

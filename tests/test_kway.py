@@ -76,7 +76,7 @@ def test_base_table_is_valid():
     assert set(kway._BASES) == set(range(2, kway.MAX_K + 1))
     assert kway._BASES[2] == tuple((p, (1,)) for p in TABLE_2)
     # d = 1 at k = 2: a block p^j then has j cycles, the exponent that
-    # Block.k reports and the 2-way move audits count as its leaders
+    # kway._blocks gives and the 2-way move audits count as its leaders
     assert all(reps == (1,) for _, reps in kway._BASES[2])
     for k, bases in kway._BASES.items():
         primes = [p for p, _ in bases]

@@ -31,6 +31,8 @@ def test_in_target_rejects_bad_arguments():
         in_target(7, 6)
     with pytest.raises(ValueError):
         in_target(1, 0)
+    with pytest.raises(ValueError):
+        in_target(1, -2)
 
 
 @pytest.mark.parametrize("i,expected", [(1, 1), (6, 6), (2, 3), (3, 5), (4, 2), (5, 4)])

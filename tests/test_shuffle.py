@@ -6,7 +6,7 @@ import pytest
 
 from conftest import CountingList
 from faro import _fastpath
-from faro.kway import _BASES, _general_cycle_passes, _ladder, _pure_pass, k_shuffle, k_unshuffle
+from faro.kway import _blocks, _general_cycle_passes, _ladder, _pure_pass, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import (
     IN_SHUFFLE,
@@ -19,12 +19,10 @@ from faro.permcore import (
     permutation_order,
 )
 from faro.shuffle import (
-    Block,
     Instrumentation,
     RecordBuffer,
     in_shuffle,
     out_shuffle,
-    plan_blocks,
     un_out_shuffle,
     un_shuffle,
 )
@@ -36,62 +34,35 @@ except ImportError:
 
 
 def test_plan_blocks_examples():
-    assert plan_blocks(6).blocks == (
-        Block(offset=0, m=2, k=1, p=5),
-        Block(offset=4, m=1, k=1, p=3),
-    )
-    assert plan_blocks(8).blocks == (Block(offset=0, m=4, k=2, p=3),)
-    assert plan_blocks(26).blocks == (Block(offset=0, m=13, k=3, p=3),)
-    assert plan_blocks(28).blocks == (Block(offset=0, m=14, k=1, p=29),)
-    assert plan_blocks(100).blocks == (Block(offset=0, m=50, k=1, p=101),)
-    assert plan_blocks(116).blocks == (
-        Block(offset=0, m=50, k=1, p=101),
-        Block(offset=100, m=6, k=1, p=13),
-        Block(offset=112, m=2, k=1, p=5),
-    )
-    assert plan_blocks(0).blocks == ()
-
-
-def test_plan_blocks_rejects_odd_totals():
-    with pytest.raises(ValueError):
-        plan_blocks(7)
-    with pytest.raises(ValueError):
-        plan_blocks(-2)
-
-
-def test_plan_blocks_invariants():
-    # every p^k of a 2-way base is admissible, and the plan takes the
-    # largest such block that still fits, left to right
-    bases = [p for p, _ in _BASES[2]]
-    rungs = sorted(p**k for p in bases for k in range(1, 40) if p**k < 1 << 40)
-    rng = random.Random(12)
-    totals = [2 * rng.randrange(0, 500_000) for _ in range(60)] + [2, 4, 80, 3**9 - 1]
-    for total in totals:
-        plan = plan_blocks(total)
-        assert plan.total == total
-        position = 0
-        remaining = total
-        for block in plan.blocks:
-            assert block.offset == position
-            assert block.p in bases
-            assert block.size == block.p**block.k - 1
-            assert block.size + 1 == max(m for m in rungs if m - 1 <= remaining)
-            position += block.size
-            remaining -= block.size
-        assert position == total
+    # the 2-way tiling as runs (offset, modulus, p, j, count), left to
+    # right, and the inverse's order, right to left
+    for total, runs in [
+        (0, []),
+        (6, [(0, 5, 5, 1, 1), (4, 3, 3, 1, 1)]),
+        (8, [(0, 9, 3, 2, 1)]),
+        (26, [(0, 27, 3, 3, 1)]),
+        (28, [(0, 29, 29, 1, 1)]),
+        (100, [(0, 101, 101, 1, 1)]),
+        (116, [(0, 101, 101, 1, 1), (100, 13, 13, 1, 1), (112, 5, 5, 1, 1)]),
+    ]:
+        assert list(_blocks(0, total, 2)) == runs, total
+        assert list(_blocks(0, total, 2, True)) == runs[::-1], total
 
 
 def test_blocks_and_cycles_are_those_of_the_plan():
-    # Block.k is the cycle count of its block only while every 2-way base
-    # has one coset representative (d = 1); a base with d > 1 would make it
-    # d * k cycles
+    # A run of the 2-way tiling holds count blocks of j cycles each, while
+    # every 2-way base has one coset representative (d = 1); a base with
+    # d > 1 would make it d * j cycles. The native pass and its twin count
+    # both.
     rng = random.Random(29)
     for total in [*range(0, 2001, 2), *(2 * rng.randrange(1, 1 << 18) for _ in range(8))]:
-        plan = plan_blocks(total).blocks
+        runs = list(_blocks(0, total, 2))
         instr = Instrumentation()
         in_shuffle(list(range(total)), instr)
-        assert instr.cycles == sum(block.k for block in plan), total
-        assert instr.blocks == len(plan), total
+        assert instr.blocks == sum(count for *_, count in runs), total
+        assert instr.cycles == sum(j * count for *_, j, count in runs), total
+        counts = _pure_pass(list(range(total)), 0, total, 2, False, None)
+        assert counts[3:] == (instr.blocks, instr.cycles), total
 
 
 def cycle_leader_pass(buf, offset, k, instr=None):
@@ -281,7 +252,7 @@ def test_total_move_count_audit():
         if length:
             calls.append((out_shuffle, un_out_shuffle, length - 2))
         for forward, inverse, interior in calls:
-            leaders = sum(block.k for block in plan_blocks(interior).blocks)
+            leaders = sum(j * count for *_, j, count in _blocks(0, interior, 2))
             buf = CountingList(range(length))
             instr = Instrumentation()
             forward(buf, instr)
@@ -442,8 +413,6 @@ def test_value_types_compare_hash_and_print_by_their_fields():
     for value, same, text, field in [
         (IN_SHUFFLE, ShuffleKind("in"), "ShuffleKind(family='in', k=2)", "family"),
         (kway_kind(3), ShuffleKind("kway", 3), "ShuffleKind(family='kway', k=3)", "k"),
-        (Block(offset=6, m=4, k=2, p=3), Block(6, 4, 2, 3), "Block(offset=6, m=4, k=2, p=3)",
-         "offset"),
         (cycle_decomposition(IN_SHUFFLE, 6), CycleDecomposition(((1, 2, 4), (3, 6, 5)), 6),
          "CycleDecomposition(cycles=((1, 2, 4), (3, 6, 5)), order=6)", "cycles"),
     ]:
@@ -454,7 +423,6 @@ def test_value_types_compare_hash_and_print_by_their_fields():
             setattr(value, field, getattr(value, field))
     assert kway_kind(2) != IN_SHUFFLE
     assert kway_kind(3) != kway_kind(4)
-    assert Block(6, 4, 2, 3).size == 8
     assert cycle_decomposition(IN_SHUFFLE, 6).moved_count() == 6
 
 
