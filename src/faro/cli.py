@@ -68,7 +68,7 @@ def _fail(code: int, message: str) -> int:
 
 # bytes of the file that --verify reads at a time, in whole records and at
 # least one
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
 
 
 def _open(path: Path):

@@ -37,8 +37,9 @@ One gather makes them and counts their moves, and its inverse, the
 scatter, likewise. A gather costs
 in proportion to the window left, so the gaps of the block ladder set the
 moves per element. Every admissible rung below 2^63 is listed once, largest
-first, in a constant ladder per arity, ``_ladder(k)``, so the greedy tiling
-takes one bisect per run of equal blocks.
+first, with its coset representatives, in one constant table of int64 rows
+per arity, ``_table(k)``, so the greedy tiling takes one bisection per run
+of equal blocks.
 
 Leftovers smaller than the smallest admissible block are bounded by the
 table alone, so they are permuted by a constant-space minimum-leader sweep
@@ -52,17 +53,17 @@ them no tail is left.
 
 A public call checks its arguments and makes one call of its buffer's pass,
 ``_fastpath.kernel(buf)``: the kernel's ``shuffle`` entry, which runs the
-whole pass in C over ``_table(k)``, the ladder and the coset
-representatives as int64 rows, or the Python block loop here, its twin
-``_pure_pass``, which the tests compare it with and which moves every
-buffer the kernel refuses. Both return the same counts.
+whole pass in C, or the Python block loop here, its twin ``_pure_pass``,
+which the tests compare it with and which moves every buffer the kernel
+refuses. Both tile by the ``_table(k)`` they are passed and return the same
+counts.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
 """
 
 import struct
-from bisect import bisect_left
+from bisect import bisect_right
 from functools import cache
 from types import SimpleNamespace
 
@@ -132,7 +133,6 @@ def _bases(text):
 
 
 _BASES = {k: _bases(text) for k, text in _TABLE.items()}
-_REPS = {k: dict(bases) for k, bases in _BASES.items()}
 _KINDS = {k: kway_kind(k) for k in _TABLE}
 
 # aux accounting for every arity: the driver's locals plus those of its
@@ -140,78 +140,67 @@ _KINDS = {k: kway_kind(k) for k in _TABLE}
 # independent of input size
 _DRIVER_AUX_WORDS = 26
 
-
-@cache
-def _ladder(k):
-    """k's block ladder and its fits, built on the first call for k.
-
-    The ladder is every admissible modulus of k's bases below 2^63 (the
-    kernel's int64 positions), largest first, as (modulus, p, j): p^j, and
-    for odd k 2p^j (2p^j - 1 is odd), whenever k divides modulus - 1. The
-    fits are each rung's 1 - modulus, in ascending order, so that bisect
-    finds the largest block that fits. An arity's ladder holds 179 to 324
-    rungs, so a process builds only those it uses.
-    """
-    rungs = []
-    for p, _ in _BASES[k]:
-        power, j = p, 1
-        while power < 1 << 63:
-            for m in (power, 2 * power) if k % 2 else (power,):
-                if m < 1 << 63 and (m - 1) % k == 0:
-                    rungs.append((m, p, j))
-            power *= p
-            j += 1
-    ladder = tuple(sorted(rungs, reverse=True))
-    return ladder, tuple(1 - modulus for modulus, _, _ in ladder)
+# int64s per rung of a table: the modulus, p, j, d and 8 representatives
+_ROW = 12
 
 
 @cache
 def _table(k):
-    """k's ladder as the native pass reads it, built once per arity.
+    """k's block ladder, built on the first call for k, as the passes read it.
 
-    One row of 12 int64s per rung of ``_ladder(k)``, largest first: the
-    modulus, p, j, the number d of p's coset representatives and the
-    representatives, padded with zeros to 8.
+    One row of ``_ROW`` int64s per rung, largest modulus first: the modulus,
+    p, j, the number d of p's coset representatives and the
+    representatives, padded with zeros to 8. The rungs are every admissible
+    modulus of k's bases below 2^63 (the kernel's int64 positions): p^j,
+    and for odd k 2p^j (2p^j - 1 is odd), whenever k divides modulus - 1.
+    An arity's ladder holds 179 to 324 rungs, so a process builds only
+    those it uses.
     """
     rows = []
-    for modulus, p, j in _ladder(k)[0]:
-        reps = _REPS[k][p]
-        rows += (modulus, p, j, len(reps), *reps, *(0,) * (8 - len(reps)))
+    for p, reps in _BASES[k]:
+        power, j = p, 1
+        while power < 1 << 63:
+            for m in (power, 2 * power) if k % 2 else (power,):
+                if m < 1 << 63 and (m - 1) % k == 0:
+                    rows.append((m, p, j, len(reps), *reps, *(0,) * (_ROW - 4 - len(reps))))
+            power *= p
+            j += 1
+    words = [word for row in sorted(rows, reverse=True) for word in row]
     # packed in one call: an array module import would cost each faro apply child more
-    return memoryview(struct.pack(f"{len(rows)}q", *rows)).cast("q")
+    return memoryview(struct.pack(f"{len(words)}q", *words)).cast("q")
 
 
-def _blocks(lo, hi, k, backward=False):
-    """Greedy tiling of [lo, hi) as runs (offset, modulus, p, j, count),
-    left to right, or with `backward` right to left.
+def _blocks(lo, hi, table, backward=False):
+    """Greedy tiling of [lo, hi) by the rungs of `table` (see ``_table``),
+    as runs (offset, modulus, p, j, reps, count), left to right, or with
+    `backward` right to left.
 
-    A run is `count` adjacent blocks of modulus - 1 elements each, where
-    modulus is p^j or, for odd k, 2p^j, with p from the base table of k. Its
-    block is the largest admissible one across the table that fits what
-    remains; admissible means k divides modulus - 1, so that every part
-    gives the block a whole slice. The run takes as many of them as fit, so
-    each run is one bisect of k's ladder and one division, whatever its
-    count. What fits no block comes last, as a tail run with p = j = 0,
-    count = 1 and modulus = its length + 1; at k = 2, where 3 is a base,
-    there is never a tail. Backward, a scan of the tiling from lo finds each
-    run, the one that ends where the run after it starts: the tiling is
-    rescanned per run instead of being stored, which keeps the state
-    constant.
+    A run is `count` adjacent blocks of modulus - 1 elements each, of the
+    table's largest rung that fits what remains, and reps are that rung's
+    coset representatives. The run takes as many of them as fit, so each
+    run is one bisection of the table's moduli and one division, whatever
+    its count. What fits no block comes last, as a tail run with p = j = 0,
+    no reps, count = 1 and modulus = its length + 1; at k = 2, where 3 is a
+    base, there is never a tail. Backward, a scan of the tiling from lo
+    finds each run, the one that ends where the run after it starts: the
+    tiling is rescanned per run instead of being stored, which keeps the
+    state constant.
     """
-    ladder, fits = _ladder(k)
+    ascending = table[-_ROW::-_ROW]  # the moduli, smallest first
     done = hi
     while done > lo:
         offset = lo
         while True:
-            i = bisect_left(fits, offset - hi)
-            if i == len(ladder):
-                modulus, p, j, count = hi - offset + 1, 0, 0, 1
+            # the row of the largest rung whose block fits hi - offset items
+            r = len(table) - _ROW * bisect_right(ascending, hi - offset + 1)
+            if r == len(table):
+                modulus, p, j, d, count = hi - offset + 1, 0, 0, 0, 1
             else:
-                modulus, p, j = ladder[i]
+                modulus, p, j, d = table[r : r + 4]
                 count = (hi - offset) // (modulus - 1)
             end = offset + count * (modulus - 1)
             if end == done or not backward:
-                yield offset, modulus, p, j, count
+                yield offset, modulus, p, j, tuple(table[r + 4 : r + 4 + d]), count
             if end == done:
                 break
             offset = end
@@ -270,13 +259,14 @@ def _pure_pass(buf, lo, hi, k, inverse, table):
 
     Shuffles buf[lo:hi] k ways, or with `inverse` unshuffles it, by the
     gather and the walk of ``_loops``, and returns the counts: (rotate
-    moves, walk moves, tail moves, blocks, cycles). It takes the native
-    pass's table and leaves it unread: it tiles by ``_blocks``. As in the
-    kernel's ``run_blocks``, each block is gathered, then placed; inverse,
-    right to left, each is placed, then scattered.
+    moves, walk moves, tail moves, blocks, cycles). It tiles by the rungs of
+    `table`, the native pass's table, and takes each run's coset
+    representatives from its rung's row. As in the kernel's ``run_blocks``,
+    each block is gathered, then placed; inverse, right to left, each is
+    placed, then scattered.
     """
     counts = SimpleNamespace(rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0)
-    for start, modulus, p, j, count in _blocks(lo, hi, k, inverse):
+    for start, modulus, p, j, reps, count in _blocks(lo, hi, table, inverse):
         counts.blocks += count
         mult = pow(k, -1, modulus) if inverse else k
         if j == 0:
@@ -288,7 +278,7 @@ def _pure_pass(buf, lo, hi, k, inverse, table):
             part = (hi - offset) // k
             if not inverse:
                 counts.rotate_moves += _loops.gather_slots(buf, offset, part, b, k, False)
-            _general_cycle_passes(buf, offset, j, p, _REPS[k][p], mult, modulus, counts)
+            _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, counts)
             if inverse:
                 counts.rotate_moves += _loops.gather_slots(buf, offset, part, b, k, True)
     return counts.rotate_moves, counts.walk_moves, counts.tail_moves, counts.blocks, counts.cycles

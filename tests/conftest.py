@@ -29,3 +29,9 @@ def conjoined_moves(w, d):
     if s == 0 or s == g:
         return 2 * s
     return s // 2 + 3 * (g // 2) + 2 * ((s + g % 2) // 2)
+
+
+def rungs(table):
+    """The rungs of a ``kway._table``, largest first, as (modulus, p, j, reps)."""
+    rows = zip(*[iter(table.tolist())] * 12)
+    return [(m, p, j, tuple(rest[:d])) for m, p, j, d, *rest in rows]

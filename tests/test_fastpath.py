@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountingList, conjoined_moves
+from conftest import CountingList, conjoined_moves, rungs
 
 import faro
 from faro import _fastpath, _loops, cli, kway, rotate
-from faro.kway import _REPS, _blocks, _ladder, k_shuffle, k_unshuffle
+from faro.kway import _blocks, _table, k_shuffle, k_unshuffle
 from faro.numtheory import is_primitive_root
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
@@ -135,13 +135,22 @@ def _random_buffer(kind, n, rng):
     return buf, lambda: [bytes(buf.data[i * kind : (i + 1) * kind]) for i in range(n)]
 
 
+def _pass_table(k, rung):
+    """k's table, or with `rung` a table of that one rung of it."""
+    table = kway._table(k)
+    if rung is None:
+        return table
+    r = table.tolist()[::12].index(rung) * 12
+    return table[r : r + 12]
+
+
 @cache
-def _pure_pass_of(k, lo, hi, n, inverse):
-    """(order, counts) of the pure pass over [lo, hi) of n items: the old
-    position of the item at each position after it, as the oracle has it,
-    and the pass's counts."""
+def _pure_pass_of(k, lo, hi, n, inverse, rung=None):
+    """(order, counts) of the pure pass over [lo, hi) of n items by the
+    table of `_pass_table`: the old position of the item at each position
+    after it, as the oracle has it, and the pass's counts."""
     order = list(range(n))
-    counts = kway._pure_pass(order, lo, hi, k, inverse, kway._table(k))
+    counts = kway._pure_pass(order, lo, hi, k, inverse, _pass_table(k, rung))
     moved, kind = [i - lo for i in order[lo:hi]], kway_kind(k)
     if inverse:
         assert oracle_shuffle(moved, kind) == list(range(hi - lo))
@@ -151,17 +160,17 @@ def _pure_pass_of(k, lo, hi, n, inverse):
     return order, counts
 
 
-def _check_pass(kind, k, lo, hi, n, inverse, rng):
+def _check_pass(kind, k, lo, hi, n, inverse, rng, rung=None):
     """The counts of the native pass over [lo, hi) of a fresh random buffer
-    of n items (see _random_buffer), checked to leave the items and the
-    counts of the pure pass."""
+    of n items (see _random_buffer), by k's table or the one `rung` of it,
+    checked to leave the items and the counts of the pure pass."""
     buf, items = _random_buffer(kind, n, rng)
     before = items()
     run = _fastpath.kernel(buf)
     assert run is not kway._pure_pass
-    counts = run(buf, lo, hi, k, inverse, kway._table(k))
-    order, expected = _pure_pass_of(k, lo, hi, n, inverse)
-    case = (kind, k, lo, hi, n, inverse)
+    counts = run(buf, lo, hi, k, inverse, _pass_table(k, rung))
+    order, expected = _pure_pass_of(k, lo, hi, n, inverse, rung)
+    case = (kind, k, lo, hi, n, inverse, rung)
     assert counts == expected, case
     assert items() == [before[i] for i in order], case
     return counts
@@ -178,7 +187,7 @@ def test_native_walk_matches_the_pure_walk(itemsize, most=1100):
     # the walk's column, and of 257 take a second column of one byte.
     rng = random.Random(str(itemsize))
     for k in range(2, 10):
-        for m, _, _ in _ladder(k)[0]:
+        for m, *_ in rungs(_table(k)):
             if m - 1 <= most:
                 for inverse in (False, True):
                     counts = _check_pass(itemsize, k, 3, m + 2, m + 4, inverse, rng)
@@ -229,7 +238,7 @@ def test_forward_and_inverse_walks_run_at_one_speed():
     # largest of at most 2^17 items, so it rotates nothing and fits in L2:
     # it is bound by the step rather than by memory.
     for k in range(2, 10):
-        m = next(m for m, _, _ in _ladder(k)[0] if m - 1 <= 1 << 17)
+        m = next(m for m, *_ in rungs(_table(k)) if m - 1 <= 1 << 17)
         buf = np.arange(m - 1, dtype=np.int64)
         run, table = _fastpath.kernel(buf), kway._table(k)
 
@@ -400,13 +409,17 @@ def test_native_gather_matches_its_rotations_exhaustively(kind, most=300):
     # every block of its tiling by conjoined triple reversal, and leaves the
     # items and the five counts of the pure pass, whose rotations are
     # rotate_slots'. 1, 3 and 9 B records take the word loops' byte tails,
-    # and 256 B and wider ones the walk's column edge.
+    # and 256 B and wider ones the walk's column edge. Both passes also take
+    # tables of one rung, 13, 31 and 97 of k = 2, 3 and 8, and tile by it
+    # alone, then a tail: at k = 2, 100 items make 8 blocks of 12 and a
+    # tail of 4.
     rng = random.Random(kind)
     kind = int(kind[7:]) if kind.startswith("records") else kind
-    for k in range(2, 10):
+    for k, rung in [*((k, None) for k in range(2, 10)), (2, 13), (3, 31), (8, 97)]:
         for n in range(k, most + 1, k):
             for inverse in (False, True):
-                _check_pass(kind, k, 0, n, n, inverse, rng)
+                _check_pass(kind, k, 0, n, n, inverse, rng, rung)
+    assert _pure_pass_of(2, 0, 100, 100, False, 13)[1] == (348, 104, 5, 9, 9)
 
 
 def test_rotation_closed_form_counts_the_pure_writes():
@@ -575,11 +588,11 @@ def _verify_lengths(kind):
     """0 and the smallest order, orders just around every admissible block
     of the table below 1001, and a tail just below the smallest block."""
     if kind.family != "kway":
-        blocks = {m - 1 for m, _, _ in _ladder(2)[0] if m <= 1001}
+        blocks = {m - 1 for m, *_ in rungs(_table(2)) if m <= 1001}
         lengths = {0, 2} | {b + d for b in blocks for d in (-2, 0, 2)}
         return sorted(lengths - ({0} if kind.family == "out" else set()))
     k = kind.k
-    blocks = {m - 1 for m, _, _ in _ladder(k)[0] if m <= 1001}
+    blocks = {m - 1 for m, *_ in rungs(_table(k)) if m <= 1001}
     lengths = {0, k, max(min(blocks) - k, 0)}
     lengths |= {b // k * k for b in blocks} | {(b // k + 1) * k for b in blocks}
     return sorted(lengths)
@@ -866,10 +879,10 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
         # the ladder of each of its d coset representatives, twice that for
         # a twin block 2p^j, and the tail's own
         blocks = cycles = 0
-        for _, modulus, p, j, count in _blocks(0, n, k):
+        for _, modulus, p, j, reps, count in _blocks(0, n, _table(k)):
             blocks += count
             if j:
-                cycles += count * len(_REPS[k][p]) * (1 + (modulus % 2 == 0)) * j
+                cycles += count * len(reps) * (1 + (modulus % 2 == 0)) * j
             else:
                 cycles += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
         return blocks, cycles

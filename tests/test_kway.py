@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import conjoined_moves
+from conftest import conjoined_moves, rungs
 
 from faro import _fastpath, _loops, kway
 from faro.kway import k_shuffle, k_unshuffle
@@ -100,31 +100,33 @@ def test_base_table_is_valid():
 @pytest.mark.parametrize("q", range(2, 10))
 def test_ladder_is_every_admissible_rung_largest_first(q):
     # brute force: p^j, and 2p^j for odd q, of every base below 2^63, kept
-    # when q divides modulus - 1
-    ladder, fits = kway._ladder(q)
-    moduli = [modulus for modulus, _, _ in ladder]
+    # when q divides modulus - 1, each row with p's coset representatives,
+    # padded with zeros
+    table = kway._table(q)
+    ladder = rungs(table)
+    moduli = [modulus for modulus, *_ in ladder]
     assert all(a > b for a, b in zip(moduli, moduli[1:]))
     expected = set()
-    for p, _ in kway._BASES[q]:
+    for p, reps in kway._BASES[q]:
         for j in range(1, 64):
             for c in (1, 2) if q > 2 else (1,):
                 if c * p**j < 1 << 63 and (c * p**j - 1) % q == 0:
-                    expected.add((c * p**j, p, j))
+                    expected.add((c * p**j, p, j, reps))
     assert set(ladder) == expected
-    assert fits == tuple(1 - modulus for modulus in moduli)
+    assert len(table) == 12 * len(ladder)
+    assert all(not any(table[r + 4 + table[r + 3] : r + 12]) for r in range(0, len(table), 12))
 
 
 def _naive_blocks(lo, hi, q):
     # the largest admissible block that fits, one block at a time
-    offset = lo
+    offset, ladder = lo, rungs(kway._table(q))
     while offset < hi:
-        fits = [rung for rung in kway._ladder(q)[0] if rung[0] - 1 <= hi - offset]
+        fits = [rung for rung in ladder if rung[0] - 1 <= hi - offset]
         if not fits:
-            yield offset, hi - offset + 1, 0, 0
+            yield offset, hi - offset + 1, 0, 0, ()
             return
-        modulus, p, j = fits[0]
-        yield offset, modulus, p, j
-        offset += modulus - 1
+        yield offset, *fits[0]
+        offset += fits[0][0] - 1
 
 
 @pytest.mark.parametrize("q", range(2, 10))
@@ -133,19 +135,19 @@ def test_blocks_are_the_naive_greedy_tiling(q):
     for case in range(200):
         lo = rng.choice((0, 1, rng.randrange(0, 1000)))
         hi = lo + q * rng.choice((rng.randrange(0, 100), rng.randrange(0, 1 << 20)))
-        runs = list(kway._blocks(lo, hi, q))
+        runs = list(kway._blocks(lo, hi, kway._table(q)))
         # one run per modulus: each takes every block of its size that fits
-        moduli = [modulus for _, modulus, _, _, _ in runs]
+        moduli = [modulus for _, modulus, *_ in runs]
         assert all(a > b for a, b in zip(moduli, moduli[1:])), (lo, hi)
         assert all(count >= 1 for *_, count in runs), (lo, hi)
         blocks = [
-            (offset, modulus, p, j)
-            for start, modulus, p, j, count in runs
+            (offset, modulus, p, j, reps)
+            for start, modulus, p, j, reps, count in runs
             for offset in range(start, start + count * (modulus - 1), modulus - 1)
         ]
         assert blocks == list(_naive_blocks(lo, hi, q)), (lo, hi)
         # the inverse takes the same runs, right to left
-        assert list(kway._blocks(lo, hi, q, backward=True)) == runs[::-1], (lo, hi)
+        assert list(kway._blocks(lo, hi, kway._table(q), backward=True)) == runs[::-1], (lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -164,13 +166,13 @@ def test_moves_split_by_layer(k, n):
     # point p^j of a twin 2p^j, in d * j cycles, twice that for a twin,
     # where d is the number of coset representatives of p.
     walk = tail = blocks = walked = 0
-    for _, modulus, p, j, count in kway._blocks(0, n, k):
+    for _, modulus, p, j, reps, count in kway._blocks(0, n, kway._table(k)):
         cycles = cycle_decomposition(kway_kind(k), modulus - 1)
         blocks += count
         walked += count * len(cycles.cycles)
         if j:
             twin = modulus % 2 == 0
-            block_cycles = len(kway._REPS[k][p]) * (1 + twin) * j
+            block_cycles = len(reps) * (1 + twin) * j
             assert (cycles.moved_count(), len(cycles.cycles)) == (modulus - 1 - twin, block_cycles)
             walk += count * (cycles.moved_count() + len(cycles.cycles))
         else:
@@ -194,7 +196,7 @@ def _rotation_moves(n, k, inverse):
     # triple reversal over every block's windows, t * (part - b) + b items
     # rotated by b, or by the rest when scattering
     moves = 0
-    for start, modulus, p, j, count in kway._blocks(0, n, k):
+    for start, modulus, p, j, _, count in kway._blocks(0, n, kway._table(k)):
         for offset in range(start, start + count * (modulus - 1), modulus - 1) if j else ():
             part, b = (n - offset) // k, (modulus - 1) // k
             for t in range(1, k):
@@ -214,11 +216,11 @@ def test_leaders_meet_every_cycle_once(k, monkeypatch):
         leaders.extend(leader * p**s for s in range(count))
 
     monkeypatch.setattr(_loops, "cycle_walk", walk)
-    for modulus, p, j in kway._ladder(k)[0]:
+    for modulus, p, j, reps in rungs(kway._table(k)):
         if modulus > 5000:
             continue
         leaders.clear()
-        kway._general_cycle_passes(None, 0, j, p, kway._REPS[k][p], k, modulus, None)
+        kway._general_cycle_passes(None, 0, j, p, reps, k, modulus, None)
         cycles = cycle_decomposition(kway_kind(k), modulus - 1).cycles
         owner = {i: c for c, cycle in enumerate(cycles) for i in cycle}
         met = sorted(owner.get(leader, -1) for leader in leaders)
@@ -272,7 +274,7 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
     # the moves are every element but p^j, plus one hold load per leader.
     modulus = 2 * p**j
     n = modulus - 1
-    assert list(kway._blocks(0, n, k)) == [(0, modulus, p, j, 1)]
+    assert list(kway._blocks(0, n, kway._table(k))) == [(0, modulus, p, j, (1,), 1)]
     leaders = sorted(c * p**s for s in range(j) for c in (1, 2))
     decomposition = cycle_decomposition(kway_kind(k), n)
     assert [cycle[0] for cycle in decomposition.cycles] == leaders

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import CountingList
+from conftest import CountingList, rungs
 from faro import _fastpath
-from faro.kway import _blocks, _general_cycle_passes, _ladder, _pure_pass, k_shuffle, k_unshuffle
+from faro.kway import _blocks, _general_cycle_passes, _pure_pass, _table, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import (
     IN_SHUFFLE,
@@ -34,8 +34,9 @@ except ImportError:
 
 
 def test_plan_blocks_examples():
-    # the 2-way tiling as runs (offset, modulus, p, j, count), left to
-    # right, and the inverse's order, right to left
+    # the 2-way tiling as runs (offset, modulus, p, j, reps, count), left
+    # to right, and the inverse's order, right to left; written here
+    # without reps, which are (1,) for every 2-way base
     for total, runs in [
         (0, []),
         (6, [(0, 5, 5, 1, 1), (4, 3, 3, 1, 1)]),
@@ -45,8 +46,9 @@ def test_plan_blocks_examples():
         (100, [(0, 101, 101, 1, 1)]),
         (116, [(0, 101, 101, 1, 1), (100, 13, 13, 1, 1), (112, 5, 5, 1, 1)]),
     ]:
-        assert list(_blocks(0, total, 2)) == runs, total
-        assert list(_blocks(0, total, 2, True)) == runs[::-1], total
+        runs = [(*run[:4], (1,), run[4]) for run in runs]
+        assert list(_blocks(0, total, _table(2))) == runs, total
+        assert list(_blocks(0, total, _table(2), True)) == runs[::-1], total
 
 
 def test_blocks_and_cycles_are_those_of_the_plan():
@@ -56,12 +58,12 @@ def test_blocks_and_cycles_are_those_of_the_plan():
     # both.
     rng = random.Random(29)
     for total in [*range(0, 2001, 2), *(2 * rng.randrange(1, 1 << 18) for _ in range(8))]:
-        runs = list(_blocks(0, total, 2))
+        runs = list(_blocks(0, total, _table(2)))
         instr = Instrumentation()
         in_shuffle(list(range(total)), instr)
         assert instr.blocks == sum(count for *_, count in runs), total
-        assert instr.cycles == sum(j * count for *_, j, count in runs), total
-        counts = _pure_pass(list(range(total)), 0, total, 2, False, None)
+        assert instr.cycles == sum(j * count for *_, j, _, count in runs), total
+        counts = _pure_pass(list(range(total)), 0, total, 2, False, _table(2))
         assert counts[3:] == (instr.blocks, instr.cycles), total
 
 
@@ -252,7 +254,7 @@ def test_total_move_count_audit():
         if length:
             calls.append((out_shuffle, un_out_shuffle, length - 2))
         for forward, inverse, interior in calls:
-            leaders = sum(j * count for *_, j, count in _blocks(0, interior, 2))
+            leaders = sum(j * count for *_, j, _, count in _blocks(0, interior, _table(2)))
             buf = CountingList(range(length))
             instr = Instrumentation()
             forward(buf, instr)
@@ -315,7 +317,8 @@ def _parity_counts(arity, rng):
     # twin block 2p^j of an odd arity below 1200 items, alone; one at random
     counts = {1, 2, 3**5 // arity, rng.randrange(1, 400)}
     if arity % 2:
-        counts.add(max((m - 1) // arity for m, _, _ in _ladder(arity)[0] if m % 2 == 0 and m <= 1200))
+        twins = [m for m, *_ in rungs(_table(arity)) if m % 2 == 0 and m <= 1200]
+        counts.add((max(twins) - 1) // arity)
     return sorted(counts)
 
 
