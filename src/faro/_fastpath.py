@@ -6,13 +6,13 @@
 walk. It also holds the reversal (``reverse``), which ``faro.rotate`` runs,
 and the check behind ``faro apply --verify`` (``agree``).
 On first import it is compiled with ``cc`` against the interpreter's
-``Python.h`` into ``__pycache__/_kernel-<crc32 of the source and the cc
-argv><extension suffix>`` next to this file and loaded with importlib;
-later imports load that file, and a new build removes the modules built
-there before it. If
-``Python.h`` is missing, or the build or the load fails, ``HAVE_COMPILED``
-is False, ``BUILD_ERROR`` says why, and every buffer and every ``agree``
-takes the Python loops.
+``Python.h`` into ``__pycache__/_kernel-<crc32 of the source, the cc
+command and the interpreter><extension suffix>`` next to this file and
+loaded with importlib; later imports load that file without asking
+``sysconfig`` for the headers, and a new build removes the modules built
+there before it. If ``Python.h`` is missing, or the build or the load
+fails, ``HAVE_COMPILED`` is False, ``BUILD_ERROR`` says why, and every
+buffer and every ``agree`` takes the Python loops.
 
 The kernel takes exact lists (not subclasses), through their ``PyObject *``
 slots, with the GIL held and the list's size checked on every call, and
@@ -22,24 +22,17 @@ as a buffer view for the length of a call, which runs without the GIL.
 numpy is never imported here: no ndarray can exist before the caller has
 imported it.
 
-One shuffle call tiles the range by a table of the arity's rungs that
-``kway`` builds once, and makes every block's gather and walks and the
-tail sweep, with the GIL held for a list and released for memory
-throughout; it returns the counts. A gather makes all k - 1 rotations of a
-block's gather, or of its inverse, the scatter, each by conjoined triple
-reversal. A walk realizes a whole ladder of cycles, those led by
-``leader * p**s`` for ``s < count``. Every walk of a q-way pass modulo m,
-while ``q * m <= 2**32``, steps ``j -> q * j mod m`` without a division:
-the forward passes push each item on to its target, and the inverse passes
-pull each slot's item from its source. The native ``shuffle`` and
-``reverse`` check every range, integer and rung against the buffer
-themselves.
+One shuffle call makes a whole pass over the range, tiled by a table of
+the arity's rungs that ``kway`` builds once, and returns its counts;
+``_kernel.c`` says how. The native ``shuffle`` and ``reverse`` check every
+range, integer and rung against the buffer themselves.
 
-Buffers are sorted in one place, ``_native_items``, and resolved in one,
-``resolve``: once per public call, a native entry bound to the buffer or
-its Python twin. ``kernel`` resolves the pass, the native ``shuffle`` or
-``kway._pure_pass``; ``faro.rotate`` resolves the reversal, the native
-``reverse`` or ``_loops.reverse_slots``. Nothing is cached across calls.
+Buffers are sorted in one place, ``resolve``, once per public call: it
+binds the native entry to the buffer, and the entry that moves the items
+takes the buffer or refuses it before any moves. ``kway`` resolves the
+pass, the native ``shuffle`` or ``kway._pure_pass``; ``faro.rotate`` the
+reversal, the native ``reverse`` or ``_loops.reverse_slots``. Nothing is
+cached across calls.
 """
 
 import os
@@ -52,36 +45,35 @@ from . import _loops
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
-
-def _cc_argv():
-    """The cc command that builds the kernel, up to its output file."""
-    import sysconfig
-
-    include = sysconfig.get_paths()["include"]
-    if not os.path.exists(os.path.join(include, "Python.h")):
-        raise OSError(f"no Python.h in {include}")
-    return ["cc", "-O2", "-shared", "-fPIC", "-I", include, "-x", "c"]
+# the cc command that builds the kernel, up to its include directory
+_CC = ("cc", "-O2", "-shared", "-fPIC")
+_SHUFFLE = f"{__package__}.shuffle"
 
 
-def _load(argv):
-    """The extension module built from _SOURCE by `argv`."""
+def _load(cc=_CC):
+    """The extension module built from _SOURCE by the command `cc`."""
     with open(_SOURCE, "rb") as handle:
         source = handle.read()
     cache = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-    # the name covers the command too: a module built by another command,
-    # or against other headers, must not be reused
-    key = zlib.crc32("\0".join(argv).encode(), zlib.crc32(source))
+    # a module built by another command, or for another interpreter, must
+    # not be reused; sys names the interpreter, sparing a sysconfig import
+    key = "\0".join([*cc, sys.base_prefix, sys.version, EXTENSION_SUFFIXES[0]])
+    key = zlib.crc32(key.encode(), zlib.crc32(source))
     target = os.path.join(cache, f"_kernel-{key:08x}{EXTENSION_SUFFIXES[0]}")
     if not os.path.exists(target):
         import subprocess
+        import sysconfig
 
+        include = sysconfig.get_paths()["include"]
+        if not os.path.exists(os.path.join(include, "Python.h")):
+            raise OSError(f"no Python.h in {include}")
         os.makedirs(cache, exist_ok=True)
         # concurrent first imports each build their own file; the last
         # rename wins and every loader sees a complete module
         tmp = f"{target}.{os.getpid()}.tmp"
         try:
             built = subprocess.run(
-                [*argv, "-o", tmp, "-"],
+                [*cc, "-I", include, "-x", "c", "-o", tmp, "-"],
                 input=source,
                 capture_output=True,
             )
@@ -109,7 +101,7 @@ def _load(argv):
 
 
 try:
-    _native = _load(_cc_argv())
+    _native = _load()
     BUILD_ERROR = None
 except (OSError, ImportError) as exc:
     _native = None
@@ -118,97 +110,90 @@ HAVE_COMPILED = _native is not None
 
 
 def resolve(buf, name, twin):
-    """The native entry `name` for this buffer, or its Python `twin`, for the length of one call.
+    """The native entry `name` bound to this buffer, or its Python `twin`, for the length of one call.
 
-    The entry takes ``(buf, *args[, itemsize])``, and is returned bound to
-    the record size for a ``RecordBuffer``; the twin takes ``(buf, *args)``.
-    Memory goes native iff one empty reversal by the native kernel takes it
-    (``get_items`` in ``_kernel.c`` holds the rule) and it is not an
-    ndarray that holds objects. A numpy MaskedArray moves its data and its
-    mask alike, each by what this resolves for that plain array, and
-    returns one of their equal results. ValueError, before anything
-    moves, for a MaskedArray whose hard mask holds masked items in place,
-    and for an ndarray whose items are views (not 1-D, or structured) that
-    the kernel does not take: the Python loops would copy an item through a
-    view that an earlier write has already overwritten.
+    Both take ``(buf, *args)``; the entry is passed the record size of a
+    ``RecordBuffer``. An exact list goes native. Memory goes native iff the
+    entry that moves it takes it (``get_items`` in ``_kernel.c`` holds the
+    rule): the bound call runs the twin only when the entry refuses the
+    buffer, which it does with ``Refused`` before any item moves. An
+    ndarray that holds objects always takes the twin. A numpy MaskedArray
+    moves its data and its mask alike, each by what this resolves for that
+    plain array, and returns one of their equal results. ValueError, before
+    anything moves, for a MaskedArray whose hard mask holds masked items in
+    place, and for an ndarray whose items are views (not 1-D, or
+    structured) that the kernel does not take: the Python loops would copy
+    an item through a view that an earlier write has already overwritten.
     """
     if type(buf) is list:
         return twin if _native is None else getattr(_native, name)
-    parts = _masked_parts(buf)
-    if parts is not None:
-        runs = [(array, resolve(array, name, twin)) for array in parts]
-
-        def run_parts(_buf, *args):
-            # the data and the mask make the same moves: one result stands for both
-            for array, run in runs:
-                result = run(array, *args)
-            return result
-
-        return run_parts
-    items = _native_items(buf)
-    if items is None:
-        return twin
-    data, size = items
-    entry = getattr(_native, name)
-    if not size:
-        return entry
-
-    def run_records(_buf, *args):
-        return entry(data, *args, size)
-
-    return run_records
-
-
-def kernel(buf):
-    """The shuffle pass for this buffer, resolved once per public call.
-
-    The pass is ``shuffle(buf, lo, hi, k, inverse, table)`` and returns
-    the counts (rotate moves, walk moves, tail moves, blocks, cycles): the
-    native ``shuffle`` entry, or its Python twin ``kway._pure_pass`` (see
-    ``resolve``, which says what raises). kway is loaded with the package,
-    and imports this module.
-    """
-    if type(buf) is list and _native is not None:
-        # resolve's answer, without its call: a list is the common small
-        # call, and the call and the lookup of the twin cost 0.2-0.4 us
-        return _native.shuffle
-    return resolve(buf, "shuffle", sys.modules[f"{__package__}.kway"]._pure_pass)
-
-
-def _native_items(buf):
-    # (data, itemsize) for the native entries, 0 for the buffer's own size,
-    # or None for the Python loops; ValueError as resolve says
+    # closures are made in the helpers: a cell here would cost a list too
+    run = _masked(buf, name, twin)
+    if run is not None:
+        return run
     np = sys.modules.get("numpy")
-    ndarray = np is not None and isinstance(buf, np.ndarray)
-    # loaded with the package; an import statement here takes microseconds
-    records = sys.modules[f"{__package__}.shuffle"].RecordBuffer
-    data, size = (buf.data, buf.record_size) if type(buf) is records else (buf, 0)
     # get_items cannot see an object field beside a datetime64 one
-    if _native is not None and not (ndarray and buf.dtype.hasobject):
+    if _native is None or np is not None and isinstance(buf, np.ndarray) and buf.dtype.hasobject:
+        return _twin(buf, twin)
+    # loaded with the package; an import statement here takes microseconds
+    records = sys.modules[_SHUFFLE].RecordBuffer
+    data, size = (buf.data, buf.record_size) if type(buf) is records else (buf, 0)
+    return _bind(name, data, size, buf, twin)
+
+
+def _bind(name, data, size, buf, twin):
+    # The native entry `name` bound to buf's memory `data` and its record
+    # `size`, which runs the twin on buf when it refuses the memory; each
+    # with its own arguments, as a starred call costs about a reversal.
+    entry = getattr(_native, name)
+    if name == "reverse":
+
+        def run(_buf, lo, hi):
+            try:
+                return entry(data, lo, hi, size)
+            except _native.Refused:
+                return _twin(buf, twin)(buf, lo, hi)
+
+        return run
+
+    def run(_buf, lo, hi, k, inverse, table):
         try:
-            _native.reverse(data, 0, 0, size)
-        except (BufferError, TypeError, ValueError):
-            pass
-        else:
-            return data, size
-    if ndarray and (buf.ndim != 1 or buf.dtype.names):
+            return entry(data, lo, hi, k, inverse, table, size)
+        except _native.Refused:
+            return _twin(buf, twin)(buf, lo, hi, k, inverse, table)
+
+    return run
+
+
+def _twin(buf, twin):
+    # the twin, unless buf is an ndarray whose items are views (see resolve)
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(buf, np.ndarray) and (buf.ndim != 1 or buf.dtype.names):
         raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
-    return None
+    return twin
 
 
-def _masked_parts(buf):
-    # A MaskedArray moves as its data and, unless it is nomask, its mask:
-    # each a plain array on its own loops. Item by item, the Python loops
-    # would read a masked item as np.ma.masked, and writing that back sets
-    # the mask but leaves the data under it behind. None for any other
-    # buffer.
+def _masked(buf, name, twin):
+    # The bound call of a MaskedArray, which moves its data and, unless it
+    # is nomask, its mask: each a plain array on its own loops. Item by
+    # item, the Python loops would read a masked item as np.ma.masked, and
+    # writing that back sets the mask but leaves the data under it behind.
+    # None for any other buffer.
     ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
     if ma is None or not isinstance(buf, ma.MaskedArray):
         return None
     mask = ma.getmask(buf)
     if buf.hardmask and mask.any():
         raise ValueError("a hard mask keeps the masked items from moving")
-    return [array for array in (buf.data, mask) if array is not ma.nomask]
+    runs = [(array, resolve(array, name, twin)) for array in (buf.data, mask) if array is not ma.nomask]
+
+    def run_parts(_buf, *args):
+        # the data and the mask make the same moves: one result stands for both
+        for array, run in runs:
+            result = run(array, *args)
+        return result
+
+    return run_parts
 
 
 def agree(chunk, result, itemsize, base, mult, modulus, j0, count):

@@ -25,14 +25,13 @@
  * it tiles the range greedily by the rungs of a table that kway builds once
  * per arity, gathers and walks each block, sweeps the tail, and returns the
  * counts kway's Python twin of it keeps. It is the only entry that moves
- * a shuffle's items. reverse is faro.rotate's loop and _fastpath's probe of
- * a buffer; step gives the tests the walks' arithmetic at moduli no pass in
- * a test reaches.
+ * a shuffle's items. reverse is faro.rotate's loop; step gives the tests
+ * the walks' arithmetic at moduli no pass in a test reaches.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
- * any memory get_items takes: _fastpath asks them, so that rule alone sends
- * a buffer here. They check every range and rung against it before a
- * loop runs; only agree leaves its checks to _fastpath.agree.
+ * any memory get_items takes, and refuse any other with Refused before an
+ * item moves. They check every range and rung against it before a loop
+ * runs; only agree leaves its checks to _fastpath.agree.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -647,15 +646,19 @@ static int holds_objects(const char *fmt)
     return 0;
 }
 
+/* the BufferError subclass of get_items' refusals: an entry's only error
+ * that is not in its arguments */
+static PyObject *Refused;
+
 /* 1 after filling it from obj: an exact list, when size is 0, or memory
  * that is writable, C-contiguous and 1-D, read as items of size bytes, or of
- * its own itemsize when size is 0; 0 with an exception set. Memory whose
- * format holds Python objects is refused with BufferError, since its loops
- * would move references without the GIL. Memory whose exporter cannot
- * spell its format (numpy raises ValueError for datetime64 and timedelta64)
- * is taken without one, so a structured dtype that mixes a datetime field
- * with an object field passes here: only _fastpath.kernel's hasobject sort
- * keeps such an ndarray away. */
+ * its own itemsize when size is 0; 0 with an exception set, Refused for any
+ * other buffer. Memory whose format holds Python objects is refused, since
+ * its loops would move references without the GIL. Memory whose exporter
+ * cannot spell its format (numpy raises ValueError for datetime64 and
+ * timedelta64) is taken without one, so a structured dtype that mixes a
+ * datetime field with an object field passes here: only _fastpath.resolve's
+ * hasobject sort keeps such an ndarray away. */
 static int get_items(struct items *it, PyObject *obj, int64_t size)
 {
     if (PyList_CheckExact(obj) && !size) {
@@ -671,20 +674,22 @@ static int get_items(struct items *it, PyObject *obj, int64_t size)
     }
     if (PyObject_GetBuffer(obj, &it->view, PyBUF_WRITABLE | PyBUF_ND | PyBUF_FORMAT) < 0) {
         /* the same request without the format: when that succeeds, the
-         * format was all the exporter refused; when not, its error stands */
+         * format was all the exporter refused */
         PyErr_Clear();
-        if (PyObject_GetBuffer(obj, &it->view, PyBUF_WRITABLE | PyBUF_ND) < 0)
+        if (PyObject_GetBuffer(obj, &it->view, PyBUF_WRITABLE | PyBUF_ND) < 0) {
+            PyErr_Clear();
+            PyErr_Format(Refused, "%s lends no writable C-contiguous memory", Py_TYPE(obj)->tp_name);
             return 0;
+        }
     }
     if (it->view.format && holds_objects(it->view.format)) {
-        PyErr_Format(PyExc_BufferError, "memory of format '%s' holds Python objects", it->view.format);
+        PyErr_Format(Refused, "memory of format '%s' holds Python objects", it->view.format);
         PyBuffer_Release(&it->view);
         return 0;
     }
     Py_ssize_t bytes = size ? size : it->view.itemsize;
     if (it->view.ndim != 1 || bytes < 1) {
-        PyErr_Format(PyExc_BufferError, "expected 1-D memory of items of at least one byte, got %d-D",
-                     it->view.ndim);
+        PyErr_Format(Refused, "expected 1-D memory of items of at least one byte, got %d-D", it->view.ndim);
         PyBuffer_Release(&it->view);
         return 0;
     }
@@ -885,10 +890,21 @@ static PyMethodDef entries[] = {
     ENTRY(shuffle), ENTRY(reverse), ENTRY(agree), ENTRY(step), {NULL, NULL, 0, NULL},
 };
 
+/* every module loaded from this library shares one Refused */
+static int exec_module(PyObject *m)
+{
+    if (!Refused && !(Refused = PyErr_NewException("faro._kernel.Refused", PyExc_BufferError, NULL)))
+        return -1;
+    return PyModule_AddObjectRef(m, "Refused", Refused);
+}
+
+static PyModuleDef_Slot slots[] = {{Py_mod_exec, exec_module}, {0, NULL}};
+
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
     .m_methods = entries,
+    .m_slots = slots,
 };
 
 PyMODINIT_FUNC PyInit__kernel(void) { return PyModuleDef_Init(&module); }

@@ -52,11 +52,11 @@ The paper tiles them with 3^k - 1 blocks alone; faro's 2-way table has
 them no tail is left.
 
 A public call checks its arguments and makes one call of its buffer's pass,
-``_fastpath.kernel(buf)``: the kernel's ``shuffle`` entry, which runs the
-whole pass in C, or the Python block loop here, its twin ``_pure_pass``,
-which the tests compare it with and which moves every buffer the kernel
-refuses. Both tile by the ``_table(k)`` they are passed and return the same
-counts.
+``_fastpath.resolve(buf, "shuffle", _pure_pass)``: the kernel's ``shuffle``
+entry, which runs the whole pass in C, or the Python block loop here, its
+twin ``_pure_pass``, which the tests compare it with and which moves every
+buffer that entry refuses. Both tile by the ``_table(k)`` they are passed
+and return the same counts.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
@@ -286,7 +286,8 @@ def _pure_pass(buf, lo, hi, k, inverse, table):
 
 def _pass(buf, lo, hi, k, inverse, instr):
     # one pass over buf[lo:hi] by the buffer's pass, its counts added to instr
-    rotate, walk, tail, blocks, cycles = _fastpath.kernel(buf)(buf, lo, hi, k, inverse, _table(k))
+    run = _fastpath.resolve(buf, "shuffle", _pure_pass)
+    rotate, walk, tail, blocks, cycles = run(buf, lo, hi, k, inverse, _table(k))
     if instr is not None:
         instr.note_aux(_DRIVER_AUX_WORDS)
         instr.rotate_moves += rotate

@@ -9,12 +9,12 @@ which costs at most 2 * (w//2 + d//2 + (w-d)//2) single-element moves for a
 window of w elements and needs exactly one element-sized temporary (the swap
 slot) no matter how large the window is.
 
-Both functions reverse by the buffer's reversal loop, the native
-``reverse`` or its twin ``_loops.reverse_slots``, as ``_fastpath.resolve``
-chooses. The shuffle driver does not call them: a block's
-rotations are one gather, which leaves the same items by conjoined triple
-reversal, the three reversals in one sweep, in about 1.5 moves per element
-of the window where these take about 2.
+Both functions reverse by the native ``reverse``, which serves nothing
+else, or, for a buffer it refuses, by its twin ``_loops.reverse_slots``, as
+``_fastpath.resolve`` binds them once per call. The shuffle driver does
+not call them: a block's rotations are one gather, which leaves the same
+items by conjoined triple reversal, the three reversals in one sweep, in
+about 1.5 moves per element of the window where these take about 2.
 """
 
 from . import _fastpath, _loops
@@ -27,10 +27,6 @@ _REVERSE_AUX_WORDS = 3
 _ROTATE_AUX_WORDS = 5
 
 
-def _reversal(buf):
-    return _fastpath.resolve(buf, "reverse", _loops.reverse_slots)
-
-
 def _check_range(buf, lo: int, hi: int) -> None:
     if not 0 <= lo <= hi <= len(buf):
         raise ValueError(f"range [{lo}, {hi}) out of bounds for length {len(buf)}")
@@ -39,7 +35,7 @@ def _check_range(buf, lo: int, hi: int) -> None:
 def reverse_range(buf, lo: int, hi: int, instr=None) -> None:
     """Reverse buf[lo:hi] in place with (hi - lo) // 2 swaps."""
     _check_range(buf, lo, hi)
-    _reversal(buf)(buf, lo, hi)
+    _fastpath.resolve(buf, "reverse", _loops.reverse_slots)(buf, lo, hi)
     if instr is not None:
         instr.rotate_moves += 2 * ((hi - lo) // 2)
         instr.note_aux(_REVERSE_AUX_WORDS)
@@ -57,7 +53,7 @@ def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
         raise ValueError(f"distance {d} out of range 0..{w}")
     if d == 0 or d == w:
         return
-    reverse = _reversal(buf)
+    reverse = _fastpath.resolve(buf, "reverse", _loops.reverse_slots)
     reverse(buf, lo, hi)
     reverse(buf, lo, lo + d)
     reverse(buf, lo + d, hi)

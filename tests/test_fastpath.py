@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import sysconfig
+import tempfile
 import threading
 import time
 from functools import cache
@@ -17,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountingList, conjoined_moves, rungs
+from conftest import CountingList, conjoined_moves, rungs, spy
 
 import faro
-from faro import _fastpath, _loops, cli, kway, rotate
+from faro import _fastpath, _loops, cli, kway
 from faro.kway import _blocks, _table, k_shuffle, k_unshuffle
 from faro.numtheory import is_primitive_root
 from faro.oracle import oracle_shuffle
@@ -32,6 +33,7 @@ needs_kernel = pytest.mark.skipif(not _fastpath.HAVE_COMPILED, reason=str(_fastp
 HEADERS = sysconfig.get_paths()["include"]
 HAVE_HEADERS = os.path.exists(os.path.join(HEADERS, "Python.h"))
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(faro.__file__).parents[1])}
+TESTS = str(Path(__file__).parent)
 
 
 def _multipliers(m):
@@ -111,7 +113,10 @@ def test_walk_switches_look_ahead_at_f4_m_2_32(m):
     shuffled[np.arange(1, m, dtype=np.int64) * 9 % m - 1] = items  # the 9-way oracle: j -> 9j mod m
     for inverse, before, after in ((False, items, shuffled), (True, shuffled, items)):
         buf = before.copy()
-        assert _fastpath.kernel(buf)(buf, 0, m - 1, 9, inverse, table) == (0, m + 1, 0, 1, 2)
+        with spy() as ran:
+            run = _fastpath.resolve(buf, "shuffle", kway._pure_pass)
+            assert run(buf, 0, m - 1, 9, inverse, table) == (0, m + 1, 0, 1, 2)
+        assert ran == {"resolve": 1, "shuffle": 1}, inverse
         assert np.array_equal(buf, after), inverse
 
 
@@ -166,11 +171,14 @@ def _check_pass(kind, k, lo, hi, n, inverse, rng, rung=None):
     checked to leave the items and the counts of the pure pass."""
     buf, items = _random_buffer(kind, n, rng)
     before = items()
-    run = _fastpath.kernel(buf)
-    assert run is not kway._pure_pass
-    counts = run(buf, lo, hi, k, inverse, _pass_table(k, rung))
+    with spy() as ran:
+        run = _fastpath.resolve(buf, "shuffle", kway._pure_pass)
+        counts = run(buf, lo, hi, k, inverse, _pass_table(k, rung))
     order, expected = _pure_pass_of(k, lo, hi, n, inverse, rung)
     case = (kind, k, lo, hi, n, inverse, rung)
+    # a MaskedArray resolves its data and its mask, and moves both natively
+    native = {"resolve": 3, "shuffle": 2} if kind == "masked" else {"resolve": 1, "shuffle": 1}
+    assert ran == native, case
     assert counts == expected, case
     assert items() == [before[i] for i in order], case
     return counts
@@ -240,7 +248,7 @@ def test_forward_and_inverse_walks_run_at_one_speed():
     for k in range(2, 10):
         m = next(m for m, *_ in rungs(_table(k)) if m - 1 <= 1 << 17)
         buf = np.arange(m - 1, dtype=np.int64)
-        run, table = _fastpath.kernel(buf), kway._table(k)
+        run, table = _fastpath.resolve(buf, "shuffle", kway._pure_pass), kway._table(k)
 
         def best(inverse):
             times = []
@@ -347,30 +355,34 @@ def _refuse_bad_passes(shuffle, buf):
 )
 def test_native_walk_refuses_to_leave_the_buffer(buf):
     # the entries as resolve binds them to the buffer, the record size
-    # among their arguments for the records
+    # among their arguments for the records: every bad call raises the
+    # entry's own error, and none runs the twin
     before = buf.tobytes()
-    reverse, run = rotate._reversal(buf), _fastpath.kernel(buf)
-    assert reverse is not _loops.reverse_slots and run is not kway._pure_pass
-    for lo, hi in ((0, 27), (-1, 3), (5, 4)):
-        with pytest.raises(IndexError):
-            reverse(buf, lo, hi)
-    _refuse_bad_passes(run, buf)
-    assert buf.tobytes() == before
-    assert run(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
+    with spy() as ran:
+        reverse = _fastpath.resolve(buf, "reverse", _loops.reverse_slots)
+        run = _fastpath.resolve(buf, "shuffle", kway._pure_pass)
+        for lo, hi in ((0, 27), (-1, 3), (5, 4)):
+            with pytest.raises(IndexError):
+                reverse(buf, lo, hi)
+        _refuse_bad_passes(run, buf)
+        assert buf.tobytes() == before
+        assert run(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
     assert buf.tobytes() != before
+    assert set(ran) == {"resolve", "reverse", "shuffle"} and ran["reverse"] == 3, ran
 
 
 @needs_kernel
 def test_native_reverse_stays_inside_a_view():
     backing = np.arange(10)
     view = backing[:4]
-    reverse = rotate._reversal(view)
-    assert reverse is not _loops.reverse_slots
-    with pytest.raises(IndexError):
-        reverse(view, 0, 6)  # the view ends at 4; the backing array goes on
-    assert backing.tolist() == list(range(10))
-    reverse(view, 0, 4)
+    with spy() as ran:
+        reverse = _fastpath.resolve(view, "reverse", _loops.reverse_slots)
+        with pytest.raises(IndexError):
+            reverse(view, 0, 6)  # the view ends at 4; the backing array goes on
+        assert backing.tolist() == list(range(10))
+        reverse(view, 0, 4)
     assert backing.tolist() == [3, 2, 1, 0, 4, 5, 6, 7, 8, 9]
+    assert ran == {"resolve": 1, "reverse": 2}
 
 
 @needs_kernel
@@ -387,14 +399,15 @@ def test_native_reverse_matches_slice_reversal_exhaustively(kind):
             buf = np.array([rng.randrange(-(2**63), 2**63) for _ in range(n)], dtype=np.int64)
         else:
             buf = RecordBuffer(bytearray(rng.randbytes(n * int(kind[7:]))), int(kind[7:]))
-        reverse = rotate._reversal(buf)
-        assert reverse is not _loops.reverse_slots
         expected = [buf[i] for i in range(n)]
-        for lo in range(n + 1):
-            for hi in range(lo, n + 1):
-                reverse(buf, lo, hi)
-                expected[lo:hi] = expected[lo:hi][::-1]
-                assert [buf[i] for i in range(n)] == expected, (n, lo, hi)
+        with spy() as ran:
+            reverse = _fastpath.resolve(buf, "reverse", _loops.reverse_slots)
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    reverse(buf, lo, hi)
+                    expected[lo:hi] = expected[lo:hi][::-1]
+                    assert [buf[i] for i in range(n)] == expected, (n, lo, hi)
+        assert ran == {"resolve": 1, "reverse": (n + 1) * (n + 2) // 2}, n
 
 
 @needs_kernel
@@ -440,26 +453,29 @@ def test_rotation_closed_form_counts_the_pure_writes():
 def test_entries_refuse_memory_of_python_objects():
     # an object ndarray's memory is references: moving them without the GIL
     # could free an object under another thread, so both entries refuse it,
-    # directly as through the kernel's own sort, which sends an object array
-    # to the pure loops and refuses a structured one, whose items are views;
-    # a field merely named O is no object
+    # directly as through resolve, which sends an object array to the pure
+    # loops without asking the kernel and refuses a structured one, whose
+    # items are views; a field merely named O is no object
     native = _fastpath._native
     for buf in (
         np.array([None, 1, "x", 2.5] * 8, dtype=object),
         np.array([(i, str(i), -i) for i in range(32)], dtype=[("i", "i8"), ("a", "O"), ("b", "i8")]),
     ):
         before = buf.copy()
-        with pytest.raises(BufferError, match="Python objects"):
+        with pytest.raises(native.Refused, match="Python objects"):
             native.reverse(buf, 0, 32)
-        with pytest.raises(BufferError, match="Python objects"):
+        with pytest.raises(native.Refused, match="Python objects"):
             native.shuffle(buf, 0, 32, 2, False, kway._table(2))
         assert buf.tolist() == before.tolist()
         if buf.dtype.names:
             with pytest.raises(ValueError, match="views"):
-                _fastpath.kernel(buf)
+                _fastpath.resolve(buf, "shuffle", kway._pure_pass)
         else:
-            assert rotate._reversal(buf) is _loops.reverse_slots
-            assert _fastpath.kernel(buf) is kway._pure_pass
+            with spy() as ran:
+                reverse_range(buf, 0, 32)
+                k_shuffle(buf, 2)
+            assert ran == {"resolve": 2, "twin": 2}
+            assert buf.tolist() == oracle_shuffle(before.tolist()[::-1], IN_SHUFFLE)
     named = np.array([(i, -i) for i in range(32)], dtype=[("O", "i8"), ("x", "f8")])
     native.reverse(named, 0, 32)
     assert named["O"].tolist() == list(range(31, -1, -1))
@@ -467,8 +483,9 @@ def test_entries_refuse_memory_of_python_objects():
     # without one, natively
     times = np.arange(3000).astype("datetime64[s]")
     before = times.tolist()
-    assert _fastpath.kernel(times) is native.shuffle
-    k_shuffle(times, 3)
+    with spy() as ran:
+        k_shuffle(times, 3)
+    assert ran == {"resolve": 1, "shuffle": 1}
     assert times.tolist() == oracle_shuffle(before, kway_kind(3))
 
 
@@ -498,11 +515,95 @@ def test_arrays_whose_items_are_views_raise_and_stay_unmodified(case, monkeypatc
 
 
 @needs_kernel
+def test_a_public_call_asks_the_kernel_once():
+    # the entry that moves the items sorts the buffer: nothing asks the
+    # kernel about it first
+    buf = np.arange(1000, dtype=np.int64)
+    with spy() as ran:
+        in_shuffle(buf)
+    assert ran == {"resolve": 1, "shuffle": 1}, ran
+    records = RecordBuffer(bytearray(range(240)), 3)
+    with spy() as ran:
+        k_shuffle(records, 8)
+    assert ran == {"resolve": 1, "shuffle": 1}, ran
+    # a MaskedArray resolves itself, its data and its mask, and moves the two
+    masked = np.ma.array(np.arange(1000), mask=np.arange(1000) % 3 == 0)
+    with spy() as ran:
+        in_shuffle(masked)
+    assert ran == {"resolve": 3, "shuffle": 2}, ran
+    with spy() as ran:
+        rotate_right(buf, 0, 1000, 7)
+    assert ran == {"resolve": 1, "reverse": 3}, ran
+
+
+def _refused_buffers():
+    """Buffers the kernel refuses, by case: (buffer, the list or memory it
+    views, what an in-shuffle of it raises or None when that moves it, and
+    what runs, as ``spy`` counts it)."""
+    payload = bytes(range(1, 27))
+    with tempfile.TemporaryFile() as handle:
+        handle.write(payload)
+        handle.flush()
+        mapped = mmap.mmap(handle.fileno(), 26, access=mmap.ACCESS_READ)
+    read_only = np.arange(26)
+    read_only.flags.writeable = False
+    pairs = np.array([(i, -i) for i in range(52)], dtype=[("a", "i8"), ("b", "i4")])
+    backing, memory = np.arange(52), bytearray(range(52))
+    refused = {"resolve": 1, "shuffle": 1, "refused": 1}
+    twin = {**refused, "twin": 1}
+    return {
+        # read-only memory: the twin's first write raises the exporter's error
+        "bytes": (payload, payload, TypeError, twin),
+        "read-only memoryview": (memoryview(payload), payload, TypeError, twin),
+        "read-only mmap": (mapped, mapped, TypeError, twin),
+        "read-only ndarray": (read_only, read_only, ValueError, twin),
+        # arrays whose items are views raise before the twin runs
+        "2-D": (backing.reshape(2, 26), backing, ValueError, refused),
+        "strided-structured": (pairs[::2], pairs, ValueError, refused),
+        # the rest the twin moves; an object array without asking the kernel
+        "objects": (np.array([None, 1, "x", 2.5] * 6 + [(), 7], dtype=object), None, None,
+                    {"resolve": 1, "twin": 1}),
+        "list subclass": (CountingList(range(26)), None, None, twin),
+        "strided ndarray": (backing[::2], backing, None, twin),
+        "strided memoryview": (memoryview(memory)[::2], memory, None, twin),
+    }
+
+
+@needs_kernel
+def test_refused_buffers_take_the_twin_and_stay_unmodified():
+    # What the entries refuse runs the Python twin: read-only memory fails
+    # on its first write, with the exporter's own error, and arrays whose
+    # items are views fail before it runs, unmodified. An entry refuses a
+    # buffer before any item moves, and releases any view of it that it
+    # took, which would otherwise hold a reference to the buffer. A view
+    # that moves leaves the items between its own alone.
+    for case, (buf, owner, error, runs) in _refused_buffers().items():
+        items = [buf[i] for i in range(len(buf))]
+        before = None if owner is None else bytes(memoryview(owner).cast("B"))
+        references = sys.getrefcount(buf)
+        with spy() as ran:
+            if error is None:
+                in_shuffle(buf)
+            else:
+                with pytest.raises(error):
+                    in_shuffle(buf)
+        assert ran == runs, case
+        assert sys.getrefcount(buf) == references, case
+        if error is not None:
+            assert bytes(memoryview(owner).cast("B")) == before, case
+            continue
+        assert [buf[i] for i in range(len(buf))] == oracle_shuffle(items, IN_SHUFFLE), case
+        if owner is not None:
+            assert list(owner[1::2]) == list(range(1, 52, 2)), case
+
+
+@needs_kernel
 def test_contiguous_structured_array_shuffles_through_the_kernel():
     buf = np.array([(i, -i, i / 2) for i in range(1000)], dtype=[("a", "i8"), ("b", "i4"), ("c", "f8")])
     before = buf.tolist()
-    assert _fastpath.kernel(buf) is _fastpath._native.shuffle
-    in_shuffle(buf)
+    with spy() as ran:
+        in_shuffle(buf)
+    assert ran == {"resolve": 1, "shuffle": 1}
     assert buf.tolist() == oracle_shuffle(before, IN_SHUFFLE)
 
 
@@ -696,10 +797,12 @@ def test_numpy_imported_after_faro_takes_the_native_path():
     probe = (
         "import faro\n"
         "import numpy as np\n"
-        "from faro import _fastpath\n"
+        f"import sys; sys.path.insert(0, {TESTS!r})\n"
+        "from conftest import spy\n"
         "buf = np.arange(1000, dtype=np.int64)\n"
-        "assert _fastpath.kernel(buf) is _fastpath._native.shuffle\n"
-        "faro.in_shuffle(buf)\n"
+        "with spy() as ran:\n"
+        "    faro.in_shuffle(buf)\n"
+        "assert ran == {'resolve': 1, 'shuffle': 1}, ran\n"
         "assert buf.tolist() == faro.oracle_shuffle(list(range(1000)), faro.IN_SHUFFLE)\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
@@ -715,7 +818,7 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     # with the build's own flags, -O2 among them, so that warnings only the
     # optimizer finds (-Wmaybe-uninitialized, say) fail it too
     built = subprocess.run(
-        [*_fastpath._cc_argv(), "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "_kernel.o"),
+        [*_fastpath._CC, "-I", HEADERS, "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "_kernel.o"),
          _fastpath._SOURCE],
         capture_output=True,
         text=True,
@@ -740,6 +843,7 @@ def _sanitized_cases():
         test_native_walk_refuses_to_leave_the_buffer(buf)
     test_native_reverse_stays_inside_a_view()
     test_entries_refuse_memory_of_python_objects()
+    test_refused_buffers_take_the_twin_and_stay_unmodified()
     test_list_entries_refuse_bad_calls_and_leave_the_list()
     test_buffer_entries_refuse_bad_calls_and_leave_the_buffer()
     test_mulmod_and_step_refuse_what_is_no_residue()
@@ -765,11 +869,11 @@ def test_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_
     shutil.copyfile(_fastpath._SOURCE, source)
     probe = (
         "import os, sys\n"
-        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        f"sys.path.insert(0, {TESTS!r})\n"
         "os.environ.pop('LD_PRELOAD')  # for the interpreter, not for cc\n"
         "from faro import _fastpath\n"
         f"_fastpath._SOURCE = {str(source)!r}\n"
-        "_fastpath._native = _fastpath._load([*_fastpath._cc_argv(), '-O1', '-fsanitize=address,undefined'])\n"
+        "_fastpath._native = _fastpath._load((*_fastpath._CC, '-O1', '-fsanitize=address,undefined'))\n"
         "import test_fastpath\n"
         "test_fastpath._sanitized_cases()\n"
         "print(_fastpath._native.__file__)\n"
@@ -792,29 +896,42 @@ def test_build_without_python_h_takes_the_pure_loops(tmp_path, monkeypatch):
     source = tmp_path / "_kernel.c"
     shutil.copyfile(_fastpath._SOURCE, source)
     monkeypatch.setattr(_fastpath, "_SOURCE", str(source))
+    # a failed build, here of a Python.h that does not compile, leaves
+    # nothing in the cache
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "Python.h").write_text("#error no usable Python.h\n")
+    with monkeypatch.context() as m:
+        m.setattr(sysconfig, "get_paths", lambda: {"include": str(broken)})
+        with pytest.raises(OSError, match="no usable Python.h"):
+            _fastpath._load()
+    assert not list((tmp_path / "__pycache__").iterdir())
     empty = tmp_path / "include"
     empty.mkdir()
-    with pytest.raises(OSError, match="Python.h"):
-        _fastpath._load(["cc", "-O2", "-shared", "-fPIC", "-I", str(empty), "-x", "c"])
-    assert not list((tmp_path / "__pycache__").iterdir())
     monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(empty)})
-    with pytest.raises(OSError, match="Python.h"):
-        _fastpath._cc_argv()
-    # an interpreter whose include dir lacks Python.h sends every buffer to
-    # the pure loops
+    with pytest.raises(OSError, match="no Python.h"):
+        _fastpath._load()
+    # an interpreter whose include dir lacks Python.h, and that finds no
+    # module built before, sends every buffer to the pure loops
+    package = tmp_path / "faro"
+    shutil.copytree(Path(faro.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
     probe = (
-        "import sysconfig\n"
+        "import sys, sysconfig\n"
         "paths = sysconfig.get_paths\n"
         f"sysconfig.get_paths = lambda *a, **k: {{**paths(*a, **k), 'include': {str(empty)!r}}}\n"
+        f"sys.path.insert(0, {TESTS!r})\n"
         "import numpy as np\n"
-        "from faro import _fastpath, _loops, kway, rotate\n"
+        "from conftest import spy\n"
+        "from faro import _fastpath, k_shuffle, reverse_range\n"
         "from faro.shuffle import RecordBuffer\n"
         "assert not _fastpath.HAVE_COMPILED and 'Python.h' in _fastpath.BUILD_ERROR\n"
         "for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2)):\n"
-        "    assert rotate._reversal(buf) is _loops.reverse_slots, buf\n"
-        "    assert _fastpath.kernel(buf) is kway._pure_pass, buf\n"
+        "    with spy() as ran:\n"
+        "        reverse_range(buf, 0, 2)\n"
+        "        k_shuffle(buf, 2)\n"
+        "    assert ran == {'resolve': 2, 'twin': 2}, (buf, ran)\n"
     )
-    subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
+    subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(tmp_path)}, check=True)
 
 
 @needs_cc
@@ -834,45 +951,37 @@ def test_kernel_library_is_named_by_source_and_command(tmp_path, monkeypatch):
         # a build leaves its own module alone in the cache
         return built() == [Path(module.__file__)]
 
-    argv = _fastpath._cc_argv()
-    assert argv == ["cc", "-O2", "-shared", "-fPIC", "-I", HEADERS, "-x", "c"]
-    module = _fastpath._load(argv)
+    assert _fastpath._CC == ("cc", "-O2", "-shared", "-fPIC")
+    module = _fastpath._load()
     assert only(module)
     first = Path(module.__file__)
     stale.write_bytes(b"")
-    assert Path(_fastpath._load(argv).__file__) == first
+    assert Path(_fastpath._load().__file__) == first
     assert stale.exists()  # loading a cached module removes nothing
-    module = _fastpath._load(["cc", "-O1", *argv[2:]])
+    module = _fastpath._load(("cc", "-O1", *_fastpath._CC[2:]))
     assert only(module) and Path(module.__file__) != first
+    # so does another interpreter's build
+    monkeypatch.setattr(sys, "version", sys.version + " (another build)")
+    assert Path(_fastpath._load().__file__) not in (first, Path(module.__file__))
 
 
-def test_kernel_is_resolved_once_per_call(monkeypatch):
-    # every public shuffle resolves its pass once (an exact list without
-    # resolve's call), and every rotation its reversal once
-    counts = dict(kernel=0, resolve=0, shuffle=0, reverse=0)
-    real_kernel, real_resolve = _fastpath.kernel, _fastpath.resolve
-    returned = []
+@needs_kernel
+def test_cached_kernel_loads_without_sysconfig():
+    # sysconfig only names the include directory of a build: loading the
+    # module a build left cached, as every `faro apply` child does, spares
+    # its import
+    probe = "import sys, faro.cli; print(faro._fastpath.HAVE_COMPILED, 'sysconfig' in sys.modules)"
+    subprocess.run([sys.executable, "-c", "import faro"], env=SRC_ENV, check=True)  # cached now
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["True", "False"]
 
-    def kernel(buf):
-        counts["kernel"] += 1
-        run = real_kernel(buf)
 
-        def counted(*args):
-            counts["shuffle"] += 1
-            returned.append(run(*args))
-            return returned[-1]
-
-        return counted
-
-    def resolve(buf, name, twin):
-        counts["resolve"] += 1
-        run = real_resolve(buf, name, twin)
-
-        def counted(*args):
-            counts["reverse"] += 1
-            return run(*args)
-
-        return counted if name == "reverse" else run
+def test_kernel_is_resolved_once_per_call():
+    # every public shuffle resolves its pass once and makes one call of it,
+    # and every rotation resolves its reversal once
+    entry = "shuffle" if _fastpath.HAVE_COMPILED else "twin"
 
     def blocks_and_cycles(n, k):
         # a block per block of the tiling and the tail; d cycles per rung of
@@ -887,8 +996,6 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
                 cycles += len(cycle_decomposition(kway_kind(k), modulus - 1).cycles)
         return blocks, cycles
 
-    monkeypatch.setattr(_fastpath, "kernel", kernel)
-    monkeypatch.setattr(_fastpath, "resolve", resolve)
     # (call, length, k); every public call is one pass
     calls = [
         (lambda buf: k_shuffle(buf, 6), 60_000, 6),
@@ -898,21 +1005,20 @@ def test_kernel_is_resolved_once_per_call(monkeypatch):
     ]
     for call, n, k in calls:
         for buf in (np.arange(n, dtype=np.int64), list(range(n))):
-            counts.update(kernel=0, resolve=0, shuffle=0, reverse=0)
-            returned.clear()
-            call(buf)
+            with spy() as ran:
+                call(buf)
             assert sorted(buf.tolist() if isinstance(buf, np.ndarray) else buf) == list(range(n))
-            resolved = int(type(buf) is not list or _fastpath._native is None)
-            assert counts == dict(kernel=1, resolve=resolved, shuffle=1, reverse=0), counts
-            assert returned[0][3:] == blocks_and_cycles(n, k), (returned, k)
+            assert ran == {"resolve": 1, entry: 1}, ran
+            assert ran.returned[0][3:] == blocks_and_cycles(n, k), (ran.returned, k)
 
-    counts.update(kernel=0, resolve=0, shuffle=0, reverse=0)
+    entry = "reverse" if _fastpath.HAVE_COMPILED else "twin"
     buf = list(range(10))
-    rotate_right(buf, 0, 10, 3)
-    assert buf == [7, 8, 9, 0, 1, 2, 3, 4, 5, 6]
-    assert counts == dict(kernel=0, resolve=1, shuffle=0, reverse=3), counts
-    reverse_range(buf, 2, 6)
-    assert counts == dict(kernel=0, resolve=2, shuffle=0, reverse=4), counts
+    with spy() as ran:
+        rotate_right(buf, 0, 10, 3)
+        assert buf == [7, 8, 9, 0, 1, 2, 3, 4, 5, 6]
+        assert ran == {"resolve": 1, entry: 3}, ran
+        reverse_range(buf, 2, 6)
+    assert ran == {"resolve": 2, entry: 4}, ran
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6])
@@ -931,15 +1037,25 @@ def test_list_shuffles_leave_refcounts_alone(k):
 
 
 def test_list_subclass_takes_the_pure_loops(monkeypatch):
+    # the kernel, when there is one, refuses it; the twins move it
+    def refused(entry):
+        return {entry: 1, "refused": 1} if _fastpath.HAVE_COMPILED else {}
+
     buf = CountingList(range(600))
-    assert rotate._reversal(buf) is _loops.reverse_slots
-    assert _fastpath.kernel(buf) is kway._pure_pass
-    k_shuffle(buf, 3)
+    with spy() as ran:
+        k_shuffle(buf, 3)
+    assert ran == {"resolve": 1, **refused("shuffle"), "twin": 1}, ran
     assert buf.gets > 600 and buf.sets > 600
     assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))
+    with spy() as ran:
+        reverse_range(buf, 0, 600)
+    assert ran == {"resolve": 1, **refused("reverse"), "twin": 1}, ran
+    assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))[::-1]
     monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
-    assert rotate._reversal([1, 2]) is _loops.reverse_slots
-    assert _fastpath.kernel([1, 2]) is kway._pure_pass
+    with spy() as ran:
+        reverse_range([1, 2], 0, 2)
+        k_shuffle([1, 2], 2)
+    assert ran == {"resolve": 2, "twin": 2}, ran
 
 
 def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
@@ -947,8 +1063,10 @@ def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
     for buf in ([1, 2], np.arange(4), RecordBuffer(bytearray(4), 2), array.array("q", [1, 2]),
                 memoryview(bytearray(16)).cast("q"), bytearray(4), mmap.mmap(-1, 4),
                 RecordBuffer(mmap.mmap(-1, 4), 2)):
-        assert rotate._reversal(buf) is _loops.reverse_slots, buf
-        assert _fastpath.kernel(buf) is kway._pure_pass, buf
+        with spy() as ran:
+            reverse_range(buf, 0, 2)
+            k_shuffle(buf, 2)
+        assert ran == {"resolve": 2, "twin": 2}, buf
 
 
 def test_empty_and_two_element_lists():
@@ -982,18 +1100,22 @@ def test_empty_and_two_element_lists():
 @needs_kernel
 def test_list_entries_refuse_bad_calls_and_leave_the_list():
     buf = list(range(26))
-    reverse, run = rotate._reversal(buf), _fastpath.kernel(buf)
+    reverse = _fastpath.resolve(buf, "reverse", _loops.reverse_slots)
+    run = _fastpath.resolve(buf, "shuffle", kway._pure_pass)
+    # an exact list binds the entries themselves
+    assert (reverse, run) == (_fastpath._native.reverse, _fastpath._native.shuffle)
     for lo, hi in ((0, 27), (-1, 3), (5, 4)):
         with pytest.raises(IndexError):
             reverse(buf, lo, hi)
-    with pytest.raises(TypeError):
+    # what is neither an exact list nor memory is refused
+    with pytest.raises(_fastpath._native.Refused, match="tuple lends no"):
         reverse(tuple(buf), 0, 2)
     # integers beyond int64 are refused, not wrapped into range
     for lo, hi in ((2**64, 2**64 + 2), (0, 2**63), (-(2**64), 2)):
         with pytest.raises((OverflowError, IndexError)):
             reverse(buf, lo, hi)
     _refuse_bad_passes(run, buf)
-    with pytest.raises(TypeError):
+    with pytest.raises(_fastpath._native.Refused, match="CountingList lends no"):
         _fastpath._native.shuffle(CountingList(buf), 0, 26, 2, False, kway._table(2))
     assert buf == list(range(26))
     assert run(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
@@ -1015,9 +1137,9 @@ def test_buffer_entries_refuse_bad_calls_and_leave_the_buffer():
     ):
         before = bytes(memoryview(buf if owner is None else owner).tobytes())
         extra = (size,) if size else ()
-        with pytest.raises(BufferError):
+        with pytest.raises(native.Refused):
             native.reverse(buf, 0, 2, *extra)
-        with pytest.raises(BufferError):
+        with pytest.raises(native.Refused):
             native.shuffle(buf, 0, 26, 2, False, kway._table(2), *extra)
         assert memoryview(buf if owner is None else owner).tobytes() == before
     # memory they take, bound to bad calls
@@ -1090,11 +1212,14 @@ def test_fresh_interpreter_sends_lists_to_the_kernel():
     # memory goes native by the kernel's own check, with numpy never imported
     probe = (
         "import array, sys\n"
-        "from faro import _fastpath, _loops, kway, rotate\n"
+        f"sys.path.insert(0, {TESTS!r})\n"
+        "from conftest import spy\n"
+        "from faro import k_shuffle, reverse_range\n"
         "for buf in ([1, 2], array.array('q', [1, 2]), bytearray(4)):\n"
-        "    assert rotate._reversal(buf) is not _loops.reverse_slots, buf\n"
-        "    assert _fastpath.kernel(buf) is not kway._pure_pass, buf\n"
-        "assert _fastpath.kernel([1, 2]) is _fastpath._native.shuffle\n"
+        "    with spy() as ran:\n"
+        "        reverse_range(buf, 0, 2)\n"
+        "        k_shuffle(buf, 2)\n"
+        "    assert ran == {'resolve': 2, 'reverse': 1, 'shuffle': 1}, (buf, ran)\n"
         "assert 'numpy' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import conjoined_moves, rungs
+from conftest import conjoined_moves, rungs, spy
 
 from faro import _fastpath, _loops, kway
 from faro.kway import k_shuffle, k_unshuffle
@@ -285,17 +285,8 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
 
     # the pass, native or its Python twin, counts no rotate or tail moves,
     # one block and 2j cycles; the twin walks each leader's ladder once
-    walked, rotated, passes = [], [], []
-    real_kernel, gather, walk = _fastpath.kernel, _loops.gather_slots, _loops.cycle_walk
-
-    def kernel(buf):
-        run = real_kernel(buf)
-
-        def pass_spy(*args):
-            passes.append(run(*args))
-            return passes[-1]
-
-        return pass_spy
+    walked, rotated = [], []
+    gather, walk = _loops.gather_slots, _loops.cycle_walk
 
     def gather_spy(*args):
         rotated.append(gather(*args))
@@ -305,24 +296,24 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
         walked.extend(leader * p**s for s in range(count))
         walk(buf, base, leader, mult, modulus, p, count)
 
-    monkeypatch.setattr(_fastpath, "kernel", kernel)
     monkeypatch.setattr(_loops, "gather_slots", gather_spy)
     monkeypatch.setattr(_loops, "cycle_walk", walk_spy)
     for call in (k_shuffle, k_unshuffle):
         for native in (True, False):
             walked.clear()
             rotated.clear()
-            passes.clear()
             buf, instr = list(range(n)), Instrumentation()
             with monkeypatch.context() as m:
                 if not native:
                     m.setattr(_fastpath, "_native", None)  # as when the kernel did not build
-                call(buf, k, instr)
+                with spy() as ran:
+                    call(buf, k, instr)
             if call is k_shuffle:
                 assert buf == oracle_shuffle(list(range(n)), kway_kind(k))
             else:
                 assert oracle_shuffle(buf, kway_kind(k)) == list(range(n))
-            assert passes == [(0, moves, 0, 1, 2 * j)]
+            assert ran == {"resolve": 1, "shuffle" if native and _fastpath.HAVE_COMPILED else "twin": 1}
+            assert ran.returned == [(0, moves, 0, 1, 2 * j)]
             assert instr.moves == moves and instr.rotate_moves == 0
             if not native:
                 assert sorted(walked) == leaders
