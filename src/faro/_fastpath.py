@@ -185,7 +185,13 @@ def _masked(buf, name, twin):
     mask = ma.getmask(buf)
     if buf.hardmask and mask.any():
         raise ValueError("a hard mask keeps the masked items from moving")
-    runs = [(array, resolve(array, name, twin)) for array in (buf.data, mask) if array is not ma.nomask]
+    return _parts((buf.data, mask), ma.nomask, name, twin)
+
+
+def _parts(arrays, nomask, name, twin):
+    # the bound call of a MaskedArray's data and mask, a mask of nomask
+    # aside; its own helper, so that _masked makes no cell on other buffers
+    runs = [(array, resolve(array, name, twin)) for array in arrays if array is not nomask]
 
     def run_parts(_buf, *args):
         # the data and the mask make the same moves: one result stands for both

@@ -8,25 +8,26 @@
  * COLUMN bytes: wider records are walked once per COLUMN-byte column, so
  * extra space stays constant whatever the record size. walk_items walks a
  * whole ladder of cycles, those led by leader * p^s for s < count. Every
- * walk of a q-way pass with q * m <= 2^32 steps j -> q * j mod m, without a
- * division: the forward passes (mult = q) push each item on to its target
- * q * j, and the inverse passes (mult = q^-1) pull each slot's item from its
- * source q * j (see struct step), both by one loop, cycle(). A walk by
- * x 2..9 with f^4 * m <= 2^32 computes the next four slots at once, each
- * straight from the current one, so that its loop waits on one step per
- * four items rather than per item; the reversal of 8-byte items swaps two
- * of them from each end at a time. A block's gather makes all k - 1
- * rotations of its windows, each by conjoined triple reversal, and counts
- * their moves; its cycles move 8-byte items two per cursor, and other items
- * a word at a time through registers, so the column stays the walk's only
- * temporary array.
+ * walk of a k-way pass with k * m <= 2^32 steps j -> k * j mod m, without a
+ * division: a forward pass pushes each item on to its target k * j, and an
+ * inverse pass pulls each slot's item from its source k * j (see struct
+ * step), both by one loop, cycle(). A walk with k^4 * m <= 2^32 computes
+ * the next four slots at once, each straight from the current one, so that
+ * its loop waits on one step per four items rather than per item; the
+ * reversal of 8-byte items swaps two of them from each end at a time. A
+ * block's gather makes all k - 1 rotations of its windows, each by
+ * conjoined triple reversal, and counts their moves; its cycles move 8-byte
+ * items two per cursor. Every other swap or cycle of items, in a reversal,
+ * a gather or a pushing walk, hands their bytes round a word at a time
+ * through registers by one helper, turn(), so the column stays the walk's
+ * only temporary array.
  *
  * One shuffle call makes a whole forward or inverse pass of kway's driver:
  * it tiles the range greedily by the rungs of a table that kway builds once
  * per arity, gathers and walks each block, sweeps the tail, and returns the
  * counts kway's Python twin of it keeps. It is the only entry that moves
  * a shuffle's items. reverse is faro.rotate's loop; step gives the tests
- * the walks' arithmetic at moduli no pass in a test reaches.
+ * the steps of a pass's walks at moduli no pass in a test reaches.
  *
  * The entries at the end take an exact list, over its PyObject * slots, or
  * any memory get_items takes, and refuse any other with Refused before an
@@ -50,7 +51,7 @@ static inline int64_t mulmod(int64_t a, int64_t b, int64_t m)
 }
 
 /* a^-1 mod m by extended Euclid, for 0 <= a < m; 0 when gcd(a, m) != 1 */
-static int64_t inverse(int64_t a, int64_t m)
+static int64_t invert(int64_t a, int64_t m)
 {
     int64_t r0 = m, r1 = a, t0 = 0, t1 = 1;
     while (r1) {
@@ -60,25 +61,21 @@ static int64_t inverse(int64_t a, int64_t m)
     return r0 != 1 ? 0 : t0 < 0 ? t0 + m : t0;
 }
 
-/* How a walk under x mult mod m steps from slot j to slot f * j mod m,
- * chosen once per walk so that no step the shuffles take divides. With
- * f = mult the walk pushes, moving each item on to its target; with
- * f = mult^-1 it pulls, filling each slot from its source (cycle() walks
- * either way). It pushes when mult has a fast step or mult^-1 has none,
- * and pulls otherwise, so every forward pass (mult = q) pushes and every
- * inverse pass (mult = q^-1) pulls, both stepping by x q:
- *   TIMES   f = 2..9 with f * m <= 2^32: f * j by Lemire's fastmod,
- *           exact below 2^32, with recip = floor((2^64 - 1) / m) + 1 and
- *           rf[0] = recip * f mod 2^64, so that a step is two
- *           multiplications;
- *   MULMOD  any other unit or modulus, pushing: mulmod(j, mult, m).
- * So the walks of a 2-way pass on a block with m > 2^31 push by mulmod,
- * forward or inverse. A TIMES walk with f^4 * m <= 2^32 (m <= 2^28 at f = 2,
- * 654,620 at f = 9) looks AHEAD slots ahead: rf[s - 1] = recip * f^s mod
- * 2^64 gives f^s * j mod m by one fastmod, exact since f^s * j < f^4 * m,
- * so the four slots after j are computed independently of each other and
- * the walk goes on from the fourth. Every other walk takes its slots one
- * step at a time.
+/* How a walk of a k-way pass, 2 <= k <= 9, steps from slot j to slot
+ * f * j mod m, chosen once per walk so that no step the shuffles take
+ * divides. cycle() walks either way: pushing, it moves each item on to its
+ * target f * j; pulling, it fills each slot from its source f * j.
+ *   TIMES   k * m <= 2^32: f = k, forward pushing and inverse pulling, by
+ *           Lemire's fastmod, exact below 2^32, with recip =
+ *           floor((2^64 - 1) / m) + 1 and rf[0] = recip * f mod 2^64, so
+ *           that a step is two multiplications;
+ *   MULMOD  k * m > 2^32, a block of more than 2^32 / k items: pushing,
+ *           mulmod(j, f, m) with f = k forward and f = k^-1 inverse.
+ * A TIMES walk with k^4 * m <= 2^32 (m <= 2^28 at k = 2, 654,620 at k = 9)
+ * looks AHEAD slots ahead: rf[s - 1] = recip * f^s mod 2^64 gives
+ * f^s * j mod m by one fastmod, exact since f^s * j < f^4 * m, so the four
+ * slots after j are computed independently of each other and the walk goes
+ * on from the fourth. Every other walk takes its slots one step at a time.
  */
 enum { TIMES, MULMOD };
 enum { AHEAD = 4 };
@@ -88,25 +85,19 @@ struct step {
     uint64_t f, m, rf[AHEAD];
 };
 
-/* 1 iff x f mod m has a step that does not divide */
-static int fast(int64_t f, int64_t m)
+/* 1 after filling st for the walks mod m of a k-way pass, the inverse pass
+ * when `inverse`, for 2 <= k <= 9 and k < m; 0 when k is no unit mod m */
+static int plan(struct step *st, int64_t k, int inverse, int64_t m)
 {
-    return f >= 2 && f <= 9 && m <= (INT64_C(1) << 32) / f;
-}
-
-/* 1 after filling st for a walk under x mult mod m, for 0 <= mult < m;
- * 0 when mult is no unit mod m */
-static int plan(struct step *st, int64_t mult, int64_t m)
-{
-    int64_t inv = inverse(mult, m);
+    int64_t inv = invert(k, m);
     if (!inv)
         return 0;
-    st->push = fast(mult, m) || !fast(inv, m);
-    st->f = st->push ? mult : inv;
+    st->kind = m <= (INT64_C(1) << 32) / k ? TIMES : MULMOD;
+    st->push = !inverse || st->kind == MULMOD;
+    st->f = inverse && st->push ? inv : k;
     st->m = m;
-    st->kind = fast(st->f, m) ? TIMES : MULMOD;
-    /* a TIMES step has f <= 9 and m < 2^32, so f^4 * m cannot overflow */
-    st->ahead = st->kind == TIMES && st->f * st->f * st->f * st->f * st->m <= UINT64_C(1) << 32 ? AHEAD : 1;
+    /* a TIMES step has k <= 9 and m < 2^32, so k^4 * m cannot overflow */
+    st->ahead = st->kind == TIMES && k * k * k * k * m <= INT64_C(1) << 32 ? AHEAD : 1;
     uint64_t rf = UINT64_MAX / (uint64_t)m + 1;
     for (int s = 0; s < AHEAD; s++)
         st->rf[s] = rf *= st->f;
@@ -122,20 +113,30 @@ static inline __attribute__((always_inline)) int64_t next(const struct step *st,
     return mulmod(j, st->f, st->m);
 }
 
-/* exchange n bytes a word at a time, through registers */
-static inline void swap_bytes(char *a, char *b, size_t n)
+/* Hand the n bytes of each of r <= 4 runs round a cycle, a word at a time,
+ * through registers: run[0] takes run[1]'s bytes, run[1] takes run[2]'s and
+ * so on, and run[r - 1] takes run[0]'s, so r = 2 swaps two runs. Every
+ * caller passes r as a constant, so each call unrolls to a loop of its own. */
+static inline __attribute__((always_inline)) void turn(char *const run[], int r, size_t n)
 {
-    uint64_t x, y;
-    for (; n >= 8; n -= 8, a += 8, b += 8) {
-        memcpy(&x, a, 8);
-        memcpy(&y, b, 8);
-        memcpy(a, &y, 8);
-        memcpy(b, &x, 8);
+    size_t o = 0;
+    for (; o + 8 <= n; o += 8) {
+        uint64_t w[4];
+#pragma GCC unroll 4
+        for (int i = 0; i < r; i++)
+            memcpy(&w[i], run[i] + o, 8);
+#pragma GCC unroll 4
+        for (int i = 0; i < r; i++)
+            memcpy(run[i] + o, &w[i + 1 < r ? i + 1 : 0], 8);
     }
-    for (; n > 0; n--, a++, b++) {
-        char c = *a;
-        *a = *b;
-        *b = c;
+    for (; o < n; o++) {
+        char c[4];
+#pragma GCC unroll 4
+        for (int i = 0; i < r; i++)
+            c[i] = run[i][o];
+#pragma GCC unroll 4
+        for (int i = 0; i < r; i++)
+            run[i][o] = c[i + 1 < r ? i + 1 : 0];
     }
 }
 
@@ -143,7 +144,7 @@ static inline void swap_bytes(char *a, char *b, size_t n)
 static inline void reverse(char *buf, size_t size, int64_t lo, int64_t hi)
 {
     for (hi -= 1; lo < hi; lo++, hi--)
-        swap_bytes(buf + lo * size, buf + hi * size, size);
+        turn((char *[]){buf + lo * size, buf + hi * size}, 2, size);
 }
 
 /* two 8-byte items, loaded and stored together; flip() swaps them */
@@ -184,51 +185,6 @@ static void reverse_items(char *buf, size_t itemsize, int64_t lo, int64_t hi)
         reverse(buf, itemsize, lo, hi);
 }
 
-/* the n bytes at x take those at y, y's take z's and z's take x's, a word
- * at a time, through registers */
-static inline void turn3(char *x, char *y, char *z, size_t n)
-{
-    uint64_t p, q, r;
-    for (; n >= 8; n -= 8, x += 8, y += 8, z += 8) {
-        memcpy(&p, x, 8);
-        memcpy(&q, y, 8);
-        memcpy(&r, z, 8);
-        memcpy(x, &q, 8);
-        memcpy(y, &r, 8);
-        memcpy(z, &p, 8);
-    }
-    for (; n > 0; n--, x++, y++, z++) {
-        char c = *x;
-        *x = *y;
-        *y = *z;
-        *z = c;
-    }
-}
-
-/* turn3() with four runs: x takes y's bytes, y takes z's, z takes u's and u
- * takes x's */
-static inline void turn4(char *x, char *y, char *z, char *u, size_t n)
-{
-    uint64_t p, q, r, s;
-    for (; n >= 8; n -= 8, x += 8, y += 8, z += 8, u += 8) {
-        memcpy(&p, x, 8);
-        memcpy(&q, y, 8);
-        memcpy(&r, z, 8);
-        memcpy(&s, u, 8);
-        memcpy(x, &q, 8);
-        memcpy(y, &r, 8);
-        memcpy(z, &s, 8);
-        memcpy(u, &p, 8);
-    }
-    for (; n > 0; n--, x++, y++, z++, u++) {
-        char c = *x;
-        *x = *y;
-        *y = *z;
-        *z = *u;
-        *u = c;
-    }
-}
-
 /* Rotate the w items at lo right by d, for 0 <= d <= w, by conjoined triple
  * reversal (Igor van den Hoven, https://github.com/scandum/rotate): the
  * reversals of the left side A, its first w - d items, of the right side B
@@ -245,7 +201,7 @@ static inline void turn4(char *x, char *y, char *z, char *u, size_t n)
  * moves two items at a time, as reverse8 does. The steps of a phase touch
  * disjoint slots, save in phase 2, where a trails c, or e trails b, by s
  * items, so it pairs only for s >= 2. Items of any other size go round the
- * cycles a word at a time (turn3, turn4). Returns the moves: 4 per step of
+ * cycles a word at a time (turn). Returns the moves: 4 per step of
  * the first phase, 3 per step of the second and 2 per swap of the third,
  * s/2 + 3 (g/2) + 2 ((s + g % 2) / 2) with g the longer side; 2 per item of
  * either side when they are equal, and none at d = 0 or w. */
@@ -256,7 +212,7 @@ static inline __attribute__((always_inline)) int64_t conjoined(char *buf, size_t
     int64_t a = lo, b = lo + left, c = lo + left, e = lo + w, n = s / 2;
 #define AT(i) (buf + (i) * size)
     if (s == 0 || s == g) {
-        swap_bytes(AT(a), AT(c), s * size);
+        turn((char *[]){AT(a), AT(c)}, 2, s * size);
         return 2 * s;
     }
     if (pairs)
@@ -269,7 +225,7 @@ static inline __attribute__((always_inline)) int64_t conjoined(char *buf, size_t
             put2(AT(e), y);
         }
     for (; n > 0; n--, a++, c++)
-        turn4(AT(--b), AT(a), AT(c), AT(--e), size);
+        turn((char *[]){AT(--b), AT(a), AT(c), AT(--e)}, 4, size);
     if (left < d) {
         if (pairs && s >= 2)
             for (; e - c >= 4; a += 2, c += 2) {
@@ -280,7 +236,7 @@ static inline __attribute__((always_inline)) int64_t conjoined(char *buf, size_t
                 put2(AT(a), z);
             }
         for (; e - c >= 2; a++, c++)
-            turn3(AT(c), AT(--e), AT(a), size);
+            turn((char *[]){AT(c), AT(--e), AT(a)}, 3, size);
     } else {
         if (pairs && s >= 2)
             for (; b - a >= 4; a += 2) {
@@ -291,7 +247,7 @@ static inline __attribute__((always_inline)) int64_t conjoined(char *buf, size_t
                 put2(AT(e), y);
             }
         for (; b - a >= 2; a++)
-            turn3(AT(--b), AT(a), AT(--e), size);
+            turn((char *[]){AT(--b), AT(a), AT(--e)}, 3, size);
     }
 #undef AT
     if (pairs)
@@ -338,11 +294,11 @@ static inline void copy_bytes(char *a, const char *b, size_t n)
         *a++ = *b++;
 }
 
-/* Realize the cycle of item base + leader under j -> j * mult mod m. Hold
- * the leader's column, then visit the slots j = f * j in turn until the walk
- * returns to the leader. With f = mult it pushes (pulls = 0): it exchanges
- * the held column with each slot's (a word at a time, through registers),
- * and `slot` stays the leader's. With f = mult^-1 it pulls (pulls = 1): it
+/* Realize the cycle of item base + leader under the pass's map, j -> k * j
+ * mod m forward and j -> k^-1 * j inverse. Hold the leader's column, then
+ * visit the slots j = f * j in turn (see struct step) until the walk returns
+ * to the leader. Pushing (pulls = 0), it exchanges the held column with each
+ * slot's (turn), and `slot` stays the leader's. Pulling (pulls = 1), it
  * fills `slot` from its source f * j (one load and one store) and moves on
  * to that source. Either way the held column then goes into `slot`, which
  * when pulling is the slot whose source is the leader. Each round takes
@@ -370,7 +326,7 @@ static inline __attribute__((always_inline)) void cycle(char *buf, size_t size, 
                 copy_bytes(slot, at, width);
                 slot = at;
             } else
-                swap_bytes(t, at, width);
+                turn((char *[]){t, at}, 2, width);
         }
         j = visit[ahead - 1];
     }
@@ -492,13 +448,6 @@ static int64_t run(const struct pass *ps, int64_t offset, Py_ssize_t *row, int64
     return lo == ps->rows ? 1 : *m >= 2 ? left / (*m - 1) : 0;
 }
 
-/* the step of the pass's walks mod m, x k forward and x k^-1 inverse; 0
- * when k is no unit mod m */
-static int pass_plan(const struct pass *ps, int64_t m, struct step *st)
-{
-    return plan(st, ps->inverse ? inverse(ps->k % m, m) : ps->k % m, m);
-}
-
 /* The first leader of one ladder of the rung r, for a coset representative
  * c: c, or in a twin block (even m) the odd one of c and c + p; with even,
  * 2c. -1 when that overflows. */
@@ -550,7 +499,7 @@ static void sweep(struct pass *ps, int64_t offset, int64_t m, const struct step 
 static void run_blocks(struct pass *ps, Py_ssize_t row, int64_t offset, int64_t m, int64_t count)
 {
     struct step st;
-    pass_plan(ps, m, &st);
+    plan(&st, ps->k, ps->inverse, m);
     ps->counts[BLOCKS] += count;
     if (row == ps->rows) {
         sweep(ps, offset, m, &st);
@@ -735,7 +684,8 @@ static PyObject *py_reverse(PyObject *Py_UNUSED(module), PyObject *const *args, 
 static int rung_fits(const struct pass *ps, const int64_t *r, struct step *st)
 {
     int64_t m = r[0], p = r[1], j = r[2], d = r[3];
-    if (!(m >= 2 && (m - 1) % ps->k == 0 && p >= 2 && j >= 1 && 1 <= d && d <= REPS && pass_plan(ps, m, st))) {
+    if (!(m >= 2 && (m - 1) % ps->k == 0 && p >= 2 && j >= 1 && 1 <= d && d <= REPS &&
+          plan(st, ps->k, ps->inverse, m))) {
         PyErr_Format(PyExc_ValueError, "no %lld-way block mod %lld of base %lld^%lld with %lld cosets",
                      (long long)ps->k, (long long)m, (long long)p, (long long)j, (long long)d);
         return 0;
@@ -849,37 +799,32 @@ static PyObject *py_agree(PyObject *Py_UNUSED(module), PyObject *const *args, Py
     return PyBool_FromLong(same);
 }
 
-/* 1 iff a[0] and a[1] lie in [0, a[2]); 0 with ValueError set */
-static int residues(const int64_t *a)
-{
-    if (0 <= a[0] && a[0] < a[2] && 0 <= a[1] && a[1] < a[2])
-        return 1;
-    PyErr_Format(PyExc_ValueError, "%lld or %lld is no residue mod %lld", (long long)a[0], (long long)a[1],
-                 (long long)a[2]);
-    return 0;
-}
-
-/* step(j, mult, modulus[, s]): the s-th slot after j (the first by
- * default) in the order a walk under x mult mod modulus visits slots,
- * f^s * j mod modulus, computed as the walk computes it: by one look-ahead
- * step when the walk looks s slots ahead, else one step at a time; -1 when
- * mult is no unit. For testing. */
+/* step(j, k, inverse, modulus[, s]): the s-th slot after j (the first by
+ * default) that a walk of the k-way pass mod modulus, or of its inverse,
+ * visits, f^s * j mod modulus (see struct step), computed as the walk
+ * computes it: by one look-ahead step when the walk looks s slots ahead,
+ * else one step at a time; -1 when k is no unit. For testing. */
 static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    int64_t a[4] = {0, 0, 0, 1}; /* j, mult, modulus, s */
+    int64_t a[5] = {0, 0, 0, 0, 1}; /* j, k, inverse, modulus, s */
     struct step st;
-    if (!nargs_in("step", nargs, 3, 4) || !int64s(args, nargs, a) || !residues(a))
+    if (!nargs_in("step", nargs, 4, 5) || !int64s(args, nargs, a))
         return NULL;
-    if (!(1 <= a[3] && a[3] <= AHEAD)) {
-        PyErr_Format(PyExc_ValueError, "no look-ahead of %lld slots", (long long)a[3]);
+    if (!(0 <= a[0] && a[0] < a[3] && 2 <= a[1] && a[1] <= 9 && a[1] < a[3])) {
+        PyErr_Format(PyExc_ValueError, "no step from %lld by x %lld mod %lld: j and k are residues, k in 2..9",
+                     (long long)a[0], (long long)a[1], (long long)a[3]);
         return NULL;
     }
-    if (!plan(&st, a[1], a[2]))
+    if (!(1 <= a[4] && a[4] <= AHEAD)) {
+        PyErr_Format(PyExc_ValueError, "no look-ahead of %lld slots", (long long)a[4]);
+        return NULL;
+    }
+    if (!plan(&st, a[1], a[2] != 0, a[3]))
         return PyLong_FromLong(-1);
     int64_t j = a[0];
-    if (a[3] <= st.ahead)
-        return PyLong_FromLongLong(next(&st, st.kind, j, (int)a[3]));
-    for (int64_t s = 0; s < a[3]; s++)
+    if (a[4] <= st.ahead)
+        return PyLong_FromLongLong(next(&st, st.kind, j, (int)a[4]));
+    for (int64_t s = 0; s < a[4]; s++)
         j = next(&st, st.kind, j, 1);
     return PyLong_FromLongLong(j);
 }

@@ -88,9 +88,9 @@ def cycle_walk(buf, base, leader, mult, modulus, p, count):
     # temporary into each visited slot until the orbit closes. Local
     # positions j are 1-based; the slot for j is buf[base + j]. The native
     # twin in _kernel.c walks a ladder in one call and leaves the same
-    # permutation: it pushes items along x mult as this loop does when that
-    # step is fast (every forward pass), and otherwise pulls them along
-    # x mult^-1 (every inverse pass).
+    # permutation: it pushes items along x mult as this loop does, save on
+    # an inverse k-way pass with k * modulus <= 2^32, where it pulls them
+    # along x mult^-1 = x k (see struct step there).
     for _ in range(count):
         j = leader
         t = buf[base + j]

@@ -36,65 +36,54 @@ SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(faro.__file__).parents[1])}
 TESTS = str(Path(__file__).parent)
 
 
-def _multipliers(m):
-    """Units mod m that reach each kind of walk step: q and q^-1 mod m for
-    every arity q in 2..9 coprime to m, and a unit with neither side at most
-    9 when there is one, which takes mulmod."""
-    units = [mult for q in range(2, 10) if q < m and gcd(q, m) == 1 for mult in (q, pow(q, -1, m))]
-    big = (u for u in range(m // 3, m) if gcd(u, m) == 1 and min(u, pow(u, -1, m)) > 9)
-    return units + [u for u in [next(big, None)] if u is not None]
-
-
-def _fast(f, m):
-    """Whether the walk has a step by x f mod m that does not divide."""
-    return 2 <= f <= 9 and f * m <= 2**32
-
-
 @needs_kernel
 def test_walk_step_matches_python_at_the_edges_of_each_path():
-    # a walk under x mult visits slots by x f: it pushes along f = mult when
-    # that step is fast or mult^-1 has none, and pulls along f = mult^-1;
-    # step(j, mult, m, s) is the s-th slot after j, computed as the walk
-    # computes it, by one look-ahead fastmod while f^4 * m <= 2^32
+    # A walk of a k-way pass steps by x k, forward pushing and inverse
+    # pulling, while k * m <= 2^32, and past it pushes by x k forward and
+    # x k^-1 inverse; step(j, k, inverse, m, s) is the s-th slot after j,
+    # computed as the walk computes it, by one look-ahead fastmod while
+    # k^4 * m <= 2^32
     step = _fastpath._native.step
     rng = random.Random(51)
     moduli = {3, 4, 5, 8, 9, 11, 243, 2 * 7**5, 3**12, 2**32 - 5, 2**32 + 15, 3**39}
-    # past 2^32 no multiplier has a fast step, so every step there is
-    # mulmod's 128-bit product mod m; random units take mulmod below, too
+    # past 2^32 no arity has a fast step, so every step there is mulmod's
+    # 128-bit product mod m
     moduli |= {2**62 - 1, 2**62, 2**62 + 1} | {2**63 - d for d in range(1, 40)}
     moduli |= {rng.randrange(2**61, 2**63) for _ in range(30)}
-    # Lemire's fastmod serves the q-way steps while q * m <= 2^32, and the
-    # look-ahead by s slots while q^s * m <= 2^32
+    # Lemire's fastmod serves the k-way steps while k * m <= 2^32, and the
+    # look-ahead by s slots while k^s * m <= 2^32
     for q in range(2, 10):
         for s in range(1, 5):
             moduli |= set(range(2**32 // q**s - 3, 2**32 // q**s + 4))
     for m in sorted(moduli):
-        units = {u for u in (rng.randrange(1, m) for _ in range(4)) if gcd(u, m) == 1}
-        for mult in _multipliers(m) + [1, m - 1, *sorted(units)]:
-            inv = pow(mult, -1, m)
-            f = inv if _fast(inv, m) and not _fast(mult, m) else mult
-            for j in {0, 1, 2, m // 2, m - 2, m - 1, *(rng.randrange(1, m) for _ in range(20))}:
-                assert step(j, mult, m) == j * f % m, (j, mult, m)
-                for s in range(1, 5):
-                    assert step(j, mult, m, s) == j * pow(f, s, m) % m, (j, mult, m, s)
+        for k in range(2, min(m, 10)):
+            for inverse in (False, True):
+                if gcd(k, m) != 1:
+                    assert step(1, k, inverse, m) == -1, (k, inverse, m)
+                    continue
+                f = pow(k, -1, m) if inverse and k * m > 2**32 else k
+                for j in {0, 1, 2, m // 2, m - 2, m - 1, *(rng.randrange(1, m) for _ in range(8))}:
+                    assert step(j, k, inverse, m) == j * f % m, (j, k, inverse, m)
+                    for s in range(1, 5):
+                        assert step(j, k, inverse, m, s) == j * pow(f, s, m) % m, (j, k, inverse, m, s)
 
 
 @needs_kernel
-def test_mulmod_and_step_refuse_what_is_no_residue():
+def test_step_refuses_what_is_no_residue():
     step = _fastpath._native.step
-    for a, b, m in ((7, 1, 7), (1, 7, 7), (-1, 1, 7), (1, -1, 7), (0, 0, 0), (0, 0, -3)):
+    for j, k, m in ((7, 2, 7), (-1, 2, 7), (1, 7, 7), (1, 8, 7), (1, 1, 7), (1, 10, 11), (0, 2, 0), (0, 2, -3)):
         with pytest.raises(ValueError, match="residue"):
-            step(a, b, m)
-    for a, b, m in ((2**64, 1, 7), (1, 1, 2**63)):
+            step(j, k, False, m)
+    for j, k, m in ((2**64, 2, 7), (1, 2, 2**63)):
         with pytest.raises(OverflowError):
-            step(a, b, m)
-    for args in ((1, 2), (1, 2, 7, 1, 1)):
+            step(j, k, False, m)
+    for args in ((1, 2, 0), (1, 2, 0, 7, 1, 1)):
         with pytest.raises(TypeError):
             step(*args)
-    assert step(1, 3, 9) == -1 and step(1, 0, 7) == -1  # no unit, no step
+    assert step(1, 3, False, 9) == -1 and step(1, 2, True, 8) == -1  # no unit, no step
     for s in (0, 5, -1):
         with pytest.raises(ValueError, match="look-ahead"):
-            step(1, 2, 7, s)
+            step(1, 2, False, 7, s)
 
 
 @needs_kernel
@@ -240,7 +229,7 @@ def test_native_agree_matches_the_pure_agree(itemsize, moduli=range(2, 31)):
 @needs_kernel
 def test_forward_and_inverse_walks_run_at_one_speed():
     # Both directions of every walk step by x k without a division: forward
-    # passes push along x k, inverse ones pull along x k^-1. A direction
+    # passes push along x k, inverse ones pull along it. A direction
     # that fell back to one, or to a copy call per item, would be far
     # slower. Each pass is one exact block of its arity's ladder, the
     # largest of at most 2^17 items, so it rotates nothing and fits in L2:
@@ -250,16 +239,16 @@ def test_forward_and_inverse_walks_run_at_one_speed():
         buf = np.arange(m - 1, dtype=np.int64)
         run, table = _fastpath.resolve(buf, "shuffle", kway._pure_pass), kway._table(k)
 
-        def best(inverse):
-            times = []
-            for _ in range(7):
+        # forward and inverse alternate round by round, so that a slow
+        # phase of the machine slows both directions alike
+        times = {False: [], True: []}
+        for _ in range(7):
+            for inverse in (False, True):
                 start = time.perf_counter()
                 counts = run(buf, 0, m - 1, k, inverse, table)
-                times.append(time.perf_counter() - start)
-            assert counts[0] == 0 and counts[3] == 1, (k, counts)
-            return min(times)
-
-        forward, inverse = best(False), best(True)
+                times[inverse].append(time.perf_counter() - start)
+                assert counts[0] == 0 and counts[3] == 1, (k, counts)
+        forward, inverse = min(times[False]), min(times[True])
         assert max(forward, inverse) <= 2 * min(forward, inverse), (k, forward, inverse)
         assert sorted(buf.tolist()) == list(range(m - 1))
 
@@ -846,7 +835,7 @@ def _sanitized_cases():
     test_refused_buffers_take_the_twin_and_stay_unmodified()
     test_list_entries_refuse_bad_calls_and_leave_the_list()
     test_buffer_entries_refuse_bad_calls_and_leave_the_buffer()
-    test_mulmod_and_step_refuse_what_is_no_residue()
+    test_step_refuses_what_is_no_residue()
 
 
 @needs_cc
