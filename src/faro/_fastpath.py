@@ -27,12 +27,13 @@ the arity's rungs that ``kway`` builds once, and returns its counts;
 ``_kernel.c`` says how. The native ``shuffle`` and ``reverse`` check every
 range, integer and rung against the buffer themselves.
 
-Buffers are sorted in one place, ``resolve``, once per public call: it
-binds the native entry to the buffer, and the entry that moves the items
-takes the buffer or refuses it before any moves. ``kway`` resolves the
-pass, the native ``shuffle`` or ``kway._pure_pass``; ``faro.rotate`` the
-reversal, the native ``reverse`` or ``_loops.reverse_slots``. Nothing is
-cached across calls.
+While the kernel is loaded, an exact list goes from ``kway._pass`` straight
+to the native ``shuffle``. ``resolve`` sorts every other buffer once per
+public call: it binds the native entry to the buffer, and the entry that
+moves the items takes it or refuses it before any moves. ``kway`` resolves
+the pass, the native ``shuffle`` or ``kway._pure_pass``; ``faro.rotate``,
+lists included, the reversal, the native ``reverse`` or
+``_loops.reverse_slots``. Nothing is cached across calls.
 """
 
 import os
@@ -113,21 +114,19 @@ def resolve(buf, name, twin):
     """The native entry `name` bound to this buffer, or its Python `twin`, for the length of one call.
 
     Both take ``(buf, *args)``; the entry is passed the record size of a
-    ``RecordBuffer``. An exact list goes native. Memory goes native iff the
-    entry that moves it takes it (``get_items`` in ``_kernel.c`` holds the
-    rule): the bound call runs the twin only when the entry refuses the
-    buffer, which it does with ``Refused`` before any item moves. An
-    ndarray that holds objects always takes the twin. A numpy MaskedArray
-    moves its data and its mask alike, each by what this resolves for that
-    plain array, and returns one of their equal results. ValueError, before
+    ``RecordBuffer``. A buffer goes native iff the entry that moves it takes
+    it (``get_items`` in ``_kernel.c`` holds the rule, and takes every exact
+    list): the bound call runs the twin only when the entry refuses the
+    buffer, which it does with ``Refused`` before any item moves. An ndarray
+    that holds objects always takes the twin. A numpy MaskedArray moves its
+    data and its mask alike, each by what this resolves for that plain
+    array, and returns one of their equal results. ValueError, before
     anything moves, for a MaskedArray whose hard mask holds masked items in
     place, and for an ndarray whose items are views (not 1-D, or
     structured) that the kernel does not take: the Python loops would copy
     an item through a view that an earlier write has already overwritten.
     """
-    if type(buf) is list:
-        return twin if _native is None else getattr(_native, name)
-    # closures are made in the helpers: a cell here would cost a list too
+    # closures are made in the helpers: a cell here would cost every call
     run = _masked(buf, name, twin)
     if run is not None:
         return run

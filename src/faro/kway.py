@@ -51,12 +51,10 @@ The paper tiles them with 3^k - 1 blocks alone; faro's 2-way table has
 32 odd bases, every power of which is admissible, and since 3 is among
 them no tail is left.
 
-A public call checks its arguments and makes one call of its buffer's pass,
-``_fastpath.resolve(buf, "shuffle", _pure_pass)``: the kernel's ``shuffle``
-entry, which runs the whole pass in C, or the Python block loop here, its
-twin ``_pure_pass``, which the tests compare it with and which moves every
-buffer that entry refuses. Both tile by the ``_table(k)`` they are passed
-and return the same counts.
+A public call checks its arguments, calling ``validate_order`` only to raise,
+and makes one call of ``_pass``: an exact list goes straight to the kernel's
+``shuffle`` entry, which takes every one, and the rest, or all without a
+kernel, to ``_fastpath.resolve(buf, "shuffle", _pure_pass)``.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
@@ -64,7 +62,6 @@ runs.
 
 import struct
 from bisect import bisect_right
-from functools import cache
 from types import SimpleNamespace
 
 from . import _fastpath, _loops
@@ -142,20 +139,21 @@ _DRIVER_AUX_WORDS = 26
 
 # int64s per rung of a table: the modulus, p, j, d and 8 representatives
 _ROW = 12
+_TABLES = {}  # each arity's ladder, as _table built it
 
 
-@cache
 def _table(k):
-    """k's block ladder, built on the first call for k, as the passes read it.
+    """k's block ladder, as the passes read it, built on the first call for k and kept in ``_TABLES``.
 
     One row of ``_ROW`` int64s per rung, largest modulus first: the modulus,
-    p, j, the number d of p's coset representatives and the
-    representatives, padded with zeros to 8. The rungs are every admissible
-    modulus of k's bases below 2^63 (the kernel's int64 positions): p^j,
-    and for odd k 2p^j (2p^j - 1 is odd), whenever k divides modulus - 1.
-    An arity's ladder holds 179 to 324 rungs, so a process builds only
-    those it uses.
+    p, j, the number d of p's coset representatives and the representatives,
+    padded with zeros to 8. The rungs are every admissible modulus of k's
+    bases below 2^63 (the kernel's int64 positions): p^j, and for odd k 2p^j
+    (2p^j - 1 is odd), whenever k divides modulus - 1. An arity's ladder
+    holds 179 to 324 rungs, so a process builds only those it uses.
     """
+    if k in _TABLES:
+        return _TABLES[k]
     rows = []
     for p, reps in _BASES[k]:
         power, j = p, 1
@@ -167,7 +165,7 @@ def _table(k):
             j += 1
     words = [word for row in sorted(rows, reverse=True) for word in row]
     # packed in one call: an array module import would cost each faro apply child more
-    return memoryview(struct.pack(f"{len(words)}q", *words)).cast("q")
+    return _TABLES.setdefault(k, memoryview(struct.pack(f"{len(words)}q", *words)).cast("q"))
 
 
 def _blocks(lo, hi, table, backward=False):
@@ -285,11 +283,13 @@ def _pure_pass(buf, lo, hi, k, inverse, table):
 
 
 def _pass(buf, lo, hi, k, inverse, instr):
-    # one pass over buf[lo:hi] by the buffer's pass, its counts added to instr
-    run = _fastpath.resolve(buf, "shuffle", _pure_pass)
-    rotate, walk, tail, blocks, cycles = run(buf, lo, hi, k, inverse, _table(k))
+    # one pass over buf[lo:hi], its counts added to instr; an exact list skips resolve
+    native, table = _fastpath._native, _TABLES.get(k) or _table(k)
+    run = native.shuffle if type(buf) is list and native else _fastpath.resolve(buf, "shuffle", _pure_pass)
+    rotate, walk, tail, blocks, cycles = run(buf, lo, hi, k, inverse, table)
     if instr is not None:
-        instr.note_aux(_DRIVER_AUX_WORDS)
+        if instr.aux_words_peak < _DRIVER_AUX_WORDS:  # not max(), which parses keywords per call
+            instr.aux_words_peak = _DRIVER_AUX_WORDS
         instr.rotate_moves += rotate
         instr.walk_moves += walk
         instr.tail_moves += tail
@@ -298,10 +298,9 @@ def _pass(buf, lo, hi, k, inverse, instr):
 
 
 def _check_k_buffer(buf, k: int) -> None:
-    kind = _KINDS.get(k)
-    if kind is None:
+    if k not in _KINDS:
         raise ValueError(f"supported arities are 2..{MAX_K}, got {k}")
-    validate_order(kind, len(buf))
+    validate_order(_KINDS[k], len(buf))
 
 
 def k_shuffle(buf, k: int, instr=None) -> None:
@@ -309,11 +308,13 @@ def k_shuffle(buf, k: int, instr=None) -> None:
 
     One pass of the cycle-leader construction, for every arity 2..9.
     """
-    _check_k_buffer(buf, k)
-    _pass(buf, 0, len(buf), k, False, instr)
+    if k not in _KINDS or (n := len(buf)) % k:
+        _check_k_buffer(buf, k)  # raises
+    _pass(buf, 0, n, k, False, instr)
 
 
 def k_unshuffle(buf, k: int, instr=None) -> None:
     """Exact inverse of :func:`k_shuffle`."""
-    _check_k_buffer(buf, k)
-    _pass(buf, 0, len(buf), k, True, instr)
+    if k not in _KINDS or (n := len(buf)) % k:
+        _check_k_buffer(buf, k)  # raises
+    _pass(buf, 0, n, k, True, instr)

@@ -38,7 +38,7 @@ def reverse_range(buf, lo: int, hi: int, instr=None) -> None:
     _fastpath.resolve(buf, "reverse", _loops.reverse_slots)(buf, lo, hi)
     if instr is not None:
         instr.rotate_moves += 2 * ((hi - lo) // 2)
-        instr.note_aux(_REVERSE_AUX_WORDS)
+        instr.aux_words_peak = max(instr.aux_words_peak, _REVERSE_AUX_WORDS)
 
 
 def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
@@ -59,4 +59,4 @@ def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
     reverse(buf, lo + d, hi)
     if instr is not None:
         instr.rotate_moves += 2 * (w // 2 + d // 2 + (w - d) // 2)
-        instr.note_aux(_ROTATE_AUX_WORDS)
+        instr.aux_words_peak = max(instr.aux_words_peak, _ROTATE_AUX_WORDS)

@@ -32,8 +32,8 @@ times the length in single-element moves.
 The buffer layer is 0-based half-open; every call into the 1-based math
 above documents the shift. Buffers are anything indexable with integer
 get/set and a length: lists, numpy arrays, other memory, or ``RecordBuffer``
-views over packed bytes; ``_fastpath`` sends each that the compiled kernel
-takes to its one-call pass, and the rest to the pure-Python twin.
+views over packed bytes; each that the compiled kernel takes runs its
+one-call pass (see ``kway``), and the rest the pure-Python twin.
 
 Every operation mutates exactly one buffer and assumes exclusive access to
 it for the duration of the call; there is no shared state, so distinct
@@ -106,10 +106,6 @@ class Instrumentation:
     def moves(self) -> int:
         return self.rotate_moves + self.walk_moves + self.tail_moves
 
-    def note_aux(self, words: int) -> None:
-        if words > self.aux_words_peak:
-            self.aux_words_peak = words
-
 
 class RecordBuffer:
     """Mutable sequence of fixed-size records over a buffer of bytes.
@@ -161,14 +157,16 @@ def in_shuffle(buf, instr=None) -> None:
     Equivalently, the second half is interleaved into the first with the
     first card of the second half coming out on top.
     """
-    validate_order(IN_SHUFFLE, len(buf))
-    _pass(buf, 0, len(buf), 2, False, instr)
+    if (n := len(buf)) % 2:
+        validate_order(IN_SHUFFLE, n)
+    _pass(buf, 0, n, 2, False, instr)
 
 
 def un_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`in_shuffle`, block by block in reverse."""
-    validate_order(IN_SHUFFLE, len(buf))
-    _pass(buf, 0, len(buf), 2, True, instr)
+    if (n := len(buf)) % 2:
+        validate_order(IN_SHUFFLE, n)
+    _pass(buf, 0, n, 2, True, instr)
 
 
 def out_shuffle(buf, instr=None) -> None:
@@ -177,11 +175,13 @@ def out_shuffle(buf, instr=None) -> None:
     The interior len - 2 elements undergo an in-shuffle, which is the whole
     permutation of the interleave that keeps the original top card on top.
     """
-    validate_order(OUT_SHUFFLE, len(buf))
-    _pass(buf, 1, len(buf) - 1, 2, False, instr)
+    if (n := len(buf)) % 2 or n < 2:
+        validate_order(OUT_SHUFFLE, n)
+    _pass(buf, 1, n - 1, 2, False, instr)
 
 
 def un_out_shuffle(buf, instr=None) -> None:
     """Exact inverse of :func:`out_shuffle`."""
-    validate_order(OUT_SHUFFLE, len(buf))
-    _pass(buf, 1, len(buf) - 1, 2, True, instr)
+    if (n := len(buf)) % 2 or n < 2:
+        validate_order(OUT_SHUFFLE, n)
+    _pass(buf, 1, n - 1, 2, True, instr)

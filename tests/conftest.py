@@ -56,11 +56,13 @@ class Ran(Counter):
 def spy():
     """Count which loops the calls made inside this block ran.
 
-    Yields a ``Ran``, counting "resolve" per call of ``_fastpath.resolve``;
-    "shuffle" and "reverse" per call that reaches that native entry, and
-    "refused" per such call it refuses; "twin" per call of a Python twin
-    that ``resolve`` handed out. Its ``returned`` lists what each counted
-    entry and twin returned, in order.
+    Yields a ``Ran``, counting "resolve" per call of ``_fastpath.resolve``,
+    which a pass skips for an exact list while the kernel is loaded;
+    "shuffle" and "reverse" per call that reaches that native entry, bound
+    by ``resolve`` or taken straight from the kernel, and "refused" per
+    such call it refuses; "twin" per call of a Python twin that ``resolve``
+    handed out. Its ``returned`` lists what each counted entry and twin
+    returned, in order.
     """
     ran, native, resolve = Ran(), _fastpath._native, _fastpath.resolve
 

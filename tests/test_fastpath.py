@@ -2,6 +2,7 @@ import array
 import mmap
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -814,6 +815,45 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     )
     assert built.returncode == 0, built.stderr
     assert (tmp_path / "_kernel.o").stat().st_size > 0
+    # Constant space, checked on the compiled code, not declared: gcc's
+    # stack usage and call graph of the same build show every frame bounded
+    # by 2 KiB, no recursion and no call of an allocator. PyObject_GetBuffer
+    # runs the exporter's code once per call, outside the loops, and stays.
+    macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", os.devnull], capture_output=True, text=True).stdout
+    gnuc = re.search(r"#define __GNUC__ (\d+)", macros)
+    if "__clang__" in macros or gnuc is None or int(gnuc.group(1)) < 10:
+        pytest.skip("the stack and call-graph checks need cc to be gcc 10 or later")
+    built = subprocess.run(
+        [*_fastpath._CC, "-I", HEADERS, "-c", "-fstack-usage", "-Wstack-usage=2048", "-fcallgraph-info=su",
+         "-Werror", "-o", str(tmp_path / "checked.o"), _fastpath._SOURCE],
+        capture_output=True,
+        text=True,
+    )
+    assert built.returncode == 0, built.stderr
+    frames = [line.split("\t") for line in (tmp_path / "checked.su").read_text().splitlines()]
+    assert frames and all(int(size) <= 2048 and kind in ("static", "dynamic,bounded") for _, size, kind in frames)
+    calls = {}
+    graph = (tmp_path / "checked.ci").read_text()
+    for caller, callee in re.findall(r'edge: \{ sourcename: "([^"]*)" targetname: "([^"]*)"', graph):
+        calls.setdefault(caller, set()).add(callee)
+    names = {callee.rpartition(":")[2].removeprefix("__builtin_") for callees in calls.values() for callee in callees}
+    allocators = {"malloc", "calloc", "realloc", "alloca", "PyObject_Malloc"}
+    assert not {name for name in names if name in allocators or name.startswith("PyMem_")}, names
+    done, path = set(), []
+
+    def acyclic(function):
+        # whether no call path from function comes back to a function on path
+        if function in path:
+            return False
+        if function not in done:
+            path.append(function)
+            if not all(acyclic(callee) for callee in calls.get(function, ())):
+                return False
+            path.pop()
+            done.add(function)
+        return True
+
+    assert all(acyclic(function) for function in list(calls)), path
 
 
 def _sanitized_cases():
@@ -968,8 +1008,9 @@ def test_cached_kernel_loads_without_sysconfig():
 
 
 def test_kernel_is_resolved_once_per_call():
-    # every public shuffle resolves its pass once and makes one call of it,
-    # and every rotation resolves its reversal once
+    # every public shuffle makes one call of its pass: resolved once, or for
+    # an exact list, which the kernel always takes, not at all; and every
+    # rotation resolves its reversal once, lists included
     entry = "shuffle" if _fastpath.HAVE_COMPILED else "twin"
 
     def blocks_and_cycles(n, k):
@@ -997,7 +1038,8 @@ def test_kernel_is_resolved_once_per_call():
             with spy() as ran:
                 call(buf)
             assert sorted(buf.tolist() if isinstance(buf, np.ndarray) else buf) == list(range(n))
-            assert ran == {"resolve": 1, entry: 1}, ran
+            resolved = {} if type(buf) is list and _fastpath.HAVE_COMPILED else {"resolve": 1}
+            assert ran == {**resolved, entry: 1}, ran
             assert ran.returned[0][3:] == blocks_and_cycles(n, k), (ran.returned, k)
 
     entry = "reverse" if _fastpath.HAVE_COMPILED else "twin"
@@ -1008,6 +1050,68 @@ def test_kernel_is_resolved_once_per_call():
         assert ran == {"resolve": 1, entry: 3}, ran
         reverse_range(buf, 2, 6)
     assert ran == {"resolve": 2, entry: 4}, ran
+
+
+def _public_calls():
+    """Every public shuffle, forward and inverse, as (function, its
+    arguments after the buffer, kind, inverse), the k-way ones at every
+    arity."""
+    yield in_shuffle, (), IN_SHUFFLE, False
+    yield un_shuffle, (), IN_SHUFFLE, True
+    yield out_shuffle, (), OUT_SHUFFLE, False
+    yield un_out_shuffle, (), OUT_SHUFFLE, True
+    for k in range(2, 10):
+        yield k_shuffle, (k,), kway_kind(k), False
+        yield k_unshuffle, (k,), kway_kind(k), True
+
+
+@needs_kernel
+def test_a_list_reaches_the_native_pass_through_two_python_frames(monkeypatch):
+    # The public function and kway._pass are the only Python functions a
+    # shuffle of an exact list runs before the native pass, once its
+    # arity's table is built: the length check, the list rule, the table
+    # and the counts are inline. Without the kernel the same calls run the
+    # twin through resolve. Every call matches the oracle either way.
+    items = list(range(2520))  # a multiple of every arity
+
+    def frames(function, buf, args):
+        # the Python functions that function(buf, *args) runs, in order, up
+        # to its first call of the native pass, which is None here
+        called = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.append(frame.f_code.co_name)
+            elif event == "c_call" and arg is _fastpath._native.shuffle:
+                called.append(None)
+
+        sys.setprofile(profile)
+        try:
+            function(buf, *args)
+        finally:
+            sys.setprofile(None)
+        return called[: called.index(None) + 1] if None in called else called
+
+    # the first call of an arity builds its table, and only that one
+    monkeypatch.setattr(kway, "_TABLES", {})
+    buf = list(items)
+    called = frames(k_shuffle, buf, (5,))
+    assert called[:3] == ["k_shuffle", "_pass", "_table"] and called[-1] is None, called
+    assert list(kway._TABLES) == [5] and buf == oracle_shuffle(items, kway_kind(5))
+    for function, args, kind, inverse in _public_calls():
+        kway._table(kind.k)  # built before, as by an earlier call of the arity
+        expected = oracle_shuffle(items, kind)
+        buf = list(expected if inverse else items)
+        assert frames(function, buf, args) == [function.__name__, "_pass", None], (function, args)
+        assert buf == (items if inverse else expected), (function, args)
+    monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
+    for function, args, kind, inverse in _public_calls():
+        expected = oracle_shuffle(items, kind)
+        buf = list(expected if inverse else items)
+        with spy() as ran:
+            function(buf, *args)
+        assert ran == {"resolve": 1, "twin": 1}, (function, args)
+        assert buf == (items if inverse else expected), (function, args)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6])
@@ -1088,11 +1192,9 @@ def test_empty_and_two_element_lists():
 
 @needs_kernel
 def test_list_entries_refuse_bad_calls_and_leave_the_list():
+    # the entries as a list's pass and its reversal reach them
     buf = list(range(26))
-    reverse = _fastpath.resolve(buf, "reverse", _loops.reverse_slots)
-    run = _fastpath.resolve(buf, "shuffle", kway._pure_pass)
-    # an exact list binds the entries themselves
-    assert (reverse, run) == (_fastpath._native.reverse, _fastpath._native.shuffle)
+    reverse, run = _fastpath._native.reverse, _fastpath._native.shuffle
     for lo, hi in ((0, 27), (-1, 3), (5, 4)):
         with pytest.raises(IndexError):
             reverse(buf, lo, hi)
@@ -1198,7 +1300,8 @@ def test_buffer_walks_run_without_the_gil():
 
 @needs_kernel
 def test_fresh_interpreter_sends_lists_to_the_kernel():
-    # memory goes native by the kernel's own check, with numpy never imported
+    # lists and memory go native by the kernel's own check, with numpy never
+    # imported; a list's pass does not resolve it, its reversal does
     probe = (
         "import array, sys\n"
         f"sys.path.insert(0, {TESTS!r})\n"
@@ -1208,7 +1311,8 @@ def test_fresh_interpreter_sends_lists_to_the_kernel():
         "    with spy() as ran:\n"
         "        reverse_range(buf, 0, 2)\n"
         "        k_shuffle(buf, 2)\n"
-        "    assert ran == {'resolve': 2, 'reverse': 1, 'shuffle': 1}, (buf, ran)\n"
+        "    resolved = 1 if type(buf) is list else 2\n"
+        "    assert ran == {'resolve': resolved, 'reverse': 1, 'shuffle': 1}, (buf, ran)\n"
         "assert 'numpy' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)

@@ -6,11 +6,11 @@ import pytest
 from conftest import conjoined_moves, rungs, spy
 
 from faro import _fastpath, _loops, kway
-from faro.kway import k_shuffle, k_unshuffle
+from faro.kway import MAX_K, k_shuffle, k_unshuffle
 from faro.numtheory import euler_totient, is_primitive_root, multiplicative_order
 from faro.oracle import oracle_shuffle
-from faro.permcore import cycle_decomposition, kway_kind
-from faro.shuffle import Instrumentation, in_shuffle
+from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind, validate_order
+from faro.shuffle import Instrumentation, in_shuffle, out_shuffle, un_out_shuffle, un_shuffle
 
 
 @pytest.mark.parametrize("k", [4, 9])
@@ -312,7 +312,9 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
                 assert buf == oracle_shuffle(list(range(n)), kway_kind(k))
             else:
                 assert oracle_shuffle(buf, kway_kind(k)) == list(range(n))
-            assert ran == {"resolve": 1, "shuffle" if native and _fastpath.HAVE_COMPILED else "twin": 1}
+            # a list meets the kernel's entry without resolve, the twin through it
+            compiled = native and _fastpath.HAVE_COMPILED
+            assert ran == ({"shuffle": 1} if compiled else {"resolve": 1, "twin": 1})
             assert ran.returned == [(0, moves, 0, 1, 2 * j)]
             assert instr.moves == moves and instr.rotate_moves == 0
             if not native:
@@ -380,6 +382,39 @@ def test_k_shuffle_rejects_bad_input():
         k_shuffle(list(range(20)), 10)
     with pytest.raises(ValueError):
         k_unshuffle([1, 2, 3, 4], 3)
+
+
+@pytest.mark.parametrize("kind", ["in", "out", *range(2, 10), 10])
+def test_length_check_agrees_with_validate_order(kind):
+    # The public functions check the length inline and call validate_order
+    # only to raise: at every length from 0 to 3k + 2 they take what it
+    # takes and refuse the rest with its message, unmoved. An unsupported
+    # arity is refused at every length, by its own message.
+    if kind == "in":
+        shuffle_kind, calls = IN_SHUFFLE, (in_shuffle, un_shuffle)
+    elif kind == "out":
+        shuffle_kind, calls = OUT_SHUFFLE, (out_shuffle, un_out_shuffle)
+    else:
+        shuffle_kind = kway_kind(kind)
+        calls = (lambda buf: k_shuffle(buf, kind), lambda buf: k_unshuffle(buf, kind))
+    for n in range(3 * shuffle_kind.k + 3):
+        try:
+            validate_order(shuffle_kind, n)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        if shuffle_kind.family == "kway" and kind > MAX_K:
+            message = f"supported arities are 2..{MAX_K}, got {kind}"
+        for call in calls:
+            buf = list(range(n))
+            if message is None:
+                call(buf)
+                assert sorted(buf) == list(range(n)), (kind, n)
+                continue
+            with pytest.raises(ValueError) as refused:
+                call(buf)
+            assert str(refused.value) == message, (kind, n)
+            assert buf == list(range(n)), (kind, n)
 
 
 def test_kway_auxiliary_space_is_constant():
