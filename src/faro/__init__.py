@@ -27,7 +27,6 @@ from .permcore import (
     out_target,
     permutation_order,
 )
-from .rotate import reverse_range, rotate_right
 from .shuffle import (
     Instrumentation,
     RecordBuffer,
@@ -61,8 +60,6 @@ __all__ = [
     "out_shuffle",
     "out_target",
     "permutation_order",
-    "reverse_range",
-    "rotate_right",
     "un_out_shuffle",
     "un_shuffle",
 ]

@@ -1,10 +1,9 @@
-"""The native shuffle pass and reversal, and the choice between them and Python.
+"""The native shuffle pass, and the choice between it and its Python twin.
 
 ``_kernel.c`` is a CPython extension module holding in C the block loop of
 ``kway``'s driver, one whole pass per call (``shuffle``), with the loops of
 ``_loops`` it runs over raw item memory: the block gather and the cycle
-walk. It also holds the reversal (``reverse``), which ``faro.rotate`` runs,
-and the check behind ``faro apply --verify`` (``agree``).
+walk. It also holds the check behind ``faro apply --verify`` (``agree``).
 On first import it is compiled with ``cc`` against the interpreter's
 ``Python.h`` into ``__pycache__/_kernel-<crc32 of the source, the cc
 command and the interpreter><extension suffix>`` next to this file and
@@ -16,7 +15,7 @@ buffer and every ``agree`` takes the Python loops.
 
 The kernel takes exact lists (not subclasses), through their ``PyObject *``
 slots, with the GIL held and the list's size checked on every call, and
-all memory its entries take: an ndarray, ``array.array``, ``memoryview``,
+all memory its pass takes: an ndarray, ``array.array``, ``memoryview``,
 bytearray or mmap, say, alone or under a ``RecordBuffer``. Memory is held
 as a buffer view for the length of a call, which runs without the GIL.
 numpy is never imported here: no ndarray can exist before the caller has
@@ -24,16 +23,14 @@ imported it.
 
 One shuffle call makes a whole pass over the range, tiled by a table of
 the arity's rungs that ``kway`` builds once, and returns its counts;
-``_kernel.c`` says how. The native ``shuffle`` and ``reverse`` check every
-range, integer and rung against the buffer themselves.
+``_kernel.c`` says how. The native ``shuffle`` checks every range,
+integer and rung against the buffer itself.
 
 While the kernel is loaded, an exact list goes from ``kway._pass`` straight
 to the native ``shuffle``. ``resolve`` sorts every other buffer once per
-public call: it binds the native entry to the buffer, and the entry that
-moves the items takes it or refuses it before any moves. ``kway`` resolves
-the pass, the native ``shuffle`` or ``kway._pure_pass``; ``faro.rotate``,
-lists included, the reversal, the native ``reverse`` or
-``_loops.reverse_slots``. Nothing is cached across calls.
+public call: it binds the native ``shuffle`` to the buffer, which takes it
+or refuses it before any moves, and a refused buffer takes the twin,
+``kway._pure_pass``. Nothing is cached across calls.
 """
 
 import os
@@ -110,13 +107,13 @@ except (OSError, ImportError) as exc:
 HAVE_COMPILED = _native is not None
 
 
-def resolve(buf, name, twin):
-    """The native entry `name` bound to this buffer, or its Python `twin`, for the length of one call.
+def resolve(buf, twin):
+    """The native ``shuffle`` bound to this buffer, or its Python `twin`, for the length of one call.
 
-    Both take ``(buf, *args)``; the entry is passed the record size of a
-    ``RecordBuffer``. A buffer goes native iff the entry that moves it takes
-    it (``get_items`` in ``_kernel.c`` holds the rule, and takes every exact
-    list): the bound call runs the twin only when the entry refuses the
+    Both take ``(buf, lo, hi, k, inverse, table)``; the pass is passed the
+    record size of a ``RecordBuffer``. A buffer goes native iff the pass
+    takes it (``get_items`` in ``_kernel.c`` holds the rule, and takes every
+    exact list): the bound call runs the twin only when the pass refuses the
     buffer, which it does with ``Refused`` before any item moves. An ndarray
     that holds objects always takes the twin. A numpy MaskedArray moves its
     data and its mask alike, each by what this resolves for that plain
@@ -127,7 +124,7 @@ def resolve(buf, name, twin):
     an item through a view that an earlier write has already overwritten.
     """
     # closures are made in the helpers: a cell here would cost every call
-    run = _masked(buf, name, twin)
+    run = _masked(buf, twin)
     if run is not None:
         return run
     np = sys.modules.get("numpy")
@@ -137,27 +134,17 @@ def resolve(buf, name, twin):
     # loaded with the package; an import statement here takes microseconds
     records = sys.modules[_SHUFFLE].RecordBuffer
     data, size = (buf.data, buf.record_size) if type(buf) is records else (buf, 0)
-    return _bind(name, data, size, buf, twin)
+    return _bind(data, size, buf, twin)
 
 
-def _bind(name, data, size, buf, twin):
-    # The native entry `name` bound to buf's memory `data` and its record
-    # `size`, which runs the twin on buf when it refuses the memory; each
-    # with its own arguments, as a starred call costs about a reversal.
-    entry = getattr(_native, name)
-    if name == "reverse":
-
-        def run(_buf, lo, hi):
-            try:
-                return entry(data, lo, hi, size)
-            except _native.Refused:
-                return _twin(buf, twin)(buf, lo, hi)
-
-        return run
+def _bind(data, size, buf, twin):
+    # the native pass bound to buf's memory `data` and its record `size`,
+    # which runs the twin on buf when the pass refuses the memory
+    shuffle = _native.shuffle
 
     def run(_buf, lo, hi, k, inverse, table):
         try:
-            return entry(data, lo, hi, k, inverse, table, size)
+            return shuffle(data, lo, hi, k, inverse, table, size)
         except _native.Refused:
             return _twin(buf, twin)(buf, lo, hi, k, inverse, table)
 
@@ -172,7 +159,7 @@ def _twin(buf, twin):
     return twin
 
 
-def _masked(buf, name, twin):
+def _masked(buf, twin):
     # The bound call of a MaskedArray, which moves its data and, unless it
     # is nomask, its mask: each a plain array on its own loops. Item by
     # item, the Python loops would read a masked item as np.ma.masked, and
@@ -184,13 +171,13 @@ def _masked(buf, name, twin):
     mask = ma.getmask(buf)
     if buf.hardmask and mask.any():
         raise ValueError("a hard mask keeps the masked items from moving")
-    return _parts((buf.data, mask), ma.nomask, name, twin)
+    return _parts((buf.data, mask), ma.nomask, twin)
 
 
-def _parts(arrays, nomask, name, twin):
+def _parts(arrays, nomask, twin):
     # the bound call of a MaskedArray's data and mask, a mask of nomask
     # aside; its own helper, so that _masked makes no cell on other buffers
-    runs = [(array, resolve(array, name, twin)) for array in arrays if array is not nomask]
+    runs = [(array, resolve(array, twin)) for array in arrays if array is not nomask]
 
     def run_parts(_buf, *args):
         # the data and the mask make the same moves: one result stands for both

@@ -13,26 +13,26 @@
  * inverse pass pulls each slot's item from its source k * j (see struct
  * step), both by one loop, cycle(). A walk with k^4 * m <= 2^32 computes
  * the next four slots at once, each straight from the current one, so that
- * its loop waits on one step per four items rather than per item; the
- * reversal of 8-byte items swaps two of them from each end at a time. A
+ * its loop waits on one step per four items rather than per item. A
  * block's gather makes all k - 1 rotations of its windows, each by
  * conjoined triple reversal, and counts their moves; its cycles move 8-byte
- * items two per cursor. Every other swap or cycle of items, in a reversal,
- * a gather or a pushing walk, hands their bytes round a word at a time
- * through registers by one helper, turn(), so the column stays the walk's
- * only temporary array.
+ * items two per cursor, and its last reversal swaps two of them from each
+ * end at a time. Every other swap or cycle of items, in a gather or a
+ * pushing walk, hands their bytes round a word at a time through registers
+ * by one helper, turn(), so the column stays the walk's only temporary
+ * array.
  *
  * One shuffle call makes a whole forward or inverse pass of kway's driver:
  * it tiles the range greedily by the rungs of a table that kway builds once
  * per arity, gathers and walks each block, sweeps the tail, and returns the
  * counts kway's Python twin of it keeps. It is the only entry that moves
- * a shuffle's items. reverse is faro.rotate's loop; step gives the tests
- * the steps of a pass's walks at moduli no pass in a test reaches.
+ * items; agree is the check, and step gives the tests the steps of a
+ * pass's walks at moduli no pass in a test reaches.
  *
- * The entries at the end take an exact list, over its PyObject * slots, or
- * any memory get_items takes, and refuse any other with Refused before an
- * item moves. They check every range and rung against it before a loop
- * runs; only agree leaves its checks to _fastpath.agree.
+ * shuffle takes an exact list, over its PyObject * slots, or any memory
+ * get_items takes, and refuses any other with Refused before an item
+ * moves. It checks every range and rung against it before a loop runs;
+ * agree leaves its checks to _fastpath.agree.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -175,14 +175,6 @@ static void reverse8(char *buf, int64_t lo, int64_t hi)
         put2(y, flip(a));
     }
     reverse(buf, 8, lo, hi);
-}
-
-static void reverse_items(char *buf, size_t itemsize, int64_t lo, int64_t hi)
-{
-    if (itemsize == 8)
-        reverse8(buf, lo, hi);
-    else
-        reverse(buf, itemsize, lo, hi);
 }
 
 /* Rotate the w items at lo right by d, for 0 <= d <= w, by conjoined triple
@@ -543,8 +535,8 @@ static void shuffle_items(struct pass *ps)
 
 /* The module's entries, METH_FASTCALL functions. Every integer must fit an
  * int64: one beyond it raises OverflowError rather than wrapping into range.
- * shuffle and reverse take an exact list or a buffer (see get_items) and
- * check every range and rung before their loop runs. */
+ * shuffle takes an exact list or a buffer (see get_items) and checks every
+ * range and rung before its loop runs. */
 
 /* 1 iff lo <= nargs <= hi; 0 with TypeError set */
 static int nargs_in(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
@@ -652,28 +644,6 @@ static void put_items(struct items *it)
 {
     if (it->view.obj)
         PyBuffer_Release(&it->view);
-}
-
-/* reverse(buf, lo, hi[, itemsize]): reverse items [lo, hi) */
-static PyObject *py_reverse(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    int64_t a[3] = {0, 0, 0}; /* lo, hi, itemsize */
-    struct items it;
-    if (!nargs_in("reverse", nargs, 3, 4) || !int64s(args + 1, nargs - 1, a) || !get_items(&it, args[0], a[2]))
-        return NULL;
-    int64_t lo = a[0], hi = a[1];
-    if (!(0 <= lo && lo <= hi && hi <= it.n)) {
-        PyErr_Format(PyExc_IndexError, "reversal of [%lld, %lld) leaves %zd items", (long long)lo,
-                     (long long)hi, it.n);
-        put_items(&it);
-        return NULL;
-    }
-    PyThreadState *unlocked = it.view.obj ? PyEval_SaveThread() : NULL;
-    reverse_items(it.buf, it.size, lo, hi);
-    if (unlocked)
-        PyEval_RestoreThread(unlocked);
-    put_items(&it);
-    Py_RETURN_NONE;
 }
 
 /* 1 iff the rung r can serve the pass: its block of m - 1 items splits
@@ -832,7 +802,7 @@ static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
 #define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef entries[] = {
-    ENTRY(shuffle), ENTRY(reverse), ENTRY(agree), ENTRY(step), {NULL, NULL, 0, NULL},
+    ENTRY(shuffle), ENTRY(agree), ENTRY(step), {NULL, NULL, 0, NULL},
 };
 
 /* every module loaded from this library shares one Refused */

@@ -2,12 +2,11 @@
 
 These are the reference loops, and the path of every buffer that
 ``_fastpath`` does not send to ``_kernel.c``, which holds the same loops in
-C: the reversal, the block gather (its k - 1 rotations by conjoined triple
-reversal), the cycle walk and the check. ``kway``'s Python block loop, the
-twin of the native ``shuffle`` pass, calls the gather and the walk;
-``faro.rotate`` calls the reversal. The test suite runs both paths on the
-same inputs and requires equal results, equal instrumentation counts and
-equal answers.
+C: the block gather (its k - 1 rotations by conjoined triple reversal,
+each ending in a reversal), the cycle walk and the check. ``kway``'s
+Python block loop, the twin of the native ``shuffle`` pass, calls the
+gather and the walk. The test suite runs both paths on the same inputs and
+requires equal results, equal instrumentation counts and equal answers.
 
 All slots here are 0-based. Callers own validation and instrumentation; these
 loops only move or compare elements, and the gather returns its moves.

@@ -54,7 +54,7 @@ them no tail is left.
 A public call checks its arguments, calling ``validate_order`` only to raise,
 and makes one call of ``_pass``: an exact list goes straight to the kernel's
 ``shuffle`` entry, which takes every one, and the rest, or all without a
-kernel, to ``_fastpath.resolve(buf, "shuffle", _pure_pass)``.
+kernel, to ``_fastpath.resolve(buf, _pure_pass)``.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
@@ -285,7 +285,7 @@ def _pure_pass(buf, lo, hi, k, inverse, table):
 def _pass(buf, lo, hi, k, inverse, instr):
     # one pass over buf[lo:hi], its counts added to instr; an exact list skips resolve
     native, table = _fastpath._native, _TABLES.get(k) or _table(k)
-    run = native.shuffle if type(buf) is list and native else _fastpath.resolve(buf, "shuffle", _pure_pass)
+    run = native.shuffle if type(buf) is list and native else _fastpath.resolve(buf, _pure_pass)
     rotate, walk, tail, blocks, cycles = run(buf, lo, hi, k, inverse, table)
     if instr is not None:
         if instr.aux_words_peak < _DRIVER_AUX_WORDS:  # not max(), which parses keywords per call

@@ -1,25 +1,24 @@
-"""In-place range reversal and cyclic shift by triple reversal.
+"""Range reversal and cyclic shift by triple reversal, on lists: private.
 
-Ranges are 0-based and half-open. A right cyclic shift of window [lo, hi) by
-distance d is realized as
+Not part of faro's public surface, and nothing in faro calls it: a block's
+rotations are one gather, by conjoined triple reversal. It stays only
+because perfbench's ``TARGETS`` name ``faro.rotate.reverse_range``, and
+``faro.kway`` and ``faro.shuffle`` bind ``rotate_right`` from here for the
+same reason; it goes once perfbench reads its layers from the counters
+(ROADMAP item 1b).
+
+Ranges are 0-based and half-open. A right cyclic shift of window [lo, hi)
+by distance d is
 
     reverse [lo, hi); reverse [lo, lo+d); reverse [lo+d, hi)
 
-which costs at most 2 * (w//2 + d//2 + (w-d)//2) single-element moves for a
-window of w elements and needs exactly one element-sized temporary (the swap
-slot) no matter how large the window is.
-
-Both functions reverse by the native ``reverse``, which serves nothing
-else, or, for a buffer it refuses, by its twin ``_loops.reverse_slots``, as
-``_fastpath.resolve`` binds them once per call. The shuffle driver does
-not call them: a block's rotations are one gather, which leaves the same
-items by conjoined triple reversal, the three reversals in one sweep, in
-about 1.5 moves per element of the window where these take about 2.
+at 2 * (w//2 + d//2 + (w-d)//2) moves for a window of w items, with one
+item-sized temporary. Both functions take lists alone, and move items by
+``_loops.reverse_slots``: item by item, a pure swap would corrupt an
+ndarray whose items are views, or a MaskedArray's masked items.
 """
 
-from . import _fastpath, _loops
-
-__all__ = ["reverse_range", "rotate_right"]
+from . import _loops
 
 # aux accounting: 1 element temporary + 2 cursor words
 _REVERSE_AUX_WORDS = 3
@@ -28,6 +27,8 @@ _ROTATE_AUX_WORDS = 5
 
 
 def _check_range(buf, lo: int, hi: int) -> None:
+    if not isinstance(buf, list):
+        raise TypeError(f"expected a list, got {type(buf).__name__}")
     if not 0 <= lo <= hi <= len(buf):
         raise ValueError(f"range [{lo}, {hi}) out of bounds for length {len(buf)}")
 
@@ -35,7 +36,7 @@ def _check_range(buf, lo: int, hi: int) -> None:
 def reverse_range(buf, lo: int, hi: int, instr=None) -> None:
     """Reverse buf[lo:hi] in place with (hi - lo) // 2 swaps."""
     _check_range(buf, lo, hi)
-    _fastpath.resolve(buf, "reverse", _loops.reverse_slots)(buf, lo, hi)
+    _loops.reverse_slots(buf, lo, hi)
     if instr is not None:
         instr.rotate_moves += 2 * ((hi - lo) // 2)
         instr.aux_words_peak = max(instr.aux_words_peak, _REVERSE_AUX_WORDS)
@@ -53,10 +54,9 @@ def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
         raise ValueError(f"distance {d} out of range 0..{w}")
     if d == 0 or d == w:
         return
-    reverse = _fastpath.resolve(buf, "reverse", _loops.reverse_slots)
-    reverse(buf, lo, hi)
-    reverse(buf, lo, lo + d)
-    reverse(buf, lo + d, hi)
+    _loops.reverse_slots(buf, lo, hi)
+    _loops.reverse_slots(buf, lo, lo + d)
+    _loops.reverse_slots(buf, lo + d, hi)
     if instr is not None:
         instr.rotate_moves += 2 * (w // 2 + d // 2 + (w - d) // 2)
         instr.aux_words_peak = max(instr.aux_words_peak, _ROTATE_AUX_WORDS)

@@ -74,7 +74,10 @@ class Instrumentation:
     ``aux_words_peak`` is the high-water mark of auxiliary state declared by
     the routines: element-sized temporaries plus integer bookkeeping slots,
     as documented constants per routine. The in-place property shows up as
-    this peak staying a small constant regardless of buffer length.
+    this peak staying a small constant regardless of buffer length. It
+    declares what the tests check on the program: the compiled pass's
+    frames are bounded and call no allocator, and the heap peak of a pass
+    of its Python twin does not grow with the buffer.
 
     Every counter starts at 0. Two instances are equal when all their
     counters are, and being mutable, they are not hashable.

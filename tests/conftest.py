@@ -58,11 +58,11 @@ def spy():
 
     Yields a ``Ran``, counting "resolve" per call of ``_fastpath.resolve``,
     which a pass skips for an exact list while the kernel is loaded;
-    "shuffle" and "reverse" per call that reaches that native entry, bound
-    by ``resolve`` or taken straight from the kernel, and "refused" per
-    such call it refuses; "twin" per call of a Python twin that ``resolve``
-    handed out. Its ``returned`` lists what each counted entry and twin
-    returned, in order.
+    "shuffle" per call that reaches the native pass, bound by ``resolve``
+    or taken straight from the kernel, and "refused" per such call it
+    refuses; "twin" per call of a Python twin that ``resolve`` handed out.
+    Its ``returned`` lists what each counted pass and twin returned, in
+    order.
     """
     ran, native, resolve = Ran(), _fastpath._native, _fastpath.resolve
 
@@ -80,14 +80,14 @@ def spy():
         return call
 
     class Kernel:
-        # the kernel, with each call of shuffle and reverse counted
+        # the kernel, with each call of its pass counted
         def __getattr__(self, name):
             entry = getattr(native, name)
-            return counted(name, entry) if name in ("shuffle", "reverse") else entry
+            return counted(name, entry) if name == "shuffle" else entry
 
-    def resolving(buf, name, twin):
+    def resolving(buf, twin):
         ran["resolve"] += 1
-        return resolve(buf, name, twin if hasattr(twin, "counted") else counted("twin", twin))
+        return resolve(buf, twin if hasattr(twin, "counted") else counted("twin", twin))
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_fastpath, "resolve", resolving)
