@@ -22,9 +22,11 @@ numpy is never imported here: no ndarray can exist before the caller has
 imported it.
 
 One shuffle call makes a whole pass over the range, tiled by a table of
-the arity's rungs that ``kway`` builds once, and returns its counts;
-``_kernel.c`` says how. The native ``shuffle`` checks every range,
-integer and rung against the buffer itself.
+the arity's rungs, and returns its counts; ``_kernel.c`` says how. ``kway``
+has the kernel's ``ladder`` entry build each arity's table once, on the
+arity's first call, and keeps it. The native ``shuffle`` checks every
+range, integer and rung against the buffer itself, whoever built the
+table.
 
 While the kernel is loaded, an exact list goes from ``kway._pass`` straight
 to the native ``shuffle``. ``resolve`` sorts every other buffer once per

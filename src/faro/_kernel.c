@@ -23,16 +23,19 @@
  * array.
  *
  * One shuffle call makes a whole forward or inverse pass of kway's driver:
- * it tiles the range greedily by the rungs of a table that kway builds once
- * per arity, gathers and walks each block, sweeps the tail, and returns the
- * counts kway's Python twin of it keeps. It is the only entry that moves
- * items; agree is the check, and step gives the tests the steps of a
- * pass's walks at moduli no pass in a test reaches.
+ * it tiles the range greedily by the rungs of an arity's table, gathers and
+ * walks each block, sweeps the tail, and returns the counts kway's Python
+ * twin of it keeps. It is the only entry that moves items. ladder builds
+ * an arity's table from its bases, which kway asks for once per arity;
+ * agree is the check, and step gives the tests the steps of a pass's walks
+ * at moduli no pass in a test reaches.
  *
  * shuffle takes an exact list, over its PyObject * slots, or any memory
  * get_items takes, and refuses any other with Refused before an item
- * moves. It checks every range and rung against it before a loop runs;
- * agree leaves its checks to _fastpath.agree.
+ * moves. It checks every range and rung against it before a loop runs, so
+ * that a table from ladder is checked like any other; ladder checks its
+ * arguments before it allocates the table, and agree leaves its checks to
+ * _fastpath.agree.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -533,6 +536,149 @@ static void shuffle_items(struct pass *ps)
     }
 }
 
+/* The ladder of kway._table(k), built from k's bases as kway._BASES holds
+ * them: a tuple of at most BASES (p, reps) pairs, reps a tuple of p's 1 to
+ * REPS coset representatives, so that a ladder holds at most BASES * 126
+ * rows (774 KB). */
+enum { BASES = 64 };
+
+/* x mod k for x < 2^32, by Lemire's fastmod with mk = floor((2^64 - 1) / k)
+ * + 1, as struct step's */
+static inline unsigned mod_k(uint64_t x, uint64_t mk, int64_t k)
+{
+    return ((unsigned __int128)(mk * x) * (uint64_t)k) >> 64;
+}
+
+/* One rung of modulus m and exponent j: counted in at[b], b the bit length
+ * of m less one, or with out not NULL written to out as `row` with its
+ * modulus and j, at row at[b]++ */
+static inline void rung(int64_t m, int64_t j, Py_ssize_t at[64], char *out, int64_t row[ROW])
+{
+    Py_ssize_t *next = &at[63 - __builtin_clzll(m)];
+    if (out) {
+        row[0] = m, row[2] = j;
+        memcpy(out + *next * ROW * 8, row, ROW * 8);
+    }
+    ++*next;
+}
+
+/* Each rung of base p >= 3 (see rung): its moduli below 2^63, p^j and for
+ * odd k 2p^j, whose blocks split into k parts, smallest first, climbed by
+ * multiplications alone, with r = p^j mod k */
+static void rungs(int64_t k, int64_t p, Py_ssize_t at[64], char *out, int64_t row[ROW])
+{
+    uint64_t mk = UINT64_MAX / (uint64_t)k + 1;
+    unsigned pk = p % k, r = pk;
+    for (int64_t power = p, j = 1;; j++) {
+        if (r == 1)
+            rung(power, j, at, out, row);
+        if (k % 2 && power <= INT64_MAX / 2 && mod_k(2 * r, mk, k) == 1)
+            rung(2 * power, j, at, out, row);
+        if (__builtin_mul_overflow(power, p, &power))
+            return;
+        r = mod_k(r * pk, mk, k);
+    }
+}
+
+/* item i of the tuple t, an int64 by the time bases_fit has checked it */
+static int64_t int64_at(PyObject *t, Py_ssize_t i) { return PyLong_AsLongLong(PyTuple_GET_ITEM(t, i)); }
+
+/* 1 iff obj is an int that fits an int64, read into *v; 0 with TypeError or
+ * OverflowError set. No __index__ is called, so reading it again later
+ * runs no Python code and gives the same value. */
+static int int64_of(PyObject *obj, int64_t *v)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "expected an int, got %s", Py_TYPE(obj)->tp_name);
+        return 0;
+    }
+    *v = PyLong_AsLongLong(obj);
+    return !(*v == -1 && PyErr_Occurred());
+}
+
+/* 1 iff bases can make a k-way ladder: 2 <= k <= 9, and bases a tuple of at
+ * most BASES pairs (p, reps) of an int p >= 3 and a tuple of 1 to REPS
+ * int64s; 0 with TypeError, ValueError or OverflowError set */
+static int bases_fit(int64_t k, PyObject *bases)
+{
+    if (!(2 <= k && k <= 9)) {
+        PyErr_Format(PyExc_ValueError, "no %lld-way ladder: k is 2..9", (long long)k);
+        return 0;
+    }
+    if (!PyTuple_CheckExact(bases)) {
+        PyErr_Format(PyExc_TypeError, "bases must be a tuple, not %s", Py_TYPE(bases)->tp_name);
+        return 0;
+    }
+    if (PyTuple_GET_SIZE(bases) > BASES) {
+        PyErr_Format(PyExc_ValueError, "%zd bases, more than the %d a ladder takes", PyTuple_GET_SIZE(bases), BASES);
+        return 0;
+    }
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(bases); i++) {
+        PyObject *base = PyTuple_GET_ITEM(bases, i), *reps;
+        int64_t v;
+        if (!PyTuple_CheckExact(base) || PyTuple_GET_SIZE(base) != 2 ||
+            !PyTuple_CheckExact(reps = PyTuple_GET_ITEM(base, 1))) {
+            PyErr_Format(PyExc_TypeError, "base %zd is no (p, reps) pair of an int and a tuple", i);
+            return 0;
+        }
+        if (!int64_of(PyTuple_GET_ITEM(base, 0), &v))
+            return 0;
+        if (v < 3 || !(1 <= PyTuple_GET_SIZE(reps) && PyTuple_GET_SIZE(reps) <= REPS)) {
+            PyErr_Format(PyExc_ValueError, "no base %lld with %zd cosets: p is at least 3, with 1 to %d", (long long)v,
+                         PyTuple_GET_SIZE(reps), REPS);
+            return 0;
+        }
+        for (Py_ssize_t r = 0; r < PyTuple_GET_SIZE(reps); r++)
+            if (!int64_of(PyTuple_GET_ITEM(reps, r), &v))
+                return 0;
+    }
+    return 1;
+}
+
+/* The number of rows of the ladder, with at[b] set to the first row of its
+ * rungs in [2^b, 2^(b+1)): the rows take the rungs of each such range in
+ * turn, the highest first. */
+static Py_ssize_t count_ladder(int64_t k, PyObject *bases, Py_ssize_t at[64])
+{
+    Py_ssize_t rows = 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(bases); i++)
+        rungs(k, int64_at(PyTuple_GET_ITEM(bases, i), 0), at, NULL, NULL);
+    for (int b = 64; b-- > 0;) {
+        Py_ssize_t n = at[b];
+        at[b] = rows, rows += n;
+    }
+    return rows;
+}
+
+/* The ladder's rows written to out, as count_ladder placed them in `at`.
+ * Taken base by base, the last base first, each rung goes to the next free
+ * row of its range [2^b, 2^(b+1)), so that only rungs of one range, at most
+ * two a base, can be out of order. One insertion sort then puts those in
+ * order, rungs of equal moduli, which only bases that are powers of one
+ * number share, the later base first. */
+static void build_ladder(int64_t k, PyObject *bases, Py_ssize_t at[64], Py_ssize_t rows, char *out)
+{
+    enum { RB = ROW * 8 }; /* the bytes of a row */
+    for (Py_ssize_t i = PyTuple_GET_SIZE(bases); i-- > 0;) {
+        PyObject *base = PyTuple_GET_ITEM(bases, i), *reps = PyTuple_GET_ITEM(base, 1);
+        int64_t row[ROW] = {0, int64_at(base, 0), 0, PyTuple_GET_SIZE(reps)};
+        for (Py_ssize_t r = 0; r < row[3]; r++)
+            row[4 + r] = int64_at(reps, r);
+        rungs(k, row[1], at, out, row);
+    }
+    for (Py_ssize_t i = 1; i < rows; i++) {
+        int64_t row[ROW], m;
+        Py_ssize_t to = i;
+        memcpy(row, out + i * RB, RB);
+        while (to > 0 && (memcpy(&m, out + (to - 1) * RB, 8), m < row[0]))
+            to--;
+        if (to < i) {
+            memmove(out + (to + 1) * RB, out + to * RB, (i - to) * RB);
+            memcpy(out + to * RB, row, RB);
+        }
+    }
+}
+
 /* The module's entries, METH_FASTCALL functions. Every integer must fit an
  * int64: one beyond it raises OverflowError rather than wrapping into range.
  * shuffle takes an exact list or a buffer (see get_items) and checks every
@@ -799,10 +945,25 @@ static PyObject *py_step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     return PyLong_FromLongLong(j);
 }
 
+/* ladder(k, bases): the rows of kway._table(k), ROW int64s to a rung,
+ * largest first, built from k's bases (see build_ladder), as bytes; the
+ * bytes are its only allocation, made once every argument has been read */
+static PyObject *py_ladder(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t k;
+    if (!nargs_in("ladder", nargs, 2, 2) || !int64_of(args[0], &k) || !bases_fit(k, args[1]))
+        return NULL;
+    Py_ssize_t at[64] = {0}, rows = count_ladder(k, args[1], at);
+    PyObject *table = PyBytes_FromStringAndSize(NULL, rows * ROW * 8);
+    if (table)
+        build_ladder(k, args[1], at, rows, PyBytes_AS_STRING(table));
+    return table;
+}
+
 #define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef entries[] = {
-    ENTRY(shuffle), ENTRY(agree), ENTRY(step), {NULL, NULL, 0, NULL},
+    ENTRY(shuffle), ENTRY(agree), ENTRY(step), ENTRY(ladder), {NULL, NULL, 0, NULL},
 };
 
 /* every module loaded from this library shares one Refused */

@@ -11,6 +11,7 @@ import sysconfig
 import tempfile
 import threading
 import time
+import tracemalloc
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES
 from math import gcd
@@ -84,6 +85,76 @@ def test_step_refuses_what_is_no_residue():
     for s in (0, 5, -1):
         with pytest.raises(ValueError, match="look-ahead"):
             step(1, 2, False, 7, s)
+
+
+@needs_kernel
+def test_ladder_refuses_bad_calls_before_it_allocates():
+    # ladder refuses k outside 2..9, p below 3, no coset representative or
+    # more than 8, more than 64 bases, and what is no int, no tuple or no
+    # int64. Each bad call below but those on k carries 63 good bases of 3
+    # before its bad one; a ladder of 64 of them takes about 240 KB, and no
+    # refused call's traced peak reaches 4 KiB, so each refusal comes before
+    # the table is allocated.
+    ladder = _fastpath._native.ladder
+    three = (3, (1,))
+    good = (three,) * 63
+    assert ladder(2, good + (three,)) == kway._ladder(2, good + (three,))
+    assert ladder(2, ()) == b""
+    cases = [
+        (ValueError, (1, good)),
+        (ValueError, (10, good)),
+        (ValueError, (-(2**63), good)),
+        (ValueError, (2, good + ((2, (1,)),))),
+        (ValueError, (2, good + ((-5, (1,)),))),
+        (ValueError, (2, good + ((5, ()),))),
+        (ValueError, (2, good + ((5, tuple(range(1, 10))),))),
+        (ValueError, (2, good + (three, three))),
+        (TypeError, (2.0, good)),
+        (TypeError, (2, list(good))),
+        (TypeError, (2, good + ([5, (1,)],))),
+        (TypeError, (2, good + ((5, (1,), 0),))),
+        (TypeError, (2, good + ((5, [1]),))),
+        (TypeError, (2, good + (("5", (1,)),))),
+        (TypeError, (2, good + ((5.0, (1,)),))),
+        (TypeError, (2, good + ((5, (1, 2.0)),))),
+        (TypeError, (2,)),
+        (TypeError, (2, good, 0)),
+        (OverflowError, (2**64, good)),
+        (OverflowError, (2, good + ((2**63, (1,)),))),
+        (OverflowError, (2, good + ((5, (1, -(2**63) - 1)),))),
+    ]
+    for error, args in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                ladder(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, (error, args[0], args[1:] and args[1][-1:])
+
+
+@needs_kernel
+def test_native_ladder_matches_the_python_ladder_at_the_edges():
+    # Byte for byte, on bases no arity has: the largest p, rungs either side
+    # of 2^63 for p^j and for 2p^j (2 * 4^31 = 2^63 would split 7 ways),
+    # bases that are powers of one number (equal moduli, the larger p
+    # first), and random sets of up to 64 bases.
+    edges = [
+        (2, ((2**63 - 1, (1,)),)),
+        (3, ((2**62 - 1, (1, 2)), (2**62 + 1, (1,)))),
+        (7, ((4, (1,)), (2**31, (1, 3)))),
+        (5, ((3, (1,)), (2**31 - 1, (1,)), (3_037_000_493, (1, 2, 3)))),
+        (2, ((3, (1,)), (9, (1, 2)), (27, (4,)), (81, (1,)))),
+        (7, ((3, (1,)), (9, (1, 2)), (27, (4,)), (81, (1,)))),
+    ]
+    rng = random.Random(33)
+    for _ in range(40):
+        odd = sorted({rng.randrange(3, 1 << rng.choice((8, 16, 32, 63))) | 1 for _ in range(rng.randint(1, 64))})
+        bases = tuple((p, tuple(rng.randrange(1, p) for _ in range(rng.randint(1, 8)))) for p in odd)
+        edges.append((rng.randint(2, 9), bases))
+    for k, bases in edges:
+        assert _fastpath._native.ladder(k, bases) == kway._ladder(k, bases), (k, bases[:3])
 
 
 @needs_kernel
@@ -812,8 +883,14 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 
 def _sanitized_cases():
-    """The cases the sanitized kernel runs: the pass's parity with its twin,
-    and the refusals of every entry."""
+    """The cases the sanitized kernel runs: the pass's and the ladder's
+    parity with their twins, and the refusals of every entry."""
+    import test_kway
+
+    for q in range(2, 10):
+        test_kway.test_ladder_is_every_admissible_rung_largest_first(q)
+    test_native_ladder_matches_the_python_ladder_at_the_edges()
+    test_ladder_refuses_bad_calls_before_it_allocates()
     for itemsize in (1, 257, "list"):
         test_native_walk_matches_the_pure_walk(itemsize, most=300)
     for kind in ("list", "ndarray", "records3", "records9", "masked"):
@@ -1013,41 +1090,47 @@ def test_a_list_reaches_the_native_pass_through_two_python_frames(monkeypatch):
     # The public function and kway._pass are the only Python functions a
     # shuffle of an exact list runs before the native pass, once its
     # arity's table is built: the length check, the list rule, the table
-    # and the counts are inline. Without the kernel the same calls run the
-    # twin through resolve. Every call matches the oracle either way.
+    # and the counts are inline. The first call of an arity adds _table,
+    # which has the kernel's ladder entry build the table, with no Python
+    # loop. Without the kernel the same calls run the twin through resolve,
+    # and build the same tables in Python. Every call matches the oracle
+    # either way.
     items = list(range(2520))  # a multiple of every arity
+    native = _fastpath._native
 
     def frames(function, buf, args):
-        # the Python functions that function(buf, *args) runs, in order, up
-        # to its first call of the native pass, which is None here
+        # the Python functions that function(buf, *args) runs, in order,
+        # and the kernel entries it calls, as "native.<name>", up to its
+        # first call of the native pass
         called = []
 
         def profile(frame, event, arg):
             if event == "call":
                 called.append(frame.f_code.co_name)
-            elif event == "c_call" and arg is _fastpath._native.shuffle:
-                called.append(None)
+            elif event == "c_call" and getattr(arg, "__self__", None) is native:
+                called.append(f"native.{arg.__name__}")
 
         sys.setprofile(profile)
         try:
             function(buf, *args)
         finally:
             sys.setprofile(None)
-        return called[: called.index(None) + 1] if None in called else called
+        return called[: called.index("native.shuffle") + 1] if "native.shuffle" in called else called
 
     # the first call of an arity builds its table, and only that one
     monkeypatch.setattr(kway, "_TABLES", {})
     buf = list(items)
-    called = frames(k_shuffle, buf, (5,))
-    assert called[:3] == ["k_shuffle", "_pass", "_table"] and called[-1] is None, called
+    assert frames(k_shuffle, buf, (5,)) == ["k_shuffle", "_pass", "_table", "native.ladder", "native.shuffle"]
     assert list(kway._TABLES) == [5] and buf == oracle_shuffle(items, kway_kind(5))
     for function, args, kind, inverse in _public_calls():
         kway._table(kind.k)  # built before, as by an earlier call of the arity
         expected = oracle_shuffle(items, kind)
         buf = list(expected if inverse else items)
-        assert frames(function, buf, args) == [function.__name__, "_pass", None], (function, args)
+        assert frames(function, buf, args) == [function.__name__, "_pass", "native.shuffle"], (function, args)
         assert buf == (items if inverse else expected), (function, args)
+    built = {k: table.tobytes() for k, table in kway._TABLES.items()}
     monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
+    monkeypatch.setattr(kway, "_TABLES", {})
     for function, args, kind, inverse in _public_calls():
         expected = oracle_shuffle(items, kind)
         buf = list(expected if inverse else items)
@@ -1055,6 +1138,7 @@ def test_a_list_reaches_the_native_pass_through_two_python_frames(monkeypatch):
             function(buf, *args)
         assert ran == {"resolve": 1, "twin": 1}, (function, args)
         assert buf == (items if inverse else expected), (function, args)
+    assert {k: table.tobytes() for k, table in kway._TABLES.items()} == built and sorted(built) == list(range(2, 10))
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6])
@@ -1149,8 +1233,9 @@ def test_list_entries_refuse_bad_calls_and_leave_the_list():
 def test_buffer_entries_refuse_bad_calls_and_leave_the_buffer():
     native = _fastpath._native
     # the kernel's whole surface: one pass moves items, agree checks them,
-    # step serves the tests, and Refused is the pass's refusal
-    assert {name for name in dir(native) if not name.startswith("_")} == {"shuffle", "agree", "step", "Refused"}
+    # step serves the tests, ladder builds the pass's tables, and Refused is
+    # the pass's refusal
+    assert {name for name in dir(native) if not name.startswith("_")} == {"shuffle", "agree", "step", "ladder", "Refused"}
     # memory the entries cannot take: (owner, buffer, itemsize or 0 for the
     # buffer's own), each of 26 items
     backing = np.arange(52, dtype=np.int64)

@@ -102,17 +102,23 @@ def test_base_table_is_valid():
 def test_ladder_is_every_admissible_rung_largest_first(q):
     # brute force: p^j, and 2p^j for odd q, of every base below 2^63, kept
     # when q divides modulus - 1, each row with p's coset representatives,
-    # padded with zeros
-    table = kway._table(q)
-    ladder = rungs(table)
-    moduli = [modulus for modulus, *_ in ladder]
-    assert all(a > b for a, b in zip(moduli, moduli[1:]))
+    # padded with zeros; both builders, the Python one and the kernel's,
+    # make these rows, byte for byte, and _table keeps one of them
     expected = set()
     for p, reps in kway._BASES[q]:
         for j in range(1, 64):
             for c in (1, 2) if q > 2 else (1,):
                 if c * p**j < 1 << 63 and (c * p**j - 1) % q == 0:
                     expected.add((c * p**j, p, j, reps))
+    built = [kway._ladder(q, kway._BASES[q])]
+    if _fastpath._native is not None:
+        built.append(_fastpath._native.ladder(q, kway._BASES[q]))
+    assert all(type(rows) is bytes and rows == built[0] for rows in built)
+    assert kway._table(q).tobytes() == built[0]
+    table = memoryview(built[0]).cast("q")
+    ladder = rungs(table)
+    moduli = [modulus for modulus, *_ in ladder]
+    assert all(a > b for a, b in zip(moduli, moduli[1:]))
     assert set(ladder) == expected
     assert len(table) == 12 * len(ladder)
     assert all(not any(table[r + 4 + table[r + 3] : r + 12]) for r in range(0, len(table), 12))

@@ -10,7 +10,10 @@ between the two kernels call by call: each call runs once on each kernel,
 on its own copy of the same input, and which kernel goes first alternates
 round by round. Both kernels must leave the same items, or the script
 stops. The Python side of faro is the working tree's for both, so the two
-kernels must export the same entries.
+kernels must export the entries it calls per call. Every arity's table is
+built once, before the first round, by the kernel faro loaded at import;
+so a base kernel without the ``ladder`` entry can still be alternated,
+and no round pays for a table.
 
 For each schedule it prints the median over rounds of each kernel's summed
 call time, their ratio change/base, the rounds CHANGE won, and BASE's
@@ -43,7 +46,7 @@ import time
 
 import numpy as np
 
-from faro import _fastpath, in_shuffle, k_shuffle, k_unshuffle, un_shuffle
+from faro import _fastpath, in_shuffle, k_shuffle, k_unshuffle, kway, un_shuffle
 from faro.shuffle import RecordBuffer
 
 KERNEL = "src/faro/_kernel.c"
@@ -149,6 +152,8 @@ def main(argv=None):
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True, check=True)
     root = root.stdout.strip()
     saved = _fastpath._native
+    for k in range(2, kway.MAX_K + 1):
+        kway._table(k)  # built by the kernel loaded at import, for both sides
     gc.disable()  # no collection inside a timed call: the inputs hold no cycles
     kernels = {"base": build(args.base, root, "base"), "change": build(args.change, root, "change")}
     print(f"base {args.base}, change {args.change or 'working tree'}, seed {args.seed}")
