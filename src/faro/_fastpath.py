@@ -32,7 +32,9 @@ While the kernel is loaded, an exact list goes from ``kway._pass`` straight
 to the native ``shuffle``. ``resolve`` sorts every other buffer once per
 public call: it binds the native ``shuffle`` to the buffer, which takes it
 or refuses it before any moves, and a refused buffer takes the twin,
-``kway._pure_pass``. Nothing is cached across calls.
+``_loops._pure_pass``. Nothing is cached across calls. ``_loops`` is
+imported by the first call that takes the twin, or by ``agree`` without
+the kernel, so a process whose buffers all go native never compiles it.
 """
 
 import os
@@ -40,8 +42,6 @@ import sys
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 from math import gcd
-
-from . import _loops
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
@@ -109,8 +109,8 @@ except (OSError, ImportError) as exc:
 HAVE_COMPILED = _native is not None
 
 
-def resolve(buf, twin):
-    """The native ``shuffle`` bound to this buffer, or its Python `twin`, for the length of one call.
+def resolve(buf):
+    """The native ``shuffle`` bound to this buffer, or its Python twin, for the length of one call.
 
     Both take ``(buf, lo, hi, k, inverse, table)``; the pass is passed the
     record size of a ``RecordBuffer``. A buffer goes native iff the pass
@@ -126,20 +126,20 @@ def resolve(buf, twin):
     an item through a view that an earlier write has already overwritten.
     """
     # closures are made in the helpers: a cell here would cost every call
-    run = _masked(buf, twin)
+    run = _masked(buf)
     if run is not None:
         return run
     np = sys.modules.get("numpy")
     # get_items cannot see an object field beside a datetime64 one
     if _native is None or np is not None and isinstance(buf, np.ndarray) and buf.dtype.hasobject:
-        return _twin(buf, twin)
+        return _twin(buf)
     # loaded with the package; an import statement here takes microseconds
     records = sys.modules[_SHUFFLE].RecordBuffer
     data, size = (buf.data, buf.record_size) if type(buf) is records else (buf, 0)
-    return _bind(data, size, buf, twin)
+    return _bind(data, size, buf)
 
 
-def _bind(data, size, buf, twin):
+def _bind(data, size, buf):
     # the native pass bound to buf's memory `data` and its record `size`,
     # which runs the twin on buf when the pass refuses the memory
     shuffle = _native.shuffle
@@ -148,20 +148,22 @@ def _bind(data, size, buf, twin):
         try:
             return shuffle(data, lo, hi, k, inverse, table, size)
         except _native.Refused:
-            return _twin(buf, twin)(buf, lo, hi, k, inverse, table)
+            return _twin(buf)(buf, lo, hi, k, inverse, table)
 
     return run
 
 
-def _twin(buf, twin):
+def _twin(buf):
     # the twin, unless buf is an ndarray whose items are views (see resolve)
     np = sys.modules.get("numpy")
     if np is not None and isinstance(buf, np.ndarray) and (buf.ndim != 1 or buf.dtype.names):
         raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
-    return twin
+    from . import _loops
+
+    return _loops._pure_pass
 
 
-def _masked(buf, twin):
+def _masked(buf):
     # The bound call of a MaskedArray, which moves its data and, unless it
     # is nomask, its mask: each a plain array on its own loops. Item by
     # item, the Python loops would read a masked item as np.ma.masked, and
@@ -173,13 +175,13 @@ def _masked(buf, twin):
     mask = ma.getmask(buf)
     if buf.hardmask and mask.any():
         raise ValueError("a hard mask keeps the masked items from moving")
-    return _parts((buf.data, mask), ma.nomask, twin)
+    return _parts((buf.data, mask), ma.nomask)
 
 
-def _parts(arrays, nomask, twin):
+def _parts(arrays, nomask):
     # the bound call of a MaskedArray's data and mask, a mask of nomask
     # aside; its own helper, so that _masked makes no cell on other buffers
-    runs = [(array, resolve(array, twin)) for array in arrays if array is not nomask]
+    runs = [(array, resolve(array)) for array in arrays if array is not nomask]
 
     def run_parts(_buf, *args):
         # the data and the mask make the same moves: one result stands for both
@@ -215,5 +217,8 @@ def agree(chunk, result, itemsize, base, mult, modulus, j0, count):
             raise IndexError(f"buffer of {size} bytes, need {need}")
     if count == 0:
         return True  # nothing to compare
-    agree_items = _loops.agree_items if _native is None else _native.agree
-    return agree_items(chunk, result, itemsize, base, mult % modulus, modulus, j0, count)
+    if _native is None:
+        from . import _loops
+
+        return _loops.agree_items(chunk, result, itemsize, base, mult % modulus, modulus, j0, count)
+    return _native.agree(chunk, result, itemsize, base, mult % modulus, modulus, j0, count)

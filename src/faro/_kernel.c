@@ -24,11 +24,11 @@
  *
  * One shuffle call makes a whole forward or inverse pass of kway's driver:
  * it tiles the range greedily by the rungs of an arity's table, gathers and
- * walks each block, sweeps the tail, and returns the counts kway's Python
- * twin of it keeps. It is the only entry that moves items. ladder builds
- * an arity's table from its bases, which kway asks for once per arity;
- * agree is the check, and step gives the tests the steps of a pass's walks
- * at moduli no pass in a test reaches.
+ * walks each block, sweeps the tail, and returns the counts its Python
+ * twin, _loops._pure_pass, keeps. It is the only entry that moves items.
+ * ladder builds an arity's table from its bases, which kway asks for once
+ * per arity; agree is the check, and step gives the tests the steps of a
+ * pass's walks at moduli no pass in a test reaches.
  *
  * shuffle takes an exact list, over its PyObject * slots, or any memory
  * get_items takes, and refuses any other with Refused before an item
@@ -409,7 +409,7 @@ static int ladder_fits(int64_t leader, int64_t p, int64_t count, int64_t m)
  * number d <= REPS of p's coset representatives, and the representatives,
  * padded to REPS. The pass tiles [lo, hi) greedily by these rungs, as
  * kway._blocks does, and makes each block's gather, or scatter, and walks
- * as kway._pure_pass does, counting what it counts. */
+ * as _loops._pure_pass does, counting what it counts. */
 enum { ROW = 12, REPS = 8 };
 enum { ROTATE, WALK, TAIL, BLOCKS, CYCLES };
 

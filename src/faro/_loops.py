@@ -1,16 +1,25 @@
-"""Innermost element-moving loops, and the check behind ``faro apply --verify``.
+"""The Python twin of the native pass, and the check behind ``faro apply --verify``.
 
 These are the reference loops, and the path of every buffer that
 ``_fastpath`` does not send to ``_kernel.c``, which holds the same loops in
 C: the block gather (its k - 1 rotations by conjoined triple reversal,
-each ending in a reversal), the cycle walk and the check. ``kway``'s
-Python block loop, the twin of the native ``shuffle`` pass, calls the
-gather and the walk. The test suite runs both paths on the same inputs and
-requires equal results, equal instrumentation counts and equal answers.
+each ending in a reversal), the cycle walk and the check. ``_pure_pass``
+is the twin of the native ``shuffle`` pass: it tiles a range by
+``kway._blocks`` and runs the gather and the walk on each block. The test
+suite runs both paths on the same inputs and requires equal results, equal
+instrumentation counts and equal answers.
 
-All slots here are 0-based. Callers own validation and instrumentation; these
-loops only move or compare elements, and the gather returns its moves.
+Nothing imports this module while the kernel is loaded, save for a call
+that takes the twin: ``_fastpath`` imports it on first use, so a ``faro
+apply`` child does not compile it.
+
+All slots here are 0-based. Callers own validation; the loops only move or
+compare elements, the gather returns its moves, and the pass its counts.
 """
+
+from types import SimpleNamespace
+
+from .kway import _blocks
 
 
 def reverse_slots(buf, lo, hi):
@@ -100,6 +109,83 @@ def cycle_walk(buf, base, leader, mult, modulus, p, count):
             if j == leader:
                 break
         leader *= p
+
+
+def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, instr):
+    # modulus is p^j, or 2p^j for odd k. For s = 0..j-1 and each coset
+    # representative c, c * p^s leads the cycle of the positions whose
+    # p-part is p^s and whose cofactor is c mod p; when modulus is even
+    # that cycle holds only the odd ones, led by c or c + p, whichever is
+    # odd, and 2c * p^s leads the even ones. One cycle_walk call takes each
+    # ladder of leaders, s < j. The cycles hold every position but p^j,
+    # which is fixed under an odd multiplier and is not walked; the moves
+    # are those positions plus one hold per cycle.
+    base = offset - 1
+    twin = modulus % 2 == 0
+    for c in reps:
+        cycle_walk(buf, base, c + p if twin and c % 2 == 0 else c, mult, modulus, p, j)
+        if twin:
+            cycle_walk(buf, base, 2 * c, mult, modulus, p, j)
+    if instr is not None:
+        cycles = len(reps) * (1 + twin) * j
+        instr.cycles += cycles
+        instr.walk_moves += modulus - 1 - twin + cycles
+
+
+def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
+    # Permute buf[offset : offset+length] by local i -> i*mult mod (length+1)
+    # using the minimum-of-orbit leader rule: a position starts a cycle only
+    # if probing its whole orbit meets nothing smaller. Quadratic in `length`
+    # and constant space; the pass only uses it for the tiling's tail, whose
+    # size is bounded by the base table, not the buffer.
+    modulus = length + 1
+    base = offset - 1
+    moves = cycles = 0
+    for lead in range(1, length + 1):
+        probe = lead * mult % modulus
+        if probe == lead:
+            continue
+        steps = 1
+        while probe > lead:
+            probe = probe * mult % modulus
+            steps += 1
+        if probe != lead:
+            continue
+        cycle_walk(buf, base, lead, mult, modulus, 1, 1)
+        moves += steps + 1
+        cycles += 1
+    instr.tail_moves += moves
+    instr.cycles += cycles
+
+
+def _pure_pass(buf, lo, hi, k, inverse, table):
+    """The Python twin of the native pass, ``shuffle`` in ``_kernel.c``.
+
+    Shuffles buf[lo:hi] k ways, or with `inverse` unshuffles it, by
+    ``gather_slots`` and ``cycle_walk``, and returns the counts: (rotate
+    moves, walk moves, tail moves, blocks, cycles). It tiles by the rungs of
+    `table`, the native pass's table, and takes each run's coset
+    representatives from its rung's row. As in the kernel's ``run_blocks``,
+    each block is gathered, then placed; inverse, right to left, each is
+    placed, then scattered.
+    """
+    counts = SimpleNamespace(rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0)
+    for start, modulus, p, j, reps, count in _blocks(lo, hi, table, inverse):
+        counts.blocks += count
+        mult = pow(k, -1, modulus) if inverse else k
+        if j == 0:
+            _bounded_cycle_shuffle(buf, start, modulus - 1, mult, counts)
+            continue
+        b = (modulus - 1) // k
+        for i in range(count):
+            offset = start + (count - 1 - i if inverse else i) * (modulus - 1)
+            part = (hi - offset) // k
+            if not inverse:
+                counts.rotate_moves += gather_slots(buf, offset, part, b, k, False)
+            _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, counts)
+            if inverse:
+                counts.rotate_moves += gather_slots(buf, offset, part, b, k, True)
+    return counts.rotate_moves, counts.walk_moves, counts.tail_moves, counts.blocks, counts.cycles
 
 
 def agree_items(chunk, res, itemsize, base, mult, modulus, j0, count):

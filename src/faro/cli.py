@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 2 argument or validation error, 3 I/O failure,
 4 verification mismatch.
+
+The command line is parsed by ``getopt.gnu_getopt``, not argparse: every
+``faro apply`` child parses one, and argparse's import and parsers cost a
+child about 3 ms before it reads its file.
 """
 
-import argparse
+import getopt
 import math
 import os
 import stat
@@ -13,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from . import _fastpath
-from .kway import k_shuffle, k_unshuffle
+from .kway import MAX_K, k_shuffle, k_unshuffle
 # unused here; kept bound because perfbench swaps faro.cli.oracle_shuffle by name
 from .oracle import oracle_shuffle  # noqa: F401
 from .permcore import (
@@ -38,18 +42,86 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
+USAGE = """\
+usage: faro apply [--kind K] [--inverse] [--verify] --record-size N PATH
+       faro cycles [--kind K] ORDER
+       faro order ORDER
+
+In-place perfect (faro) shuffles for arrays and record files.
+
+commands:
+  apply              permute a file of fixed-size records in place
+  cycles             print the cycle structure of a shuffle
+  order              print how many in-shuffles restore the original
+
+options:
+  --kind K           shuffle family: in, out, or k:<k> (default: in)
+  --inverse          apply the inverse permutation
+  --verify           check the result against the file, read again from
+                     disk, before committing
+  --record-size N    bytes per record
+  -h, --help         show this help and exit
+
+Options may follow the operand, be given as --option=value and be cut to
+a unique prefix; -- ends them.
+"""
+
+# each command's long options, as getopt spells them: "=" takes a value
+_OPTIONS = {
+    "apply": ["kind=", "inverse", "verify", "record-size=", "help"],
+    "cycles": ["kind=", "help"],
+    "order": ["help"],
+}
+
+# an argument that reads as a negative number, as in `faro order -2`, is an
+# operand, where getopt would take it for an option: it passes getopt behind
+# a NUL, which no command-line argument holds
+_HIDE = "\0"
+
 
 def parse_kind(text: str) -> ShuffleKind:
+    """The kind ``--kind`` `text` names: in, out or k:<k>; ValueError for any other."""
     if text == "in":
         return IN_SHUFFLE
     if text == "out":
         return OUT_SHUFFLE
     if text.startswith("k:"):
-        try:
-            return kway_kind(int(text[2:]))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError(f"kind must be 'in', 'out' or 'k:<k>', got {text!r}")
+        return kway_kind(_number("k", text[2:]))
+    raise ValueError(f"kind must be 'in', 'out' or 'k:<k>', got {text!r}")
+
+
+def _number(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
+def _parse(args):
+    """The command, its options and its operand, or None for ``-h`` or ``--help``.
+
+    The options map each long option given, by its full name, to its value,
+    the last one when it is repeated. GetoptError for a command line that
+    names no command or breaks its command's grammar.
+    """
+    found, rest = getopt.getopt(args, "h", ["help"])
+    if found:
+        return None
+    if not rest:
+        raise getopt.GetoptError(f"missing command: one of {', '.join(_OPTIONS)}")
+    command, *rest = rest
+    if command not in _OPTIONS:
+        raise getopt.GetoptError(f"unknown command {command!r}")
+    rest = [_HIDE + arg if arg[:1] == "-" and arg[1:].isdecimal() else arg for arg in rest]
+    found, operands = getopt.gnu_getopt(rest, "h", _OPTIONS[command])
+    options = {name: value.removeprefix(_HIDE) for name, value in found}
+    if "-h" in options or "--help" in options:
+        return None
+    if len(operands) != 1:
+        raise getopt.GetoptError(f"{command} takes one operand, got {len(operands)}")
+    if command == "apply" and "--record-size" not in options:
+        raise getopt.GetoptError("apply needs --record-size N")
+    return command, options, operands[0].removeprefix(_HIDE)
 
 
 def _apply_kind(buf, kind: ShuffleKind, inverse: bool, instr=None) -> None:
@@ -64,6 +136,11 @@ def _apply_kind(buf, kind: ShuffleKind, inverse: bool, instr=None) -> None:
 def _fail(code: int, message: str) -> int:
     print(f"faro: {message}", file=sys.stderr)
     return code
+
+
+def _usage_error(message: str) -> int:
+    print(USAGE.partition("\n\n")[0], file=sys.stderr)  # its usage lines
+    return _fail(EXIT_USAGE, message)
 
 
 # bytes of the file that --verify reads at a time, in whole records and at
@@ -165,6 +242,9 @@ def _commit(path: Path, data: bytearray, mode: int) -> None:
 def cmd_apply(path: Path, record_size: int, kind: ShuffleKind, inverse: bool, verify: bool) -> int:
     if record_size < 1:
         return _fail(EXIT_USAGE, f"record size must be >= 1, got {record_size}")
+    if kind.k > MAX_K:
+        # whatever the file's length, before it is read; cycles takes any arity
+        return _fail(EXIT_USAGE, f"supported arities are 2..{MAX_K}, got {kind.k}")
     # a symlink stays a link: its target is read and replaced
     path = Path(os.path.realpath(path))
     try:
@@ -219,44 +299,26 @@ def cmd_order(order: int) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="faro",
-        description="In-place perfect (faro) shuffles for arrays and record files.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    apply_p = sub.add_parser("apply", help="permute a file of fixed-size records in place")
-    apply_p.add_argument("--kind", type=parse_kind, default=IN_SHUFFLE,
-                         help="shuffle family: in, out, or k:<k> (default: in)")
-    apply_p.add_argument("--inverse", action="store_true", help="apply the inverse permutation")
-    apply_p.add_argument("--verify", action="store_true",
-                         help="check the result against the file, read again from disk, "
-                              "before committing")
-    apply_p.add_argument("--record-size", type=int, required=True, help="bytes per record")
-    apply_p.add_argument("path", type=Path, help="file of raw fixed-size records")
-
-    cycles_p = sub.add_parser("cycles", help="print the cycle structure of a shuffle")
-    cycles_p.add_argument("--kind", type=parse_kind, default=IN_SHUFFLE,
-                          help="shuffle family: in, out, or k:<k> (default: in)")
-    cycles_p.add_argument("order", type=int, help="number of elements")
-
-    order_p = sub.add_parser("order", help="print how many in-shuffles restore the original")
-    order_p.add_argument("order", type=int, help="number of elements")
-    return parser
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.command == "apply":
-        return cmd_apply(args.path, args.record_size, args.kind, args.inverse, args.verify)
-    if args.command == "cycles":
-        return cmd_cycles(args.order, args.kind)
-    return cmd_order(args.order)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(USAGE, end="")
+            return EXIT_OK
+        command, options, operand = parsed
+        kind = parse_kind(options.get("--kind", "in"))
+        if command == "apply":
+            record_size = _number("--record-size", options["--record-size"])
+        else:
+            order = _number("ORDER", operand)
+    except (getopt.GetoptError, ValueError) as exc:
+        return _usage_error(str(exc))
+    if command == "apply":
+        return cmd_apply(Path(operand), record_size, kind, "--inverse" in options,
+                         "--verify" in options)
+    if command == "cycles":
+        return cmd_cycles(order, kind)
+    return cmd_order(order)
 
 
 if __name__ == "__main__":

@@ -56,7 +56,9 @@ them no tail is left.
 A public call checks its arguments, calling ``validate_order`` only to raise,
 and makes one call of ``_pass``: an exact list goes straight to the kernel's
 ``shuffle`` entry, which takes every one, and the rest, or all without a
-kernel, to ``_fastpath.resolve(buf, _pure_pass)``.
+kernel, to ``_fastpath.resolve(buf)``, which hands out the native pass or
+its Python twin, ``_loops._pure_pass``. ``_blocks`` here is the tiling's
+reference, which the twin tiles by.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
@@ -64,9 +66,8 @@ runs.
 
 import struct
 from bisect import bisect_right
-from types import SimpleNamespace
 
-from . import _fastpath, _loops
+from . import _fastpath
 from .permcore import kway_kind, validate_order
 # unused here; kept bound because perfbench swaps faro.kway.rotate_right by name
 from .rotate import rotate_right  # noqa: F401
@@ -218,87 +219,10 @@ def _blocks(lo, hi, table, backward=False):
         done = offset if backward else lo
 
 
-def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, instr):
-    # modulus is p^j, or 2p^j for odd k. For s = 0..j-1 and each coset
-    # representative c, c * p^s leads the cycle of the positions whose
-    # p-part is p^s and whose cofactor is c mod p; when modulus is even
-    # that cycle holds only the odd ones, led by c or c + p, whichever is
-    # odd, and 2c * p^s leads the even ones. One cycle_walk call takes each
-    # ladder of leaders, s < j. The cycles hold every position but p^j,
-    # which is fixed under an odd multiplier and is not walked; the moves
-    # are those positions plus one hold per cycle.
-    base = offset - 1
-    twin = modulus % 2 == 0
-    for c in reps:
-        _loops.cycle_walk(buf, base, c + p if twin and c % 2 == 0 else c, mult, modulus, p, j)
-        if twin:
-            _loops.cycle_walk(buf, base, 2 * c, mult, modulus, p, j)
-    if instr is not None:
-        cycles = len(reps) * (1 + twin) * j
-        instr.cycles += cycles
-        instr.walk_moves += modulus - 1 - twin + cycles
-
-
-def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
-    # Permute buf[offset : offset+length] by local i -> i*mult mod (length+1)
-    # using the minimum-of-orbit leader rule: a position starts a cycle only
-    # if probing its whole orbit meets nothing smaller. Quadratic in `length`
-    # and constant space; the pass only uses it for the tiling's tail, whose
-    # size is bounded by the base table, not the buffer.
-    modulus = length + 1
-    base = offset - 1
-    moves = cycles = 0
-    for lead in range(1, length + 1):
-        probe = lead * mult % modulus
-        if probe == lead:
-            continue
-        steps = 1
-        while probe > lead:
-            probe = probe * mult % modulus
-            steps += 1
-        if probe != lead:
-            continue
-        _loops.cycle_walk(buf, base, lead, mult, modulus, 1, 1)
-        moves += steps + 1
-        cycles += 1
-    instr.tail_moves += moves
-    instr.cycles += cycles
-
-
-def _pure_pass(buf, lo, hi, k, inverse, table):
-    """The Python twin of the native pass, ``shuffle`` in ``_kernel.c``.
-
-    Shuffles buf[lo:hi] k ways, or with `inverse` unshuffles it, by the
-    gather and the walk of ``_loops``, and returns the counts: (rotate
-    moves, walk moves, tail moves, blocks, cycles). It tiles by the rungs of
-    `table`, the native pass's table, and takes each run's coset
-    representatives from its rung's row. As in the kernel's ``run_blocks``,
-    each block is gathered, then placed; inverse, right to left, each is
-    placed, then scattered.
-    """
-    counts = SimpleNamespace(rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0)
-    for start, modulus, p, j, reps, count in _blocks(lo, hi, table, inverse):
-        counts.blocks += count
-        mult = pow(k, -1, modulus) if inverse else k
-        if j == 0:
-            _bounded_cycle_shuffle(buf, start, modulus - 1, mult, counts)
-            continue
-        b = (modulus - 1) // k
-        for i in range(count):
-            offset = start + (count - 1 - i if inverse else i) * (modulus - 1)
-            part = (hi - offset) // k
-            if not inverse:
-                counts.rotate_moves += _loops.gather_slots(buf, offset, part, b, k, False)
-            _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, counts)
-            if inverse:
-                counts.rotate_moves += _loops.gather_slots(buf, offset, part, b, k, True)
-    return counts.rotate_moves, counts.walk_moves, counts.tail_moves, counts.blocks, counts.cycles
-
-
 def _pass(buf, lo, hi, k, inverse, instr):
     # one pass over buf[lo:hi], its counts added to instr; an exact list skips resolve
     native, table = _fastpath._native, _TABLES.get(k) or _table(k)
-    run = native.shuffle if type(buf) is list and native else _fastpath.resolve(buf, _pure_pass)
+    run = native.shuffle if type(buf) is list and native else _fastpath.resolve(buf)
     rotate, walk, tail, blocks, cycles = run(buf, lo, hi, k, inverse, table)
     if instr is not None:
         if instr.aux_words_peak < _DRIVER_AUX_WORDS:  # not max(), which parses keywords per call

@@ -13,12 +13,10 @@ by distance d is
     reverse [lo, hi); reverse [lo, lo+d); reverse [lo+d, hi)
 
 at 2 * (w//2 + d//2 + (w-d)//2) moves for a window of w items, with one
-item-sized temporary. Both functions take lists alone, and move items by
-``_loops.reverse_slots``: item by item, a pure swap would corrupt an
-ndarray whose items are views, or a MaskedArray's masked items.
+item-sized temporary. Both functions take lists alone, which they reverse
+by swaps of their own: this module is imported with ``kway``, and leaves
+``_loops``, the Python twin, off that path.
 """
-
-from . import _loops
 
 # aux accounting: 1 element temporary + 2 cursor words
 _REVERSE_AUX_WORDS = 3
@@ -33,10 +31,19 @@ def _check_range(buf, lo: int, hi: int) -> None:
         raise ValueError(f"range [{lo}, {hi}) out of bounds for length {len(buf)}")
 
 
+def _reverse(buf, lo, hi):
+    # swap ends inward: (hi - lo) // 2 swaps, one temporary per swap
+    hi -= 1
+    while lo < hi:
+        buf[lo], buf[hi] = buf[hi], buf[lo]
+        lo += 1
+        hi -= 1
+
+
 def reverse_range(buf, lo: int, hi: int, instr=None) -> None:
     """Reverse buf[lo:hi] in place with (hi - lo) // 2 swaps."""
     _check_range(buf, lo, hi)
-    _loops.reverse_slots(buf, lo, hi)
+    _reverse(buf, lo, hi)
     if instr is not None:
         instr.rotate_moves += 2 * ((hi - lo) // 2)
         instr.aux_words_peak = max(instr.aux_words_peak, _REVERSE_AUX_WORDS)
@@ -54,9 +61,9 @@ def rotate_right(buf, lo: int, hi: int, d: int, instr=None) -> None:
         raise ValueError(f"distance {d} out of range 0..{w}")
     if d == 0 or d == w:
         return
-    _loops.reverse_slots(buf, lo, hi)
-    _loops.reverse_slots(buf, lo, lo + d)
-    _loops.reverse_slots(buf, lo + d, hi)
+    _reverse(buf, lo, hi)
+    _reverse(buf, lo, lo + d)
+    _reverse(buf, lo + d, hi)
     if instr is not None:
         instr.rotate_moves += 2 * (w // 2 + d // 2 + (w - d) // 2)
         instr.aux_words_peak = max(instr.aux_words_peak, _ROTATE_AUX_WORDS)

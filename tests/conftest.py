@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from faro import _fastpath
+from faro import _fastpath, _loops
 
 
 class CountingList(list):
@@ -60,7 +60,7 @@ def spy():
     which a pass skips for an exact list while the kernel is loaded;
     "shuffle" per call that reaches the native pass, bound by ``resolve``
     or taken straight from the kernel, and "refused" per such call it
-    refuses; "twin" per call of a Python twin that ``resolve`` handed out.
+    refuses; "twin" per call of the Python twin, ``_loops._pure_pass``.
     Its ``returned`` lists what each counted pass and twin returned, in
     order.
     """
@@ -76,7 +76,6 @@ def spy():
                 raise
             return ran.returned[-1]
 
-        call.counted = True
         return call
 
     class Kernel:
@@ -85,12 +84,13 @@ def spy():
             entry = getattr(native, name)
             return counted(name, entry) if name == "shuffle" else entry
 
-    def resolving(buf, twin):
+    def resolving(buf):
         ran["resolve"] += 1
-        return resolve(buf, twin if hasattr(twin, "counted") else counted("twin", twin))
+        return resolve(buf)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_fastpath, "resolve", resolving)
+        m.setattr(_loops, "_pure_pass", counted("twin", _loops._pure_pass))
         if native is not None:
             m.setattr(_fastpath, "_native", Kernel())
         yield ran

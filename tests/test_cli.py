@@ -375,6 +375,77 @@ def test_unknown_kind_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["apply", "--kind", "diagonal", "--record-size", "4", str(target)]) == 2
     assert cli.main(["apply", "--kind", "k:1", "--record-size", "4", str(target)]) == 2
     capsys.readouterr()
+    # an arity past 9 is refused before the file is read, whatever its
+    # length: a missing file too; cycle analysis takes any arity
+    for count in (2, 10):
+        data = bytes(range(4 * count))
+        target.write_bytes(data)
+        assert cli.main(["apply", "--kind", "k:10", "--record-size", "4", str(target)]) == 2
+        assert capsys.readouterr().err == "faro: supported arities are 2..9, got 10\n"
+        assert target.read_bytes() == data
+    assert cli.main(["apply", "--kind", "k:10", "--record-size", "4", str(tmp_path / "no.bin")]) == 2
+    assert cli.main(["cycles", "--kind", "k:10", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "cycles=3 order=6"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, shuffled",
+    [
+        (["apply", "--kind=k:3", "--record-size", "4", "deck.bin"], 0, None, ("deck.bin", "k:3")),
+        (["apply", "deck.bin", "--record-size", "4", "--kind", "out"], 0, None, ("deck.bin", "out")),
+        (["apply", "--rec", "4", "deck.bin"], 0, None, ("deck.bin", "in")),
+        (["apply", "--record-size=4", "--", "-deck.bin"], 0, None, ("-deck.bin", "in")),
+        (["apply", "--record-size", "4", "-2"], 0, None, ("-2", "in")),
+        (["-h"], 0, "out", None),
+        (["--help"], 0, "out", None),
+        (["apply", "-h"], 0, "out", None),
+        (["cycles", "--help"], 0, "out", None),
+        (["order", "-h"], 0, "out", None),
+        (["apply", "--record-size", "4", "deck.bin", "--help"], 0, "out", None),
+        ([], 2, "err", None),
+        (["shuffle", "deck.bin"], 2, "err", None),
+        (["apply", "--bogus", "--record-size", "4", "deck.bin"], 2, "err", None),
+        (["apply", "--inverse=1", "--record-size", "4", "deck.bin"], 2, "err", None),
+        (["apply", "--record-size"], 2, "err", None),
+        (["apply", "deck.bin"], 2, "err", None),
+        (["apply", "--record-size", "4", "deck.bin", "deck.bin"], 2, "err", None),
+        (["apply", "--record-size", "x", "deck.bin"], 2, "err", None),
+        (["apply", "--record-size", "-4", "deck.bin"], 2, "err", None),
+        (["order", "-2"], 2, "err", None),
+        (["order", "six"], 2, "err", None),
+        (["order"], 2, "err", None),
+        (["cycles", "6", "--kind=out"], 0, "out", None),
+        (["cycles", "--kind", "k:3", "6", "9"], 2, "err", None),
+    ],
+    ids=[
+        "kind-equals", "options-after-path", "abbreviated-option", "dashdash-dash-path",
+        "negative-number-path", "h", "help", "apply-h", "cycles-help", "order-h", "help-after-path",
+        "no-command", "unknown-command", "unknown-option", "flag-with-value", "option-without-value",
+        "no-record-size", "two-paths", "record-size-not-int", "negative-record-size", "order-negative",
+        "order-not-int", "order-no-operand", "cycles-option-after-operand", "cycles-two-orders",
+    ],
+)
+def test_command_line_grammar(tmp_path, monkeypatch, capsys, argv, code, stream, shuffled):
+    # each form of the command line, its exit code, the stream it writes
+    # and the file it shuffles: the codes argparse gave, and its forms
+    # (--opt=value, a unique prefix, options after the operand, --, and an
+    # argument that reads as a negative number taken for an operand)
+    monkeypatch.chdir(tmp_path)
+    records = make_records(6, 4, seed=15)
+    names = ["deck.bin", "-deck.bin", "-2"]
+    for name in names:
+        write_records(tmp_path / name, records)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert (bool(out), bool(err)) == (stream == "out", stream == "err"), (out, err)
+    if {"-h", "--help"} & set(argv):
+        assert out == cli.USAGE
+    for name in names:
+        expected = records
+        if shuffled and shuffled[0] == name:
+            expected = oracle_shuffle(records, cli.parse_kind(shuffled[1]))
+        assert (tmp_path / name).read_bytes() == b"".join(expected), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 def test_console_script_is_wired():

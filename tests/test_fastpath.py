@@ -174,7 +174,7 @@ def test_walk_switches_look_ahead_at_f4_m_2_32(m):
     for inverse, before, after in ((False, items, shuffled), (True, shuffled, items)):
         buf = before.copy()
         with spy() as ran:
-            run = _fastpath.resolve(buf, kway._pure_pass)
+            run = _fastpath.resolve(buf)
             assert run(buf, 0, m - 1, 9, inverse, table) == (0, m + 1, 0, 1, 2)
         assert ran == {"resolve": 1, "shuffle": 1}, inverse
         assert np.array_equal(buf, after), inverse
@@ -215,7 +215,7 @@ def _pure_pass_of(k, lo, hi, n, inverse, rung=None):
     table of `_pass_table`: the old position of the item at each position
     after it, as the oracle has it, and the pass's counts."""
     order = list(range(n))
-    counts = kway._pure_pass(order, lo, hi, k, inverse, _pass_table(k, rung))
+    counts = _loops._pure_pass(order, lo, hi, k, inverse, _pass_table(k, rung))
     moved, kind = [i - lo for i in order[lo:hi]], kway_kind(k)
     if inverse:
         assert oracle_shuffle(moved, kind) == list(range(hi - lo))
@@ -232,7 +232,7 @@ def _check_pass(kind, k, lo, hi, n, inverse, rng, rung=None):
     buf, items = _random_buffer(kind, n, rng)
     before = items()
     with spy() as ran:
-        run = _fastpath.resolve(buf, kway._pure_pass)
+        run = _fastpath.resolve(buf)
         counts = run(buf, lo, hi, k, inverse, _pass_table(k, rung))
     order, expected = _pure_pass_of(k, lo, hi, n, inverse, rung)
     case = (kind, k, lo, hi, n, inverse, rung)
@@ -308,7 +308,7 @@ def test_forward_and_inverse_walks_run_at_one_speed():
     for k in range(2, 10):
         m = next(m for m, *_ in rungs(_table(k)) if m - 1 <= 1 << 17)
         buf = np.arange(m - 1, dtype=np.int64)
-        run, table = _fastpath.resolve(buf, kway._pure_pass), kway._table(k)
+        run, table = _fastpath.resolve(buf), kway._table(k)
 
         # forward and inverse alternate round by round, so that a slow
         # phase of the machine slows both directions alike
@@ -423,7 +423,7 @@ def test_native_walk_refuses_to_leave_the_buffer(buf):
     owner = getattr(buf, "base", None)
     before, past = buf.tobytes(), None if owner is None else owner[26:].tolist()
     with spy() as ran:
-        run = _fastpath.resolve(buf, kway._pure_pass)
+        run = _fastpath.resolve(buf)
         _refuse_bad_passes(run, buf)
         assert buf.tobytes() == before
         assert run(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
@@ -489,7 +489,7 @@ def test_entries_refuse_memory_of_python_objects():
         assert buf.tolist() == before.tolist()
         if buf.dtype.names:
             with pytest.raises(ValueError, match="views"):
-                _fastpath.resolve(buf, kway._pure_pass)
+                _fastpath.resolve(buf)
         else:
             with spy() as ran:
                 k_shuffle(buf, 2)
@@ -650,7 +650,7 @@ def test_masked_arrays_move_each_mask_with_its_item(monkeypatch):
     def refused(*args):
         raise AssertionError("a MaskedArray took the pure loops")
 
-    monkeypatch.setattr(kway, "_pure_pass", refused)
+    monkeypatch.setattr(_loops, "_pure_pass", refused)
     buf = np.ma.array(np.arange(8), mask=[1, 0, 0, 0, 0, 0, 0, 0])
     in_shuffle(buf)
     assert buf.data.tolist() == [4, 0, 5, 1, 6, 2, 7, 3]
@@ -795,17 +795,36 @@ def test_cli_import_leaves_numpy_out():
     assert out.strip() == "False"
 
 
-def test_cli_import_leaves_ctypes_dataclasses_and_inspect_out():
+def test_cli_import_leaves_ctypes_dataclasses_and_inspect_out(tmp_path):
     # every `faro apply` child imports faro.cli afresh; dataclasses alone
-    # would pull in inspect, ast, dis and tokenize
-    probe = (
-        "import sys, faro.cli\n"
-        "print(sorted({'ctypes', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    # would pull in inspect, ast, dis and tokenize, and argparse with its
+    # parsers cost a child about 3 ms. While the kernel is loaded no call
+    # of a child takes the Python twin, so nothing compiles it. The second
+    # probe takes the path of `python -m faro.cli apply --verify`.
+    records = [bytes([i] * 4) for i in range(16)]
+    target = tmp_path / "deck.bin"
+    target.write_bytes(b"".join(records))
+    left_out = (
+        "import faro._fastpath\n"
+        "unwanted = {'argparse', 'ctypes', 'dataclasses', 'inspect'}\n"
+        "if faro._fastpath.HAVE_COMPILED:\n"
+        "    unwanted.add('faro._loops')\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    run_apply = (
+        "import runpy, sys\n"
+        f"sys.argv = ['faro', 'apply', '--verify', '--record-size', '4', {str(target)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('faro.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    for probe in ("import sys, faro.cli\n" + left_out, run_apply + left_out):
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]", probe
+    assert target.read_bytes() == b"".join(oracle_shuffle(records, IN_SHUFFLE))
 
 
 @needs_kernel

@@ -227,7 +227,7 @@ def test_leaders_meet_every_cycle_once(k, monkeypatch):
         if modulus > 5000:
             continue
         leaders.clear()
-        kway._general_cycle_passes(None, 0, j, p, reps, k, modulus, None)
+        _loops._general_cycle_passes(None, 0, j, p, reps, k, modulus, None)
         cycles = cycle_decomposition(kway_kind(k), modulus - 1).cycles
         owner = {i: c for c, cycle in enumerate(cycles) for i in cycle}
         met = sorted(owner.get(leader, -1) for leader in leaders)
