@@ -7,11 +7,12 @@ walk. It also holds the check behind ``faro apply --verify`` (``agree``).
 On first import it is compiled with ``cc`` against the interpreter's
 ``Python.h`` into ``__pycache__/_kernel-<crc32 of the source, the cc
 command and the interpreter><extension suffix>`` next to this file and
-loaded with importlib; later imports load that file without asking
-``sysconfig`` for the headers, and a new build removes the modules built
-there before it. If ``Python.h`` is missing, or the build or the load
-fails, ``HAVE_COMPILED`` is False, ``BUILD_ERROR`` says why, and every
-buffer and every ``agree`` takes the Python loops.
+loaded with importlib; later imports load that file without compiling
+``_build``, which runs the build, or asking ``sysconfig`` for the headers,
+and a new build removes the modules built there before it. If
+``Python.h`` is missing, or the build or the load fails,
+``HAVE_COMPILED`` is False, ``BUILD_ERROR`` says why, and every buffer and
+every ``agree`` takes the Python loops.
 
 The kernel takes exact lists (not subclasses), through their ``PyObject *``
 slots, with the GIL held and the list's size checked on every call, and
@@ -33,8 +34,9 @@ to the native ``shuffle``. ``resolve`` sorts every other buffer once per
 public call: it binds the native ``shuffle`` to the buffer, which takes it
 or refuses it before any moves, and a refused buffer takes the twin,
 ``_loops._pure_pass``. Nothing is cached across calls. ``_loops`` is
-imported by the first call that takes the twin, or by ``agree`` without
-the kernel, so a process whose buffers all go native never compiles it.
+imported by the first call that takes the twin, or, without the kernel,
+by ``agree`` and by the first table ``kway`` builds, so a process whose
+buffers all go native never compiles it.
 """
 
 import os
@@ -61,37 +63,9 @@ def _load(cc=_CC):
     key = zlib.crc32(key.encode(), zlib.crc32(source))
     target = os.path.join(cache, f"_kernel-{key:08x}{EXTENSION_SUFFIXES[0]}")
     if not os.path.exists(target):
-        import subprocess
-        import sysconfig
+        from . import _build  # compiled only by an import that builds
 
-        include = sysconfig.get_paths()["include"]
-        if not os.path.exists(os.path.join(include, "Python.h")):
-            raise OSError(f"no Python.h in {include}")
-        os.makedirs(cache, exist_ok=True)
-        # concurrent first imports each build their own file; the last
-        # rename wins and every loader sees a complete module
-        tmp = f"{target}.{os.getpid()}.tmp"
-        try:
-            built = subprocess.run(
-                [*cc, "-I", include, "-x", "c", "-o", tmp, "-"],
-                input=source,
-                capture_output=True,
-            )
-            if built.returncode != 0:
-                raise OSError(f"cc exited {built.returncode}: {built.stderr.decode(errors='replace').strip()}")
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        # a fresh build supersedes every module built here before it; a
-        # mapped module stays usable after its file is unlinked
-        for name in os.listdir(cache):
-            stale = os.path.join(cache, name)
-            if name.startswith("_kernel-") and name.endswith(EXTENSION_SUFFIXES[0]) and stale != target:
-                try:
-                    os.unlink(stale)
-                except OSError:
-                    pass  # gone already, or not ours: a leftover costs only disk
+        _build.build(cc, source, target)
     from importlib.util import module_from_spec, spec_from_file_location
 
     spec = spec_from_file_location("faro._kernel", target)

@@ -408,7 +408,7 @@ static int ladder_fits(int64_t leader, int64_t p, int64_t count, int64_t m)
  * int64s, one per rung, largest modulus first: the modulus m, p, j, the
  * number d <= REPS of p's coset representatives, and the representatives,
  * padded to REPS. The pass tiles [lo, hi) greedily by these rungs, as
- * kway._blocks does, and makes each block's gather, or scatter, and walks
+ * _loops._blocks does, and makes each block's gather, or scatter, and walks
  * as _loops._pure_pass does, counting what it counts. */
 enum { ROW = 12, REPS = 8 };
 enum { ROTATE, WALK, TAIL, BLOCKS, CYCLES };
@@ -514,7 +514,7 @@ static void run_blocks(struct pass *ps, Py_ssize_t row, int64_t offset, int64_t 
 
 /* The pass, its runs left to right, or inverse right to left: each found by
  * scanning the tiling from lo for the run that ends where the one after it
- * starts, as kway._blocks does, so that the state stays constant. */
+ * starts, as _loops._blocks does, so that the state stays constant. */
 static void shuffle_items(struct pass *ps)
 {
     Py_ssize_t row;

@@ -5,7 +5,9 @@ These are the reference loops, and the path of every buffer that
 C: the block gather (its k - 1 rotations by conjoined triple reversal,
 each ending in a reversal), the cycle walk and the check. ``_pure_pass``
 is the twin of the native ``shuffle`` pass: it tiles a range by
-``kway._blocks`` and runs the gather and the walk on each block. The test
+``_blocks`` and runs the gather and the walk on each block. ``_ladder`` is
+the twin of the kernel's ``ladder`` entry, which builds each arity's table
+of rungs for ``kway._table``. The test
 suite runs both paths on the same inputs and requires equal results, equal
 instrumentation counts and equal answers.
 
@@ -17,9 +19,65 @@ All slots here are 0-based. Callers own validation; the loops only move or
 compare elements, the gather returns its moves, and the pass its counts.
 """
 
+import struct
+from bisect import bisect_right
 from types import SimpleNamespace
 
-from .kway import _blocks
+from .kway import _ROW
+
+
+def _ladder(k, bases):
+    # The rows of k's ladder from its bases, as bytes: the Python twin of
+    # the kernel's ladder entry, and the reference the tests hold it to.
+    rows = []
+    for p, reps in bases:
+        power, j = p, 1
+        while power < 1 << 63:
+            for m in (power, 2 * power) if k % 2 else (power,):
+                if m < 1 << 63 and (m - 1) % k == 0:
+                    rows.append((m, p, j, len(reps), *reps, *(0,) * (_ROW - 4 - len(reps))))
+            power *= p
+            j += 1
+    words = [word for row in sorted(rows, reverse=True) for word in row]
+    # packed in one call, into the int64 rows the kernel's entry returns
+    return struct.pack(f"{len(words)}q", *words)
+
+
+def _blocks(lo, hi, table, backward=False):
+    """Greedy tiling of [lo, hi) by the rungs of `table` (see ``kway._table``),
+    as runs (offset, modulus, p, j, reps, count), left to right, or with
+    `backward` right to left.
+
+    A run is `count` adjacent blocks of modulus - 1 elements each, of the
+    table's largest rung that fits what remains, and reps are that rung's
+    coset representatives. The run takes as many of them as fit, so each
+    run is one bisection of the table's moduli and one division, whatever
+    its count. What fits no block comes last, as a tail run with p = j = 0,
+    no reps, count = 1 and modulus = its length + 1; at k = 2, where 3 is a
+    base, there is never a tail. Backward, a scan of the tiling from lo
+    finds each run, the one that ends where the run after it starts: the
+    tiling is rescanned per run instead of being stored, which keeps the
+    state constant.
+    """
+    ascending = table[-_ROW::-_ROW]  # the moduli, smallest first
+    done = hi
+    while done > lo:
+        offset = lo
+        while True:
+            # the row of the largest rung whose block fits hi - offset items
+            r = len(table) - _ROW * bisect_right(ascending, hi - offset + 1)
+            if r == len(table):
+                modulus, p, j, d, count = hi - offset + 1, 0, 0, 0, 1
+            else:
+                modulus, p, j, d = table[r : r + 4]
+                count = (hi - offset) // (modulus - 1)
+            end = offset + count * (modulus - 1)
+            if end == done or not backward:
+                yield offset, modulus, p, j, tuple(table[r + 4 : r + 4 + d]), count
+            if end == done:
+                break
+            offset = end
+        done = offset if backward else lo
 
 
 def reverse_slots(buf, lo, hi):

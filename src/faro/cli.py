@@ -6,6 +6,17 @@ Exit codes: 0 success, 2 argument or validation error, 3 I/O failure,
 The command line is parsed by ``getopt.gnu_getopt``, not argparse: every
 ``faro apply`` child parses one, and argparse's import and parsers cost a
 child about 3 ms before it reads its file.
+
+``apply`` shuffles the file in a temp file beside it, in place: it copies
+the file there by ``os.copy_file_range``, maps the copy shared and
+writable, runs the pass on the mapping, starts the copy's write-back, runs
+``--verify`` against the original read again from disk meanwhile, and
+then gives the copy the original's owner, group and mode, syncs it,
+renames it over the original and syncs the directory. So the file is held
+once, in the page cache, and never copied through a buffer of the
+process. The steps on the file's bytes, the copy and the check, are in
+``_recordfile``; the order of the steps, their messages and exit codes and
+the temp file's life are here.
 """
 
 import getopt
@@ -16,7 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import _fastpath
+from . import _recordfile
 from .kway import MAX_K, k_shuffle, k_unshuffle
 # unused here; kept bound because perfbench swaps faro.cli.oracle_shuffle by name
 from .oracle import oracle_shuffle  # noqa: F401
@@ -143,100 +154,56 @@ def _usage_error(message: str) -> int:
     return _fail(EXIT_USAGE, message)
 
 
-# bytes of the file that --verify reads at a time, in whole records and at
-# least one
-_CHUNK = 1 << 18
+def _replace(path: Path, source, info, record_size: int, kind: ShuffleKind, inverse: bool,
+             verify: bool) -> int:
+    """Replace `path` by the shuffle of `source`, its file, atomically and durably; an exit code.
 
-
-def _open(path: Path):
-    """`path` opened for unbuffered reads; OSError unless it is a regular file."""
-    # O_NONBLOCK: a FIFO is refused below instead of waiting for a writer
-    handle = open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb", buffering=0)
-    if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-        handle.close()
-        raise OSError(f"{path} is not a regular file")
-    return handle
-
-
-def _fill(handle, view: memoryview) -> bool:
-    """Read into all of `view`, retrying short reads; False if the file ends first."""
-    done = 0
-    while done < len(view):
-        got = handle.readinto(view[done:])
-        if not got:
-            return False
-        done += got
-    return True
-
-
-def _read(path: Path) -> tuple[bytearray, int]:
-    """The file's bytes, read once into a buffer of its size, and its mode bits."""
-    with _open(path) as handle:
-        info = os.fstat(handle.fileno())
-        data = bytearray(info.st_size)
-        if not _fill(handle, memoryview(data)):
-            raise OSError(f"{path} changed size while being read")
-    return data, stat.S_IMODE(info.st_mode)
-
-
-def _verified(path: Path, result: bytearray, record_size: int, kind: ShuffleKind,
-              inverse: bool) -> bool:
-    """Whether `result` is the `kind` shuffle of the records in `path`, or its inverse.
-
-    The file is read again, strictly in order, one chunk of about ``_CHUNK``
-    bytes at a time into one reused buffer, and each chunk is checked
-    against `result` under the closed-form target map in one pass of
-    ``_fastpath.agree``. So the check holds no second copy of the file, and
-    a file that got shorter, longer or changed since it was read fails it.
+    `info` is the fstat of `source`. The result is made in a temp file in
+    the same directory, which gets `source`'s owner, group and mode bits, is
+    synced and is renamed over `path`; any exit before the rename removes
+    it. With `verify`, the result is checked against `path` read again,
+    while the device writes the temp file back.
     """
-    rs = record_size
-    count = len(result) // rs
-    # item base + j moves to base + (j * mult % modulus) for j in 1..modulus-1;
-    # items base and base + modulus stay, which in a file are the out-shuffle's
-    # first and last records
-    base, mult, modulus = (0, 2, count - 1) if kind.family == "out" else (-1, kind.k, count + 1)
-    if inverse:
-        # the file is the shuffle of `result`: F[base + j*mult] == R[base + j]
-        # for every j is F[base + i] == R[base + i * mult^-1] for every i
-        mult = pow(mult, -1, modulus)
-    per = max(1, _CHUNK // rs)
-    view = memoryview(bytearray(min(per, count) * rs))
-    with _open(path) as handle:
-        for f0 in range(0, count, per):
-            n = min(per, count - f0)
-            if not _fill(handle, view[: n * rs]):
-                return False
-            # the chunk holds items f0 .. f0 + n - 1 of the file
-            lo, hi = max(f0, base + 1), min(f0 + n, base + modulus)
-            if not _fastpath.agree(view[(lo - f0) * rs : (hi - f0) * rs], result, rs, base, mult,
-                                   modulus, lo - base, hi - lo):
-                return False
-            for f in (base, base + modulus):
-                at = (f - f0) * rs
-                if f0 <= f < f0 + n and view[at : at + rs] != result[f * rs : (f + 1) * rs]:
-                    return False
-        return not handle.read(1)
-
-
-def _commit(path: Path, data: bytearray, mode: int) -> None:
-    """Replace `path` by `data` atomically and durably, keeping its mode bits."""
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    failed = f"cannot write {path}"
+    tmp_name = None
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fchmod(fd, mode)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            failed = f"cannot copy {path}"
+            size = info.st_size
+            # mmap refuses length 0, and an empty file has nothing to move
+            with _recordfile._copy(source, fd, size) if size else memoryview(bytearray()) as result:
+                _apply_kind(RecordBuffer(result, record_size), kind, inverse)
+                # write-back starts here and runs while --verify reads;
+                # mapped pages are written, not dropped
+                os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+                failed = f"cannot read {path} to verify"
+                if verify and not _recordfile._verified(path, result, record_size, kind, inverse):
+                    return _fail(EXIT_VERIFY, "verification mismatch, file left untouched")
+            failed = f"cannot keep the owner of {path}"
+            made = os.fstat(fd)
+            if (made.st_uid, made.st_gid) != (info.st_uid, info.st_gid):
+                os.fchown(fd, info.st_uid, info.st_gid)
+            failed = f"cannot write {path}"
+            os.fchmod(fd, stat.S_IMODE(info.st_mode))
             os.fsync(fd)
+        finally:
+            os.close(fd)
+        # the file on disk is the original until this rename
         os.replace(tmp_name, path)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
-    # the rename is durable only once the directory entry is
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
+        tmp_name = None
+        # the rename is durable only once the directory entry is
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        return _fail(EXIT_IO, f"{failed}: {exc}")
     finally:
-        os.close(dir_fd)
+        if tmp_name is not None:
+            os.unlink(tmp_name)
+    return EXIT_OK
 
 
 def cmd_apply(path: Path, record_size: int, kind: ShuffleKind, inverse: bool, verify: bool) -> int:
@@ -248,35 +215,22 @@ def cmd_apply(path: Path, record_size: int, kind: ShuffleKind, inverse: bool, ve
     # a symlink stays a link: its target is read and replaced
     path = Path(os.path.realpath(path))
     try:
-        data, mode = _read(path)
+        source = _recordfile._open(path)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read {path}: {exc}")
-    if len(data) % record_size != 0:
-        return _fail(
-            EXIT_USAGE,
-            f"{path} holds {len(data)} bytes, not a whole number of "
-            f"{record_size}-byte records",
-        )
-    try:
-        validate_order(kind, len(data) // record_size)
-        _apply_kind(RecordBuffer(data, record_size), kind, inverse)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-
-    if verify:
-        # the file on disk is still the original until _commit replaces it
+    with source:
+        info = os.fstat(source.fileno())
+        if info.st_size % record_size != 0:
+            return _fail(
+                EXIT_USAGE,
+                f"{path} holds {info.st_size} bytes, not a whole number of "
+                f"{record_size}-byte records",
+            )
         try:
-            ok = _verified(path, data, record_size, kind, inverse)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot read {path} to verify: {exc}")
-        if not ok:
-            return _fail(EXIT_VERIFY, "verification mismatch, file left untouched")
-
-    try:
-        _commit(path, data, mode)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {path}: {exc}")
-    return EXIT_OK
+            validate_order(kind, info.st_size // record_size)
+        except ValueError as exc:
+            return _fail(EXIT_USAGE, str(exc))
+        return _replace(path, source, info, record_size, kind, inverse, verify)
 
 
 def cmd_cycles(order: int, kind: ShuffleKind) -> int:

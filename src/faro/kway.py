@@ -41,7 +41,7 @@ first, with its coset representatives, in one constant table of int64 rows
 per arity, ``_table(k)``, so the greedy tiling takes one bisection per run
 of equal blocks. The first call of an arity has the table built, by the
 kernel's ``ladder`` entry, or without the kernel by its Python twin
-``_ladder``, and every later call reuses it.
+``_loops._ladder``, and every later call reuses it.
 
 Leftovers smaller than the smallest admissible block are bounded by the
 table alone, so they are permuted by a constant-space minimum-leader sweep
@@ -57,15 +57,13 @@ A public call checks its arguments, calling ``validate_order`` only to raise,
 and makes one call of ``_pass``: an exact list goes straight to the kernel's
 ``shuffle`` entry, which takes every one, and the rest, or all without a
 kernel, to ``_fastpath.resolve(buf)``, which hands out the native pass or
-its Python twin, ``_loops._pure_pass``. ``_blocks`` here is the tiling's
-reference, which the twin tiles by.
+its Python twin, ``_loops._pure_pass``. The twin tiles by
+``_loops._blocks``, the tiling's reference; neither is compiled in a
+process whose buffers all go native.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
 """
-
-import struct
-from bisect import bisect_right
 
 from . import _fastpath
 from .permcore import kway_kind, validate_order
@@ -155,68 +153,20 @@ def _table(k):
     (2p^j - 1 is odd), whenever k divides modulus - 1. An arity's ladder
     holds 179 to 324 rungs, so a process builds only those it uses. In a
     fresh process the kernel's ``ladder`` entry builds one in a median
-    13-16 us; without the kernel, ``_ladder`` builds the same bytes in
-    0.3-0.4 ms.
+    13-16 us; without the kernel, ``_loops._ladder`` builds the same bytes
+    in 0.3-0.4 ms.
     """
     if k in _TABLES:
         return _TABLES[k]
     native = _fastpath._native
-    rows = (_ladder if native is None else native.ladder)(k, _BASES[k])
+    if native is None:
+        from . import _loops
+
+        build = _loops._ladder
+    else:
+        build = native.ladder
+    rows = build(k, _BASES[k])
     return _TABLES.setdefault(k, memoryview(rows).cast("q"))
-
-
-def _ladder(k, bases):
-    # The rows of k's ladder from its bases, as bytes: the Python twin of
-    # the kernel's ladder entry, and the reference the tests hold it to.
-    rows = []
-    for p, reps in bases:
-        power, j = p, 1
-        while power < 1 << 63:
-            for m in (power, 2 * power) if k % 2 else (power,):
-                if m < 1 << 63 and (m - 1) % k == 0:
-                    rows.append((m, p, j, len(reps), *reps, *(0,) * (_ROW - 4 - len(reps))))
-            power *= p
-            j += 1
-    words = [word for row in sorted(rows, reverse=True) for word in row]
-    # packed in one call: an array module import would cost each faro apply child more
-    return struct.pack(f"{len(words)}q", *words)
-
-
-def _blocks(lo, hi, table, backward=False):
-    """Greedy tiling of [lo, hi) by the rungs of `table` (see ``_table``),
-    as runs (offset, modulus, p, j, reps, count), left to right, or with
-    `backward` right to left.
-
-    A run is `count` adjacent blocks of modulus - 1 elements each, of the
-    table's largest rung that fits what remains, and reps are that rung's
-    coset representatives. The run takes as many of them as fit, so each
-    run is one bisection of the table's moduli and one division, whatever
-    its count. What fits no block comes last, as a tail run with p = j = 0,
-    no reps, count = 1 and modulus = its length + 1; at k = 2, where 3 is a
-    base, there is never a tail. Backward, a scan of the tiling from lo
-    finds each run, the one that ends where the run after it starts: the
-    tiling is rescanned per run instead of being stored, which keeps the
-    state constant.
-    """
-    ascending = table[-_ROW::-_ROW]  # the moduli, smallest first
-    done = hi
-    while done > lo:
-        offset = lo
-        while True:
-            # the row of the largest rung whose block fits hi - offset items
-            r = len(table) - _ROW * bisect_right(ascending, hi - offset + 1)
-            if r == len(table):
-                modulus, p, j, d, count = hi - offset + 1, 0, 0, 0, 1
-            else:
-                modulus, p, j, d = table[r : r + 4]
-                count = (hi - offset) // (modulus - 1)
-            end = offset + count * (modulus - 1)
-            if end == done or not backward:
-                yield offset, modulus, p, j, tuple(table[r + 4 : r + 4 + d]), count
-            if end == done:
-                break
-            offset = end
-        done = offset if backward else lo
 
 
 def _pass(buf, lo, hi, k, inverse, instr):

@@ -23,8 +23,9 @@ import pytest
 from conftest import CountingList, conjoined_moves, rungs, spy
 
 import faro
-from faro import _fastpath, _loops, cli, kway
-from faro.kway import _blocks, _table, k_shuffle, k_unshuffle
+from faro import _fastpath, _loops, _recordfile, kway
+from faro._loops import _blocks
+from faro.kway import _table, k_shuffle, k_unshuffle
 from faro.numtheory import is_primitive_root
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE, cycle_decomposition, kway_kind
@@ -98,7 +99,7 @@ def test_ladder_refuses_bad_calls_before_it_allocates():
     ladder = _fastpath._native.ladder
     three = (3, (1,))
     good = (three,) * 63
-    assert ladder(2, good + (three,)) == kway._ladder(2, good + (three,))
+    assert ladder(2, good + (three,)) == _loops._ladder(2, good + (three,))
     assert ladder(2, ()) == b""
     cases = [
         (ValueError, (1, good)),
@@ -154,7 +155,7 @@ def test_native_ladder_matches_the_python_ladder_at_the_edges():
         bases = tuple((p, tuple(rng.randrange(1, p) for _ in range(rng.randint(1, 8)))) for p in odd)
         edges.append((rng.randint(2, 9), bases))
     for k, bases in edges:
-        assert _fastpath._native.ladder(k, bases) == kway._ladder(k, bases), (k, bases[:3])
+        assert _fastpath._native.ladder(k, bases) == _loops._ladder(k, bases), (k, bases[:3])
 
 
 @needs_kernel
@@ -737,14 +738,14 @@ def test_native_verify_agrees_with_the_oracle(kind, monkeypatch, tmp_path):
                     cases.append((flipped, False))
                 for res, expected in cases:
                     args = (disk, bytearray(res), rs, kind, inverse)
-                    assert cli._verified(*args) is expected, (n, rs, inverse)
+                    assert _recordfile._verified(*args) is expected, (n, rs, inverse)
                     with monkeypatch.context() as m:
                         # chunks of 7 records put chunk boundaries everywhere
-                        m.setattr(cli, "_CHUNK", 7 * rs + rs // 2)
-                        assert cli._verified(*args) is expected, (n, rs, inverse, "7 per chunk")
+                        m.setattr(_recordfile, "_CHUNK", 7 * rs + rs // 2)
+                        assert _recordfile._verified(*args) is expected, (n, rs, inverse, "7 per chunk")
                     with monkeypatch.context() as m:
                         m.setattr(_fastpath, "_native", None)
-                        assert cli._verified(*args) is expected, (n, rs, inverse)
+                        assert _recordfile._verified(*args) is expected, (n, rs, inverse)
 
 
 def test_agree_refuses_bad_calls_before_any_native_read(monkeypatch):
@@ -799,8 +800,9 @@ def test_cli_import_leaves_ctypes_dataclasses_and_inspect_out(tmp_path):
     # every `faro apply` child imports faro.cli afresh; dataclasses alone
     # would pull in inspect, ast, dis and tokenize, and argparse with its
     # parsers cost a child about 3 ms. While the kernel is loaded no call
-    # of a child takes the Python twin, so nothing compiles it. The second
-    # probe takes the path of `python -m faro.cli apply --verify`.
+    # of a child takes the Python twin, so nothing compiles it, and a
+    # cached kernel spares the build's module. The second probe takes the
+    # path of `python -m faro.cli apply --verify`.
     records = [bytes([i] * 4) for i in range(16)]
     target = tmp_path / "deck.bin"
     target.write_bytes(b"".join(records))
@@ -808,7 +810,7 @@ def test_cli_import_leaves_ctypes_dataclasses_and_inspect_out(tmp_path):
         "import faro._fastpath\n"
         "unwanted = {'argparse', 'ctypes', 'dataclasses', 'inspect'}\n"
         "if faro._fastpath.HAVE_COMPILED:\n"
-        "    unwanted.add('faro._loops')\n"
+        "    unwanted |= {'faro._loops', 'faro._build'}\n"
         "print(sorted(unwanted & set(sys.modules)))\n"
     )
     run_apply = (

@@ -77,7 +77,7 @@ def test_base_table_is_valid():
     assert set(kway._BASES) == set(range(2, kway.MAX_K + 1))
     assert kway._BASES[2] == tuple((p, (1,)) for p in TABLE_2)
     # d = 1 at k = 2: a block p^j then has j cycles, the exponent that
-    # kway._blocks gives and the 2-way move audits count as its leaders
+    # _loops._blocks gives and the 2-way move audits count as its leaders
     assert all(reps == (1,) for _, reps in kway._BASES[2])
     for k, bases in kway._BASES.items():
         primes = [p for p, _ in bases]
@@ -110,7 +110,7 @@ def test_ladder_is_every_admissible_rung_largest_first(q):
             for c in (1, 2) if q > 2 else (1,):
                 if c * p**j < 1 << 63 and (c * p**j - 1) % q == 0:
                     expected.add((c * p**j, p, j, reps))
-    built = [kway._ladder(q, kway._BASES[q])]
+    built = [_loops._ladder(q, kway._BASES[q])]
     if _fastpath._native is not None:
         built.append(_fastpath._native.ladder(q, kway._BASES[q]))
     assert all(type(rows) is bytes and rows == built[0] for rows in built)
@@ -142,7 +142,7 @@ def test_blocks_are_the_naive_greedy_tiling(q):
     for case in range(200):
         lo = rng.choice((0, 1, rng.randrange(0, 1000)))
         hi = lo + q * rng.choice((rng.randrange(0, 100), rng.randrange(0, 1 << 20)))
-        runs = list(kway._blocks(lo, hi, kway._table(q)))
+        runs = list(_loops._blocks(lo, hi, kway._table(q)))
         # one run per modulus: each takes every block of its size that fits
         moduli = [modulus for _, modulus, *_ in runs]
         assert all(a > b for a, b in zip(moduli, moduli[1:])), (lo, hi)
@@ -154,7 +154,7 @@ def test_blocks_are_the_naive_greedy_tiling(q):
         ]
         assert blocks == list(_naive_blocks(lo, hi, q)), (lo, hi)
         # the inverse takes the same runs, right to left
-        assert list(kway._blocks(lo, hi, kway._table(q), backward=True)) == runs[::-1], (lo, hi)
+        assert list(_loops._blocks(lo, hi, kway._table(q), backward=True)) == runs[::-1], (lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -173,7 +173,7 @@ def test_moves_split_by_layer(k, n):
     # point p^j of a twin 2p^j, in d * j cycles, twice that for a twin,
     # where d is the number of coset representatives of p.
     walk = tail = blocks = walked = 0
-    for _, modulus, p, j, reps, count in kway._blocks(0, n, kway._table(k)):
+    for _, modulus, p, j, reps, count in _loops._blocks(0, n, kway._table(k)):
         cycles = cycle_decomposition(kway_kind(k), modulus - 1)
         blocks += count
         walked += count * len(cycles.cycles)
@@ -203,7 +203,7 @@ def _rotation_moves(n, k, inverse):
     # triple reversal over every block's windows, t * (part - b) + b items
     # rotated by b, or by the rest when scattering
     moves = 0
-    for start, modulus, p, j, _, count in kway._blocks(0, n, kway._table(k)):
+    for start, modulus, p, j, _, count in _loops._blocks(0, n, kway._table(k)):
         for offset in range(start, start + count * (modulus - 1), modulus - 1) if j else ():
             part, b = (n - offset) // k, (modulus - 1) // k
             for t in range(1, k):
@@ -281,7 +281,7 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
     # the moves are every element but p^j, plus one hold load per leader.
     modulus = 2 * p**j
     n = modulus - 1
-    assert list(kway._blocks(0, n, kway._table(k))) == [(0, modulus, p, j, (1,), 1)]
+    assert list(_loops._blocks(0, n, kway._table(k))) == [(0, modulus, p, j, (1,), 1)]
     leaders = sorted(c * p**s for s in range(j) for c in (1, 2))
     decomposition = cycle_decomposition(kway_kind(k), n)
     assert [cycle[0] for cycle in decomposition.cycles] == leaders

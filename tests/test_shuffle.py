@@ -6,8 +6,8 @@ import pytest
 
 from conftest import CountingList, rungs, spy
 from faro import _fastpath
-from faro._loops import _general_cycle_passes, _pure_pass
-from faro.kway import _blocks, _table, k_shuffle, k_unshuffle
+from faro._loops import _blocks, _general_cycle_passes, _pure_pass
+from faro.kway import _table, k_shuffle, k_unshuffle
 from faro.oracle import oracle_shuffle
 from faro.permcore import (
     IN_SHUFFLE,

@@ -16,10 +16,15 @@ process's environment: with ``PYTHONDONTWRITEBYTECODE=1`` each compiles
 faro's source, as a child of a fresh checkout does.
 
 For each size it prints the median over rounds of each side's wall time
-for the four kinds, their ratio change/base, the rounds CHANGE won, and
-BASE's interquartile range as a share of its median; the last row sums the
-per-size medians. The times are wall times of the children as this
-process sees them, unscaled: no speed probe runs between calls.
+for the four kinds, their ratio change/base, the rounds CHANGE won,
+BASE's interquartile range as a share of its median, and each side's
+median peak RSS of a child, its ``ru_maxrss`` from ``os.wait4``; the last
+row sums the per-size medians. Linux carries the peak RSS of the process
+that spawns a child into the child's ``ru_maxrss``, and this process holds
+the largest file and its expected digests, so each child is spawned and
+timed by a small, fresh launcher interpreter, whose own start is not
+timed. The times are wall times of the children, unscaled: no speed probe
+runs between calls.
 
 This script is a measuring tool: pytest does not collect it, and nothing in
 faro imports it. It needs git, a C compiler and ``Python.h``.
@@ -36,7 +41,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 
 from faro.oracle import oracle_shuffle
 from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE
@@ -44,6 +48,16 @@ from faro.permcore import IN_SHUFFLE, OUT_SHUFFLE
 RECORD = 64
 SIZES_MIB = (2, 3, 4, 6, 8, 11, 16)
 KINDS = (("in", False), ("in", True), ("out", False), ("out", True))
+
+# runs the command given as its arguments and prints its exit code, its
+# wall seconds and its peak RSS in KiB
+LAUNCHER = (
+    "import os, subprocess, sys, time\n"
+    "start = time.perf_counter()\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)\n"
+)
 
 
 def export(rev, root, where):
@@ -80,18 +94,19 @@ def expected_digest(data, kind, inverse):
 
 
 def run(env, path, data, kind, inverse):
-    """Wall seconds of one apply child on a fresh copy of `data` at `path`, and the digest it left."""
+    """Wall seconds and peak RSS in bytes of one apply child on a fresh copy of `data` at `path`,
+    and the digest it left."""
     with open(path, "wb") as handle:
         handle.write(data)
     argv = [sys.executable, "-m", "faro.cli", "apply", "--kind", kind, *(["--inverse"] if inverse else []),
             "--verify", "--record-size", str(RECORD), path]
-    start = time.perf_counter()
-    done = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True)
-    seconds = time.perf_counter() - start
-    if done.returncode != 0:
-        sys.exit(f"apply exited {done.returncode}: {done.stderr.decode(errors='replace').strip()}")
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, check=True)
+    code, seconds, rss_kb = done.stdout.split()
+    if code != "0":
+        sys.exit(f"apply exited {code}: {done.stderr.strip()}")
     with open(path, "rb") as handle:
-        return seconds, hashlib.sha256(handle.read()).hexdigest()
+        return float(seconds), int(rss_kb) * 1024, hashlib.sha256(handle.read()).hexdigest()
 
 
 def main(argv=None):
@@ -115,8 +130,10 @@ def main(argv=None):
         path = os.path.join(where, "records.bin")
         print(f"base {args.base}, change {args.change or 'working tree'}, seed {args.seed}, "
               f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}", flush=True)
-        # per side and size, the summed time of the four kinds in each round
+        # per side and size, the summed time of the four kinds in each round,
+        # and the peak RSS of every child
         totals = {label: {mib: [] for mib in SIZES_MIB} for label in sides}
+        peaks = {label: {mib: [] for mib in SIZES_MIB} for label in sides}
         turn = 0
         for _ in range(args.rounds):
             spent = {label: dict.fromkeys(SIZES_MIB, 0.0) for label in sides}
@@ -125,15 +142,17 @@ def main(argv=None):
                     order = list(sides) if turn % 2 == 0 else list(sides)[::-1]
                     turn += 1
                     for label in order:
-                        seconds, digest = run(sides[label], path, payload[: mib << 20], kind, inverse)
+                        seconds, peak, digest = run(sides[label], path, payload[: mib << 20], kind, inverse)
                         if digest != digests[mib, kind, inverse]:
                             sys.exit(f"{label}: apply --kind {kind} {'--inverse ' * inverse}of {mib} MiB "
                                      "left other records than the oracle")
                         spent[label][mib] += seconds
+                        peaks[label][mib].append(peak)
             for label in sides:
                 for mib in SIZES_MIB:
                     totals[label][mib].append(spent[label][mib])
-    print(f"{'MiB':>5} {'rounds':>6} {'base ms':>9} {'change ms':>9} {'change/base':>11} {'wins':>6} {'base IQR':>8}")
+    print(f"{'MiB':>5} {'rounds':>6} {'base ms':>9} {'change ms':>9} {'change/base':>11} {'wins':>6} {'base IQR':>8} "
+          f"{'base MB':>8} {'change MB':>9}")
     sums = [0.0, 0.0]
     for mib in SIZES_MIB:
         base, change = totals["base"][mib], totals["change"][mib]
@@ -143,7 +162,8 @@ def main(argv=None):
         sums[0] += mid
         sums[1] += changed
         print(f"{mib:>5} {args.rounds:>6} {mid * 1e3:>9.1f} {changed * 1e3:>9.1f} {changed / mid:>11.3f} "
-              f"{wins:>3}/{args.rounds:<2} {(q3 - q1) / mid:>8.1%}")
+              f"{wins:>3}/{args.rounds:<2} {(q3 - q1) / mid:>8.1%} "
+              f"{statistics.median(peaks['base'][mib]) / 1e6:>8.1f} {statistics.median(peaks['change'][mib]) / 1e6:>9.1f}")
     print(f"{'sum':>5} {'':>6} {sums[0] * 1e3:>9.1f} {sums[1] * 1e3:>9.1f} {sums[1] / sums[0]:>11.3f}")
 
 
