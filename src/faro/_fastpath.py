@@ -30,13 +30,13 @@ range, integer and rung against the buffer itself, whoever built the
 table.
 
 While the kernel is loaded, an exact list goes from ``kway._pass`` straight
-to the native ``shuffle``. ``resolve`` sorts every other buffer once per
-public call: it binds the native ``shuffle`` to the buffer, which takes it
-or refuses it before any moves, and a refused buffer takes the twin,
-``_loops._pure_pass``. Nothing is cached across calls. ``_loops`` is
-imported by the first call that takes the twin, or, without the kernel,
-by ``agree`` and by the first table ``kway`` builds, so a process whose
-buffers all go native never compiles it.
+to the native ``shuffle``. Every other buffer goes, once per public call,
+to ``shuffle`` here: it hands the buffer to the native ``shuffle``, which
+takes it or refuses it before any item moves, and runs the twin,
+``_loops._pure_pass``, on a refused one. Nothing is cached across calls.
+``_loops`` is imported by the first call that takes the twin, or, without
+the kernel, by ``agree`` and by the first table ``kway`` builds, so a
+process whose buffers all go native never compiles it.
 """
 
 import os
@@ -83,87 +83,53 @@ except (OSError, ImportError) as exc:
 HAVE_COMPILED = _native is not None
 
 
-def resolve(buf):
-    """The native ``shuffle`` bound to this buffer, or its Python twin, for the length of one call.
+def shuffle(buf, lo, hi, k, inverse, table):
+    """One pass over buf[lo:hi], native or by its twin, and its counts.
 
-    Both take ``(buf, lo, hi, k, inverse, table)``; the pass is passed the
+    Takes and returns what the native ``shuffle`` does, which is passed the
     record size of a ``RecordBuffer``. A buffer goes native iff the pass
     takes it (``get_items`` in ``_kernel.c`` holds the rule, and takes every
-    exact list): the bound call runs the twin only when the pass refuses the
-    buffer, which it does with ``Refused`` before any item moves. An ndarray
-    that holds objects always takes the twin. A numpy MaskedArray moves its
-    data and its mask alike, each by what this resolves for that plain
-    array, and returns one of their equal results. ValueError, before
-    anything moves, for a MaskedArray whose hard mask holds masked items in
-    place, and for an ndarray whose items are views (not 1-D, or
-    structured) that the kernel does not take: the Python loops would copy
-    an item through a view that an earlier write has already overwritten.
+    exact list); the pass refuses any other with ``Refused`` before any
+    item moves, and it then takes the twin, ``_loops._pure_pass``. An
+    ndarray that holds objects always takes the twin. A numpy MaskedArray
+    runs its data and, unless it is nomask, its mask through this in turn,
+    each a plain array: item by item, the twin would read a masked item as
+    np.ma.masked, and writing that back sets the mask but leaves the data
+    under it behind. ValueError, before anything moves, for a MaskedArray
+    whose hard mask holds masked items in place or whose data or mask is
+    read-only, and for an ndarray whose items are views (not 1-D, or
+    structured) that the kernel does not take: the twin would copy an item
+    through a view that an earlier write has already overwritten.
     """
-    # closures are made in the helpers: a cell here would cost every call
-    run = _masked(buf)
-    if run is not None:
-        return run
     np = sys.modules.get("numpy")
+    array = np is not None and isinstance(buf, np.ndarray)
+    ma = array and sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
+    if ma and isinstance(buf, ma.MaskedArray):
+        mask = ma.getmask(buf)
+        if buf.hardmask and mask.any():
+            raise ValueError("a hard mask keeps the masked items from moving")
+        parts = (buf.data,) if mask is ma.nomask else (buf.data, mask)
+        for part in parts:
+            if not part.flags.writeable:
+                raise ValueError("assignment destination is read-only")
+        # the data and the mask make the same moves: one result stands for both
+        for part in parts:
+            counts = shuffle(part, lo, hi, k, inverse, table)
+        return counts
     # get_items cannot see an object field beside a datetime64 one
-    if _native is None or np is not None and isinstance(buf, np.ndarray) and buf.dtype.hasobject:
-        return _twin(buf)
-    # loaded with the package; an import statement here takes microseconds
-    records = sys.modules[_SHUFFLE].RecordBuffer
-    data, size = (buf.data, buf.record_size) if type(buf) is records else (buf, 0)
-    return _bind(data, size, buf)
-
-
-def _bind(data, size, buf):
-    # the native pass bound to buf's memory `data` and its record `size`,
-    # which runs the twin on buf when the pass refuses the memory
-    shuffle = _native.shuffle
-
-    def run(_buf, lo, hi, k, inverse, table):
+    if _native is not None and not (array and buf.dtype.hasobject):
+        # loaded with the package; an import statement here takes microseconds
+        records = sys.modules[_SHUFFLE].RecordBuffer
+        data, size = (buf.data, buf.record_size) if type(buf) is records else (buf, 0)
         try:
-            return shuffle(data, lo, hi, k, inverse, table, size)
+            return _native.shuffle(data, lo, hi, k, inverse, table, size)
         except _native.Refused:
-            return _twin(buf)(buf, lo, hi, k, inverse, table)
-
-    return run
-
-
-def _twin(buf):
-    # the twin, unless buf is an ndarray whose items are views (see resolve)
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(buf, np.ndarray) and (buf.ndim != 1 or buf.dtype.names):
+            pass
+    if array and (buf.ndim != 1 or buf.dtype.names):
         raise ValueError(f"the items of a {buf.ndim}-D array of {buf.dtype} are views into it")
     from . import _loops
 
-    return _loops._pure_pass
-
-
-def _masked(buf):
-    # The bound call of a MaskedArray, which moves its data and, unless it
-    # is nomask, its mask: each a plain array on its own loops. Item by
-    # item, the Python loops would read a masked item as np.ma.masked, and
-    # writing that back sets the mask but leaves the data under it behind.
-    # None for any other buffer.
-    ma = sys.modules.get("numpy.ma")  # loaded before any MaskedArray exists
-    if ma is None or not isinstance(buf, ma.MaskedArray):
-        return None
-    mask = ma.getmask(buf)
-    if buf.hardmask and mask.any():
-        raise ValueError("a hard mask keeps the masked items from moving")
-    return _parts((buf.data, mask), ma.nomask)
-
-
-def _parts(arrays, nomask):
-    # the bound call of a MaskedArray's data and mask, a mask of nomask
-    # aside; its own helper, so that _masked makes no cell on other buffers
-    runs = [(array, resolve(array)) for array in arrays if array is not nomask]
-
-    def run_parts(_buf, *args):
-        # the data and the mask make the same moves: one result stands for both
-        for array, run in runs:
-            result = run(array, *args)
-        return result
-
-    return run_parts
+    return _loops._pure_pass(buf, lo, hi, k, inverse, table)
 
 
 def agree(chunk, result, itemsize, base, mult, modulus, j0, count):

@@ -457,7 +457,7 @@ static int64_t leader(const int64_t *r, int64_t c, int even)
 }
 
 /* the cycle passes of the block of rung r at offset under the step st, one
- * walk_items call per ladder (see kway._general_cycle_passes) */
+ * walk_items call per ladder (see _loops._general_cycle_passes) */
 static void place(struct pass *ps, const int64_t *r, int64_t offset, const struct step *st)
 {
     int twin = r[0] % 2 == 0;
@@ -471,7 +471,7 @@ static void place(struct pass *ps, const int64_t *r, int64_t offset, const struc
 
 /* The tail of m - 1 items at offset under the step st: each cycle is walked
  * from its least position, found by probing the whole orbit of every
- * position (see kway._bounded_cycle_shuffle) */
+ * position (see _loops._bounded_cycle_shuffle) */
 static void sweep(struct pass *ps, int64_t offset, int64_t m, const struct step *st)
 {
     for (int64_t lead = 1; lead < m; lead++) {
@@ -744,7 +744,7 @@ static PyObject *Refused;
  * its loops would move references without the GIL. Memory whose exporter
  * cannot spell its format (numpy raises ValueError for datetime64 and
  * timedelta64) is taken without one, so a structured dtype that mixes a
- * datetime field with an object field passes here: only _fastpath.resolve's
+ * datetime field with an object field passes here: only _fastpath.shuffle's
  * hasobject sort keeps such an ndarray away. */
 static int get_items(struct items *it, PyObject *obj, int64_t size)
 {

@@ -16,12 +16,12 @@ that takes the twin: ``_fastpath`` imports it on first use, so a ``faro
 apply`` child does not compile it.
 
 All slots here are 0-based. Callers own validation; the loops only move or
-compare elements, the gather returns its moves, and the pass its counts.
+compare elements, the gather returns its moves, a block's walks and the
+tail sweep their moves and cycles, and the pass its counts.
 """
 
 import struct
 from bisect import bisect_right
-from types import SimpleNamespace
 
 from .kway import _ROW
 
@@ -169,7 +169,7 @@ def cycle_walk(buf, base, leader, mult, modulus, p, count):
         leader *= p
 
 
-def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, instr):
+def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus):
     # modulus is p^j, or 2p^j for odd k. For s = 0..j-1 and each coset
     # representative c, c * p^s leads the cycle of the positions whose
     # p-part is p^s and whose cofactor is c mod p; when modulus is even
@@ -177,25 +177,24 @@ def _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, instr):
     # odd, and 2c * p^s leads the even ones. One cycle_walk call takes each
     # ladder of leaders, s < j. The cycles hold every position but p^j,
     # which is fixed under an odd multiplier and is not walked; the moves
-    # are those positions plus one hold per cycle.
+    # are those positions plus one hold per cycle. Returns (moves, cycles).
     base = offset - 1
     twin = modulus % 2 == 0
     for c in reps:
         cycle_walk(buf, base, c + p if twin and c % 2 == 0 else c, mult, modulus, p, j)
         if twin:
             cycle_walk(buf, base, 2 * c, mult, modulus, p, j)
-    if instr is not None:
-        cycles = len(reps) * (1 + twin) * j
-        instr.cycles += cycles
-        instr.walk_moves += modulus - 1 - twin + cycles
+    cycles = len(reps) * (1 + twin) * j
+    return modulus - 1 - twin + cycles, cycles
 
 
-def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
+def _bounded_cycle_shuffle(buf, offset, length, mult):
     # Permute buf[offset : offset+length] by local i -> i*mult mod (length+1)
     # using the minimum-of-orbit leader rule: a position starts a cycle only
     # if probing its whole orbit meets nothing smaller. Quadratic in `length`
     # and constant space; the pass only uses it for the tiling's tail, whose
-    # size is bounded by the base table, not the buffer.
+    # size is bounded by the base table, not the buffer. Returns (moves,
+    # cycles).
     modulus = length + 1
     base = offset - 1
     moves = cycles = 0
@@ -212,8 +211,7 @@ def _bounded_cycle_shuffle(buf, offset, length, mult, instr):
         cycle_walk(buf, base, lead, mult, modulus, 1, 1)
         moves += steps + 1
         cycles += 1
-    instr.tail_moves += moves
-    instr.cycles += cycles
+    return moves, cycles
 
 
 def _pure_pass(buf, lo, hi, k, inverse, table):
@@ -227,23 +225,27 @@ def _pure_pass(buf, lo, hi, k, inverse, table):
     each block is gathered, then placed; inverse, right to left, each is
     placed, then scattered.
     """
-    counts = SimpleNamespace(rotate_moves=0, walk_moves=0, tail_moves=0, blocks=0, cycles=0)
+    rotate = walk = tail = blocks = cycles = 0
     for start, modulus, p, j, reps, count in _blocks(lo, hi, table, inverse):
-        counts.blocks += count
+        blocks += count
         mult = pow(k, -1, modulus) if inverse else k
         if j == 0:
-            _bounded_cycle_shuffle(buf, start, modulus - 1, mult, counts)
+            moves, walked = _bounded_cycle_shuffle(buf, start, modulus - 1, mult)
+            tail += moves
+            cycles += walked
             continue
         b = (modulus - 1) // k
         for i in range(count):
             offset = start + (count - 1 - i if inverse else i) * (modulus - 1)
             part = (hi - offset) // k
             if not inverse:
-                counts.rotate_moves += gather_slots(buf, offset, part, b, k, False)
-            _general_cycle_passes(buf, offset, j, p, reps, mult, modulus, counts)
+                rotate += gather_slots(buf, offset, part, b, k, False)
+            moves, walked = _general_cycle_passes(buf, offset, j, p, reps, mult, modulus)
+            walk += moves
+            cycles += walked
             if inverse:
-                counts.rotate_moves += gather_slots(buf, offset, part, b, k, True)
-    return counts.rotate_moves, counts.walk_moves, counts.tail_moves, counts.blocks, counts.cycles
+                rotate += gather_slots(buf, offset, part, b, k, True)
+    return rotate, walk, tail, blocks, cycles
 
 
 def agree_items(chunk, res, itemsize, base, mult, modulus, j0, count):

@@ -56,10 +56,10 @@ them no tail is left.
 A public call checks its arguments, calling ``validate_order`` only to raise,
 and makes one call of ``_pass``: an exact list goes straight to the kernel's
 ``shuffle`` entry, which takes every one, and the rest, or all without a
-kernel, to ``_fastpath.resolve(buf)``, which hands out the native pass or
-its Python twin, ``_loops._pure_pass``. The twin tiles by
-``_loops._blocks``, the tiling's reference; neither is compiled in a
-process whose buffers all go native.
+kernel, to ``_fastpath.shuffle``, which runs the native pass or, on a
+buffer the pass refuses, its Python twin, ``_loops._pure_pass``. The twin
+tiles by ``_loops._blocks``, the tiling's reference; neither is compiled in
+a process whose buffers all go native.
 
 Each call mutates one buffer and assumes exclusive access to it while it
 runs.
@@ -170,9 +170,10 @@ def _table(k):
 
 
 def _pass(buf, lo, hi, k, inverse, instr):
-    # one pass over buf[lo:hi], its counts added to instr; an exact list skips resolve
+    # one pass over buf[lo:hi], its counts added to instr; an exact list
+    # goes straight to the kernel's entry, every other buffer by _fastpath
     native, table = _fastpath._native, _TABLES.get(k) or _table(k)
-    run = native.shuffle if type(buf) is list and native else _fastpath.resolve(buf)
+    run = native.shuffle if type(buf) is list and native else _fastpath.shuffle
     rotate, walk, tail, blocks, cycles = run(buf, lo, hi, k, inverse, table)
     if instr is not None:
         if instr.aux_words_peak < _DRIVER_AUX_WORDS:  # not max(), which parses keywords per call

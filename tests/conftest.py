@@ -56,15 +56,16 @@ class Ran(Counter):
 def spy():
     """Count which loops the calls made inside this block ran.
 
-    Yields a ``Ran``, counting "resolve" per call of ``_fastpath.resolve``,
-    which a pass skips for an exact list while the kernel is loaded;
-    "shuffle" per call that reaches the native pass, bound by ``resolve``
-    or taken straight from the kernel, and "refused" per such call it
-    refuses; "twin" per call of the Python twin, ``_loops._pure_pass``.
-    Its ``returned`` lists what each counted pass and twin returned, in
-    order.
+    Yields a ``Ran``, counting "fastpath" per call of ``_fastpath.shuffle``,
+    which a pass skips for an exact list while the kernel is loaded, and
+    which a MaskedArray makes three of: its own, its data's and its mask's;
+    "shuffle" per call that reaches the native pass, from
+    ``_fastpath.shuffle`` or straight from ``kway._pass``, and "refused"
+    per such call it refuses; "twin" per call of the Python twin,
+    ``_loops._pure_pass``. Its ``returned`` lists what each counted pass
+    and twin returned, in order.
     """
-    ran, native, resolve = Ran(), _fastpath._native, _fastpath.resolve
+    ran, native, fastpath = Ran(), _fastpath._native, _fastpath.shuffle
 
     def counted(name, run):
         def call(*args):
@@ -84,12 +85,12 @@ def spy():
             entry = getattr(native, name)
             return counted(name, entry) if name == "shuffle" else entry
 
-    def resolving(buf):
-        ran["resolve"] += 1
-        return resolve(buf)
+    def passing(*args):
+        ran["fastpath"] += 1
+        return fastpath(*args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_fastpath, "resolve", resolving)
+        m.setattr(_fastpath, "shuffle", passing)
         m.setattr(_loops, "_pure_pass", counted("twin", _loops._pure_pass))
         if native is not None:
             m.setattr(_fastpath, "_native", Kernel())

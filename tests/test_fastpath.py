@@ -175,9 +175,8 @@ def test_walk_switches_look_ahead_at_f4_m_2_32(m):
     for inverse, before, after in ((False, items, shuffled), (True, shuffled, items)):
         buf = before.copy()
         with spy() as ran:
-            run = _fastpath.resolve(buf)
-            assert run(buf, 0, m - 1, 9, inverse, table) == (0, m + 1, 0, 1, 2)
-        assert ran == {"resolve": 1, "shuffle": 1}, inverse
+            assert _fastpath.shuffle(buf, 0, m - 1, 9, inverse, table) == (0, m + 1, 0, 1, 2)
+        assert ran == {"fastpath": 1, "shuffle": 1}, inverse
         assert np.array_equal(buf, after), inverse
 
 
@@ -233,12 +232,11 @@ def _check_pass(kind, k, lo, hi, n, inverse, rng, rung=None):
     buf, items = _random_buffer(kind, n, rng)
     before = items()
     with spy() as ran:
-        run = _fastpath.resolve(buf)
-        counts = run(buf, lo, hi, k, inverse, _pass_table(k, rung))
+        counts = _fastpath.shuffle(buf, lo, hi, k, inverse, _pass_table(k, rung))
     order, expected = _pure_pass_of(k, lo, hi, n, inverse, rung)
     case = (kind, k, lo, hi, n, inverse, rung)
-    # a MaskedArray resolves its data and its mask, and moves both natively
-    native = {"resolve": 3, "shuffle": 2} if kind == "masked" else {"resolve": 1, "shuffle": 1}
+    # a MaskedArray passes its data and its mask, and moves both natively
+    native = {"fastpath": 3, "shuffle": 2} if kind == "masked" else {"fastpath": 1, "shuffle": 1}
     assert ran == native, case
     assert counts == expected, case
     assert items() == [before[i] for i in order], case
@@ -309,7 +307,7 @@ def test_forward_and_inverse_walks_run_at_one_speed():
     for k in range(2, 10):
         m = next(m for m, *_ in rungs(_table(k)) if m - 1 <= 1 << 17)
         buf = np.arange(m - 1, dtype=np.int64)
-        run, table = _fastpath.resolve(buf), kway._table(k)
+        table = kway._table(k)
 
         # forward and inverse alternate round by round, so that a slow
         # phase of the machine slows both directions alike
@@ -317,7 +315,7 @@ def test_forward_and_inverse_walks_run_at_one_speed():
         for _ in range(7):
             for inverse in (False, True):
                 start = time.perf_counter()
-                counts = run(buf, 0, m - 1, k, inverse, table)
+                counts = _fastpath.shuffle(buf, 0, m - 1, k, inverse, table)
                 times[inverse].append(time.perf_counter() - start)
                 assert counts[0] == 0 and counts[3] == 1, (k, counts)
         forward, inverse = min(times[False]), min(times[True])
@@ -417,20 +415,19 @@ def _bounded_buffers():
 @needs_kernel
 @pytest.mark.parametrize("buf", _bounded_buffers(), ids=["ndarray", "records", "view"])
 def test_native_walk_refuses_to_leave_the_buffer(buf):
-    # the pass as resolve binds it to the buffer, the record size among its
+    # the pass as _fastpath.shuffle calls it, the record size among its
     # arguments for the records: every bad call raises the pass's own
     # error, and none runs the twin; a view of the first 26 items of a
     # longer array leaves the items past it alone
     owner = getattr(buf, "base", None)
     before, past = buf.tobytes(), None if owner is None else owner[26:].tolist()
     with spy() as ran:
-        run = _fastpath.resolve(buf)
-        _refuse_bad_passes(run, buf)
+        _refuse_bad_passes(_fastpath.shuffle, buf)
         assert buf.tobytes() == before
-        assert run(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
+        assert _fastpath.shuffle(buf, 0, 26, 2, False, kway._table(2)) == (0, 29, 0, 1, 3)
     assert buf.tobytes() != before
     assert owner is None or owner[26:].tolist() == past
-    assert set(ran) == {"resolve", "shuffle"} and ran["resolve"] == 1, ran
+    assert set(ran) == {"fastpath", "shuffle"} and ran["fastpath"] == ran["shuffle"], ran
 
 
 @needs_kernel
@@ -476,9 +473,9 @@ def test_rotation_closed_form_counts_the_pure_writes():
 def test_entries_refuse_memory_of_python_objects():
     # an object ndarray's memory is references: moving them without the GIL
     # could free an object under another thread, so the pass refuses it,
-    # directly as through resolve, which sends an object array to the pure
-    # loops without asking the kernel and refuses a structured one, whose
-    # items are views; a field merely named O is no object
+    # directly as through _fastpath.shuffle, which sends an object array to
+    # the pure loops without asking the kernel and refuses a structured one,
+    # whose items are views; a field merely named O is no object
     native = _fastpath._native
     for buf in (
         np.array([None, 1, "x", 2.5] * 8, dtype=object),
@@ -490,11 +487,12 @@ def test_entries_refuse_memory_of_python_objects():
         assert buf.tolist() == before.tolist()
         if buf.dtype.names:
             with pytest.raises(ValueError, match="views"):
-                _fastpath.resolve(buf)
+                _fastpath.shuffle(buf, 0, 32, 2, False, kway._table(2))
+            assert buf.tolist() == before.tolist()
         else:
             with spy() as ran:
                 k_shuffle(buf, 2)
-            assert ran == {"resolve": 1, "twin": 1}
+            assert ran == {"fastpath": 1, "twin": 1}
             assert buf.tolist() == oracle_shuffle(before.tolist(), IN_SHUFFLE)
     named = np.array([(i, -i) for i in range(32)], dtype=[("O", "i8"), ("x", "f8")])
     native.shuffle(named, 0, 32, 2, False, kway._table(2))
@@ -505,7 +503,7 @@ def test_entries_refuse_memory_of_python_objects():
     before = times.tolist()
     with spy() as ran:
         k_shuffle(times, 3)
-    assert ran == {"resolve": 1, "shuffle": 1}
+    assert ran == {"fastpath": 1, "shuffle": 1}
     assert times.tolist() == oracle_shuffle(before, kway_kind(3))
 
 
@@ -541,16 +539,16 @@ def test_a_public_call_asks_the_kernel_once():
     buf = np.arange(1000, dtype=np.int64)
     with spy() as ran:
         in_shuffle(buf)
-    assert ran == {"resolve": 1, "shuffle": 1}, ran
+    assert ran == {"fastpath": 1, "shuffle": 1}, ran
     records = RecordBuffer(bytearray(range(240)), 3)
     with spy() as ran:
         k_shuffle(records, 8)
-    assert ran == {"resolve": 1, "shuffle": 1}, ran
-    # a MaskedArray resolves itself, its data and its mask, and moves the two
+    assert ran == {"fastpath": 1, "shuffle": 1}, ran
+    # a MaskedArray passes itself, its data and its mask, and moves the two
     masked = np.ma.array(np.arange(1000), mask=np.arange(1000) % 3 == 0)
     with spy() as ran:
         in_shuffle(masked)
-    assert ran == {"resolve": 3, "shuffle": 2}, ran
+    assert ran == {"fastpath": 3, "shuffle": 2}, ran
 
 
 def _refused_buffers():
@@ -566,7 +564,7 @@ def _refused_buffers():
     read_only.flags.writeable = False
     pairs = np.array([(i, -i) for i in range(52)], dtype=[("a", "i8"), ("b", "i4")])
     backing, memory = np.arange(52), bytearray(range(52))
-    refused = {"resolve": 1, "shuffle": 1, "refused": 1}
+    refused = {"fastpath": 1, "shuffle": 1, "refused": 1}
     twin = {**refused, "twin": 1}
     return {
         # read-only memory: the twin's first write raises the exporter's error
@@ -579,7 +577,7 @@ def _refused_buffers():
         "strided-structured": (pairs[::2], pairs, ValueError, refused),
         # the rest the twin moves; an object array without asking the kernel
         "objects": (np.array([None, 1, "x", 2.5] * 6 + [(), 7], dtype=object), None, None,
-                    {"resolve": 1, "twin": 1}),
+                    {"fastpath": 1, "twin": 1}),
         "list subclass": (CountingList(range(26)), None, None, twin),
         "strided ndarray": (backing[::2], backing, None, twin),
         "strided memoryview": (memoryview(memory)[::2], memory, None, twin),
@@ -620,7 +618,7 @@ def test_contiguous_structured_array_shuffles_through_the_kernel():
     before = buf.tolist()
     with spy() as ran:
         in_shuffle(buf)
-    assert ran == {"resolve": 1, "shuffle": 1}
+    assert ran == {"fastpath": 1, "shuffle": 1}
     assert buf.tolist() == oracle_shuffle(before, IN_SHUFFLE)
 
 
@@ -661,6 +659,30 @@ def test_masked_arrays_move_each_mask_with_its_item(monkeypatch):
         with pytest.raises(ValueError, match="hard mask"):
             shuffle(hard)
         assert hard.data.tolist() == list(range(8)) and hard.mask.tolist() == [True] + [False] * 7
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["kernel", "twin"])
+@pytest.mark.parametrize("part", ["mask", "data"])
+def test_read_only_masked_array_raises_and_stays_unmodified(part, native, monkeypatch):
+    # numpy keeps a read-only mask or data under a MaskedArray; a shuffle
+    # that moved the other part before the read-only one failed would leave
+    # each mask on another item, so both raise numpy's own error before
+    # either part moves
+    if native and not _fastpath.HAVE_COMPILED:
+        pytest.skip(str(_fastpath.BUILD_ERROR))
+    if not native:
+        monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
+    mask = np.zeros(8, bool)
+    mask[::3] = True
+    data = np.arange(8)
+    (mask if part == "mask" else data).flags.writeable = False
+    buf = np.ma.array(data, mask=mask)
+    assert not getattr(buf, part).flags.writeable
+    for shuffle in (in_shuffle, un_shuffle, out_shuffle, un_out_shuffle, lambda b: k_shuffle(b, 4)):
+        with pytest.raises(ValueError, match="read-only"):
+            shuffle(buf)
+        assert buf.data.tolist() == list(range(8))
+        assert buf.mask.tolist() == [i % 3 == 0 for i in range(8)]
 
 
 @needs_kernel
@@ -721,8 +743,11 @@ def _verify_lengths(kind):
     "kind", [IN_SHUFFLE, OUT_SHUFFLE] + [kway_kind(q) for q in range(2, 10)], ids=str
 )
 def test_native_verify_agrees_with_the_oracle(kind, monkeypatch, tmp_path):
+    # each original under its own name, removed once checked: on an ext4
+    # disk, a write over a file whose data the disk held took 70-115 ms and
+    # removing such a file 7-70 ms, where a write under a new name took
+    # 0.03 ms and removing it before its data was written out 0.002 ms
     rng = random.Random(str(kind))
-    disk = tmp_path / "original.bin"
     for n in _verify_lengths(kind):
         for rs in (1, 3, 8, 64, 257):
             values = [rng.randbytes(rs) for _ in range(n)]
@@ -730,6 +755,7 @@ def test_native_verify_agrees_with_the_oracle(kind, monkeypatch, tmp_path):
             for inverse in (False, True):
                 # the file holds the original; --inverse unshuffles it
                 original, result = (shuffled, values) if inverse else (values, shuffled)
+                disk = tmp_path / f"original-{n}-{rs}-{inverse}.bin"
                 disk.write_bytes(b"".join(original))
                 cases = [(b"".join(result), True)]
                 for i in sorted({0, n // 2, n - 1}) if n else ():
@@ -746,6 +772,7 @@ def test_native_verify_agrees_with_the_oracle(kind, monkeypatch, tmp_path):
                     with monkeypatch.context() as m:
                         m.setattr(_fastpath, "_native", None)
                         assert _recordfile._verified(*args) is expected, (n, rs, inverse)
+                disk.unlink()
 
 
 def test_agree_refuses_bad_calls_before_any_native_read(monkeypatch):
@@ -839,7 +866,7 @@ def test_numpy_imported_after_faro_takes_the_native_path():
         "buf = np.arange(1000, dtype=np.int64)\n"
         "with spy() as ran:\n"
         "    faro.in_shuffle(buf)\n"
-        "assert ran == {'resolve': 1, 'shuffle': 1}, ran\n"
+        "assert ran == {'fastpath': 1, 'shuffle': 1}, ran\n"
         "assert buf.tolist() == faro.oracle_shuffle(list(range(1000)), faro.IN_SHUFFLE)\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)
@@ -1009,7 +1036,7 @@ def test_build_without_python_h_takes_the_pure_loops(tmp_path, monkeypatch):
         "    with spy() as ran:\n"
         "        k_shuffle(buf, 2)\n"
         "        k_unshuffle(buf, 2)\n"
-        "    assert ran == {'resolve': 2, 'twin': 2}, (buf, ran)\n"
+        "    assert ran == {'fastpath': 2, 'twin': 2}, (buf, ran)\n"
     )
     subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(tmp_path)}, check=True)
 
@@ -1059,8 +1086,9 @@ def test_cached_kernel_loads_without_sysconfig():
 
 
 def test_kernel_is_resolved_once_per_call():
-    # every public shuffle makes one call of its pass: resolved once, or for
-    # an exact list, which the kernel always takes, not at all
+    # every public shuffle makes one call of its pass: through
+    # _fastpath.shuffle, or for an exact list, which the kernel always
+    # takes, straight to the kernel's entry
     entry = "shuffle" if _fastpath.HAVE_COMPILED else "twin"
 
     def blocks_and_cycles(n, k):
@@ -1088,8 +1116,8 @@ def test_kernel_is_resolved_once_per_call():
             with spy() as ran:
                 call(buf)
             assert sorted(buf.tolist() if isinstance(buf, np.ndarray) else buf) == list(range(n))
-            resolved = {} if type(buf) is list and _fastpath.HAVE_COMPILED else {"resolve": 1}
-            assert ran == {**resolved, entry: 1}, ran
+            passed = {} if type(buf) is list and _fastpath.HAVE_COMPILED else {"fastpath": 1}
+            assert ran == {**passed, entry: 1}, ran
             assert ran.returned[0][3:] == blocks_and_cycles(n, k), (ran.returned, k)
 
 
@@ -1113,7 +1141,7 @@ def test_a_list_reaches_the_native_pass_through_two_python_frames(monkeypatch):
     # arity's table is built: the length check, the list rule, the table
     # and the counts are inline. The first call of an arity adds _table,
     # which has the kernel's ladder entry build the table, with no Python
-    # loop. Without the kernel the same calls run the twin through resolve,
+    # loop. Without the kernel the same calls run the twin through _fastpath,
     # and build the same tables in Python. Every call matches the oracle
     # either way.
     items = list(range(2520))  # a multiple of every arity
@@ -1157,7 +1185,7 @@ def test_a_list_reaches_the_native_pass_through_two_python_frames(monkeypatch):
         buf = list(expected if inverse else items)
         with spy() as ran:
             function(buf, *args)
-        assert ran == {"resolve": 1, "twin": 1}, (function, args)
+        assert ran == {"fastpath": 1, "twin": 1}, (function, args)
         assert buf == (items if inverse else expected), (function, args)
     assert {k: table.tobytes() for k, table in kway._TABLES.items()} == built and sorted(built) == list(range(2, 10))
 
@@ -1185,18 +1213,18 @@ def test_list_subclass_takes_the_pure_loops(monkeypatch):
     buf = CountingList(range(600))
     with spy() as ran:
         k_shuffle(buf, 3)
-    assert ran == {"resolve": 1, **refused("shuffle"), "twin": 1}, ran
+    assert ran == {"fastpath": 1, **refused("shuffle"), "twin": 1}, ran
     assert buf.gets > 600 and buf.sets > 600
     assert list(buf) == oracle_shuffle(list(range(600)), kway_kind(3))
     with spy() as ran:
         k_unshuffle(buf, 3)
-    assert ran == {"resolve": 1, **refused("shuffle"), "twin": 1}, ran
+    assert ran == {"fastpath": 1, **refused("shuffle"), "twin": 1}, ran
     assert list(buf) == list(range(600))
     monkeypatch.setattr(_fastpath, "_native", None)  # as when the kernel did not build
     with spy() as ran:
         k_shuffle([1, 2], 2)
         k_unshuffle([1, 2], 2)
-    assert ran == {"resolve": 2, "twin": 2}, ran
+    assert ran == {"fastpath": 2, "twin": 2}, ran
 
 
 def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
@@ -1207,7 +1235,7 @@ def test_every_buffer_takes_the_pure_loops_without_the_kernel(monkeypatch):
         with spy() as ran:
             k_shuffle(buf, 2)
             k_unshuffle(buf, 2)
-        assert ran == {"resolve": 2, "twin": 2}, buf
+        assert ran == {"fastpath": 2, "twin": 2}, buf
 
 
 def test_empty_and_two_element_lists():
@@ -1330,7 +1358,7 @@ def test_buffer_walks_run_without_the_gil():
 @needs_kernel
 def test_fresh_interpreter_sends_lists_to_the_kernel():
     # lists and memory go native by the kernel's own check, with numpy never
-    # imported; a list's pass does not resolve it, memory's does
+    # imported; a list's pass skips _fastpath.shuffle, memory's takes it
     probe = (
         "import array, sys\n"
         f"sys.path.insert(0, {TESTS!r})\n"
@@ -1340,8 +1368,8 @@ def test_fresh_interpreter_sends_lists_to_the_kernel():
         "    with spy() as ran:\n"
         "        k_shuffle(buf, 2)\n"
         "        k_unshuffle(buf, 2)\n"
-        "    resolved = {} if type(buf) is list else {'resolve': 2}\n"
-        "    assert ran == {**resolved, 'shuffle': 2}, (buf, ran)\n"
+        "    passed = {} if type(buf) is list else {'fastpath': 2}\n"
+        "    assert ran == {**passed, 'shuffle': 2}, (buf, ran)\n"
         "assert 'numpy' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True)

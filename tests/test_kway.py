@@ -227,7 +227,7 @@ def test_leaders_meet_every_cycle_once(k, monkeypatch):
         if modulus > 5000:
             continue
         leaders.clear()
-        _loops._general_cycle_passes(None, 0, j, p, reps, k, modulus, None)
+        _loops._general_cycle_passes(None, 0, j, p, reps, k, modulus)
         cycles = cycle_decomposition(kway_kind(k), modulus - 1).cycles
         owner = {i: c for c, cycle in enumerate(cycles) for i in cycle}
         met = sorted(owner.get(leader, -1) for leader in leaders)
@@ -319,9 +319,9 @@ def test_single_twin_block(k, p, j, moves, monkeypatch):
                 assert buf == oracle_shuffle(list(range(n)), kway_kind(k))
             else:
                 assert oracle_shuffle(buf, kway_kind(k)) == list(range(n))
-            # a list meets the kernel's entry without resolve, the twin through it
+            # a list meets the kernel's entry without _fastpath, the twin through it
             compiled = native and _fastpath.HAVE_COMPILED
-            assert ran == ({"shuffle": 1} if compiled else {"resolve": 1, "twin": 1})
+            assert ran == ({"shuffle": 1} if compiled else {"fastpath": 1, "twin": 1})
             assert ran.returned == [(0, moves, 0, 1, 2 * j)]
             assert instr.moves == moves and instr.rotate_moves == 0
             if not native:

@@ -68,10 +68,10 @@ def test_blocks_and_cycles_are_those_of_the_plan():
         assert counts[3:] == (instr.blocks, instr.cycles), total
 
 
-def cycle_leader_pass(buf, offset, k, instr=None):
+def cycle_leader_pass(buf, offset, k):
     # the driver's cycle-leader passes on one 3^k - 1 block, at arity 2 and
-    # p = 3, whose one coset representative is 1
-    _general_cycle_passes(buf, offset, k, 3, (1,), 2, 3**k, instr)
+    # p = 3, whose one coset representative is 1, and their (moves, cycles)
+    return _general_cycle_passes(buf, offset, k, 3, (1,), 2, 3**k)
 
 
 def test_cycle_leader_pass_small_blocks():
@@ -99,9 +99,7 @@ def test_cycle_leader_pass_move_accounting():
     for k in (1, 2, 3, 4):
         size = 3**k - 1
         buf = CountingList(range(size))
-        instr = Instrumentation()
-        cycle_leader_pass(buf, 0, k, instr)
-        assert instr.moves == size + k
+        assert cycle_leader_pass(buf, 0, k) == (size + k, k)
         assert buf.sets == size
         assert buf.gets == size + k
 
@@ -376,15 +374,15 @@ def test_compiled_path_matches_pure_path(monkeypatch):
                 m.setattr(_fastpath, "_native", None)  # as when the kernel did not build
                 with spy() as ran:
                     call(pure, pure_instr)
-                assert ran == {"resolve": 1, "twin": 1}
+                assert ran == {"fastpath": 1, "twin": 1}
             for label, buf, itemsize, payload in _native_buffers(rng.randbytes, length):
                 instr = Instrumentation()
                 with spy() as ran:
                     call(buf, instr)
-                # a list meets the kernel's entry without resolve; a
-                # MaskedArray resolves and moves its data and its mask
-                runs = {"list": {"shuffle": 1}, "masked int64": {"resolve": 3, "shuffle": 2}}
-                assert ran == runs.get(label, {"resolve": 1, "shuffle": 1}), label
+                # a list meets the kernel's entry without _fastpath; a
+                # MaskedArray passes its data and its mask through it
+                runs = {"list": {"shuffle": 1}, "masked int64": {"fastpath": 3, "shuffle": 2}}
+                assert ran == runs.get(label, {"fastpath": 1, "shuffle": 1}), label
                 expected = b"".join(payload[i * itemsize : (i + 1) * itemsize] for i in pure)
                 case = f"{name} on {label} at length {length}"
                 if label == "list":
