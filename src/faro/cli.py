@@ -17,8 +17,19 @@ once, in the page cache, and never copied through a buffer of the
 process. The steps on the file's bytes, the copy and the check, are in
 ``_recordfile``; the order of the steps, their messages and exit codes and
 the temp file's life are here.
+
+A ``faro`` process enters at ``run()``, which calls ``main()`` and then
+ends the process the way CPython's own exit begins: it runs the exit
+handlers (``atexit``) and flushes stdout and stderr, and then calls
+``os._exit`` instead of tearing the interpreter down. Freeing every
+module, code object and dict took a ``faro apply`` child 3-5 ms, and
+nothing is left to make durable by then: the file is synced and renamed,
+and its mapping and descriptors are closed. A write to stdout that fails,
+as into a closed pipe or a full device, exits 3 with one line on stderr.
+``main(argv)`` returns its exit code and never ends the process.
 """
 
+import atexit
 import getopt
 import math
 import os
@@ -275,5 +286,33 @@ def main(argv=None) -> int:
     return cmd_order(order)
 
 
+def run():
+    """The process entry: ``main()``, the exit handlers, the flush of stdout and stderr, ``os._exit``."""
+    try:
+        code = main()
+        atexit._run_exitfuncs()
+        _flush(sys.stdout)
+    except OSError as exc:
+        # main() reports the errors of the files it opens: this is stdout's.
+        # What stdout still buffers is dropped with the process.
+        atexit._run_exitfuncs()  # none runs twice: the first call clears them
+        code = EXIT_IO
+        try:
+            _fail(code, f"cannot write output: {exc}")
+        except OSError:
+            pass
+    try:
+        _flush(sys.stderr)
+    except OSError:
+        pass
+    os._exit(code)
+
+
+def _flush(stream) -> None:
+    # a stream is None when its descriptor was closed before the start
+    if stream is not None:
+        stream.flush()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

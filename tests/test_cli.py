@@ -632,9 +632,6 @@ def test_command_line_grammar(tmp_path, monkeypatch, capsys, argv, code, stream,
 
 
 def test_console_script_is_wired():
-    import subprocess
-    import sys
-
     result = subprocess.run(
         [sys.executable, "-m", "faro.cli", "order", "52"],
         capture_output=True,
@@ -642,3 +639,85 @@ def test_console_script_is_wired():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "52"
+    # an installed `faro` calls the target of [project.scripts]: the process
+    # entry, which skips the interpreter's teardown
+    if sys.version_info < (3, 11):
+        pytest.skip("tomllib is new in Python 3.11")
+    import importlib
+    import tomllib
+
+    pyproject = os.path.join(os.path.dirname(SRC_ENV["PYTHONPATH"]), "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["faro"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
+# as SRC_ENV, with stdout buffered as it is by default: what a process
+# leaves in the buffer is lost unless it is flushed
+BUFFERED_ENV = {name: value for name, value in SRC_ENV.items() if name != "PYTHONUNBUFFERED"}
+
+
+def faro_child(argv, **kwargs):
+    """`python -m faro.cli` with `argv`, run to its end; stderr is captured as text."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "faro.cli", *argv], env=BUFFERED_ENV,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def test_output_longer_than_a_pipe_arrives_whole(capsys):
+    # stdout buffers what does not fill a block: the process entry flushes it
+    argv = ["cycles", "--kind", "in", "20000"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert len(expected) > 1 << 16
+    done = faro_child(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+
+def test_process_entry_runs_the_exit_handlers():
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'handler ran')\n"
+        "sys.argv = ['faro', 'order', '6']\n"
+        "runpy.run_module('faro.cli', run_name='__main__')\n"
+        "print('the process outlived its entry')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=BUFFERED_ENV, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3\nhandler ran\n", "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["order", "6"], 0),
+    (["order", "x"], 2),
+    (["apply", "--record-size", "4", "missing.bin"], 3),
+], ids=["ok", "usage", "io"])
+def test_process_entry_passes_the_exit_code_through(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    done = faro_child(argv)
+    assert done.returncode == code, done.stderr
+
+
+def test_process_entry_runs_with_stdout_closed():
+    # a descriptor closed before the start leaves its sys stream None
+    done = faro_child(["order", "6"], stdout=None, preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_a_closed_pipe_exits_3_with_one_line():
+    # far more output than the pipe holds: the child is still writing when
+    # the reader goes
+    child = subprocess.Popen([sys.executable, "-m", "faro.cli", "cycles", "--kind", "in", "40000"],
+                             env=BUFFERED_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(10) == b"(1 2 4 8 1"
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (3, b"faro: cannot write output: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_exits_3_with_one_line():
+    with open("/dev/full", "w") as full:
+        done = faro_child(["order", "6"], stdout=full)
+    assert (done.returncode, done.stderr) == (3, "faro: cannot write output: [Errno 28] No space left on device\n")

@@ -829,30 +829,28 @@ def test_cli_import_leaves_ctypes_dataclasses_and_inspect_out(tmp_path):
     # parsers cost a child about 3 ms. While the kernel is loaded no call
     # of a child takes the Python twin, so nothing compiles it, and a
     # cached kernel spares the build's module. The second probe takes the
-    # path of `python -m faro.cli apply --verify`.
+    # path of `python -m faro.cli apply --verify`; that process ends inside
+    # run_module, so it reports its modules from an exit handler.
     records = [bytes([i] * 4) for i in range(16)]
     target = tmp_path / "deck.bin"
     target.write_bytes(b"".join(records))
     left_out = (
-        "import faro._fastpath\n"
-        "unwanted = {'argparse', 'ctypes', 'dataclasses', 'inspect'}\n"
-        "if faro._fastpath.HAVE_COMPILED:\n"
-        "    unwanted |= {'faro._loops', 'faro._build'}\n"
-        "print(sorted(unwanted & set(sys.modules)))\n"
+        "def report():\n"
+        "    import faro._fastpath\n"
+        "    unwanted = {'argparse', 'ctypes', 'dataclasses', 'inspect'}\n"
+        "    if faro._fastpath.HAVE_COMPILED:\n"
+        "        unwanted |= {'faro._loops', 'faro._build'}\n"
+        "    print(sorted(unwanted & set(sys.modules)))\n"
     )
     run_apply = (
-        "import runpy, sys\n"
+        "import atexit, runpy\n"
+        "atexit.register(report)\n"
         f"sys.argv = ['faro', 'apply', '--verify', '--record-size', '4', {str(target)!r}]\n"
-        "try:\n"
-        "    runpy.run_module('faro.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
+        "runpy.run_module('faro.cli', run_name='__main__')\n"
     )
-    for probe in ("import sys, faro.cli\n" + left_out, run_apply + left_out):
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "[]", probe
+    for probe in ("import sys, faro.cli\n" + left_out + "report()\n", "import sys\n" + left_out + run_apply):
+        done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True)
+        assert (done.returncode, done.stdout.strip()) == (0, "[]"), (probe, done.stderr)
     assert target.read_bytes() == b"".join(oracle_shuffle(records, IN_SHUFFLE))
 
 

@@ -10,10 +10,14 @@ and so its children, to one CPU, as perfbench does, and runs
 2, 3, 4, 6, 8, 11 and 16 MiB of 64-byte records, in each of the four
 two-way kinds: in and out, forward and ``--inverse``. Each call runs once
 on each side, on a fresh copy of the same file, and which side goes first
-alternates call by call. Every result is checked against
-``faro.oracle.oracle_shuffle``, or the script stops. Children inherit this
-process's environment: with ``PYTHONDONTWRITEBYTECODE=1`` each compiles
-faro's source, as a child of a fresh checkout does.
+alternates call by call. Each copy is a new file, removed after its
+child: a child that replaced a file an earlier child had left waited for
+the disk to release that file's synced blocks, which on an ext4 disk
+mounted with ``discard`` added 0.15-0.6 s to a child and hid faro's own
+time. Every result is checked against ``faro.oracle.oracle_shuffle``, or the
+script stops. Children inherit this process's environment: with
+``PYTHONDONTWRITEBYTECODE=1`` each compiles faro's source, as a child of a
+fresh checkout does.
 
 For each size it prints the median over rounds of each side's wall time
 for the four kinds, their ratio change/base, the rounds CHANGE won,
@@ -95,7 +99,7 @@ def expected_digest(data, kind, inverse):
 
 def run(env, path, data, kind, inverse):
     """Wall seconds and peak RSS in bytes of one apply child on a fresh copy of `data` at `path`,
-    and the digest it left."""
+    and the digest it left; `path` is removed."""
     with open(path, "wb") as handle:
         handle.write(data)
     argv = [sys.executable, "-m", "faro.cli", "apply", "--kind", kind, *(["--inverse"] if inverse else []),
@@ -106,7 +110,9 @@ def run(env, path, data, kind, inverse):
     if code != "0":
         sys.exit(f"apply exited {code}: {done.stderr.strip()}")
     with open(path, "rb") as handle:
-        return float(seconds), int(rss_kb) * 1024, hashlib.sha256(handle.read()).hexdigest()
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    os.unlink(path)
+    return float(seconds), int(rss_kb) * 1024, digest
 
 
 def main(argv=None):
